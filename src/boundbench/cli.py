@@ -5,8 +5,10 @@
     boundbench diagnostics --config cfg.json [--out DIR]
 
 Exit status is 0 only when no monitored invariant failed; not-applicable
-checks never fail a run. BOUNDBENCH_THREADS caps the per-sample worker
-count used by feature extraction and diagnostics.
+checks never fail a run. Status 2 means a bad config (such as a data set
+whose width is not network.p) or a missing file. The network is evaluated
+in one batched pass over all samples; that pass does not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -21,7 +21,6 @@ from .activations import Activation, ActivationKind, certify_h_smooth, huberized
 from .bounds import (
     RunContext,
     RunLog,
-    StepState,
     compute_alpha_max,
     compute_h_max,
     compute_q_tilde,
@@ -42,24 +41,24 @@ from .linalg import (
 from .network import (
     Dataset,
     LossValue,
-    forward,
     g_factor,
-    grad_dot_weights,
     gradient,
     loss_and_gradient,
+    margins,
     sample_loss,
     total_loss,
 )
 from .ntk import (
     ClusteredDataSpec,
     InitSpec,
-    NumericalDivergenceError,
     PhasePlan,
     gaussian_init,
     init_diagnostics,
     make_clustered_dataset,
     margin_estimate_subgradient,
+    nt_smoothing_width,
     ntk_features,
+    run_phase,
     two_phase_train,
 )
 from .oracles import FdConfig, fd_compare, fd_gradient
@@ -234,20 +233,25 @@ def parse_config(source: str | dict) -> RunConfig:
 
 
 def build_dataset(config: RunConfig) -> Dataset:
+    """The configured data set; its width must match network.p."""
     data = config.data
-    if data["file"] is not None:
-        return Dataset.from_json_file(data["file"])
-    if data["inline"] is not None:
-        return Dataset.from_json_dict(data["inline"])
-    cl = data["clustered"]
     p = config.network["p"]
-    seed = config.seeds["data"]
-    if cl["mu"] is not None:
-        mu = np.asarray(cl["mu"], dtype=np.float64)
+    if data["file"] is not None:
+        dataset = Dataset.from_json_file(data["file"])
+    elif data["inline"] is not None:
+        dataset = Dataset.from_json_dict(data["inline"])
     else:
-        mu = np.random.default_rng(seed).standard_normal(p)
-    spec = ClusteredDataSpec(mu=mu, r=float(cl["r"]), n=cl["n"], seed=seed)
-    return make_clustered_dataset(spec)
+        cl = data["clustered"]
+        seed = config.seeds["data"]
+        if cl["mu"] is not None:
+            mu = np.asarray(cl["mu"], dtype=np.float64)
+        else:
+            mu = np.random.default_rng(seed).standard_normal(p)
+        spec = ClusteredDataSpec(mu=mu, r=float(cl["r"]), n=cl["n"], seed=seed)
+        dataset = make_clustered_dataset(spec)
+    if dataset.p != p:
+        raise ConfigError(f"network.p: dataset width {dataset.p} does not match {p}")
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +265,8 @@ def warmup(
     sample ends up correctly classified."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    V = V0
-    for t in range(1, steps + 1):
-        loss, grad = loss_and_gradient(V, act, data)
-        if not math.isfinite(loss.value):
-            raise NumericalDivergenceError(t)
-        V = stack_axpy(V, -alpha, grad)
-    margins = _margins(V, act, data)
-    return V, bool(np.all(margins > 0.0))
-
-
-def _margins(V: WeightStack, act: Activation, data: Dataset) -> np.ndarray:
-    return np.array(
-        [
-            float(y) * forward(V, act, x).output
-            for x, y in zip(data.inputs, data.labels)
-        ]
-    )
+    V = run_phase(V0, act, data, alpha, steps).final_stack
+    return V, bool(np.all(margins(V, act, data) > 0.0))
 
 
 def build_small_loss_init(
@@ -293,17 +282,17 @@ def build_small_loss_init(
     """
     if not (0.0 < target_loss < 1.0):
         raise ValueError("target loss must be in (0, 1)")
-    margins = _margins(V_warm, act, data)
-    if np.any(margins <= 0.0):
-        bad = int(np.argmin(margins))
+    warm_margins = margins(V_warm, act, data)
+    if np.any(warm_margins <= 0.0):
+        bad = int(np.argmin(warm_margins))
         raise ValueError(
-            f"warm stack misclassifies sample {bad} (margin {margins[bad]:.3g}); "
+            f"warm stack misclassifies sample {bad} (margin {warm_margins[bad]:.3g}); "
             "scaling the outer layer cannot reach a small loss"
         )
 
     def loss_at(c: float) -> float:
         return LossValue.mean(
-            [LossValue.from_margin(c * m) for m in margins]
+            [LossValue.from_margin(c * m) for m in warm_margins.tolist()]
         ).value
 
     if loss_at(1.0) <= target_loss:
@@ -434,24 +423,7 @@ def monitored_descent(
     Measures max_steps iterates and one lookahead state so the final
     record still carries its one-step descent comparison.
     """
-    states: list[StepState] = []
-    V = V1
-    for t in range(1, max_steps + 2):
-        loss, grad = loss_and_gradient(V, act, data)
-        if not math.isfinite(loss.value):
-            raise NumericalDivergenceError(t)
-        states.append(
-            StepState(
-                t=t,
-                loss=loss,
-                grad_norm=frobenius_norm(grad),
-                weight_norm=frobenius_norm(V),
-                grad_dot_weights=grad_dot_weights(grad, V),
-            )
-        )
-        if t == max_steps + 1 or loss.value <= loss_floor:
-            break
-        V = stack_axpy(V, -ctx.alpha, grad)
+    states = run_phase(V1, act, data, ctx.alpha, max_steps + 1, loss_floor=loss_floor).states
     records = []
     emit = len(states) - 1 if len(states) > 1 else 1
     for i in range(emit):
@@ -497,8 +469,6 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> tuple[RunLog, i
 def _run_theorem31(config: RunConfig) -> tuple[RunLog, int]:
     data = build_dataset(config)
     p, L = config.network["p"], config.network["L"]
-    if data.p != p:
-        raise ConfigError(f"network.p: dataset width {data.p} does not match {p}")
     n = data.n
     kind = _ACTIVATIONS[config.network["activation"]]
     target = config.init["target_loss"]
@@ -573,7 +543,7 @@ def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
     h_probe = (
         plan_cfg["h_nt"]
         if plan_cfg.get("h_nt") not in (None, "auto")
-        else _h_nt(data.n, p, L)
+        else nt_smoothing_width(data.n, p, L)
     )
     act_probe = huberized(h_probe)
     if gamma == "estimate":
@@ -604,17 +574,11 @@ def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
     if plan_cfg.get("alpha_phase2") is not None:
         overrides["alpha_phase2"] = float(plan_cfg["alpha_phase2"])
     overrides["phase2_steps"] = int(plan_cfg.get("phase2_steps", 0))
-    from dataclasses import replace
-
     plan = replace(plan, **overrides)
     act = huberized(plan.h_nt)
     runlog = two_phase_train(V1, act, data, plan)
     runlog.config_echo["gamma"] = float(gamma)
     return runlog, (1 if runlog.summary["failed"] else 0)
-
-
-def _h_nt(n: int, p: int, L: int) -> float:
-    return (1 + 24 * L) * math.log(n) / (6.0 * (6.0 * p) ** ((L + 1) / 2.0) * L**3)
 
 
 def _run_diagnostics(config: RunConfig) -> tuple[RunLog, int]:
@@ -623,7 +587,7 @@ def _run_diagnostics(config: RunConfig) -> tuple[RunLog, int]:
     kind = _ACTIVATIONS[config.network["activation"]]
     h = config.network["h"]
     if h == "auto":
-        h = _h_nt(data.n, p, L)
+        h = nt_smoothing_width(data.n, p, L)
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=config.seeds["init"]))
     report = init_diagnostics(
         V1,
@@ -695,10 +659,8 @@ def _run_property_suite(config: RunConfig) -> tuple[RunLog, int]:
         report = fd_compare(grad, fd_gradient(V, act, data, FdConfig()), abs_floor=1e-8)
         fd_ok &= report.max_rel_error < 1e-6
         scaled = _scale_to_min_norm(V, math.sqrt(L + 0.5))
-        g2 = gradient(scaled, act, data)
-        bound = grad_upper_bound(
-            total_loss(scaled, act, data), frobenius_norm(scaled), p, L
-        )
+        loss2, g2 = loss_and_gradient(scaled, act, data)
+        bound = grad_upper_bound(loss2, frobenius_norm(scaled), p, L)
         upper_ok &= frobenius_norm(g2) <= bound * (1 + 1e-10)
     checks["gradient_weight_le_loss"] = bool(g_ok)
     checks["gradient_matches_finite_differences"] = bool(fd_ok)

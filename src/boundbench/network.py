@@ -1,10 +1,13 @@
 """Forward pass with trace, stable logistic loss, and exact layerwise
 gradients by reverse accumulation.
 
+The network is evaluated in one batched pass over the n x p input
+matrix; the one-input functions run the same pass on a single row.
 Losses carry a parallel log-space channel because instrumented runs push
 the mean loss far below 1e-12, where ratios like log(1/J) must stay
-accurate. Per-sample quantities are reduced in a fixed left-to-right
-order so repeated runs are bit-identical.
+accurate. Per-sample losses are reduced in a fixed left-to-right order,
+and no result of this module depends on the BLAS thread count, so repeated
+runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -101,12 +104,17 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Everything one forward pass produces, per layer."""
+    """Everything one forward pass produces, per layer.
 
-    u: tuple[np.ndarray, ...]  # pre-activations, L vectors
-    x: tuple[np.ndarray, ...]  # post-activations, L vectors
+    From `forward_rows` each entry is an n x p array with one row per
+    input and `output` holds the n outputs; from `forward` (one input)
+    each entry is a p-vector and `output` is a float.
+    """
+
+    u: tuple[np.ndarray, ...]  # pre-activations, L entries
+    x: tuple[np.ndarray, ...]  # post-activations, L entries
     sigma_diag: tuple[np.ndarray, ...]  # activation derivatives at u
-    output: float
+    output: np.ndarray | float
 
 
 @dataclass(frozen=True)
@@ -157,21 +165,75 @@ class LossValue:
         return -self.log_value
 
 
-def forward(V: WeightStack, act: Activation, x: np.ndarray) -> ForwardTrace:
-    """Forward pass keeping pre/post-activations and derivative diagonals."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (V.p,):
-        raise ShapeMismatchError(f"input has shape {x.shape}, expected ({V.p},)")
+def forward_rows(V: WeightStack, act: Activation, inputs: np.ndarray) -> ForwardTrace:
+    """Forward pass over every row of `inputs` (n x p) at once."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[1] != V.p:
+        raise ShapeMismatchError(f"inputs have shape {inputs.shape}, expected (n, {V.p})")
     us, xs, sigmas = [], [], []
-    cur = x
+    cur = inputs
     for W in V.hidden:
-        u = W @ cur
+        u = cur @ W.T
         cur = np.asarray(act.value(u))
         us.append(u)
         xs.append(cur)
         sigmas.append(np.asarray(act.deriv(u)))
-    output = float(V.outer[0] @ cur)
-    return ForwardTrace(u=tuple(us), x=tuple(xs), sigma_diag=tuple(sigmas), output=output)
+    return ForwardTrace(u=tuple(us), x=tuple(xs), sigma_diag=tuple(sigmas), output=cur @ V.outer[0])
+
+
+def sensitivities(V: WeightStack, trace: ForwardTrace) -> list[np.ndarray]:
+    """B_l (n x p) for each hidden layer l, by reverse accumulation.
+
+    Row i of B_l is the sensitivity of output i to the layer-l
+    pre-activations, so the layer-l block of that output's gradient is the
+    outer product B_l[i] x_{l-1}[i]^T.
+    """
+    L = V.depth
+    bs: list[np.ndarray] = [np.empty(0)] * L
+    b = trace.sigma_diag[L - 1] * V.outer[0]
+    for layer in range(L - 1, -1, -1):
+        bs[layer] = b
+        if layer > 0:
+            b = trace.sigma_diag[layer - 1] * (b @ V.hidden[layer])
+    return bs
+
+
+def output_gradients(V: WeightStack, act: Activation, inputs: np.ndarray) -> list[WeightStack]:
+    """Gradient of the network output f (not the loss) at each input row:
+    hidden blocks B_l[i] x_{l-1}[i]^T and the outer block x_L[i]."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    trace = forward_rows(V, act, inputs)
+    below = (inputs, *trace.x[:-1])
+    bs = sensitivities(V, trace)
+    return [
+        WeightStack.from_layers(
+            [np.outer(b[i], x[i]) for b, x in zip(bs, below)] + [trace.x[-1][i : i + 1]]
+        )
+        for i in range(inputs.shape[0])
+    ]
+
+
+def _one_row(V: WeightStack, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (V.p,):
+        raise ShapeMismatchError(f"input has shape {x.shape}, expected ({V.p},)")
+    return x[None, :]
+
+
+def forward(V: WeightStack, act: Activation, x: np.ndarray) -> ForwardTrace:
+    """Forward pass at one input: `forward_rows` on a single row."""
+    trace = forward_rows(V, act, _one_row(V, x))
+    return ForwardTrace(
+        u=tuple(u[0] for u in trace.u),
+        x=tuple(v[0] for v in trace.x),
+        sigma_diag=tuple(s[0] for s in trace.sigma_diag),
+        output=float(trace.output[0]),
+    )
+
+
+def output_gradient(V: WeightStack, act: Activation, x: np.ndarray) -> WeightStack:
+    """Gradient of the network output f (not the loss) at one input."""
+    return output_gradients(V, act, _one_row(V, x))[0]
 
 
 def sample_loss(V: WeightStack, act: Activation, x: np.ndarray, y: float) -> LossValue:
@@ -179,12 +241,6 @@ def sample_loss(V: WeightStack, act: Activation, x: np.ndarray, y: float) -> Los
         raise ValueError(f"label must be -1 or +1, got {y}")
     f = forward(V, act, x).output
     return LossValue.from_margin(float(y) * f)
-
-
-def total_loss(V: WeightStack, act: Activation, data: Dataset) -> LossValue:
-    return LossValue.mean(
-        [sample_loss(V, act, x, y) for x, y in zip(data.inputs, data.labels)]
-    )
 
 
 def g_factor(V: WeightStack, act: Activation, x: np.ndarray, y: float) -> float:
@@ -202,64 +258,35 @@ def _stable_g(z: float) -> float:
     return 1.0 / (1.0 + math.exp(z))
 
 
-def output_gradient(
-    V: WeightStack, act: Activation, x: np.ndarray, trace: ForwardTrace | None = None
-) -> WeightStack:
-    """Gradient of the network output f (not the loss) at one input.
+def margins(V: WeightStack, act: Activation, data: Dataset) -> np.ndarray:
+    """y_i f(x_i) for every sample."""
+    return data.labels * forward_rows(V, act, data.inputs).output
 
-    Reverse accumulation over the trace: with b_l the sensitivity of f to
-    the layer-l pre-activation, the layer-l block is the outer product
-    b_l x_{l-1}^T and the outer-layer block is x_L itself.
-    """
-    if trace is None:
-        trace = forward(V, act, x)
-    L = V.depth
-    grads: list[np.ndarray] = [np.empty(0)] * (L + 1)
-    grads[L] = trace.x[L - 1][None, :].copy()
-    b = trace.sigma_diag[L - 1] * V.outer[0]
-    for layer in range(L - 1, -1, -1):
-        below = x if layer == 0 else trace.x[layer - 1]
-        grads[layer] = np.outer(b, below)
-        if layer > 0:
-            b = trace.sigma_diag[layer - 1] * (V.hidden[layer].T @ b)
-    return WeightStack.from_layers(grads)
+
+def total_loss(V: WeightStack, act: Activation, data: Dataset) -> LossValue:
+    return LossValue.mean([LossValue.from_margin(z) for z in margins(V, act, data).tolist()])
 
 
 def gradient(V: WeightStack, act: Activation, data: Dataset) -> WeightStack:
-    """Exact loss gradient, accumulated per sample in a fixed order."""
+    """Exact loss gradient."""
     return loss_and_gradient(V, act, data)[1]
 
 
 def loss_and_gradient(
     V: WeightStack, act: Activation, data: Dataset
 ) -> tuple[LossValue, WeightStack]:
-    """Loss and its exact gradient from one shared set of forward traces.
+    """Mean loss and its exact gradient from one batched pass.
 
-    Identical in value to calling total_loss and gradient separately; the
-    fused form exists because instrumented training needs both every step.
+    With c_i = -y_i g(z_i) / n, the layer-l block is (c * B_l)^T X_{l-1}
+    and the outer block is c^T X_L. The loss equals `total_loss` exactly.
     """
-    L = V.depth
-    acc = [np.zeros((V.p, V.p)) for _ in range(L)] + [np.zeros((1, V.p))]
-    losses = []
-    for x, y in zip(data.inputs, data.labels):
-        trace = forward(V, act, x)
-        z = float(y) * trace.output
-        losses.append(LossValue.from_margin(z))
-        scale = -float(y) * _stable_g(z)
-        sample_grad = output_gradient(V, act, x, trace)
-        for block, contrib in zip(acc, sample_grad.layers()):
-            block += scale * contrib
-    n = data.n
-    grad = WeightStack.from_layers([block / n for block in acc])
-    return LossValue.mean(losses), grad
-
-
-def grad_dot_weights(grad: WeightStack, V: WeightStack) -> float:
-    """Inner product grad . V, the alignment functional monitors need."""
-    total = 0.0
-    for g, w in zip(grad.layers(), V.layers()):
-        total += float(np.dot(g.ravel(), w.ravel()))
-    return total
+    trace = forward_rows(V, act, data.inputs)
+    zs = (data.labels * trace.output).tolist()
+    c = np.array([-y * _stable_g(z) for y, z in zip(data.labels.tolist(), zs)]) / data.n
+    below = (data.inputs, *trace.x[:-1])
+    grads = [(c[:, None] * b).T @ x for b, x in zip(sensitivities(V, trace), below)]
+    grads.append((c @ trace.x[-1])[None, :])
+    return LossValue.mean([LossValue.from_margin(z) for z in zs]), WeightStack.from_layers(grads)
 
 
 def gd_step(V: WeightStack, alpha: float, grad: WeightStack) -> WeightStack:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import map_samples
 from .activations import Activation, ActivationKind
 from .bounds import (
     RunContext,
@@ -42,10 +41,11 @@ from .linalg import (
 from .network import (
     Dataset,
     LossValue,
-    forward,
-    grad_dot_weights,
+    _stable_g,
+    forward_rows,
     loss_and_gradient,
-    output_gradient,
+    output_gradients,
+    sensitivities,
     total_loss,
 )
 
@@ -102,7 +102,7 @@ def gaussian_init(spec: InitSpec) -> WeightStack:
 
 def ntk_features(V1: WeightStack, act: Activation, data: Dataset) -> list[WeightStack]:
     """Per-sample gradient of the network output at V1 (not of the loss)."""
-    return map_samples(lambda x: output_gradient(V1, act, x), list(data.inputs))
+    return output_gradients(V1, act, data.inputs)
 
 
 class WitnessConstruction(enum.Enum):
@@ -318,13 +318,11 @@ def nt_class_minimize(
     with step halving converges to the global minimum; the accepted
     objective never increases across iterations.
     """
-    feats = ntk_features(V1, act, data)
-    f0 = np.array([forward(V1, act, x).output for x in data.inputs])
-    ys = data.labels
     if cfg.rho == 0.0:
-        obj = _nt_objective(f0, ys)
-        return V1, obj.value
-
+        return V1, total_loss(V1, act, data).value
+    feats = ntk_features(V1, act, data)
+    f0 = forward_rows(V1, act, data.inputs).output
+    ys = data.labels
     offset = [np.zeros_like(m) for m in V1.layers()]
 
     def margins(off: list[np.ndarray]) -> np.ndarray:
@@ -344,10 +342,7 @@ def nt_class_minimize(
         zs = margins(off)
         out = [np.zeros_like(m) for m in offset]
         for s, (f, y) in enumerate(zip(feats, ys)):
-            g = 1.0 / (1.0 + math.exp(zs[s])) if zs[s] < 0 else (
-                math.exp(-zs[s]) / (1.0 + math.exp(-zs[s]))
-            )
-            scale = -float(y) * g / data.n
+            scale = -float(y) * _stable_g(float(zs[s])) / data.n
             for block, fm in zip(out, f.layers()):
                 block += scale * fm
         return out
@@ -383,12 +378,6 @@ def nt_class_minimize(
     return v_star, obj.value
 
 
-def _nt_objective(f0: np.ndarray, ys: np.ndarray) -> LossValue:
-    return LossValue.mean(
-        [LossValue.from_margin(float(y) * f) for f, y in zip(f0, ys)]
-    )
-
-
 def approx_error_sample(
     V1: WeightStack,
     act: Activation,
@@ -415,12 +404,14 @@ def approx_error_sample(
         v_hat = _perturb_layers_frobenius(V1, tau, rng)
         v_til = _perturb_layers_frobenius(V1, tau, rng)
         delta = stack_axpy(v_hat, -1.0, v_til)
-        for x in data.inputs:
-            f_hat = forward(v_hat, act, x).output
-            trace_til = forward(v_til, act, x)
-            feat_til = output_gradient(v_til, act, x, trace_til)
-            lin = trace_til.output + stack_dot(feat_til, delta)
-            worst = max(worst, abs(f_hat - lin))
+        f_hat = forward_rows(v_hat, act, data.inputs).output
+        til = forward_rows(v_til, act, data.inputs)
+        # <b x^T, D> = b^T D x, so no per-sample feature stack is formed
+        lin = til.output + til.x[-1] @ delta.outer[0]
+        below = (data.inputs, *til.x[:-1])
+        for b, x, d in zip(sensitivities(v_til, til), below, delta.hidden):
+            lin = lin + np.einsum("ij,ij->i", b, x @ d.T)
+        worst = max(worst, float(np.max(np.abs(f_hat - lin))))
     return worst
 
 
@@ -442,9 +433,15 @@ def gamma_bound(
         points += [_perturb_layers_frobenius(V1, tau, rng) for _ in range(k_samples)]
     worst = 0.0
     for V in points:
-        for x in data.inputs:
-            feat = output_gradient(V, act, x)
-            worst = max(worst, max(float(np.linalg.norm(m)) for m in feat.layers()))
+        trace = forward_rows(V, act, data.inputs)
+        below = (data.inputs, *trace.x[:-1])
+        # one block at a time; the norms equal those of ntk_features bit for bit
+        hidden = (
+            float(np.linalg.norm(np.outer(b_i, x_i)))
+            for b, x in zip(sensitivities(V, trace), below)
+            for b_i, x_i in zip(b, x)
+        )
+        worst = max(worst, *hidden, *(float(np.linalg.norm(x)) for x in trace.x[-1]))
     return worst
 
 
@@ -469,6 +466,12 @@ def max_layer_distance(a: WeightStack, b: WeightStack) -> float:
 
 # ---------------------------------------------------------------------------
 # two-phase training
+
+
+def nt_smoothing_width(n: int, p: int, L: int) -> float:
+    """Smoothing width of the two-phase schedule:
+    (1 + 24L) log n / (6 (6p)^((L+1)/2) L^3)."""
+    return (1 + 24 * L) * math.log(n) / (6.0 * (6.0 * p) ** ((L + 1) / 2.0) * L**3)
 
 
 @dataclass(frozen=True)
@@ -524,7 +527,6 @@ class PhasePlan:
         """
         if not 0 < gamma:
             raise ValueError("need a positive margin")
-        h_nt = (1 + 24 * L) * math.log(n) / (6.0 * (6.0 * p) ** ((L + 1) / 2.0) * L**3)
         log_n = math.log(n)
         rho = (
             c1
@@ -541,7 +543,7 @@ class PhasePlan:
         plan = cls(
             alpha_nt=alpha_nt,
             T=max(T, 1),
-            h_nt=h_nt,
+            h_nt=nt_smoothing_width(n, p, L),
             rho=rho,
             c1=c1,
             theta_const=theta_const,
@@ -574,8 +576,11 @@ def run_phase(
 ) -> PhaseTrace:
     """Plain constant-step GD, measuring everything monitors will need.
 
-    Tracks the argmin-loss iterate with earliest-step tie-breaking, and
-    per-step max-layer drift from `anchor` (default: the starting stack).
+    The one descent loop: warmup, monitored descent and both phases of the
+    two-phase schedule run it. Tracks the argmin-loss iterate with
+    earliest-step tie-breaking, and per-step max-layer drift from `anchor`
+    (default: the starting stack). `final_stack` is the iterate after the
+    last step taken, which has not been evaluated unless a stop rule fired.
     """
     anchor = anchor if anchor is not None else V
     trace = PhaseTrace()
@@ -589,7 +594,7 @@ def run_phase(
             loss=loss,
             grad_norm=frobenius_norm(grad),
             weight_norm=frobenius_norm(cur),
-            grad_dot_weights=grad_dot_weights(grad, cur),
+            grad_dot_weights=stack_dot(grad, cur),
         )
         trace.states.append(state)
         trace.drifts.append(max_layer_distance(cur, anchor))
@@ -846,12 +851,8 @@ def init_diagnostics(
             stacklevel=2,
         )
 
-    def norms_for(x: np.ndarray) -> np.ndarray:
-        tr = forward(V1, act, x)
-        return np.array([float(np.linalg.norm(v)) for v in tr.x])
-
-    cols = map_samples(norms_for, list(data.inputs))
-    post_norms = np.stack(cols, axis=1)  # L x n
+    trace = forward_rows(V1, act, data.inputs)
+    post_norms = np.stack([np.linalg.norm(x, axis=1) for x in trace.x])  # L x n
     op_norms = tuple(operator_norm(m, rel_tol=op_rel_tol).value for m in V1.hidden)
     outer_scaled = float(np.linalg.norm(V1.outer)) / math.sqrt(p)
     sparsity = (
@@ -886,12 +887,9 @@ def sigma_difference_sparsity(
     v_til = _perturb_hidden_operator(V1, tau, rng)
     v_hat = _perturb_hidden_operator(V1, tau, rng)
     L = V1.depth
-    counts = np.zeros((L, data.n), dtype=int)
-    for s, x in enumerate(data.inputs):
-        tr_a = forward(v_til, act, x)
-        tr_b = forward(v_hat, act, x)
-        for li in range(L):
-            counts[li, s] = int(np.count_nonzero(tr_a.sigma_diag[li] != tr_b.sigma_diag[li]))
+    sig_a = forward_rows(v_til, act, data.inputs).sigma_diag
+    sig_b = forward_rows(v_hat, act, data.inputs).sigma_diag
+    counts = np.stack([np.count_nonzero(a != b, axis=1) for a, b in zip(sig_a, sig_b)])
     trend = V1.p * L**2 * tau ** (2.0 / 3.0)
     return {
         "max_count": int(counts.max()),

@@ -7,24 +7,18 @@ agreement between the two is evidence, not tautology.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import Activation, ActivationKind
 from .linalg import ShapeMismatchError, WeightStack
-from .network import Dataset, forward, total_loss
-
-
-class FdScheme(enum.Enum):
-    CENTRAL = "central"
+from .network import Dataset, forward_rows, total_loss
 
 
 @dataclass(frozen=True)
 class FdConfig:
     step: float = 1e-5
-    scheme: FdScheme = FdScheme.CENTRAL
 
     def __post_init__(self):
         if not (1e-8 <= self.step <= 1e-3):
@@ -60,9 +54,7 @@ def fd_gradient(
     return WeightStack.from_layers(out)
 
 
-def fd_compare(
-    a: WeightStack, b: WeightStack, rel_tol: float = 1e-6, abs_floor: float = 1e-4
-) -> FdCompareReport:
+def fd_compare(a: WeightStack, b: WeightStack, abs_floor: float = 1e-4) -> FdCompareReport:
     """Max entrywise relative error with an absolute floor, and where it is.
 
     Central differences of an O(1) loss carry rounding noise of about
@@ -80,7 +72,6 @@ def fd_compare(
         r, c = np.unravel_index(flat, err.shape)
         if err[r, c] > worst[0]:
             worst = (float(err[r, c]), li, int(r), int(c))
-    _ = rel_tol  # callers assert against it; kept for signature symmetry
     return FdCompareReport(
         max_rel_error=worst[0], worst_layer=worst[1], worst_row=worst[2], worst_col=worst[3]
     )
@@ -103,12 +94,10 @@ def kink_exclusions(
     if act.kind is not ActivationKind.HUBERIZED_RELU:
         return masks, 0
     margin = 10.0 * step
-    layer_near_kink = np.zeros(L, dtype=bool)
-    for x in data.inputs:
-        trace = forward(V, act, x)
-        for li, u in enumerate(trace.u):
-            if np.any(np.minimum(np.abs(u), np.abs(u - act.h)) < margin):
-                layer_near_kink[li] = True
+    trace = forward_rows(V, act, data.inputs)
+    layer_near_kink = np.array(
+        [np.any(np.minimum(np.abs(u), np.abs(u - act.h)) < margin) for u in trace.u]
+    )
     for li in range(L):
         if layer_near_kink[li:].any():
             masks[li][:] = True

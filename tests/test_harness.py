@@ -260,23 +260,6 @@ def test_summary_worst_slacks_recomputable_from_csv(tmp_path):
     assert worst_upper == pytest.approx(inv["upper"]["worst_slack"], rel=1e-12)
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
-    from boundbench.ntk import ntk_features
-
-    V1 = gaussian_init(InitSpec(p=32, L=2, seed=9))
-    data = make_clustered_dataset(
-        ClusteredDataSpec(mu=np.eye(32)[0], r=0.05, n=6, seed=10)
-    )
-    act = huberized(0.01)
-    monkeypatch.delenv("BOUNDBENCH_THREADS", raising=False)
-    serial = ntk_features(V1, act, data)
-    monkeypatch.setenv("BOUNDBENCH_THREADS", "4")
-    threaded = ntk_features(V1, act, data)
-    for a, b in zip(serial, threaded):
-        for ma, mb in zip(a.layers(), b.layers()):
-            np.testing.assert_array_equal(ma, mb)
-
-
 def test_diagnostics_mode_reports_ranges(tmp_path):
     doc = {
         "mode": "diagnostics",
@@ -383,3 +366,18 @@ def test_cli_diagnostics_subcommand(tmp_path, capsys):
     assert cli_main(["diagnostics", "--config", str(cfg_path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert "post_activation_norm_min" in out
+
+
+@pytest.mark.parametrize("mode", ["theorem32", "diagnostics"])
+def test_cli_rejects_dataset_narrower_than_network(tmp_path, capsys, mode):
+    samples = [{"x": [1.0, 0.0, 0.0, 0.0], "y": 1}, {"x": [0.0, 1.0, 0.0, 0.0], "y": -1}]
+    doc = {
+        "mode": mode,
+        "network": {"p": 8, "L": 1, "activation": "huberized", "h": "auto"},
+        "data": {"inline": {"p": 4, "samples": samples}},
+        "output": {"dir": None},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "network.p" in capsys.readouterr().err

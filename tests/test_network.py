@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from boundbench.network import (
     sample_loss,
     total_loss,
 )
+from boundbench.ntk import ntk_features
 from boundbench.oracles import FdConfig, fd_compare, fd_gradient
 
 # frozen 50-digit evaluations of the stable-loss formulas
@@ -227,7 +232,7 @@ def test_output_gradient_outer_block_is_last_feature():
     x = np.random.default_rng(80).standard_normal(5)
     x /= np.linalg.norm(x)
     trace = forward(V, act, x)
-    feat = output_gradient(V, act, x, trace)
+    feat = output_gradient(V, act, x)
     np.testing.assert_array_equal(feat.outer[0], trace.x[-1])
 
 
@@ -240,6 +245,96 @@ def test_loss_and_gradient_agrees_with_separate_calls():
     sep = gradient(V, act, data)
     for a, b in zip(grad.layers(), sep.layers()):
         np.testing.assert_array_equal(a, b)
+
+
+def _per_sample_reference(V, act, data):
+    """Loss, loss gradient and output gradients, one sample at a time."""
+    L = V.depth
+    losses, feats = [], []
+    grad = [np.zeros(m.shape) for m in V.layers()]
+    for x, y in zip(data.inputs, data.labels):
+        xs, sigmas = [x], []
+        for W in V.hidden:
+            u = W @ xs[-1]
+            sigmas.append(np.asarray(act.deriv(u)))
+            xs.append(np.asarray(act.value(u)))
+        z = y * float(V.outer[0] @ xs[-1])
+        losses.append(float(np.logaddexp(0.0, -z)))
+        feat = [None] * L + [xs[-1][None, :]]
+        b = sigmas[-1] * V.outer[0]
+        for layer in range(L - 1, -1, -1):
+            feat[layer] = np.outer(b, xs[layer])
+            if layer:
+                b = sigmas[layer - 1] * (V.hidden[layer].T @ b)
+        feats.append(feat)
+        weight = -y / (1.0 + math.exp(z)) / data.n
+        for acc, block in zip(grad, feat):
+            acc += weight * block
+    return math.fsum(losses) / data.n, grad, feats
+
+
+def _rel(got, want):
+    return float(np.linalg.norm(got - want)) / float(np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("make_act", [huberized, swish])
+@pytest.mark.parametrize("p,L,n", [(5, 1, 3), (6, 2, 4), (16, 3, 7)])
+def test_batched_pass_matches_per_sample_reference(make_act, p, L, n):
+    act = make_act(0.3)
+    V = random_stack(p, L, seed=500 + p + L, scale=1.5 / math.sqrt(p))
+    data = make_dataset(p, n, seed=600 + n)
+    want_loss, want_grad, want_feats = _per_sample_reference(V, act, data)
+
+    loss, grad = loss_and_gradient(V, act, data)
+    assert loss.value == pytest.approx(want_loss, rel=1e-13)
+    assert total_loss(V, act, data).value == pytest.approx(want_loss, rel=1e-13)
+    for got, want in zip(grad.layers(), want_grad):
+        assert _rel(got, want) <= 1e-13
+    feats = ntk_features(V, act, data)
+    assert len(feats) == n
+    for feat, want in zip(feats, want_feats):
+        for got, block in zip(feat.layers(), want):
+            assert _rel(got, block) <= 1e-13
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from boundbench.activations import huberized
+from boundbench.network import Dataset, loss_and_gradient
+from boundbench.ntk import InitSpec, gaussian_init, ntk_features
+
+digest = hashlib.sha256()
+for p, L, n in ((32, 2, 6), (256, 3, 16)):
+    V = gaussian_init(InitSpec(p=p, L=L, seed=p + L))
+    rng = np.random.default_rng(n)
+    data = Dataset(inputs=rng.standard_normal((n, p)), labels=np.resize([1.0, -1.0], n))
+    loss, grad = loss_and_gradient(V, huberized(0.01), data)
+    digest.update(repr((loss.value, loss.log_value)).encode())
+    for stack in [grad, *ntk_features(V, huberized(0.01), data)]:
+        for m in stack.layers():
+            digest.update(m.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_output_bounded_by_product_of_operator_norms():

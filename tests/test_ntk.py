@@ -7,7 +7,7 @@ import pytest
 from boundbench.activations import huberized, swish
 from boundbench.bounds import Verdict
 from boundbench.linalg import WeightStack, frobenius_norm, stack_axpy, stack_dot
-from boundbench.network import Dataset, forward, total_loss
+from boundbench.network import Dataset, forward, forward_rows, total_loss
 from boundbench.ntk import (
     ClusteredDataSpec,
     InitSpec,
@@ -83,9 +83,9 @@ def test_feature_outer_block_equals_last_hidden_features():
     act = huberized(0.01)
     _, data = clustered(32, 4, 0.05, seed=4)
     feats = ntk_features(V1, act, data)
-    for feat, x in zip(feats, data.inputs):
-        trace = forward(V1, act, x)
-        np.testing.assert_array_equal(feat.outer[0], trace.x[-1])
+    last = forward_rows(V1, act, data.inputs).x[-1]
+    for feat, row in zip(feats, last):
+        np.testing.assert_array_equal(feat.outer[0], row)
 
 
 def test_feature_inner_product_vanishes_at_center():

@@ -4,7 +4,7 @@ import pytest
 from boundbench.activations import huberized, swish
 from boundbench.linalg import WeightStack
 from boundbench.network import Dataset, gradient
-from boundbench.oracles import FdConfig, FdScheme, fd_compare, fd_gradient, kink_exclusions
+from boundbench.oracles import FdConfig, fd_compare, fd_gradient, kink_exclusions
 
 
 def make_instance(p, L, n, seed, act):
@@ -27,7 +27,6 @@ def test_fd_config_step_range():
         FdConfig(step=1e-9)
     with pytest.raises(ValueError):
         FdConfig(step=1e-2)
-    assert FdConfig().scheme is FdScheme.CENTRAL
 
 
 def test_fd_compare_identical_stacks():
