@@ -6,7 +6,8 @@
 
 Exit status is 0 only when no monitored invariant failed; not-applicable
 checks never fail a run. Status 2 means a bad config (such as a data set
-whose width is not network.p) or a missing file. The network is evaluated
+whose width is not network.p, or a theorem32 gamma estimate that finds no
+positive tangent margin) or a missing file. The network is evaluated
 in one batched pass over all samples; that pass does not depend on the
 BLAS thread count.
 """

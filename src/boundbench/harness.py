@@ -210,6 +210,13 @@ def parse_config(source: str | dict) -> RunConfig:
             },
         )
         _expect(plan["phase2_steps"] >= 0, "phase_plan.phase2_steps", "must be nonnegative")
+        gamma = plan["gamma"]
+        _expect(
+            gamma == "estimate"
+            or (isinstance(gamma, (int, float)) and not isinstance(gamma, bool) and gamma > 0),
+            "phase_plan.gamma",
+            'must be "estimate" or a positive number',
+        )
 
     diag = _take(top["diagnostics"], "diagnostics", {"tau": None, "operator_limit": 3.5})
     suite = _take(top["suite"], "suite", {"instances": 25})
@@ -546,10 +553,20 @@ def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
         else nt_smoothing_width(data.n, p, L)
     )
     act_probe = huberized(h_probe)
+    gamma_side = "given"
     if gamma == "estimate":
         feats = ntk_features(V1, act_probe, data)
-        witness = margin_estimate_subgradient(feats, data.labels)
-        gamma = max(witness.gamma, 1e-6)
+        try:
+            gamma = margin_estimate_subgradient(feats, data.labels).gamma
+        except ValueError:
+            # sum_i y_i F_i = 0, so every unit W has a margin <= 0
+            gamma = 0.0
+        if not gamma > 0.0:
+            raise ConfigError(
+                f"phase_plan.gamma: the tangent features do not separate the data "
+                f"(best estimated margin {gamma:.6g}); give an explicit positive gamma"
+            )
+        gamma_side = "lower estimate (subgradient witness)"
     plan = PhasePlan.auto(
         n=data.n,
         p=p,
@@ -578,6 +595,7 @@ def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
     act = huberized(plan.h_nt)
     runlog = two_phase_train(V1, act, data, plan)
     runlog.config_echo["gamma"] = float(gamma)
+    runlog.config_echo["gamma_side"] = gamma_side
     return runlog, (1 if runlog.summary["failed"] else 0)
 
 

@@ -209,7 +209,7 @@ def margin_witness_clustered(
     outer weight is moderate (1/2 <= |V2_i| <= 2) and whose hidden row
     already leans at least 4h along the matching cluster direction; the
     outer block is zero. gamma is the achieved minimum margin over the
-    provided data, re-evaluated from the tangent features.
+    provided data, y_i b_i^T w1 x_i / sqrt(p) from one batched pass.
     """
     if act.kind is not ActivationKind.HUBERIZED_RELU:
         raise ValueError("the explicit witness is defined for the Huberized ReLU only")
@@ -235,8 +235,11 @@ def margin_witness_clustered(
     w1 = np.zeros((p, p))
     w1[active] = np.sign(v2[active])[:, None] * mu[None, :] / math.sqrt(count)
     w_star = WeightStack(hidden=(w1,), outer=np.zeros((1, p)))
-    feats = ntk_features(V1, act, data)
-    gamma = margin_gamma(feats, data.labels, w_star)
+    # the outer block is zero and <b x^T, w1> = b^T w1 x, so no feature stack is formed
+    trace = forward_rows(V1, act, data.inputs)
+    (b,) = sensitivities(V1, trace)
+    dots = np.einsum("ij,ij->i", b, data.inputs @ w1.T)
+    gamma = float(np.min(data.labels * dots)) / math.sqrt(p)
     return MarginWitness(
         w_star=w_star, gamma=gamma, construction=WitnessConstruction.CLUSTERED_EXPLICIT
     )
@@ -249,37 +252,52 @@ def margin_estimate_subgradient(
     step: float = 0.5,
 ) -> MarginWitness:
     """Lower-bound the best achievable margin by projected subgradient
-    ascent on the unit sphere in stack space.
+    ascent on the unit sphere, started at the normalized sum of y_i F_i.
 
-    The reported gamma is the achieved minimum margin of the best iterate,
-    re-evaluated exactly, so it certifies a lower bound on the optimum.
+    Every iterate is W = sum_i a_i F_i, so the ascent runs on the n
+    coefficients a with the Gram K[i,j] = F_i . F_j, formed once: the
+    margins are y * (K a) / sqrt(p) and the norm is sqrt(a^T K a). The
+    best W is built once at the end and its gamma re-evaluated from the
+    features, so it certifies a lower bound on the optimum. A zero start
+    raises ValueError.
     """
     if len(features) < 1 or iters < 1:
         raise ValueError("need at least one feature and one iteration")
-    p = features[0].p
-    sqrt_p = math.sqrt(p)
-    start = features[0]
-    acc = [np.zeros_like(m) for m in start.layers()]
-    for f, y in zip(features, labels):
-        for block, m in zip(acc, f.layers()):
-            block += float(y) * m
-    W = _normalized(WeightStack.from_layers(acc))
-    best_W, best_gamma = W, margin_gamma(features, labels, W)
+    n = len(features)
+    sqrt_p = math.sqrt(features[0].p)
+    ys = np.asarray(labels, dtype=np.float64)
+    gram = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            gram[i, j] = gram[j, i] = stack_dot(features[i], features[j])
+
+    def unit(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sq = float(a @ gram @ a)
+        if not sq > 0.0:
+            raise ValueError("cannot normalize a zero stack")
+        a = a / math.sqrt(sq)
+        return a, ys * (gram @ a) / sqrt_p
+
+    a, margins = unit(ys)
+    best_a, best_gamma = a, float(np.min(margins))
     cur_step = step
     for _ in range(iters):
-        margins = [
-            float(y) * stack_dot(f, W) / sqrt_p for f, y in zip(features, labels)
-        ]
         worst = int(np.argmin(margins))
-        subgrad = stack_scale(features[worst], float(labels[worst]) / sqrt_p)
-        W = _normalized(stack_axpy(W, cur_step, subgrad))
-        gamma = margin_gamma(features, labels, W)
+        a = a.copy()
+        a[worst] += cur_step * ys[worst] / sqrt_p
+        a, margins = unit(a)
+        gamma = float(np.min(margins))
         if gamma > best_gamma:
-            best_gamma, best_W = gamma, W
+            best_gamma, best_a = gamma, a
         cur_step *= 0.995
+    layers = [
+        sum(c * m for c, m in zip(best_a.tolist(), blocks))
+        for blocks in zip(*(f.layers() for f in features))
+    ]
+    W = _normalized(WeightStack.from_layers(layers))
     return MarginWitness(
-        w_star=best_W,
-        gamma=best_gamma,
+        w_star=W,
+        gamma=margin_gamma(features, labels, W),
         construction=WitnessConstruction.SUBGRADIENT_ESTIMATE,
     )
 
@@ -317,61 +335,65 @@ def nt_class_minimize(
     The objective is convex in the offset, so projected gradient descent
     with step halving converges to the global minimum; the accepted
     objective never increases across iterations.
+
+    Every iterate is a per-layer combination of the n tangent features,
+    off_l = sum_i c_{l,i} F_{l,i}, so the descent runs on the n(L+1)
+    coefficients c_l. Feature l of sample i is the rank-1 block
+    B_l[i] x_{l-1}[i]^T (x_L[i] for the outer row), hence the layer Gram
+    K_l = (B_l B_l^T) * (X_{l-1} X_{l-1}^T) and the margins are
+    y * (f0 + sum_l K_l c_l). Grams cost O(n^2 L p) once, each step
+    O(n^2 L); the offset is formed once at the end, with the GEMM of the
+    loss gradient. In exact arithmetic the iterates equal those of the
+    same descent run on the p^2 L + p parameters.
     """
     if cfg.rho == 0.0:
         return V1, total_loss(V1, act, data).value
-    feats = ntk_features(V1, act, data)
-    f0 = forward_rows(V1, act, data.inputs).output
+    trace = forward_rows(V1, act, data.inputs)
+    below = (data.inputs, *trace.x[:-1])
+    bs = sensitivities(V1, trace)
+    grams = [(b @ b.T) * (x @ x.T) for b, x in zip(bs, below)]
+    grams.append(trace.x[-1] @ trace.x[-1].T)
+    f0 = trace.output
     ys = data.labels
-    offset = [np.zeros_like(m) for m in V1.layers()]
+    coef = [np.zeros(data.n) for _ in grams]
 
-    def margins(off: list[np.ndarray]) -> np.ndarray:
-        out = np.empty(data.n)
-        for s, (f, y) in enumerate(zip(feats, ys)):
-            dot = sum(
-                float(np.dot(fm.ravel(), om.ravel()))
-                for fm, om in zip(f.layers(), off)
-            )
-            out[s] = float(y) * (f0[s] + dot)
-        return out
+    def margins(cs: list[np.ndarray]) -> np.ndarray:
+        return ys * (f0 + sum(k @ c for k, c in zip(grams, cs)))
 
-    def objective(off: list[np.ndarray]) -> LossValue:
-        return LossValue.mean([LossValue.from_margin(z) for z in margins(off)])
+    def objective(cs: list[np.ndarray]) -> LossValue:
+        return LossValue.mean([LossValue.from_margin(z) for z in margins(cs).tolist()])
 
-    def grad(off: list[np.ndarray]) -> list[np.ndarray]:
-        zs = margins(off)
-        out = [np.zeros_like(m) for m in offset]
-        for s, (f, y) in enumerate(zip(feats, ys)):
-            scale = -float(y) * _stable_g(float(zs[s])) / data.n
-            for block, fm in zip(out, f.layers()):
-                block += scale * fm
-        return out
+    def grad(cs: list[np.ndarray]) -> np.ndarray:
+        zs = margins(cs).tolist()
+        return np.array([-y * _stable_g(z) for y, z in zip(ys.tolist(), zs)]) / data.n
 
-    def project(off: list[np.ndarray]) -> list[np.ndarray]:
+    def project(cs: list[np.ndarray]) -> list[np.ndarray]:
         clipped = []
-        for m in off:
-            norm = float(np.linalg.norm(m))
-            clipped.append(m if norm <= cfg.rho else m * (cfg.rho / norm))
+        for k, c in zip(grams, cs):
+            norm = math.sqrt(max(float(c @ k @ c), 0.0))
+            clipped.append(c if norm <= cfg.rho else c * (cfg.rho / norm))
         return clipped
 
-    feat_sq = sum(frobenius_norm(f) ** 2 for f in feats) / data.n
+    feat_sq = sum(float(np.trace(k)) for k in grams) / data.n
     step = cfg.step_size if cfg.step_size is not None else 4.0 / max(feat_sq, 1e-12)
-    obj = objective(offset)
+    obj = objective(coef)
     for _ in range(cfg.steps):
-        g = grad(offset)
-        cand = project([m - step * gm for m, gm in zip(offset, g)])
+        g = grad(coef)
+        cand = project([c - step * g for c in coef])
         cand_obj = objective(cand)
         halvings = 0
         while cand_obj.value > obj.value and halvings < 40:
             step *= 0.5
             halvings += 1
-            cand = project([m - step * gm for m, gm in zip(offset, g)])
+            cand = project([c - step * g for c in coef])
             cand_obj = objective(cand)
         if cand_obj.value > obj.value:
             break  # no acceptable step left; stationary within precision
-        offset, obj = cand, cand_obj
+        coef, obj = cand, cand_obj
         if halvings == 0:
             step *= 1.25
+    offset = [(c[:, None] * b).T @ x for c, b, x in zip(coef, bs, below)]
+    offset.append((coef[-1] @ trace.x[-1])[None, :])
     v_star = WeightStack.from_layers(
         [m + om for m, om in zip(V1.layers(), offset)]
     )

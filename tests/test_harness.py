@@ -308,6 +308,7 @@ def test_theorem32_mode_runs_with_overrides():
     assert status == 0
     assert runlog.phase_boundary is not None
     assert runlog.config_echo["gamma"] > 0
+    assert runlog.config_echo["gamma_side"] == "lower estimate (subgradient witness)"
     phases = {rec.phase for rec in runlog.records}
     assert phases == {1, 2}
 
@@ -381,3 +382,53 @@ def test_cli_rejects_dataset_narrower_than_network(tmp_path, capsys, mode):
     cfg_path.write_text(json.dumps(doc))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert "network.p" in capsys.readouterr().err
+
+
+def _theorem32_inline(samples, gamma):
+    return {
+        "mode": "theorem32",
+        "network": {"p": 16, "L": 1, "activation": "huberized", "h": "auto"},
+        "data": {"inline": {"p": 16, "samples": samples}},
+        "phase_plan": {"gamma": gamma, "T": 50},
+        "output": {"dir": None},
+    }
+
+
+def _two_inputs():
+    rng = np.random.default_rng(0)
+    x, z = rng.standard_normal(16), rng.standard_normal(16)
+    return [float(v) for v in x / np.linalg.norm(x)], [float(v) for v in z / np.linalg.norm(z)]
+
+
+@pytest.mark.parametrize("case", ["one_input_both_labels", "contradicting_majority"])
+def test_cli_rejects_gamma_estimate_without_positive_margin(tmp_path, capsys, case):
+    x, z = _two_inputs()
+    if case == "one_input_both_labels":
+        # the estimator's start sum_i y_i F_i is zero
+        samples = [{"x": x, "y": 1}, {"x": x, "y": -1}]
+    else:
+        samples = [{"x": x, "y": 1}, {"x": x, "y": 1}, {"x": x, "y": -1}, {"x": z, "y": 1}]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_theorem32_inline(samples, "estimate")))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "phase_plan.gamma" in err and "explicit positive gamma" in err
+
+
+@pytest.mark.parametrize("gamma", ["foo", 0, -0.5, True])
+def test_cli_rejects_invalid_gamma(tmp_path, capsys, gamma):
+    x, z = _two_inputs()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_theorem32_inline([{"x": x, "y": 1}, {"x": z, "y": -1}], gamma)))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "phase_plan.gamma" in capsys.readouterr().err
+
+
+def test_theorem32_echoes_given_gamma_and_its_side(tmp_path):
+    x, _ = _two_inputs()
+    # not separable by the tangent features, but an explicit gamma is taken as given
+    samples = [{"x": x, "y": 1}, {"x": x, "y": -1}]
+    runlog, status = run(parse_config(_theorem32_inline(samples, 0.25)), out_dir=tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["gamma"], summary["gamma_side"]) == (0.25, "given")
+    assert runlog.config_echo["gamma_side"] == "given"

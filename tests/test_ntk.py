@@ -7,7 +7,7 @@ import pytest
 from boundbench.activations import huberized, swish
 from boundbench.bounds import Verdict
 from boundbench.linalg import WeightStack, frobenius_norm, stack_axpy, stack_dot
-from boundbench.network import Dataset, forward, forward_rows, total_loss
+from boundbench.network import Dataset, LossValue, forward, forward_rows, total_loss
 from boundbench.ntk import (
     ClusteredDataSpec,
     InitSpec,
@@ -333,6 +333,110 @@ def test_gamma_bound_scales_like_sqrt_width():
     _, data = clustered(p, 3, 0.02, seed=44)
     got = gamma_bound(V1, act, data, tau=0.0)
     assert got <= 2.0 * math.sqrt(p) * L**2
+
+
+# ---------------------------------------------------------------------------
+# kernel coordinates: both solvers against the same ascent/descent in stack space
+
+KERNEL_CASES = [(1, huberized(0.05)), (2, huberized(0.05)), (3, swish(0.1))]
+
+
+def _kernel_case(L, act):
+    p = 12
+    V1 = gaussian_init(InitSpec(p=p, L=L, seed=60 + L))
+    _, data = clustered(p, 5, 0.05, seed=70 + L)
+    feats = [list(f.layers()) for f in ntk_features(V1, act, data)]
+    return V1, data, feats
+
+
+def _tangent_margins(V1, act, data, feats, offset):
+    f0 = forward_rows(V1, act, data.inputs).output
+    return np.array([
+        y * (f0[i] + sum(float(np.vdot(fm, om)) for fm, om in zip(feats[i], offset)))
+        for i, y in enumerate(data.labels)
+    ])
+
+
+def _tangent_loss(V1, act, data, feats, offset):
+    zs = _tangent_margins(V1, act, data, feats, offset)
+    return LossValue.mean([LossValue.from_margin(float(z)) for z in zs]).value
+
+
+def _stack_space_minimize(V1, act, data, feats, rho, steps):
+    """Projected descent with step halving on the p^2 L + p parameters."""
+    n = data.n
+
+    def grad(off):
+        zs = _tangent_margins(V1, act, data, feats, off)
+        s = -data.labels * np.exp(-np.logaddexp(0.0, zs)) / n
+        return [sum(si * f[l] for si, f in zip(s, feats)) for l in range(len(off))]
+
+    def project(off):
+        return [m if np.linalg.norm(m) <= rho else m * (rho / np.linalg.norm(m)) for m in off]
+
+    offset = [np.zeros_like(m) for m in V1.layers()]
+    step = 4.0 / max(sum(float(np.vdot(m, m)) for f in feats for m in f) / n, 1e-12)
+    obj = _tangent_loss(V1, act, data, feats, offset)
+    for _ in range(steps):
+        g = grad(offset)
+        halvings = 0
+        while True:
+            cand = project([m - step * gm for m, gm in zip(offset, g)])
+            cand_obj = _tangent_loss(V1, act, data, feats, cand)
+            if cand_obj <= obj or halvings == 40:
+                break
+            step *= 0.5
+            halvings += 1
+        if cand_obj > obj:
+            break
+        offset, obj = cand, cand_obj
+        if halvings == 0:
+            step *= 1.25
+    return obj
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.5, 5.0])
+@pytest.mark.parametrize("L,act", KERNEL_CASES)
+def test_nt_minimize_kernel_coordinates_match_stack_space(L, act, rho):
+    V1, data, feats = _kernel_case(L, act)
+    v_star, value = nt_class_minimize(V1, act, data, NtBallConfig(rho=rho, steps=150))
+    offset = [m - l for m, l in zip(v_star.layers(), V1.layers())]
+    assert value == pytest.approx(_tangent_loss(V1, act, data, feats, offset), rel=1e-12)
+    assert max_layer_distance(v_star, V1) <= rho * (1 + 1e-12)
+    reference = _stack_space_minimize(V1, act, data, feats, rho, steps=150)
+    assert value == pytest.approx(reference, rel=1e-12)
+
+
+def _stack_space_margin_estimate(feats, labels, iters=200, step=0.5):
+    """Subgradient ascent on the unit sphere of the p^2 L + p parameters."""
+    sqrt_p = math.sqrt(feats[0][-1].size)
+
+    def unit(W):
+        return [m / math.sqrt(sum(float(np.vdot(b, b)) for b in W)) for m in W]
+
+    def margins(W):
+        return [y * sum(float(np.vdot(fm, wm)) for fm, wm in zip(f, W)) / sqrt_p for f, y in zip(feats, labels)]
+
+    W = unit([sum(y * f[l] for f, y in zip(feats, labels)) for l in range(len(feats[0]))])
+    best = min(margins(W))
+    for _ in range(iters):
+        ms = margins(W)
+        worst = int(np.argmin(ms))
+        W = unit([wm + step * labels[worst] / sqrt_p * fm for wm, fm in zip(W, feats[worst])])
+        best = max(best, min(margins(W)))
+        step *= 0.995
+    return best
+
+
+@pytest.mark.parametrize("L,act", KERNEL_CASES)
+def test_margin_estimate_kernel_coordinates_match_stack_space(L, act):
+    V1, data, feats = _kernel_case(L, act)
+    witness = margin_estimate_subgradient(ntk_features(V1, act, data), data.labels)
+    assert witness.gamma == pytest.approx(_stack_space_margin_estimate(feats, data.labels), rel=1e-12)
+    assert abs(frobenius_norm(witness.w_star) - 1.0) <= 1e-12
+    twice = Dataset(inputs=np.stack([data.inputs[0]] * 2), labels=np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="zero"):
+        margin_estimate_subgradient(ntk_features(V1, act, twice), twice.labels)
 
 
 # ---------------------------------------------------------------------------
