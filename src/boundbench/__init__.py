@@ -33,7 +33,7 @@ from .bounds import (
     write_summary_json,
 )
 from .linalg import (
-    PowerIterationResult,
+    OperatorNormBracket,
     ShapeMismatchError,
     StackNorms,
     WeightStack,
@@ -64,6 +64,7 @@ from .ntk import (
     NtBallConfig,
     NumericalDivergenceError,
     PhasePlan,
+    RunAbortedError,
     approx_error_sample,
     gamma_bound,
     gaussian_init,

@@ -4,12 +4,19 @@
     boundbench certify-activation --kind huberized|swish --h 0.1
     boundbench diagnostics --config cfg.json [--out DIR]
 
-Exit status is 0 only when no monitored invariant failed; not-applicable
-checks never fail a run. Status 2 means a bad config (such as a data set
-whose width is not network.p, or a theorem32 gamma estimate that finds no
-positive tangent margin) or a missing file. The network is evaluated
-in one batched pass over all samples; that pass does not depend on the
-BLAS thread count.
+Exit status:
+    0  every monitored check passed or was not applicable
+    1  a monitored inequality failed
+    2  a bad config or input: an invalid or truncated JSON file, an unknown
+       or malformed field, a data set whose width is not network.p, a
+       theorem32 gamma estimate that finds no positive tangent margin, or a
+       missing file
+    3  the run could not be carried out: warmup could not classify every
+       sample, the outer-layer scale search failed, or training hit a
+       non-finite loss
+
+The network is evaluated in one batched pass over all samples; that pass
+does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -21,11 +28,16 @@ from dataclasses import replace
 
 from .activations import huberized, swish
 from .harness import ConfigError, RunConfig, parse_config, run
+from .ntk import RunAbortedError
 
 
 def _load_config(path: str) -> RunConfig:
     with open(path) as fh:
-        return parse_config(fh.read())
+        text = fh.read()
+    try:
+        return parse_config(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON ({exc})") from exc
 
 
 def _apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
@@ -116,6 +128,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RunAbortedError as exc:
+        print(f"error: the run could not be carried out: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

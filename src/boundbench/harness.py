@@ -52,6 +52,7 @@ from .ntk import (
     ClusteredDataSpec,
     InitSpec,
     PhasePlan,
+    RunAbortedError,
     gaussian_init,
     init_diagnostics,
     make_clustered_dataset,
@@ -131,6 +132,7 @@ def _auto_or_positive(value, path: str) -> Any:
 def parse_config(source: str | dict) -> RunConfig:
     """Validate a JSON config; unknown keys are rejected with their path."""
     doc = json.loads(source) if isinstance(source, str) else dict(source)
+    _expect(isinstance(doc, dict), "config", "must be a JSON object")
     top = _take(
         doc,
         "config",
@@ -244,7 +246,10 @@ def build_dataset(config: RunConfig) -> Dataset:
     data = config.data
     p = config.network["p"]
     if data["file"] is not None:
-        dataset = Dataset.from_json_file(data["file"])
+        try:
+            dataset = Dataset.from_json_file(data["file"])
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"data.file: {data['file']} is not valid JSON ({exc})") from exc
     elif data["inline"] is not None:
         dataset = Dataset.from_json_dict(data["inline"])
     else:
@@ -308,7 +313,7 @@ def build_small_loss_init(
     while loss_at(hi) > target_loss:
         lo, hi = hi, hi * 2.0
         if hi > 1e12:
-            raise RuntimeError("scale search diverged; margins too small to use")
+            raise RunAbortedError("scale search diverged; margins too small to use")
     for _ in range(200):
         val = loss_at(hi)
         if target_loss / 2.0 <= val <= target_loss:
@@ -326,7 +331,7 @@ def build_small_loss_init(
             return scaled
         hi *= 1.0 + 1e-6
         scaled = _with_outer_scaled(V_warm, hi)
-    raise RuntimeError("could not certify the scaled loss under the target")
+    raise RunAbortedError("could not certify the scaled loss under the target")
 
 
 def _with_outer_scaled(V: WeightStack, c: float) -> WeightStack:
@@ -347,6 +352,7 @@ class ResolvedSetup:
     alpha: float
     Q: float
     ctx: RunContext
+    h_fixed_point: dict | None  # how the "auto" h loop ended; None for a given h
 
 
 def resolve_theorem31_setup(
@@ -365,7 +371,9 @@ def resolve_theorem31_setup(
     other (margins move with h, the admissible width moves with the
     loss), so "auto" h is settled by a short deterministic fixed-point
     loop before the constants are frozen; the loop's output is verified
-    strictly admissible at the final state.
+    strictly admissible at the final state. For "auto" h, `h_fixed_point`
+    records how that loop ended: iterations, whether successive widths
+    agreed to 1e-12 relative, and the last change |h_new - h|.
     """
     p, L = V_warm.p, V_warm.depth
 
@@ -375,15 +383,22 @@ def resolve_theorem31_setup(
         J1 = total_loss(V1, act, data)
         return act, V1, J1, frobenius_norm(V1)
 
+    h_fixed_point = None
     if h_setting == "auto":
         h = min(0.1, h_cap)
-        for _ in range(12):
+        for iterations in range(1, 13):
             act, V1, J1, normV1 = build(h)
             h_new = min(compute_h_max(J1, p, L, normV1) / 2.0, h_cap)
-            if abs(h_new - h) <= 1e-12 * max(h, h_new):
-                h = h_new
-                break
+            change = abs(h_new - h)
+            converged = change <= 1e-12 * max(h, h_new)
             h = h_new
+            if converged:
+                break
+        h_fixed_point = {
+            "iterations": iterations,
+            "converged": converged,
+            "last_change": change,
+        }
         act, V1, J1, normV1 = build(h)
     else:
         h = float(h_setting)
@@ -413,7 +428,17 @@ def resolve_theorem31_setup(
         normV1=normV1,
         constants=constants,
     )
-    return ResolvedSetup(act=act, V1=V1, J1=J1, normV1=normV1, h=h, alpha=alpha, Q=Q, ctx=ctx)
+    return ResolvedSetup(
+        act=act,
+        V1=V1,
+        J1=J1,
+        normV1=normV1,
+        h=h,
+        alpha=alpha,
+        Q=Q,
+        ctx=ctx,
+        h_fixed_point=h_fixed_point,
+    )
 
 
 def monitored_descent(
@@ -495,7 +520,7 @@ def _run_theorem31(config: RunConfig) -> tuple[RunLog, int]:
         if all_ok:
             break
     if not all_ok:
-        raise RuntimeError(
+        raise RunAbortedError(
             "warmup did not reach correct classification on every sample after "
             f"{config.init['warmup_retries'] + 1} seeded attempts; increase "
             "init.warmup_steps or change seeds"
@@ -521,6 +546,7 @@ def _run_theorem31(config: RunConfig) -> tuple[RunLog, int]:
         "resolved": {
             "init_seed_used": used_seed,
             "h": setup.h,
+            "h_fixed_point": setup.h_fixed_point,
             "alpha": setup.alpha,
             "Q": setup.Q,
             "target_loss": target,
@@ -639,10 +665,10 @@ def _run_property_suite(config: RunConfig) -> tuple[RunLog, int]:
             frobenius_norm(a) + frobenius_norm(b) + 1e-12
         )
         m = rng.standard_normal((p, p))
-        norm_ok &= operator_norm(m).value <= float(np.linalg.norm(m)) * (1 + 1e-10)
+        norm_ok &= operator_norm(m).upper <= float(np.linalg.norm(m)) * (1 + 1e-10)
         scaled = _scale_to_min_norm(a, math.sqrt(L + 0.5))
         bound = product_operator_bound(scaled)
-        ops = [operator_norm(mm).value for mm in scaled.layers()]
+        ops = [operator_norm(mm).upper for mm in scaled.layers()]
         for i in range(L + 1):
             for j in range(i + 1, L + 2):
                 prod = float(np.prod(ops[i:j]))

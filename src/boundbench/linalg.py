@@ -8,6 +8,7 @@ stacks can be shared across threads safely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -87,20 +88,21 @@ class WeightStack:
         )
 
 
+class OperatorNormBracket(NamedTuple):
+    """lower <= largest singular value <= upper; see `operator_norm`."""
+
+    lower: float
+    upper: float
+    iterations: int
+
+
 @dataclass(frozen=True)
 class StackNorms:
     """Collective and per-layer norms of a stack."""
 
     frobenius: float
     per_layer_frobenius: tuple[float, ...]
-    per_layer_operator: tuple[float, ...]
-    operator_converged: bool = True
-
-
-class PowerIterationResult(NamedTuple):
-    value: float
-    converged: bool
-    iterations: int
+    per_layer_operator: tuple[OperatorNormBracket, ...]
 
 
 def _require_same_shape(a: WeightStack, b: WeightStack) -> None:
@@ -140,51 +142,100 @@ def stack_scale(a: WeightStack, c: float) -> WeightStack:
     return WeightStack(hidden=tuple(c * m for m in a.hidden), outer=c * a.outer)
 
 
-def operator_norm(
-    m: np.ndarray, rel_tol: float = 1e-10, max_iters: int = 10_000
-) -> PowerIterationResult:
-    """Largest singular value by power iteration on the smaller Gram matrix.
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+# Gaussian p=2048 layers stop after about 100 steps; a Gram that needs three
+# times that is cheaper to finish with one eigvalsh call
+_LANCZOS_STEP_CAP = 300
 
+
+def _lanczos_top(gram: np.ndarray) -> tuple[float, float, int, bool]:
+    """Top Ritz value of a symmetric matrix by Lanczos with full
+    reorthogonalisation.
+
+    Returns (theta, residual, steps, stopped): theta is the largest Ritz
+    value, residual the Ritz residual beta_j |s_j|, steps the number of
+    matrix-vector products, and stopped is False when the step cap ended
+    the run before the residual fell to rounding level (k eps theta).
     The start vector is all-ones plus a tiny fixed-seed perturbation, so
-    repeated calls are bit-identical and the iteration cannot start
-    orthogonal to the top singular direction. Non-convergence within
-    max_iters is reported through the `converged` flag, never silently.
+    repeated calls are bit-identical.
+    """
+    k = gram.shape[0]
+    cap = min(k, _LANCZOS_STEP_CAP)
+    basis = np.empty((cap, k))  # rows past the steps taken are never touched
+    q = np.ones(k) + 1e-3 * np.random.default_rng(0x5EED).standard_normal(k)
+    q /= np.linalg.norm(q)
+    alphas: list[float] = []
+    betas: list[float] = []
+    theta = residual = 0.0
+    for j in range(cap):
+        basis[j] = q
+        w = gram @ q
+        alphas.append(float(q @ w))
+        done = basis[: j + 1]
+        for _ in range(2):  # a second Gram-Schmidt pass restores working precision
+            w -= done.T @ (done @ w)
+        beta = float(np.linalg.norm(w))
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        ritz, vecs = np.linalg.eigh(tri)
+        theta = float(ritz[-1])
+        residual = beta * abs(float(vecs[-1, -1]))
+        if residual <= k * _EPS * theta:
+            return theta, residual, j + 1, True
+        betas.append(beta)
+        q = w / beta
+    return theta, residual, cap, False
+
+
+def operator_norm(m: np.ndarray) -> OperatorNormBracket:
+    """Bracket on the largest singular value of m.
+
+    Works on the smaller Gram matrix G (m m^T or m^T m), formed once. Lanczos
+    gives its top Ritz value theta <= lambda_max(G), so `lower` = sqrt(theta)
+    sits below the norm. The certificate then sets
+    s = theta + residual + 4 k eps theta (plus the smallest normal number,
+    so s > 0 for a zero matrix) and runs a Cholesky factorisation of sI - G,
+    overwriting G. It succeeds only when sI - G is positive definite, so
+    `upper` = sqrt(s) sits above the norm. Both ends hold for G as computed,
+    up to the factorisation's backward error (of order k eps s, which the
+    margin is sized to cover); rounding in forming G is of the same order.
+    When the certificate fails (the Krylov space missed the top eigenvalue)
+    or Lanczos reaches its step cap, LAPACK `eigvalsh` gives lambda_max
+    exactly to rounding and the bracket is that value widened by the same
+    margin on both sides. There is nothing to tune: the function takes no
+    tolerance and no iteration limit. `iterations` counts products with G.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise ValueError(f"need a nonempty 2-d matrix, got shape {m.shape}")
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
     gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
     k = gram.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    v = np.ones(k) + 1e-3 * rng.standard_normal(k)
-    v /= np.linalg.norm(v)
-    lam_prev = -np.inf
-    for it in range(1, max_iters + 1):
-        w = gram @ v
-        lam = float(v @ w)
-        wn = float(np.linalg.norm(w))
-        if wn == 0.0:
-            return PowerIterationResult(0.0, True, it)
-        v = w / wn
-        if abs(lam - lam_prev) <= rel_tol * max(abs(lam), 1e-300):
-            return PowerIterationResult(float(np.sqrt(max(lam, 0.0))), True, it)
-        lam_prev = lam
-    return PowerIterationResult(float(np.sqrt(max(lam_prev, 0.0))), False, max_iters)
+    theta, residual, steps, stopped = _lanczos_top(gram)
+    theta = max(theta, 0.0)  # rounding can put a singular Gram's top Ritz value below 0
+    if stopped:
+        s = theta + residual + 4 * k * _EPS * theta + _TINY
+        gram *= -1.0
+        gram.flat[:: k + 1] += s
+        try:
+            np.linalg.cholesky(gram)
+            return OperatorNormBracket(math.sqrt(theta), math.sqrt(s), steps)
+        except np.linalg.LinAlgError:
+            top = s - float(np.linalg.eigvalsh(gram)[0])
+    else:
+        top = float(np.linalg.eigvalsh(gram)[-1])
+    margin = 4 * k * _EPS * abs(top) + _TINY
+    return OperatorNormBracket(
+        math.sqrt(max(top - margin, 0.0)), math.sqrt(top + margin), steps
+    )
 
 
-def stack_norms(
-    stack: WeightStack, rel_tol: float = 1e-10, max_iters: int = 10_000
-) -> StackNorms:
-    """Frobenius plus per-layer Frobenius and operator norms."""
+def stack_norms(stack: WeightStack) -> StackNorms:
+    """Frobenius plus per-layer Frobenius norms and operator-norm brackets."""
     per_f = tuple(float(np.linalg.norm(m)) for m in stack.layers())
-    results = [operator_norm(m, rel_tol, max_iters) for m in stack.layers()]
     return StackNorms(
         frobenius=float(np.sqrt(sum(f * f for f in per_f))),
         per_layer_frobenius=per_f,
-        per_layer_operator=tuple(r.value for r in results),
-        operator_converged=all(r.converged for r in results),
+        per_layer_operator=tuple(operator_norm(m) for m in stack.layers()),
     )
 
 

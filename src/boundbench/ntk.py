@@ -50,7 +50,12 @@ from .network import (
 )
 
 
-class NumericalDivergenceError(RuntimeError):
+class RunAbortedError(RuntimeError):
+    """The run could not be carried out (the CLI exits 3), as opposed to a
+    bad config (exit 2) or a monitored inequality that failed (exit 1)."""
+
+
+class NumericalDivergenceError(RunAbortedError):
     """A training loop hit a non-finite loss; carries the step index."""
 
     def __init__(self, step: int, message: str = ""):
@@ -821,7 +826,8 @@ def average_loss_bound_check(
 @dataclass(frozen=True)
 class InitDiagnostics:
     post_activation_norms: np.ndarray  # L x n
-    hidden_operator_norms: tuple[float, ...]
+    hidden_operator_norms: tuple[float, ...]  # lower ends of the brackets
+    hidden_operator_norms_upper: tuple[float, ...]
     outer_norm_over_sqrt_p: float
     narrow_regime: bool
     norms_in_range: bool
@@ -837,6 +843,7 @@ class InitDiagnostics:
             "post_activation_norm_min": float(self.post_activation_norms.min()),
             "post_activation_norm_max": float(self.post_activation_norms.max()),
             "hidden_operator_norms": list(self.hidden_operator_norms),
+            "hidden_operator_norms_upper": list(self.hidden_operator_norms_upper),
             "outer_norm_over_sqrt_p": self.outer_norm_over_sqrt_p,
             "narrow_regime": self.narrow_regime,
             "norms_in_range": self.norms_in_range,
@@ -856,7 +863,6 @@ def init_diagnostics(
     outer_range: tuple[float, float] = (0.85, 1.2),
     tau: float | None = None,
     seed: int = 0,
-    op_rel_tol: float = 1e-6,  # the 3.5 threshold leaves no use for 1e-10
 ) -> InitDiagnostics:
     """Concentration measurements at a random initialization.
 
@@ -864,6 +870,13 @@ def init_diagnostics(
     of one, hidden operator norms stay order one, and the outer row's
     norm tracks sqrt(p). Narrow networks (p < 256) get a warning and
     their out-of-range readings are reported rather than failed.
+
+    Each hidden operator norm is a certified bracket from `operator_norm`:
+    `hidden_operator_norms` holds the lower ends (at most the true norm) and
+    `hidden_operator_norms_upper` the upper ends (at least the true norm).
+    `operator_in_range` judges the upper ends against `operator_limit`, so
+    it never passes a layer whose norm exceeds the limit. Feature norms and
+    the outer norm are direct computations, exact to rounding.
     """
     p, L = V1.p, V1.depth
     narrow = p < 256
@@ -875,7 +888,8 @@ def init_diagnostics(
 
     trace = forward_rows(V1, act, data.inputs)
     post_norms = np.stack([np.linalg.norm(x, axis=1) for x in trace.x])  # L x n
-    op_norms = tuple(operator_norm(m, rel_tol=op_rel_tol).value for m in V1.hidden)
+    op_norms = [operator_norm(m) for m in V1.hidden]
+    op_upper = tuple(b.upper for b in op_norms)
     outer_scaled = float(np.linalg.norm(V1.outer)) / math.sqrt(p)
     sparsity = (
         sigma_difference_sparsity(V1, act, data, tau, seed=seed)
@@ -884,13 +898,14 @@ def init_diagnostics(
     )
     return InitDiagnostics(
         post_activation_norms=post_norms,
-        hidden_operator_norms=op_norms,
+        hidden_operator_norms=tuple(b.lower for b in op_norms),
+        hidden_operator_norms_upper=op_upper,
         outer_norm_over_sqrt_p=outer_scaled,
         narrow_regime=narrow,
         norms_in_range=bool(
             (post_norms >= norm_range[0]).all() and (post_norms <= norm_range[1]).all()
         ),
-        operator_in_range=bool(all(v <= operator_limit for v in op_norms)),
+        operator_in_range=bool(all(v <= operator_limit for v in op_upper)),
         outer_in_range=bool(outer_range[0] <= outer_scaled <= outer_range[1]),
         sigma_sparsity=sparsity,
     )
@@ -927,7 +942,8 @@ def _perturb_hidden_operator(
     out = []
     for m in V.hidden:
         g = rng.standard_normal(m.shape)
-        scale = tau / operator_norm(g).value if tau > 0 else 0.0
+        # the upper end keeps the perturbation's operator norm at most tau
+        scale = tau / operator_norm(g).upper if tau > 0 else 0.0
         out.append(m + scale * g)
     out.append(np.array(V.outer))
     return WeightStack.from_layers(out)

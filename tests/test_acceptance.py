@@ -244,7 +244,7 @@ def test_criterion_8_upper_and_product_bounds():
         if frobenius_norm(V) < floor:
             V = stack_scale(V, 1.0000001 * floor / frobenius_norm(V))
         bound = product_operator_bound(V)
-        ops = [operator_norm(m).value for m in V.layers()]
+        ops = [operator_norm(m).upper for m in V.layers()]
         for i in range(L + 1):
             for j in range(i + 1, L + 2):
                 prod = float(np.prod(ops[i:j]))
@@ -331,7 +331,7 @@ def test_criterion_11_init_concentration():
         hi = float(rep.post_activation_norms.max())
         ranges.append((lo, hi))
         ok = ok and 0.9 <= lo and hi <= 1.1
-        ok = ok and max(rep.hidden_operator_norms) <= 3.5
+        ok = ok and max(rep.hidden_operator_norms_upper) <= 3.5
         ok = ok and 0.85 <= rep.outer_norm_over_sqrt_p <= 1.2
     wall = time.perf_counter() - started
     lo = min(a for a, _ in ranges)

@@ -19,6 +19,7 @@ from boundbench.ntk import (
     ClusteredDataSpec,
     InitSpec,
     NumericalDivergenceError,
+    RunAbortedError,
     gaussian_init,
     make_clustered_dataset,
 )
@@ -190,6 +191,14 @@ def test_small_loss_init_rejects_zero_margin():
         build_small_loss_init(V, data, act, 1e-6)
 
 
+def test_small_loss_init_aborts_when_the_scale_search_diverges():
+    # margin 1e-14: even the outer row scaled by 1e12 leaves the loss near log 2
+    V = WeightStack(hidden=(np.array([[1.0]]),), outer=np.array([[1e-14]]))
+    data = Dataset(inputs=np.array([[1.0]]), labels=np.array([1.0]))
+    with pytest.raises(RunAbortedError, match="scale search diverged"):
+        build_small_loss_init(V, data, huberized(0.1), 1e-6)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end runs
 
@@ -227,6 +236,27 @@ def test_theorem31_csv_deterministic(tmp_path):
     assert (tmp_path / "a" / "trajectory.csv").read_bytes() == (
         tmp_path / "b" / "trajectory.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("p, L, warmup_steps", [(4, 1, 1500), (8, 2, 3000)])
+def test_summary_reports_how_the_h_fixed_point_ended(tmp_path, p, L, warmup_steps):
+    doc = minimal_config(network={"p": p, "L": L, "activation": "huberized", "h": "auto"})
+    doc["init"] = dict(doc["init"], warmup_steps=warmup_steps)
+    doc["optimizer"] = dict(doc["optimizer"], max_steps=5)
+    run(parse_config(doc), out_dir=tmp_path)
+    resolved = json.loads((tmp_path / "summary.json").read_text())["resolved"]
+    loop = resolved["h_fixed_point"]
+    assert set(loop) == {"iterations", "converged", "last_change"}
+    assert loop["converged"] is True
+    assert 1 <= loop["iterations"] <= 12
+    assert loop["last_change"] <= 1e-12 * resolved["h"]
+
+
+def test_summary_has_no_h_fixed_point_for_a_given_h(tmp_path):
+    doc = minimal_config(network={"p": 4, "L": 1, "activation": "huberized", "h": 1e-6})
+    doc["optimizer"] = dict(doc["optimizer"], max_steps=5)
+    runlog, _ = run(parse_config(doc))
+    assert runlog.config_echo["resolved"]["h_fixed_point"] is None
 
 
 def test_summary_recomputable_from_records():
@@ -352,6 +382,51 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg_path.write_text(json.dumps(minimal_config(mode="nope")))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_rejects_truncated_config_json(tmp_path, capsys):
+    cfg_path = tmp_path / "cut.json"
+    cfg_path.write_text('{"mode": "theorem31", "network": {"p": 4')
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path} is not valid JSON")
+
+
+def test_cli_rejects_config_that_is_not_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text("[1, 2]")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: config: must be a JSON object")
+
+
+def test_cli_rejects_truncated_data_file(tmp_path, capsys):
+    data_path = tmp_path / "data.json"
+    data_path.write_text('{"p": 4, "samples": [{"x": [1.0, 0.0')
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config(data={"file": str(data_path)})))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data.file:") and str(data_path) in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "init, message",
+    [
+        # seed 0 misclassifies a sample at initialization and gets no warmup
+        ({"warmup_steps": 0, "warmup_retries": 0}, "warmup did not reach"),
+        ({"warmup_alpha": 1e20}, "non-finite loss"),
+    ],
+)
+def test_cli_exits_3_when_the_run_cannot_be_carried_out(tmp_path, capsys, init, message):
+    doc = minimal_config()
+    doc["init"] = dict(doc["init"], **init)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the run could not be carried out") and message in err
 
 
 def test_cli_diagnostics_subcommand(tmp_path, capsys):

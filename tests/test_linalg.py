@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boundbench import linalg
 from boundbench.linalg import (
-    PowerIterationResult,
+    OperatorNormBracket,
     ShapeMismatchError,
     WeightStack,
     frobenius_norm,
@@ -56,47 +57,126 @@ def test_frobenius_matches_scalar_loop_oracle():
 # operator_norm
 
 
+def svd_top(m):
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def assert_brackets(result, m):
+    sigma = svd_top(m)
+    assert isinstance(result, OperatorNormBracket)
+    assert 0.0 <= result.lower <= result.upper
+    assert result.lower <= sigma * (1 + 1e-12)
+    assert sigma <= result.upper * (1 + 1e-12)
+    # the bracket is tight: both ends agree with the norm to rounding (the
+    # zero matrix's upper end is the square root of the smallest normal)
+    assert result.upper - result.lower <= 1e-11 * sigma + 1e-150
+
+
+def lanczos_start(k):
+    v = np.ones(k) + 1e-3 * np.random.default_rng(0x5EED).standard_normal(k)
+    return v / np.linalg.norm(v)
+
+
+def start_orthogonal_matrix(k=40):
+    """Symmetric m whose top singular direction is orthogonal to the
+    Lanczos start vector, just above a second direction the start reaches."""
+    rng = np.random.default_rng(13)
+    basis = rng.standard_normal((k, k))
+    basis[:, 0] = lanczos_start(k)
+    q, _ = np.linalg.qr(basis)  # q[:, 1:] is orthogonal to the start vector
+    lam = np.concatenate([[0.3, 1.0 + 1e-6, 1.0], rng.uniform(0.0, 0.5, k - 3)])
+    return (q * np.sqrt(lam)) @ q.T
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
 def test_operator_norm_diagonal():
     result = operator_norm(np.diag([3.0, 1.0]))
-    assert result.converged
-    assert result.value == pytest.approx(3.0, rel=1e-10)
+    assert_brackets(result, np.diag([3.0, 1.0]))
+    assert result.upper == pytest.approx(3.0, rel=1e-12)
+    assert 1 <= result.iterations <= 2
 
 
 def test_operator_norm_identity():
     result = operator_norm(np.eye(4))
-    assert result.converged
-    assert result.value == pytest.approx(1.0, rel=1e-12)
+    assert result.lower == pytest.approx(1.0, rel=1e-15)
+    assert 1.0 <= result.upper <= 1.0 + 1e-12
 
 
 def test_operator_norm_vs_svd_oracle():
     rng = np.random.default_rng(11)
-    m = rng.standard_normal((8, 8))
-    expected = float(np.linalg.svd(m, compute_uv=False)[0])
-    result = operator_norm(m)
-    assert result.converged
-    assert abs(result.value - expected) <= 1e-8 * expected
+    for m in (rng.standard_normal((8, 8)), rng.standard_normal((120, 120)) / 11.0):
+        assert_brackets(operator_norm(m), m)
+    for _ in range(300):
+        r, c = (int(v) for v in rng.integers(1, 9, size=2))
+        m = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((r, c))
+        assert_brackets(operator_norm(m), m)
 
 
 def test_operator_norm_rectangular_and_zero():
     rng = np.random.default_rng(12)
-    m = rng.standard_normal((1, 6))
-    assert operator_norm(m).value == pytest.approx(float(np.linalg.norm(m)), rel=1e-10)
-    assert operator_norm(np.zeros((3, 3))).value == 0.0
+    for shape in ((5, 12), (12, 5), (1, 6), (6, 1)):
+        m = rng.standard_normal(shape)
+        assert_brackets(operator_norm(m), m)
+    zero = operator_norm(np.zeros((3, 3)))
+    assert_brackets(zero, np.zeros((3, 3)))
+    # a zero Gram needs a positive shift to pass the Cholesky certificate
+    assert zero.lower == 0.0 and zero.upper > 0.0
 
 
-def test_operator_norm_flags_non_convergence():
-    # nearly degenerate top pair forces many iterations
-    m = np.diag([1.0, 1.0 - 1e-12, 0.5])
-    result = operator_norm(m, rel_tol=1e-300, max_iters=3)
-    assert isinstance(result, PowerIterationResult)
-    assert not result.converged
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.outer(np.arange(1.0, 7.0), np.linspace(-1.0, 2.0, 9)),
+        np.diag([1.0, 1.0 - 1e-12, 0.5]),
+        start_orthogonal_matrix(),
+    ],
+    ids=["rank_one", "near_degenerate_top", "top_orthogonal_to_start"],
+)
+def test_operator_norm_special_spectra_bracket_svd(m):
+    assert_brackets(operator_norm(m), m)
+
+
+def test_operator_norm_certificate_needs_no_fallback(eigvalsh_calls):
+    rng = np.random.default_rng(19)
+    operator_norm(rng.standard_normal((64, 64)))
+    assert eigvalsh_calls == []
+
+
+def test_operator_norm_failed_certificate_falls_back_to_eigvalsh(eigvalsh_calls):
+    m = start_orthogonal_matrix()
+    result = operator_norm(m)
+    assert eigvalsh_calls == [(40, 40)]
+    assert_brackets(result, m)
+    # Lanczos alone reaches only the second value, 1, a relative 5e-7 too low
+    assert result.lower == pytest.approx(np.sqrt(1.0 + 1e-6), rel=1e-12)
+
+
+def test_operator_norm_step_cap_falls_back_to_eigvalsh(monkeypatch, eigvalsh_calls):
+    monkeypatch.setattr(linalg, "_LANCZOS_STEP_CAP", 2)
+    m = np.random.default_rng(23).standard_normal((10, 10))
+    result = operator_norm(m)
+    assert result.iterations == 2
+    assert eigvalsh_calls == [(10, 10)]
+    assert_brackets(result, m)
 
 
 def test_operator_norm_rejects_bad_inputs():
     with pytest.raises(ValueError):
         operator_norm(np.zeros((0, 2)))
     with pytest.raises(ValueError):
-        operator_norm(np.eye(2), rel_tol=0.0)
+        operator_norm(np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +256,11 @@ def test_stack_norms_consistency():
     rng = np.random.default_rng(31)
     stack = random_stack(4, 2, rng)
     norms = stack_norms(stack)
-    assert norms.operator_converged
     sq = sum(f * f for f in norms.per_layer_frobenius)
     assert norms.frobenius**2 == pytest.approx(sq, rel=1e-12)
-    for op, fro in zip(norms.per_layer_operator, norms.per_layer_frobenius):
-        assert op <= fro * (1 + 1e-10)
+    for op, fro, m in zip(norms.per_layer_operator, norms.per_layer_frobenius, stack.layers()):
+        assert op == operator_norm(m)
+        assert op.upper <= fro * (1 + 1e-10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,7 +284,7 @@ def test_product_of_operator_norms_bounded_by_collective_norm():
         if frobenius_norm(stack) < floor:
             stack = stack_scale(stack, 1.001 * floor / frobenius_norm(stack))
         bound = product_operator_bound(stack)
-        ops = [operator_norm(m).value for m in stack.layers()]
+        ops = [operator_norm(m).upper for m in stack.layers()]
         for i in range(len(ops)):
             for j in range(i + 1, len(ops) + 1):
                 prod = float(np.prod(ops[i:j]))

@@ -345,7 +345,7 @@ def test_output_bounded_by_product_of_operator_norms():
         x /= np.linalg.norm(x)
         bound = 1.0
         for m in V.layers():
-            bound *= operator_norm(m).value
+            bound *= operator_norm(m).upper
         assert abs(forward(V, act, x).output) <= bound * (1 + 1e-10)
 
 

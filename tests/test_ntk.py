@@ -553,7 +553,39 @@ def test_init_diagnostics_warns_in_narrow_regime():
         report = init_diagnostics(V1, huberized(0.01), data)
     assert report.narrow_regime
     d = report.to_dict()
-    assert set(d) >= {"post_activation_norm_min", "hidden_operator_norms", "ok"}
+    assert set(d) >= {
+        "post_activation_norm_min",
+        "hidden_operator_norms",
+        "hidden_operator_norms_upper",
+        "ok",
+    }
+
+
+def test_init_diagnostics_operator_norms_bracket_the_truth():
+    p = 256
+    V1 = gaussian_init(InitSpec(p=p, L=2, seed=66))
+    _, data = clustered(p, 4, 0.05, seed=67)
+    report = init_diagnostics(V1, huberized(1e-4), data)
+    for m, lower, upper in zip(
+        V1.hidden, report.hidden_operator_norms, report.hidden_operator_norms_upper
+    ):
+        truth = math.sqrt(float(np.linalg.eigvalsh(m @ m.T)[-1]))
+        assert lower <= truth * (1 + 1e-12)
+        # the certificate's margin (4 k eps relative) dwarfs eigvalsh's rounding
+        assert truth < upper
+        assert upper - lower <= 1e-11 * truth
+    assert report.operator_in_range
+
+
+def test_init_diagnostics_judges_the_upper_end_against_the_limit():
+    V1 = gaussian_init(InitSpec(p=256, L=1, seed=68))
+    _, data = clustered(256, 4, 0.05, seed=69)
+    report = init_diagnostics(V1, huberized(1e-4), data)
+    lower, upper = report.hidden_operator_norms[0], report.hidden_operator_norms_upper[0]
+    assert lower < upper
+    at_upper = init_diagnostics(V1, huberized(1e-4), data, operator_limit=upper)
+    between = init_diagnostics(V1, huberized(1e-4), data, operator_limit=lower)
+    assert at_upper.operator_in_range and not between.operator_in_range
 
 
 def test_sigma_sparsity_counts_bounded_by_width():
