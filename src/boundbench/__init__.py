@@ -11,13 +11,12 @@ from .activations import (
     swish,
 )
 from .bounds import (
+    PhaseTrace,
     RunContext,
     RunLog,
-    StepRecord,
-    StepState,
     TheoryConstants,
     Tolerances,
-    Verdict,
+    Trajectory,
     compute_alpha_max,
     compute_h_max,
     compute_q_tilde,

@@ -4,7 +4,9 @@ monitors for the step-by-step inequalities it rests on.
 Monitors never abort a run: every check yields a signed slack (positive
 means satisfied) and a three-way verdict. "Not applicable" is distinct
 from failure, because each inequality has preconditions and a negative
-control run is a first-class experiment, not an error.
+control run is a first-class experiment, not an error. A descent phase is
+monitored once, over whole columns: its measurements arrive as a
+`PhaseTrace` and leave as a `Trajectory`, one row per iterate.
 
 All log-of-loss quantities come from the loss's log channel, never from
 log(value): instrumented runs hold the loss near 1e-13 and below, where
@@ -14,12 +16,11 @@ relative error in the value would contaminate log(1/J).
 from __future__ import annotations
 
 import csv
-import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,12 +58,6 @@ CHECK_KEYS = (
 )
 
 
-class Verdict(enum.Enum):
-    PASS = "pass"
-    FAIL = "fail"
-    NA = "na"
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Slack thresholds below which a monitored inequality counts as failed.
@@ -88,6 +83,14 @@ def _as_loss(J) -> LossValue:
     if isinstance(J, LossValue):
         return J
     return LossValue.from_value(float(J))
+
+
+def _libm(fn, *args) -> np.ndarray:
+    """`fn` applied elementwise to Python floats. numpy's own pow, exp, log
+    and log1p differ from the C library's in the last bit on a few percent
+    of inputs; the scalar functions keep every slack, tie-break and CSV
+    value equal to the per-step definitions."""
+    return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -169,25 +172,31 @@ def _check_constants_inputs(J1: LossValue, p: int, L: int, normV1: float) -> Non
         raise ValueError("initial weight norm must be positive")
 
 
-def grad_lower_bound(J_t, normVt: float, L: int) -> float:
-    """(L+3/4) J_t log(1/J_t) / ||V_t||, log taken from the log channel."""
+def grad_lower_bound(J_t, normVt, L: int):
+    """(L+3/4) J_t log(1/J_t) / ||V_t||, log taken from the log channel.
+
+    Elementwise when `J_t` holds columns of values and logs.
+    """
     J_t = _as_loss(J_t)
-    if math.isnan(J_t.value) or J_t.value < 0:
+    value = np.asarray(J_t.value, dtype=np.float64)
+    log_value = np.asarray(J_t.log_value, dtype=np.float64)
+    if np.any(np.isnan(value) | (value < 0)):
         raise ValueError("loss must be a nonnegative number")
-    if J_t.value > 0:
-        prod = J_t.value * J_t.log_inverse()
-    elif math.isfinite(J_t.log_value):
-        # value channel underflowed; J log(1/J) = exp(logJ + log(-logJ))
-        prod = math.exp(J_t.log_value + math.log(-J_t.log_value))
-    else:
-        prod = 0.0
+    with np.errstate(invalid="ignore"):
+        prod = np.where(value > 0, value * -log_value, 0.0)
+    # value channel underflowed; J log(1/J) = exp(logJ + log(-logJ))
+    under = (value == 0) & np.isfinite(log_value)
+    prod[under] = _libm(math.exp, log_value[under] + _libm(math.log, -log_value[under]))
     return (L + 0.75) * prod / normVt
 
 
-def grad_upper_bound(J, normV: float, p: int, L: int) -> float:
-    """sqrt((L+1) p) ||V||^(L+1) min{J, 1}; valid once ||V|| >= sqrt(L+1/2)."""
+def grad_upper_bound(J, normV, p: int, L: int):
+    """sqrt((L+1) p) ||V||^(L+1) min{J, 1}; valid once ||V|| >= sqrt(L+1/2).
+
+    Elementwise when `J` and `normV` are columns.
+    """
     J = _as_loss(J)
-    return math.sqrt((L + 1) * p) * normV ** (L + 1) * min(J.value, 1.0)
+    return math.sqrt((L + 1) * p) * _libm(pow, normV, L + 1) * np.minimum(J.value, 1.0)
 
 
 def grad_upper_bound_applicable(normV: float, L: int) -> bool:
@@ -234,47 +243,74 @@ class RunContext:
     tolerances: Tolerances = DEFAULT_TOLERANCES
 
 
+@dataclass
+class PhaseTrace:
+    """Raw measurements of one descent phase as columns, input to the
+    monitor. Row i holds step t = i + 1."""
+
+    loss: np.ndarray
+    log_loss: np.ndarray
+    grad_norm: np.ndarray
+    weight_norm: np.ndarray
+    grad_dot_weights: np.ndarray  # gradient . weights (positive means misaligned)
+    drift: np.ndarray  # max-layer distance from the phase's anchor
+    best_step: int = 0  # earliest step of least loss
+    best_stack: WeightStack | None = None
+    final_stack: WeightStack | None = None
+
+    def __len__(self) -> int:
+        return len(self.loss)
+
+
 @dataclass(frozen=True)
-class StepState:
-    """Raw measurements at one iterate, input to the monitor."""
+class Trajectory:
+    """A monitored run as columns, one row per monitored iterate: the CSV
+    values plus, per check, a slack array and a verdict array holding
+    "pass", "fail" or "na"."""
 
-    t: int
-    loss: LossValue
-    grad_norm: float
-    weight_norm: float
-    grad_dot_weights: float  # gradient . weights (positive means misaligned)
+    t: np.ndarray
+    loss: np.ndarray
+    log_loss: np.ndarray
+    grad_norm: np.ndarray
+    weight_norm: np.ndarray
+    lower_bound: np.ndarray
+    upper_bound: np.ndarray
+    rate_bound: np.ndarray
+    phase: np.ndarray
+    slacks: dict[str, np.ndarray]
+    verdicts: dict[str, np.ndarray]
 
+    def __len__(self) -> int:
+        return len(self.t)
 
-@dataclass(frozen=True)
-class StepRecord:
-    t: int
-    loss: LossValue
-    grad_norm: float
-    weight_norm: float
-    lower_bound: float
-    upper_bound: float
-    rate_bound: float
-    descent_lhs: float | None
-    descent_rhs: float | None
-    verdicts: Mapping[str, Verdict]
-    slacks: Mapping[str, float]
-    phase: int = 1
+    def head(self, rows: int) -> "Trajectory":
+        """The first `rows` rows."""
+        return _columnwise([self], lambda cols: cols[0][:rows])
 
-    def failed_checks(self) -> list[str]:
-        return [k for k, v in self.verdicts.items() if v is Verdict.FAIL]
-
-
-def _verdict(slack: float, tol: float, applicable: bool) -> Verdict:
-    if not applicable:
-        return Verdict.NA
-    return Verdict.PASS if slack >= -tol else Verdict.FAIL
+    @staticmethod
+    def concat(parts: Sequence["Trajectory"]) -> "Trajectory":
+        return _columnwise(parts, np.concatenate)
 
 
-def monitor_transition(
-    prev: StepState, nxt: StepState | None, ctx: RunContext, phase: int = 1
-) -> StepRecord:
-    """Evaluate every bound and invariant at `prev`, using `nxt` for the
-    one-step descent inequality (skipped on the final recorded step).
+def _columnwise(parts: Sequence[Trajectory], fn) -> Trajectory:
+    out = {}
+    for f in fields(Trajectory):
+        cols = [getattr(part, f.name) for part in parts]
+        if isinstance(cols[0], dict):
+            out[f.name] = {k: fn([c[k] for c in cols]) for k in cols[0]}
+        else:
+            out[f.name] = fn(cols)
+    return Trajectory(**out)
+
+
+def _verdicts(passed: np.ndarray, applicable) -> np.ndarray:
+    return np.where(applicable, np.where(passed, "pass", "fail"), "na")
+
+
+def monitor_transition(trace: PhaseTrace, ctx: RunContext, phase: int) -> Trajectory:
+    """Evaluate every bound and invariant at every row of `trace`; row i
+    reads row i+1 for the one-step descent inequality, which is
+    not-applicable on the last row.
 
     Checks whose preconditions fail are marked not-applicable, never
     failed: every inequality here is conditional on the run being inside
@@ -283,104 +319,90 @@ def monitor_transition(
     """
     tol = ctx.tolerances
     L, p, n = ctx.L, ctx.p, ctx.n
-    J = prev.loss
-    normV = prev.weight_norm
-    small_loss = J.log_value < small_loss_log_threshold(n, L)
+    J, log_J = trace.loss, trace.log_loss
+    grad_norm, normV = trace.grad_norm, trace.weight_norm
+    k = len(trace)
+    t = np.arange(1, k + 1)
+    nan = np.full(k, math.nan)
+    small_loss = log_J < small_loss_log_threshold(n, L)
     inst = ctx.instrumented
-    verdicts: dict[str, Verdict] = {}
-    slacks: dict[str, float] = {}
+    slacks: dict[str, np.ndarray] = {}
+    verdicts: dict[str, np.ndarray] = {}
 
-    # I1, the headline rate: J_t <= J_1 / (Q (t-1) + 1), checked in log space
-    rate_bound_log = ctx.J1.log_value - math.log1p(ctx.Q * (prev.t - 1))
-    rate_bound = ctx.J1.value / (ctx.Q * (prev.t - 1) + 1.0)
-    slacks["i1"] = rate_bound_log - J.log_value if inst else math.nan
-    slacks["i1_value"] = (rate_bound - J.value) / ctx.J1.value if inst else math.nan
-    verdicts["i1"] = _verdict(slacks["i1"], tol.i1_log, inst)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # I1, the headline rate: J_t <= J_1 / (Q (t-1) + 1), checked in log space
+        if inst:
+            rate_bound_log = ctx.J1.log_value - _libm(math.log1p, ctx.Q * (t - 1))
+            rate_bound = ctx.J1.value / (ctx.Q * (t - 1) + 1.0)
+            slacks["i1"] = rate_bound_log - log_J
+            slacks["i1_value"] = (rate_bound - J) / ctx.J1.value
+        else:
+            rate_bound = slacks["i1"] = slacks["i1_value"] = nan
+        verdicts["i1"] = _verdicts(slacks["i1"] >= -tol.i1_log, inst)
 
-    # I2: log(1/J_t)/||V_t||^L never drops below its initial value
-    if inst:
-        m_t = J.log_inverse() / normV**L
-        m_1 = ctx.J1.log_inverse() / ctx.normV1**L
-        slacks["i2"] = (m_t - m_1) / m_1
-    else:
-        slacks["i2"] = math.nan
-    verdicts["i2"] = _verdict(slacks["i2"], tol.i2_rel, inst)
+        # I2: log(1/J_t)/||V_t||^L never drops below its initial value
+        if inst:
+            m_1 = ctx.J1.log_inverse() / ctx.normV1**L
+            slacks["i2"] = (-log_J / _libm(pow, normV, L) - m_1) / m_1
+        else:
+            slacks["i2"] = nan
+        verdicts["i2"] = _verdicts(slacks["i2"] >= -tol.i2_rel, inst)
 
-    # I3: step size small against the smoothness scale, p as stated; the
-    # sqrt(p) variant appears in one proof display and is recorded too
-    i3_bound = ctx.h / (1024.0 * (L + 1) ** 2 * p * normV ** (3 * L + 5))
-    slacks["i3"] = (i3_bound - ctx.alpha * J.value) / i3_bound if inst else math.nan
-    verdicts["i3"] = _verdict(slacks["i3"], tol.i3_rel, inst)
-    i3s_bound = i3_bound * math.sqrt(p)
-    slacks["i3_sqrtp"] = (
-        (i3s_bound - ctx.alpha * J.value) / i3s_bound if inst else math.nan
-    )
-    verdicts["i3_sqrtp"] = _verdict(slacks["i3_sqrtp"], tol.i3_rel, inst)
+        # I3: step size small against the smoothness scale, p as stated; the
+        # sqrt(p) variant appears in one proof display and is recorded too
+        i3_bound = ctx.h / (1024.0 * (L + 1) ** 2 * p * _libm(pow, normV, 3 * L + 5))
+        slacks["i3"] = (i3_bound - ctx.alpha * J) / i3_bound if inst else nan
+        verdicts["i3"] = _verdicts(slacks["i3"] >= -tol.i3_rel, inst)
+        i3s_bound = i3_bound * math.sqrt(p)
+        slacks["i3_sqrtp"] = (i3s_bound - ctx.alpha * J) / i3s_bound if inst else nan
+        verdicts["i3_sqrtp"] = _verdicts(slacks["i3_sqrtp"] >= -tol.i3_rel, inst)
 
-    # gradient lower bound and the alignment that produces it
-    lower = grad_lower_bound(J, normV, L) if J.log_value < 0 else math.nan
-    lower_applicable = (
-        inst
-        and ctx.constants is not None
-        and ctx.h <= ctx.constants.h_max
-        and small_loss
-        and slacks["i2"] >= -tol.i2_rel
-    )
-    slacks["lower"] = (
-        (prev.grad_norm - lower) / lower if lower and lower > 0 else math.nan
-    )
-    verdicts["lower"] = _verdict(slacks["lower"], tol.lower_rel, lower_applicable)
-    align_rhs = (L + 0.75) * J.value * J.log_inverse()
-    align_lhs = -prev.grad_dot_weights
-    slacks["alignment"] = (
-        (align_lhs - align_rhs) / align_rhs if align_rhs > 0 else math.nan
-    )
-    verdicts["alignment"] = _verdict(
-        slacks["alignment"], tol.alignment_rel, lower_applicable
-    )
-
-    # gradient upper bound
-    upper = grad_upper_bound(J, normV, p, L)
-    upper_applicable = grad_upper_bound_applicable(normV, L)
-    slacks["upper"] = (upper - prev.grad_norm) / upper if upper > 0 else 0.0
-    verdicts["upper"] = _verdict(slacks["upper"], tol.upper_rel, upper_applicable)
-
-    # weight-norm floor under the (slightly looser) 2/n^(1+24L) threshold
-    floor_applicable = J.log_value <= math.log(2.0) + small_loss_log_threshold(n, L)
-    slacks["floor"] = normV - weight_norm_floor(L)
-    verdicts["floor"] = (
-        Verdict.NA
-        if not floor_applicable
-        else (Verdict.PASS if slacks["floor"] > tol.floor_abs else Verdict.FAIL)
-    )
-
-    # one-step descent, needs the next iterate
-    if nxt is None:
-        descent_lhs = descent_rhs = None
-        verdicts["descent"] = Verdict.NA
-        slacks["descent"] = math.nan
-    else:
-        descent_lhs = nxt.loss.value
-        descent_rhs = J.value - (L / (L + 0.5)) * ctx.alpha * prev.grad_norm**2
-        descent_applicable = (
-            inst and ctx.h <= 1.0 and small_loss and verdicts["i3"] is Verdict.PASS
+        # gradient lower bound and the alignment that produces it
+        lower = np.where(log_J < 0, grad_lower_bound(LossValue(J, log_J), normV, L), math.nan)
+        lower_applicable = (
+            inst
+            and ctx.constants is not None
+            and ctx.h <= ctx.constants.h_max
+            and small_loss & (slacks["i2"] >= -tol.i2_rel)
         )
-        slacks["descent"] = (descent_rhs - descent_lhs) / J.value
-        verdicts["descent"] = _verdict(slacks["descent"], tol.descent_rel, descent_applicable)
+        slacks["lower"] = np.where(lower > 0, (grad_norm - lower) / lower, math.nan)
+        verdicts["lower"] = _verdicts(slacks["lower"] >= -tol.lower_rel, lower_applicable)
+        align_rhs = (L + 0.75) * J * -log_J
+        align_lhs = -trace.grad_dot_weights
+        slacks["alignment"] = np.where(align_rhs > 0, (align_lhs - align_rhs) / align_rhs, math.nan)
+        verdicts["alignment"] = _verdicts(slacks["alignment"] >= -tol.alignment_rel, lower_applicable)
 
-    return StepRecord(
-        t=prev.t,
+        # gradient upper bound
+        upper = grad_upper_bound(LossValue(J, log_J), normV, p, L)
+        slacks["upper"] = np.where(upper > 0, (upper - grad_norm) / upper, 0.0)
+        upper_applicable = grad_upper_bound_applicable(normV, L)
+        verdicts["upper"] = _verdicts(slacks["upper"] >= -tol.upper_rel, upper_applicable)
+
+        # weight-norm floor under the (slightly looser) 2/n^(1+24L) threshold
+        slacks["floor"] = normV - weight_norm_floor(L)
+        floor_applicable = log_J <= math.log(2.0) + small_loss_log_threshold(n, L)
+        verdicts["floor"] = _verdicts(slacks["floor"] > tol.floor_abs, floor_applicable)
+
+        # one-step descent against the next row; the last row has none
+        descent_rhs = J - (L / (L + 0.5)) * ctx.alpha * _libm(pow, grad_norm, 2)
+        slacks["descent"] = np.append((descent_rhs[:-1] - J[1:]) / J[:-1], math.nan)
+        descent_applicable = (
+            inst and ctx.h <= 1.0 and small_loss & (verdicts["i3"] == "pass") & (t < k)
+        )
+        verdicts["descent"] = _verdicts(slacks["descent"] >= -tol.descent_rel, descent_applicable)
+
+    return Trajectory(
+        t=t,
         loss=J,
-        grad_norm=prev.grad_norm,
+        log_loss=log_J,
+        grad_norm=grad_norm,
         weight_norm=normV,
         lower_bound=lower,
         upper_bound=upper,
-        rate_bound=rate_bound if inst else math.nan,
-        descent_lhs=descent_lhs,
-        descent_rhs=descent_rhs,
-        verdicts=verdicts,
+        rate_bound=rate_bound,
+        phase=np.full(k, phase),
         slacks=slacks,
-        phase=phase,
+        verdicts=verdicts,
     )
 
 
@@ -435,77 +457,60 @@ def _random_point_in_ball(V: WeightStack, radius: float, rng: np.random.Generato
 @dataclass
 class RunLog:
     config_echo: dict
-    records: list[StepRecord] = field(default_factory=list)
-    phase_boundary: int | None = None  # first step index belonging to phase 2
+    records: Trajectory | None = None
+    phase_boundary: int | None = None  # first row belonging to phase 2
     summary: dict = field(default_factory=dict)
 
 
-def summarize(records: Sequence[StepRecord]) -> dict:
-    """Worst slack, first violation, and verdict counts per check."""
+def summarize(records: Trajectory) -> dict:
+    """Worst slack (earliest row on ties), first violation, and verdict
+    counts per check."""
     out: dict = {"invariants": {}, "failed": False}
     for key in CHECK_KEYS:
-        worst = math.inf
-        worst_t = None
-        first_fail = None
-        counts = {"pass": 0, "fail": 0, "na": 0}
-        for rec in records:
-            v = rec.verdicts.get(key, Verdict.NA)
-            counts[v.value] += 1
-            if v is Verdict.NA:
-                continue
-            s = rec.slacks.get(key, math.nan)
-            if not math.isnan(s) and s < worst:
-                worst, worst_t = s, rec.t
-            if v is Verdict.FAIL and first_fail is None:
-                first_fail = rec.t
+        verdicts, slacks = records.verdicts[key], records.slacks[key]
+        ranked = np.where((verdicts != "na") & ~np.isnan(slacks), slacks, math.inf)
+        worst = int(np.argmin(ranked)) if len(ranked) and ranked.min() < math.inf else None
+        fails = np.flatnonzero(verdicts == "fail")
+        first_fail = int(records.t[fails[0]]) if len(fails) else None
         out["invariants"][key] = {
-            "worst_slack": None if math.isinf(worst) else worst,
-            "worst_slack_step": worst_t,
+            "worst_slack": None if worst is None else float(slacks[worst]),
+            "worst_slack_step": None if worst is None else int(records.t[worst]),
             "first_violation_step": first_fail,
-            "counts": counts,
+            "counts": {v: int(np.count_nonzero(verdicts == v)) for v in ("pass", "fail", "na")},
         }
         if first_fail is not None:
             out["failed"] = True
-    if records:
-        last = records[-1]
-        out["final_loss"] = last.loss.value
-        out["final_log_loss"] = last.loss.log_value
+    if len(records):
+        out["final_loss"] = float(records.loss[-1])
+        out["final_log_loss"] = float(records.log_loss[-1])
         out["steps"] = len(records)
     return out
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def write_csv(records: Trajectory, path: str | Path) -> None:
+    """One row per step, fixed column order (see CSV_COLUMNS / README).
 
-
-def write_csv(records: Sequence[StepRecord], path: str | Path) -> None:
-    """One row per step, fixed column order (see CSV_COLUMNS / README)."""
+    Floats are written with `repr` of Python floats (shortest round trip).
+    """
+    floats = (
+        records.loss,
+        records.log_loss,
+        records.grad_norm,
+        records.weight_norm,
+        records.lower_bound,
+        records.upper_bound,
+        records.rate_bound,
+    )
+    columns = [
+        records.t.tolist(),
+        *([repr(x) for x in col.tolist()] for col in floats),
+        *(records.verdicts[k].tolist() for k in ("i1", "i2", "i3", "descent", "alignment")),
+        records.phase.tolist(),
+    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.t,
-                    _fmt(rec.loss.value),
-                    _fmt(rec.loss.log_value),
-                    _fmt(rec.grad_norm),
-                    _fmt(rec.weight_norm),
-                    _fmt(rec.lower_bound),
-                    _fmt(rec.upper_bound),
-                    _fmt(rec.rate_bound),
-                    rec.verdicts["i1"].value,
-                    rec.verdicts["i2"].value,
-                    rec.verdicts["i3"].value,
-                    rec.verdicts["descent"].value,
-                    rec.verdicts["alignment"].value,
-                    rec.phase,
-                ]
-            )
+        writer.writerows(zip(*columns))
 
 
 def write_summary_json(runlog: RunLog, path: str | Path) -> None:

@@ -7,13 +7,14 @@
 Exit status:
     0  every monitored check passed or was not applicable
     1  a monitored inequality failed
-    2  a bad config or input: an invalid or truncated JSON file, an unknown
-       or malformed field, a data set whose width is not network.p, a
-       theorem32 gamma estimate that finds no positive tangent margin, or a
-       missing file
+    2  a bad config or input: an invalid or truncated JSON file, an unknown,
+       mistyped or out-of-range field (a string where a number belongs, a
+       data.clustered.r above 1/16), a data set whose width is not
+       network.p, a theorem32 gamma estimate that finds no positive tangent
+       margin, or a missing file
     3  the run could not be carried out: warmup could not classify every
        sample, the outer-layer scale search failed, or training hit a
-       non-finite loss
+       non-finite loss or gradient
 
 The network is evaluated in one batched pass over all samples; that pass
 does not depend on the BLAS thread count.

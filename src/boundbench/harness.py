@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -21,6 +21,7 @@ from .activations import Activation, ActivationKind, certify_h_smooth, huberized
 from .bounds import (
     RunContext,
     RunLog,
+    Trajectory,
     compute_alpha_max,
     compute_h_max,
     compute_q_tilde,
@@ -114,131 +115,143 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
-def _take(doc: dict, path: str, allowed: dict[str, Any]) -> dict:
-    """Pull known keys with defaults; reject anything unrecognized."""
-    unknown = set(doc) - set(allowed)
+# A schema maps each key to (default, rule); a rule takes (value, path),
+# raises ConfigError naming the path, and returns the value to keep.
+
+
+def _take(doc: dict, path: str, schema: dict[str, tuple[Any, Any]]) -> dict:
+    """Pull known keys, defaulted and validated; reject anything unrecognized."""
+    _expect(isinstance(doc, dict), path, "must be a JSON object")
+    unknown = set(doc) - set(schema)
     _expect(not unknown, path, f"unknown keys {sorted(unknown)}")
-    return {k: doc.get(k, default) for k, default in allowed.items()}
+    prefix = "" if path == "config" else f"{path}."
+    return {k: rule(doc.get(k, default), prefix + k) for k, (default, rule) in schema.items()}
 
 
-def _auto_or_positive(value, path: str) -> Any:
-    if value == "auto":
-        return "auto"
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "must be a number or \"auto\"")
-    _expect(value > 0, path, "must be positive")
-    return float(value)
+def _section(schema: dict):
+    return lambda value, path: _take(value, path, schema)
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _rule(test, what: str):
+    """A rule accepting the values that pass `test`."""
+
+    def rule(value, path: str):
+        _expect(test(value), path, f"must be {what}")
+        return value
+
+    return rule
+
+
+def _integer(least: int):
+    return _rule(
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least, f"an integer >= {least}"
+    )
+
+
+def _or(literal, rule):
+    """`literal` itself, or a value that passes `rule`."""
+    return lambda value, path: literal if value == literal else rule(value, path)
+
+
+_positive = _rule(lambda v: _is_number(v) and v > 0, "a positive number")
+_nonnegative = _rule(lambda v: _is_number(v) and v >= 0, "a nonnegative number")
+_fraction = _rule(lambda v: _is_number(v) and 0 < v < 1, "in (0, 1)")
+_boolean = _rule(lambda v: isinstance(v, bool), "true or false")
+_filename = _or(None, _rule(lambda v: isinstance(v, str), "a path"))
+
+
+def _is_center(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value) and any(v != 0 for v in value)
+
+
+def _positive_float(value, path: str) -> float:
+    return float(_positive(value, path))
+
+
+_PLAN_SCHEMA = {
+    "gamma": ("estimate", _or("estimate", _positive)),
+    "delta": (0.05, _fraction),
+    "c1": (1.0, _positive),
+    "theta_const": (1.0, _positive),
+    "T": ("auto", _or("auto", _integer(1))),
+    "T_cap": (10_000, _integer(1)),
+    "alpha_nt": ("auto", _or("auto", _positive)),
+    "h_nt": ("auto", _or("auto", _positive)),
+    "rho": ("auto", _or("auto", _nonnegative)),
+    "stop_loss": (None, _or(None, _nonnegative)),
+    "alpha_phase2": (None, _or(None, _positive)),
+    "phase2_steps": (0, _integer(0)),
+}
+
+_SCHEMA = {
+    "mode": (None, _rule(lambda v: v in MODES, f"one of {MODES}")),
+    "network": ({}, _section({
+        "p": (None, _integer(1)),
+        "L": (1, _integer(1)),
+        "activation": (
+            "huberized",
+            _rule(lambda v: isinstance(v, str) and v in _ACTIVATIONS, f"one of {sorted(_ACTIVATIONS)}"),
+        ),
+        "h": ("auto", _or("auto", _positive_float)),
+    })),
+    "data": ({}, _section({
+        "inline": (None, _or(None, _rule(lambda v: isinstance(v, dict), "a JSON object"))),
+        "file": (None, _filename),
+        "clustered": (None, _or(None, _section({
+            # the clustered margin construction holds up to radius 1/16
+            "r": (None, _rule(lambda v: _is_number(v) and 0 <= v <= 1.0 / 16.0, "a radius in [0, 1/16]")),
+            "n": (None, _integer(2)),
+            # its length is checked with the data set's width against network.p
+            "mu": (None, _or(None, _rule(_is_center, "a nonzero list of numbers"))),
+        }))),
+    })),
+    "optimizer": ({}, _section({
+        "alpha": ("auto", _or("auto", _positive_float)),
+        "Q": ("auto", _or("auto", _positive_float)),
+        "max_steps": (1000, _integer(1)),
+        "loss_floor": (0.0, _nonnegative),
+    })),
+    "init": ({}, _section({
+        "warmup_steps": (2000, _integer(0)),
+        "warmup_alpha": (0.5, _positive),
+        "target_loss": ("auto", _or("auto", _fraction)),
+        "warmup_retries": (4, _integer(0)),
+    })),
+    "phase_plan": (None, _or(None, _section(_PLAN_SCHEMA))),
+    "diagnostics": ({}, _section({
+        "tau": (None, _or(None, _nonnegative)),
+        "operator_limit": (3.5, _positive),
+    })),
+    "suite": ({}, _section({"instances": (25, _integer(1))})),
+    "seeds": ({}, _section({
+        "init": (0, _integer(0)),
+        "data": (1, _integer(0)),
+        "probes": (2, _integer(0)),
+    })),
+    "output": ({}, _section({
+        "dir": (None, _filename),
+        "csv": (True, _boolean),
+        "json": (True, _boolean),
+    })),
+}
 
 
 def parse_config(source: str | dict) -> RunConfig:
-    """Validate a JSON config; unknown keys are rejected with their path."""
-    doc = json.loads(source) if isinstance(source, str) else dict(source)
-    _expect(isinstance(doc, dict), "config", "must be a JSON object")
-    top = _take(
-        doc,
-        "config",
-        {
-            "mode": None,
-            "network": {},
-            "data": {},
-            "optimizer": {},
-            "init": {},
-            "phase_plan": None,
-            "diagnostics": {},
-            "suite": {},
-            "seeds": {},
-            "output": {},
-        },
-    )
-    _expect(top["mode"] in MODES, "mode", f"must be one of {MODES}")
-
-    net = _take(top["network"], "network", {"p": None, "L": 1, "activation": "huberized", "h": "auto"})
-    _expect(isinstance(net["p"], int) and net["p"] >= 1, "network.p", "must be a positive integer")
-    _expect(isinstance(net["L"], int) and net["L"] >= 1, "network.L", "must be an integer >= 1")
-    _expect(net["activation"] in _ACTIVATIONS, "network.activation", f"must be one of {sorted(_ACTIVATIONS)}")
-    net["h"] = _auto_or_positive(net["h"], "network.h")
-
-    data = _take(top["data"], "data", {"inline": None, "file": None, "clustered": None})
+    """Validate a JSON config; a bad field raises `ConfigError` naming its path."""
+    top = _take(json.loads(source) if isinstance(source, str) else source, "config", _SCHEMA)
+    data = top["data"]
     present = [k for k in ("inline", "file", "clustered") if data[k] is not None]
     _expect(len(present) == 1, "data", f"exactly one of inline/file/clustered required, got {present}")
-    if data["clustered"] is not None:
-        cl = _take(data["clustered"], "data.clustered", {"r": None, "n": None, "mu": None})
-        _expect(isinstance(cl["n"], int) and cl["n"] >= 2, "data.clustered.n", "must be an integer >= 2")
-        _expect(
-            isinstance(cl["r"], (int, float)) and 0 <= cl["r"] < 1,
-            "data.clustered.r",
-            "must be a radius in [0, 1)",
-        )
-        data["clustered"] = cl
-
-    opt = _take(
-        top["optimizer"],
-        "optimizer",
-        {"alpha": "auto", "Q": "auto", "max_steps": 1000, "loss_floor": 0.0},
-    )
-    opt["alpha"] = _auto_or_positive(opt["alpha"], "optimizer.alpha")
-    opt["Q"] = _auto_or_positive(opt["Q"], "optimizer.Q")
-    _expect(isinstance(opt["max_steps"], int) and opt["max_steps"] >= 1, "optimizer.max_steps", "must be >= 1")
-    _expect(opt["loss_floor"] >= 0, "optimizer.loss_floor", "must be nonnegative")
-
-    init = _take(
-        top["init"],
-        "init",
-        {"warmup_steps": 2000, "warmup_alpha": 0.5, "target_loss": "auto", "warmup_retries": 4},
-    )
-    _expect(init["warmup_steps"] >= 0, "init.warmup_steps", "must be nonnegative")
-    _expect(init["warmup_alpha"] > 0, "init.warmup_alpha", "must be positive")
-    _expect(init["warmup_retries"] >= 0, "init.warmup_retries", "must be nonnegative")
-    if init["target_loss"] != "auto":
-        _expect(0 < init["target_loss"] < 1, "init.target_loss", "must be in (0, 1)")
-
-    plan = top["phase_plan"]
-    if plan is not None:
-        plan = _take(
-            plan,
-            "phase_plan",
-            {
-                "gamma": "estimate",
-                "delta": 0.05,
-                "c1": 1.0,
-                "theta_const": 1.0,
-                "T": "auto",
-                "T_cap": 10_000,
-                "alpha_nt": "auto",
-                "h_nt": "auto",
-                "rho": "auto",
-                "stop_loss": None,
-                "alpha_phase2": None,
-                "phase2_steps": 0,
-            },
-        )
-        _expect(plan["phase2_steps"] >= 0, "phase_plan.phase2_steps", "must be nonnegative")
-        gamma = plan["gamma"]
-        _expect(
-            gamma == "estimate"
-            or (isinstance(gamma, (int, float)) and not isinstance(gamma, bool) and gamma > 0),
-            "phase_plan.gamma",
-            'must be "estimate" or a positive number',
-        )
-
-    diag = _take(top["diagnostics"], "diagnostics", {"tau": None, "operator_limit": 3.5})
-    suite = _take(top["suite"], "suite", {"instances": 25})
-    seeds = _take(top["seeds"], "seeds", {"init": 0, "data": 1, "probes": 2})
-    for k in ("init", "data", "probes"):
-        _expect(isinstance(seeds[k], int), f"seeds.{k}", "must be an integer")
-    output = _take(top["output"], "output", {"dir": None, "csv": True, "json": True})
-
-    return RunConfig(
-        mode=top["mode"],
-        network=net,
-        data=data,
-        optimizer=opt,
-        init=init,
-        phase_plan=plan,
-        diagnostics=diag,
-        suite=suite,
-        seeds=seeds,
-        output=output,
-    )
+    return RunConfig(**top)
 
 
 def build_dataset(config: RunConfig) -> Dataset:
@@ -448,20 +461,14 @@ def monitored_descent(
     ctx: RunContext,
     max_steps: int,
     loss_floor: float = 0.0,
-    phase: int = 1,
-) -> list:
-    """Constant-step GD with a StepRecord per executed step.
+) -> Trajectory:
+    """Constant-step GD with one monitored row per executed step.
 
     Measures max_steps iterates and one lookahead state so the final
-    record still carries its one-step descent comparison.
+    row still carries its one-step descent comparison.
     """
-    states = run_phase(V1, act, data, ctx.alpha, max_steps + 1, loss_floor=loss_floor).states
-    records = []
-    emit = len(states) - 1 if len(states) > 1 else 1
-    for i in range(emit):
-        nxt = states[i + 1] if i + 1 < len(states) else None
-        records.append(monitor_transition(states[i], nxt, ctx, phase=phase))
-    return records
+    trace = run_phase(V1, act, data, ctx.alpha, max_steps + 1, loss_floor=loss_floor)
+    return monitor_transition(trace, ctx, 1).head(max(len(trace) - 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +576,11 @@ def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
     kind = _ACTIVATIONS[config.network["activation"]]
     if kind is not ActivationKind.HUBERIZED_RELU:
         raise ConfigError("network.activation: the two-phase schedule needs huberized")
-    plan_cfg = config.phase_plan or {}
+    plan_cfg = config.phase_plan or _take({}, "phase_plan", _PLAN_SCHEMA)
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=config.seeds["init"]))
 
-    gamma = plan_cfg.get("gamma", "estimate")
-    h_probe = (
-        plan_cfg["h_nt"]
-        if plan_cfg.get("h_nt") not in (None, "auto")
-        else nt_smoothing_width(data.n, p, L)
-    )
+    gamma = plan_cfg["gamma"]
+    h_probe = plan_cfg["h_nt"] if plan_cfg["h_nt"] != "auto" else nt_smoothing_width(data.n, p, L)
     act_probe = huberized(h_probe)
     gamma_side = "given"
     if gamma == "estimate":
@@ -593,31 +596,22 @@ def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
                 f"(best estimated margin {gamma:.6g}); give an explicit positive gamma"
             )
         gamma_side = "lower estimate (subgradient witness)"
+    given = {k: float(plan_cfg[k]) for k in ("alpha_nt", "h_nt", "rho") if plan_cfg[k] != "auto"}
+    given |= {k: float(plan_cfg[k]) for k in ("stop_loss", "alpha_phase2") if plan_cfg[k] is not None}
+    if plan_cfg["T"] != "auto":
+        given["T"] = plan_cfg["T"]
     plan = PhasePlan.auto(
         n=data.n,
         p=p,
         L=L,
         gamma=float(gamma),
-        delta=plan_cfg.get("delta", 0.05),
-        c1=plan_cfg.get("c1", 1.0),
-        theta_const=plan_cfg.get("theta_const", 1.0),
-        T_cap=plan_cfg.get("T_cap", 10_000),
+        delta=plan_cfg["delta"],
+        c1=plan_cfg["c1"],
+        theta_const=plan_cfg["theta_const"],
+        T_cap=plan_cfg["T_cap"],
+        phase2_steps=plan_cfg["phase2_steps"],
+        **given,
     )
-    overrides = {}
-    if plan_cfg.get("alpha_nt") not in (None, "auto"):
-        overrides["alpha_nt"] = float(plan_cfg["alpha_nt"])
-    if plan_cfg.get("h_nt") not in (None, "auto"):
-        overrides["h_nt"] = float(plan_cfg["h_nt"])
-    if plan_cfg.get("rho") not in (None, "auto"):
-        overrides["rho"] = float(plan_cfg["rho"])
-    if plan_cfg.get("T") not in (None, "auto"):
-        overrides["T"] = int(plan_cfg["T"])
-    if plan_cfg.get("stop_loss") is not None:
-        overrides["stop_loss"] = float(plan_cfg["stop_loss"])
-    if plan_cfg.get("alpha_phase2") is not None:
-        overrides["alpha_phase2"] = float(plan_cfg["alpha_phase2"])
-    overrides["phase2_steps"] = int(plan_cfg.get("phase2_steps", 0))
-    plan = replace(plan, **overrides)
     act = huberized(plan.h_nt)
     runlog = two_phase_train(V1, act, data, plan)
     runlog.config_echo["gamma"] = float(gamma)

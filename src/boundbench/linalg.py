@@ -81,6 +81,16 @@ class WeightStack:
         return cls(hidden=tuple(layers[:-1]), outer=np.asarray(layers[-1]))
 
     @classmethod
+    def _computed(cls, layers: Sequence[np.ndarray]) -> "WeightStack":
+        """Wrap L+1 layers computed inside the package, skipping the finite
+        check that guards outside input: an overflowing gradient must reach
+        the descent loop's divergence check instead of failing here."""
+        stack = object.__new__(cls)
+        object.__setattr__(stack, "hidden", tuple(_freeze(m) for m in layers[:-1]))
+        object.__setattr__(stack, "outer", _freeze(layers[-1]))
+        return stack
+
+    @classmethod
     def zeros(cls, p: int, L: int) -> "WeightStack":
         return cls(
             hidden=tuple(np.zeros((p, p)) for _ in range(L)),

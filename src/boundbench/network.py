@@ -286,7 +286,7 @@ def loss_and_gradient(
     below = (data.inputs, *trace.x[:-1])
     grads = [(c[:, None] * b).T @ x for b, x in zip(sensitivities(V, trace), below)]
     grads.append((c @ trace.x[-1])[None, :])
-    return LossValue.mean([LossValue.from_margin(z) for z in zs]), WeightStack.from_layers(grads)
+    return LossValue.mean([LossValue.from_margin(z) for z in zs]), WeightStack._computed(grads)
 
 
 def gd_step(V: WeightStack, alpha: float, grad: WeightStack) -> WeightStack:

@@ -14,15 +14,16 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .activations import Activation, ActivationKind
 from .bounds import (
+    PhaseTrace,
     RunContext,
     RunLog,
-    StepState,
+    Trajectory,
     compute_alpha_max,
     compute_h_max,
     compute_q_tilde,
@@ -56,11 +57,11 @@ class RunAbortedError(RuntimeError):
 
 
 class NumericalDivergenceError(RunAbortedError):
-    """A training loop hit a non-finite loss; carries the step index."""
+    """A training loop hit a non-finite loss or gradient; carries the step index."""
 
     def __init__(self, step: int, message: str = ""):
         self.step = step
-        super().__init__(message or f"non-finite loss at step {step}")
+        super().__init__(message or f"non-finite loss or gradient at step {step}")
 
 
 # ---------------------------------------------------------------------------
@@ -579,18 +580,6 @@ class PhasePlan:
         return replace(plan, **overrides) if overrides else plan
 
 
-@dataclass
-class PhaseTrace:
-    """Raw per-step measurements from one training phase."""
-
-    states: list[StepState] = field(default_factory=list)
-    drifts: list[float] = field(default_factory=list)  # max-layer distance from start
-    best_step: int = 0
-    best_loss: LossValue | None = None
-    best_stack: WeightStack | None = None
-    final_stack: WeightStack | None = None
-
-
 def run_phase(
     V: WeightStack,
     act: Activation,
@@ -604,36 +593,45 @@ def run_phase(
     """Plain constant-step GD, measuring everything monitors will need.
 
     The one descent loop: warmup, monitored descent and both phases of the
-    two-phase schedule run it. Tracks the argmin-loss iterate with
-    earliest-step tie-breaking, and per-step max-layer drift from `anchor`
-    (default: the starting stack). `final_stack` is the iterate after the
-    last step taken, which has not been evaluated unless a stop rule fired.
+    two-phase schedule run it. Each step's loss, log loss, gradient norm,
+    weight norm, gradient-weight product and max-layer drift from `anchor`
+    (default: the starting stack) go into preallocated columns, trimmed to
+    the steps taken. Tracks the argmin-loss iterate with earliest-step
+    tie-breaking. `final_stack` is the iterate after the last step taken,
+    which has not been evaluated unless a stop rule fired. A non-finite loss
+    or gradient raises `NumericalDivergenceError`.
     """
     anchor = anchor if anchor is not None else V
-    trace = PhaseTrace()
-    cur = V
+    columns = np.empty((6, max_steps))
+    best_step, best_stack = 0, None
+    cur, steps = V, 0
     for t in range(1, max_steps + 1):
         loss, grad = loss_and_gradient(cur, act, data)
-        if not math.isfinite(loss.value):
+        grad_norm = frobenius_norm(grad)
+        if not (math.isfinite(loss.value) and math.isfinite(grad_norm)):
             raise NumericalDivergenceError(t)
-        state = StepState(
-            t=t,
-            loss=loss,
-            grad_norm=frobenius_norm(grad),
-            weight_norm=frobenius_norm(cur),
-            grad_dot_weights=stack_dot(grad, cur),
+        columns[:, t - 1] = (
+            loss.value,
+            loss.log_value,
+            grad_norm,
+            frobenius_norm(cur),
+            stack_dot(grad, cur),
+            max_layer_distance(cur, anchor),
         )
-        trace.states.append(state)
-        trace.drifts.append(max_layer_distance(cur, anchor))
-        if trace.best_loss is None or loss.value < trace.best_loss.value:
-            trace.best_loss, trace.best_step, trace.best_stack = loss, t, cur
+        steps = t
+        if best_step == 0 or loss.value < columns[0, best_step - 1]:
+            best_step, best_stack = t, cur
         if stop_loss is not None and loss.value <= stop_loss:
             break
         if loss.value <= loss_floor:
             break
         cur = stack_axpy(cur, -alpha, grad)
-    trace.final_stack = cur
-    return trace
+    return PhaseTrace(
+        *columns[:, :steps].copy(),
+        best_step=best_step,
+        best_stack=best_stack,
+        final_stack=cur,
+    )
 
 
 def two_phase_train(
@@ -642,12 +640,13 @@ def two_phase_train(
     """Linearized phase at alpha_nt, then restart descent from the argmin
     iterate at the closed-form step size.
 
-    Phase-1 records carry measurements with the theory checks marked
-    not-applicable (the small-loss regime has not been entered). Phase 2
-    re-anchors the constants at the restart iterate; when that state
-    cannot support the closed-form step size (loss not in (0,1), or the
-    run's h exceeding the admissible width), an explicit alpha_phase2 is
-    required and the phase stays uninstrumented.
+    Each phase is monitored once and the log holds both, joined. Phase-1
+    rows carry measurements with the theory checks marked not-applicable
+    (the small-loss regime has not been entered). Phase 2 re-anchors the
+    constants at the restart iterate; when that state cannot support the
+    closed-form step size (loss not in (0,1), or the run's h exceeding the
+    admissible width), an explicit alpha_phase2 is required and the phase
+    stays uninstrumented.
     """
     if act.kind is not ActivationKind.HUBERIZED_RELU:
         raise ValueError("the two-phase schedule is defined for the Huberized ReLU")
@@ -663,17 +662,16 @@ def two_phase_train(
         h=act.h,
         alpha=plan.alpha_nt,
         Q=0.0,
-        J1=phase1.states[0].loss,
-        normV1=phase1.states[0].weight_norm,
+        J1=LossValue(float(phase1.loss[0]), float(phase1.log_loss[0])),
+        normV1=float(phase1.weight_norm[0]),
         constants=None,
         instrumented=False,
     )
-    records = []
-    for i, state in enumerate(phase1.states):
-        nxt = phase1.states[i + 1] if i + 1 < len(phase1.states) else None
-        records.append(monitor_transition(state, nxt, ctx1, phase=1))
+    records = monitor_transition(phase1, ctx1, 1)
 
     restart = phase1.best_stack
+    argmin_loss = float(phase1.loss[phase1.best_step - 1])
+    max_drift = float(phase1.drift.max())
     echo: dict = {
         "plan": {
             "alpha_nt": plan.alpha_nt,
@@ -686,39 +684,35 @@ def two_phase_train(
             "stop_loss": plan.stop_loss,
             "phase2_steps": plan.phase2_steps,
         },
-        "phase1_steps": len(phase1.states),
+        "phase1_steps": len(phase1),
         "phase1_argmin_step": phase1.best_step,
-        "phase1_argmin_loss": phase1.best_loss.value,
-        "phase1_max_drift": max(phase1.drifts),
+        "phase1_argmin_loss": argmin_loss,
+        "phase1_max_drift": max_drift,
     }
     phase_boundary = None
     if plan.phase2_steps > 0:
         J_restart = total_loss(restart, act, data)
         norm_restart = frobenius_norm(restart)
-        ctx2, alpha2 = _phase2_context(
-            J_restart, norm_restart, p, L, n, act.h, plan
-        )
-        echo["phase2_alpha"] = alpha2
+        ctx2 = _phase2_context(J_restart, norm_restart, p, L, n, act.h, plan)
+        echo["phase2_alpha"] = ctx2.alpha
         echo["phase2_instrumented"] = ctx2.instrumented
         phase2 = run_phase(
             restart,
             act,
             data,
-            alpha2,
+            ctx2.alpha,
             plan.phase2_steps,
             loss_floor=plan.loss_floor,
             anchor=V1,
         )
         phase_boundary = len(records)
-        for i, state in enumerate(phase2.states):
-            nxt = phase2.states[i + 1] if i + 1 < len(phase2.states) else None
-            records.append(monitor_transition(state, nxt, ctx2, phase=2))
+        records = Trajectory.concat([records, monitor_transition(phase2, ctx2, 2)])
     log = RunLog(config_echo=echo, records=records, phase_boundary=phase_boundary)
     log.summary = summarize(records)
     log.summary["phase1"] = {
         "argmin_step": phase1.best_step,
-        "argmin_loss": phase1.best_loss.value,
-        "max_drift": max(phase1.drifts),
+        "argmin_loss": argmin_loss,
+        "max_drift": max_drift,
     }
     return log
 
@@ -731,38 +725,24 @@ def _phase2_context(
     n: int,
     h: float,
     plan: PhasePlan,
-) -> tuple[RunContext, float]:
-    instrumentable = J_restart.log_value < 0.0 and norm_restart > 0.0
-    if instrumentable:
-        h_max = compute_h_max(J_restart, p, L, norm_restart)
-        instrumentable = h <= h_max
-    if not instrumentable:
-        if plan.alpha_phase2 is None:
-            raise ValueError(
-                "phase-2 step size cannot be resolved: the restart loss is not in "
-                "(0,1) or h exceeds the admissible width; set alpha_phase2 explicitly"
-            )
-        ctx = RunContext(
-            p=p,
-            L=L,
-            n=n,
-            h=h,
-            alpha=plan.alpha_phase2,
-            Q=0.0,
-            J1=J_restart,
-            normV1=norm_restart,
-            constants=None,
-            instrumented=False,
-        )
-        return ctx, plan.alpha_phase2
-    alpha2 = (
-        plan.alpha_phase2
-        if plan.alpha_phase2 is not None
-        else compute_alpha_max(h, J_restart, p, L, norm_restart)
+) -> RunContext:
+    instrumented = (
+        J_restart.log_value < 0.0
+        and norm_restart > 0.0
+        and h <= compute_h_max(J_restart, p, L, norm_restart)
     )
-    constants = theory_constants(J_restart, p, L, norm_restart, n, h, alpha=alpha2)
-    Q = plan.Q if plan.Q is not None else compute_q_tilde(alpha2, J_restart, L, norm_restart)
-    ctx = RunContext(
+    alpha2, Q, constants = plan.alpha_phase2, 0.0, None
+    if instrumented:
+        if alpha2 is None:
+            alpha2 = compute_alpha_max(h, J_restart, p, L, norm_restart)
+        constants = theory_constants(J_restart, p, L, norm_restart, n, h, alpha=alpha2)
+        Q = plan.Q if plan.Q is not None else compute_q_tilde(alpha2, J_restart, L, norm_restart)
+    elif alpha2 is None:
+        raise ValueError(
+            "phase-2 step size cannot be resolved: the restart loss is not in "
+            "(0,1) or h exceeds the admissible width; set alpha_phase2 explicitly"
+        )
+    return RunContext(
         p=p,
         L=L,
         n=n,
@@ -772,8 +752,8 @@ def _phase2_context(
         J1=J_restart,
         normV1=norm_restart,
         constants=constants,
+        instrumented=instrumented,
     )
-    return ctx, alpha2
 
 
 def average_loss_bound_check(
@@ -795,10 +775,11 @@ def average_loss_bound_check(
     looser. Both roles are recorded. The verdict only applies when every
     iterate stayed inside the tau-ball and eps_app < 3/8.
     """
-    T = len(phase.states)
-    avg = sum(s.loss.value for s in phase.states) / T
+    T = len(phase)
+    avg = sum(phase.loss.tolist()) / T
     dist2 = frobenius_norm(stack_axpy(V1, -1.0, v_star)) ** 2
-    in_ball = max(phase.drifts) <= tau
+    max_drift = float(phase.drift.max())
+    in_ball = max_drift <= tau
     applicable = in_ball and eps_app < 0.375
     rhs = (
         (dist2 + 2.0 * T * alpha * eps_nt) / (T * alpha * (1.5 - 4.0 * eps_app))
@@ -811,7 +792,7 @@ def average_loss_bound_check(
         "holds": bool(applicable and avg <= rhs),
         "applicable": applicable,
         "in_ball": in_ball,
-        "max_drift": max(phase.drifts),
+        "max_drift": max_drift,
         "tau": tau,
         "eps_nt_side": "upper estimate (projected descent)",
         "eps_app_side": "lower estimate (sampled pairs)",

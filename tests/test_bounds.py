@@ -5,10 +5,10 @@ import pytest
 
 from boundbench.activations import huberized, swish
 from boundbench.bounds import (
+    CHECK_KEYS,
     CSV_COLUMNS,
+    PhaseTrace,
     RunContext,
-    StepState,
-    Verdict,
     compute_alpha_max,
     compute_h_max,
     compute_q_tilde,
@@ -22,8 +22,11 @@ from boundbench.bounds import (
     weight_norm_floor,
     write_csv,
 )
+from boundbench import harness, ntk
 from boundbench.linalg import WeightStack, frobenius_norm
 from boundbench.network import Dataset, LossValue, gradient, total_loss
+from reference_monitor import monitor_rows
+from reference_monitor import summarize as reference_summarize
 
 # 50-digit reference evaluations of the closed forms, frozen
 H_MAX_EXAMPLE = 0.019188209108283714  # L=1, p=4, ||V1||=30, J1=1e-12
@@ -181,41 +184,50 @@ def make_context(J1=1e-13, normV1=10.0, p=4, L=1, n=3, h=None, alpha=None, Q=Non
     )
 
 
-def make_state(t, J, grad_norm, weight_norm, align=None):
-    J = loss(J) if not isinstance(J, LossValue) else J
-    align = align if align is not None else -2.0 * (1.75) * J.value * J.log_inverse()
-    return StepState(
-        t=t, loss=J, grad_norm=grad_norm, weight_norm=weight_norm, grad_dot_weights=align
+def make_trace(*rows):
+    """A PhaseTrace from (J, grad_norm, weight_norm[, grad_dot_weights]) rows."""
+    Js, grad_norms, weight_norms, dots = [], [], [], []
+    for J, grad_norm, weight_norm, *align in rows:
+        J = loss(J) if not isinstance(J, LossValue) else J
+        Js.append(J)
+        grad_norms.append(grad_norm)
+        weight_norms.append(weight_norm)
+        dots.append(align[0] if align else -2.0 * 1.75 * J.value * J.log_inverse())
+    return PhaseTrace(
+        loss=np.array([J.value for J in Js]),
+        log_loss=np.array([J.log_value for J in Js]),
+        grad_norm=np.array(grad_norms),
+        weight_norm=np.array(weight_norms),
+        grad_dot_weights=np.array(dots),
+        drift=np.zeros(len(rows)),
     )
 
 
 def test_monitor_first_step_rate_is_equality():
     ctx = make_context()
-    s1 = make_state(1, ctx.J1, grad_norm=1e-12, weight_norm=ctx.normV1)
-    rec = monitor_transition(s1, None, ctx)
-    assert rec.verdicts["i1"] is Verdict.PASS
-    assert rec.slacks["i1"] == 0.0
-    assert rec.verdicts["i2"] is Verdict.PASS
-    assert rec.verdicts["descent"] is Verdict.NA  # no next state
+    rec = monitor_transition(make_trace((ctx.J1, 1e-12, ctx.normV1)), ctx, 1)
+    assert rec.verdicts["i1"][0] == "pass"
+    assert rec.slacks["i1"][0] == 0.0
+    assert rec.verdicts["i2"][0] == "pass"
+    assert rec.verdicts["descent"][0] == "na"  # no next row
 
 
 def test_monitor_flags_not_applicable_outside_regime():
     # J above the small-loss threshold switches the conditional checks to
     # not-applicable rather than failing them
     ctx = make_context()
-    s = make_state(1, 0.5, grad_norm=1.0, weight_norm=0.5)
-    rec = monitor_transition(s, None, ctx)
-    assert rec.verdicts["lower"] is Verdict.NA
-    assert rec.verdicts["alignment"] is Verdict.NA
-    assert rec.verdicts["floor"] is Verdict.NA
-    assert rec.verdicts["upper"] is Verdict.NA  # ||V|| below sqrt(L+1/2)
+    rec = monitor_transition(make_trace((0.5, 1.0, 0.5)), ctx, 1)
+    assert rec.verdicts["lower"][0] == "na"
+    assert rec.verdicts["alignment"][0] == "na"
+    assert rec.verdicts["floor"][0] == "na"
+    assert rec.verdicts["upper"][0] == "na"  # ||V|| below sqrt(L+1/2)
     # the unconditional rate checks legitimately fail at this state: the
     # loss sits far above the schedule; that is a finding, not a false alarm
-    assert rec.verdicts["i1"] is Verdict.FAIL
+    assert rec.verdicts["i1"][0] == "fail"
 
 
-def test_monitor_uninstrumented_context_reports_na():
-    ctx = RunContext(
+def uninstrumented_context():
+    return RunContext(
         p=4,
         L=1,
         n=3,
@@ -227,11 +239,14 @@ def test_monitor_uninstrumented_context_reports_na():
         constants=None,
         instrumented=False,
     )
-    s = make_state(1, 0.5, grad_norm=1.0, weight_norm=3.0)
-    rec = monitor_transition(s, make_state(2, 0.4, 1.0, 3.0), ctx)
+
+
+def test_monitor_uninstrumented_context_reports_na():
+    ctx = uninstrumented_context()
+    rec = monitor_transition(make_trace((0.5, 1.0, 3.0), (0.4, 1.0, 3.0)), ctx, 1)
     for key in ("i1", "i2", "i3", "descent", "lower", "alignment"):
-        assert rec.verdicts[key] is Verdict.NA
-    assert rec.verdicts["upper"] is not Verdict.NA
+        assert rec.verdicts[key][0] == "na"
+    assert rec.verdicts["upper"][0] != "na"
 
 
 def test_monitor_records_violation_without_aborting():
@@ -247,10 +262,9 @@ def test_monitor_records_violation_without_aborting():
         normV1=ctx.normV1,
         constants=ctx.constants,
     )
-    s1 = make_state(1, ctx.J1, grad_norm=1e-12, weight_norm=ctx.normV1)
-    rec = monitor_transition(s1, None, oversized)
-    assert rec.verdicts["i3"] is Verdict.FAIL
-    assert rec.slacks["i3"] < 0
+    rec = monitor_transition(make_trace((ctx.J1, 1e-12, ctx.normV1)), oversized, 1)
+    assert rec.verdicts["i3"][0] == "fail"
+    assert rec.slacks["i3"][0] < 0
 
 
 def test_monitor_descent_inequality_checked_against_next_state():
@@ -259,40 +273,194 @@ def test_monitor_descent_inequality_checked_against_next_state():
     g = 1e-9  # large enough that the required drop dwarfs the slack tolerance
     drop = (ctx.L / (ctx.L + 0.5)) * ctx.alpha * g * g
     assert drop / J1v > 1e-9
-    s1 = make_state(1, ctx.J1, grad_norm=g, weight_norm=ctx.normV1)
-    good = make_state(2, J1v - 2 * drop, g, ctx.normV1)
-    bad = make_state(2, J1v - 0.25 * drop, g, ctx.normV1)
-    assert monitor_transition(s1, good, ctx).verdicts["descent"] is Verdict.PASS
-    assert monitor_transition(s1, bad, ctx).verdicts["descent"] is Verdict.FAIL
+    first = (ctx.J1, g, ctx.normV1)
+    good = make_trace(first, (J1v - 2 * drop, g, ctx.normV1))
+    bad = make_trace(first, (J1v - 0.25 * drop, g, ctx.normV1))
+    assert monitor_transition(good, ctx, 1).verdicts["descent"].tolist() == ["pass", "na"]
+    assert monitor_transition(bad, ctx, 1).verdicts["descent"].tolist() == ["fail", "na"]
 
 
 def test_summarize_tracks_worst_slack_and_first_violation():
     ctx = make_context()
-    s1 = make_state(1, ctx.J1, grad_norm=1e-12, weight_norm=ctx.normV1)
-    s2 = make_state(2, ctx.J1.value * 1.5, grad_norm=1e-12, weight_norm=ctx.normV1)
-    recs = [
-        monitor_transition(s1, None, ctx),
-        monitor_transition(s2, None, ctx),  # loss rose: i1 violated at t=2
-    ]
-    summary = summarize(recs)
+    trace = make_trace(
+        (ctx.J1, 1e-12, ctx.normV1),
+        (ctx.J1.value * 1.5, 1e-12, ctx.normV1),  # loss rose: i1 violated at t=2
+    )
+    summary = summarize(monitor_transition(trace, ctx, 1))
     assert summary["failed"]
     assert summary["invariants"]["i1"]["first_violation_step"] == 2
     assert summary["invariants"]["i1"]["worst_slack"] < 0
     assert summary["invariants"]["i1"]["counts"] == {"pass": 1, "fail": 1, "na": 0}
 
 
+def test_summarize_takes_the_earliest_row_on_tied_slacks():
+    ctx = make_context()
+    row = (ctx.J1, 1e-12, ctx.normV1)
+    summary = summarize(monitor_transition(make_trace(row, row, row), ctx, 1))
+    # every row has the same i3 slack; the first one is reported
+    assert summary["invariants"]["i3"]["worst_slack_step"] == 1
+    assert summary["invariants"]["descent"]["counts"]["na"] == 1
+
+
 def test_csv_columns_and_determinism(tmp_path):
     ctx = make_context()
-    s1 = make_state(1, ctx.J1, grad_norm=1e-12, weight_norm=ctx.normV1)
-    s2 = make_state(2, ctx.J1.value * 0.999, grad_norm=1e-12, weight_norm=ctx.normV1)
-    recs = [monitor_transition(s1, s2, ctx), monitor_transition(s2, None, ctx)]
+    trace = make_trace(
+        (ctx.J1, 1e-12, ctx.normV1), (ctx.J1.value * 0.999, 1e-12, ctx.normV1)
+    )
+    recs = monitor_transition(trace, ctx, 1)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(recs, a)
     write_csv(recs, b)
     assert a.read_bytes() == b.read_bytes()
-    header = a.read_text().splitlines()[0]
-    assert header == ",".join(CSV_COLUMNS)
-    assert len(a.read_text().splitlines()) == 3
+    lines = a.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == 3
+    # floats are written as Python reprs, never as numpy scalar reprs
+    fields = lines[1].split(",")
+    assert fields[0] == "1" and fields[-1] == "1"
+    assert float(fields[1]) == ctx.J1.value and "np." not in a.read_text()
+
+
+# ---------------------------------------------------------------------------
+# columnar monitor against the per-step reference
+
+
+def assert_matches_reference(traj, trace, ctx, phase):
+    ref = monitor_rows(trace, ctx, phase)
+    assert len(traj) == len(ref)
+    assert traj.t.tolist() == [r.t for r in ref]
+    assert traj.phase.tolist() == [phase] * len(ref)
+    for key in CHECK_KEYS:
+        assert traj.verdicts[key].tolist() == [r.verdicts[key].value for r in ref], key
+    for key in (*CHECK_KEYS, "i1_value"):
+        np.testing.assert_allclose(
+            traj.slacks[key],
+            [r.slacks[key] for r in ref],
+            rtol=0,
+            atol=1e-13,
+            equal_nan=True,
+            err_msg=key,
+        )
+    # the CSV columns are the same numbers, so the file bytes are too
+    for col in ("lower_bound", "upper_bound", "rate_bound"):
+        np.testing.assert_array_equal(getattr(traj, col), [getattr(r, col) for r in ref])
+    ours, theirs = summarize(traj), reference_summarize(ref, CHECK_KEYS)
+    for key in CHECK_KEYS:
+        a, b = ours["invariants"][key], theirs["invariants"][key]
+        assert a["counts"] == b["counts"], key
+        assert a["worst_slack_step"] == b["worst_slack_step"], key
+        assert a["first_violation_step"] == b["first_violation_step"], key
+        if b["worst_slack"] is None:
+            assert a["worst_slack"] is None
+        else:
+            assert a["worst_slack"] == pytest.approx(b["worst_slack"], rel=0, abs=1e-13)
+    assert (ours["failed"], ours["steps"]) == (theirs["failed"], theirs["steps"])
+
+
+@pytest.mark.parametrize("instrumented", [True, False])
+def test_columnar_monitor_matches_reference_on_edge_rows(instrumented):
+    instrumented_ctx = make_context()
+    ctx = instrumented_ctx if instrumented else uninstrumented_context()
+    J1, normV1 = instrumented_ctx.J1, instrumented_ctx.normV1
+    # the value channel underflowed to 0 while J log(1/J) = exp(-741.4) did not
+    underflow = LossValue(value=0.0, log_value=-748.0)
+    trace = make_trace(
+        (J1, 1e-12, normV1),
+        (J1.value * 1.5, 1e-12, normV1),  # loss rose: I2 fails, so no lower bound check
+        (J1.value * 0.5, 1e-12, 0.5 * math.sqrt(ctx.L + 0.5)),  # ||V|| < sqrt(L+1/2)
+        (J1.value * 0.5, 1e-12, weight_norm_floor(ctx.L)),  # exactly on the strict floor
+        (1.5, 1.0, normV1),  # loss above 1: no lower bound at all
+        (underflow, 1e-300, normV1, -1e-300),  # no successor
+    )
+    traj = monitor_transition(trace, ctx, 1)
+    assert_matches_reference(traj, trace, ctx, 1)
+    assert traj.verdicts["upper"][2] == "na"
+    assert math.isnan(traj.lower_bound[4])
+    assert traj.upper_bound[5] == 0.0 and traj.slacks["upper"][5] == 0.0
+    assert traj.verdicts["upper"][5] == "pass"
+    assert traj.lower_bound[5] > 0.0
+    assert traj.verdicts["descent"][5] == "na"
+    if instrumented:
+        assert traj.verdicts["i2"][1] == "fail" and traj.verdicts["lower"][1] == "na"
+        assert traj.verdicts["floor"][3] == "fail"
+
+
+def test_columnar_monitor_matches_reference_on_random_rows():
+    # numpy's own pow and log1p differ from libm's in the last bit on a few
+    # percent of these rows; the CSV columns must not
+    ctx = make_context(J1=1e-13, normV1=10.0, p=8, L=2)
+    rng = np.random.default_rng(3)
+    rows = zip(
+        1e-13 * rng.uniform(0.5, 1.5, 400), rng.uniform(1e-14, 1e-11, 400), rng.uniform(5.0, 20.0, 400)
+    )
+    trace = make_trace(*rows)
+    assert_matches_reference(monitor_transition(trace, ctx, 1), trace, ctx, 1)
+
+
+@pytest.fixture
+def monitor_calls(monkeypatch):
+    """Every (trace, ctx, phase, trajectory) the harness and the two-phase
+    schedule pass through the monitor."""
+    calls = []
+
+    def spy(trace, ctx, phase):
+        traj = monitor_transition(trace, ctx, phase)
+        calls.append((trace, ctx, phase, traj))
+        return traj
+
+    monkeypatch.setattr(harness, "monitor_transition", spy)
+    monkeypatch.setattr(ntk, "monitor_transition", spy)
+    return calls
+
+
+def theorem31_config(p, L, alpha="auto"):
+    return {
+        "mode": "theorem31",
+        "network": {"p": p, "L": L, "activation": "huberized", "h": "auto"},
+        "data": {"clustered": {"r": 0.05, "n": 3}},
+        "optimizer": {"alpha": alpha, "Q": "auto", "max_steps": 200},
+        "init": {"warmup_steps": 3000, "warmup_alpha": 0.5, "target_loss": "auto"},
+        "seeds": {"init": 0, "data": 1, "probes": 2},
+        "output": {"dir": None},
+    }
+
+
+@pytest.mark.parametrize("case", ["p4_L1", "p8_L2", "negative_control", "two_phase"])
+def test_columnar_monitor_matches_reference_on_runs(monitor_calls, case):
+    if case == "p4_L1":
+        doc = theorem31_config(4, 1)
+    elif case == "p8_L2":
+        doc = theorem31_config(8, 2)
+    elif case == "negative_control":
+        probe, _ = harness.run(harness.parse_config(theorem31_config(4, 1)))
+        doc = theorem31_config(4, 1, alpha=10.0 * probe.config_echo["resolved"]["alpha_max"])
+        monitor_calls.clear()
+    else:
+        doc = {
+            "mode": "theorem32",
+            "network": {"p": 32, "L": 1, "activation": "huberized", "h": "auto"},
+            "data": {"clustered": {"r": 0.05, "n": 4}},
+            "phase_plan": {
+                "gamma": "estimate",
+                "T_cap": 1500,
+                "stop_loss": 0.05,
+                "phase2_steps": 20,
+                "alpha_phase2": 0.05,
+            },
+            "seeds": {"init": 3, "data": 4, "probes": 5},
+            "output": {"dir": None},
+        }
+    runlog, status = harness.run(harness.parse_config(doc))
+    for trace, ctx, phase, traj in monitor_calls:
+        assert_matches_reference(traj, trace, ctx, phase)
+    if case == "two_phase":
+        assert [c[2] for c in monitor_calls] == [1, 2]
+        assert len(runlog.records) == sum(len(c[3]) for c in monitor_calls)
+    else:
+        # one monitor call; the lookahead row only feeds the last descent check
+        assert [len(c[0]) for c in monitor_calls] == [201]
+        assert len(runlog.records) == 200
+    assert status == (1 if case == "negative_control" else 0)
 
 
 # ---------------------------------------------------------------------------

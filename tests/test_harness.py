@@ -1,8 +1,11 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boundbench.activations import huberized, swish
 from boundbench.cli import main as cli_main
@@ -87,6 +90,82 @@ def test_parse_validates_mode_and_seeds():
         parse_config(minimal_config(mode="theorem99"))
     with pytest.raises(ConfigError, match="seeds.init"):
         parse_config(minimal_config(seeds={"init": "zero"}))
+
+
+FULL_CONFIG = {
+    "mode": "theorem32",
+    "network": {"p": 4, "L": 1, "activation": "huberized", "h": "auto"},
+    "data": {"clustered": {"r": 0.05, "n": 3, "mu": [1.0, 0.0, 0.0, 0.0]}},
+    "optimizer": {"alpha": "auto", "Q": "auto", "max_steps": 50, "loss_floor": 0.0},
+    "init": {"warmup_steps": 10, "warmup_alpha": 0.5, "target_loss": "auto", "warmup_retries": 1},
+    "phase_plan": {
+        "gamma": "estimate",
+        "delta": 0.05,
+        "c1": 1.0,
+        "theta_const": 1.0,
+        "T": 10,
+        "T_cap": 100,
+        "alpha_nt": "auto",
+        "h_nt": "auto",
+        "rho": "auto",
+        "stop_loss": 0.1,
+        "alpha_phase2": 0.05,
+        "phase2_steps": 2,
+    },
+    "diagnostics": {"tau": 0.1, "operator_limit": 3.5},
+    "suite": {"instances": 5},
+    "seeds": {"init": 0, "data": 1, "probes": 2},
+    "output": {"dir": "out", "csv": True, "json": True},
+}
+
+
+def _field_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _field_paths(value, (*prefix, key))
+
+
+FIELD_PATHS = [*_field_paths(FULL_CONFIG), ("data", "inline"), ("data", "file")]
+KNOWN_PATHS = {"config"} | {".".join(path) for path in FIELD_PATHS}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _with_value(path, value):
+    doc = copy.deepcopy(FULL_CONFIG)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@example(_with_value(("optimizer", "loss_floor"), 10**400))  # beyond the float range
+@given(
+    st.one_of(
+        st.builds(_with_value, st.sampled_from(FIELD_PATHS), JSON_VALUES),
+        st.dictionaries(st.sampled_from(list(FULL_CONFIG)) | st.text(max_size=6), JSON_VALUES),
+    )
+)
+def test_any_json_object_parses_or_names_a_field(doc):
+    try:
+        config = parse_config(doc)
+    except ConfigError as exc:
+        assert str(exc).split(": ", 1)[0] in KNOWN_PATHS, str(exc)
+    else:
+        parse_config(config.to_json_dict())  # the echo is a valid config
+
+
+def test_parse_accepts_every_field_of_the_full_config():
+    echo = parse_config(FULL_CONFIG).to_json_dict()
+    data = echo.pop("data")
+    assert {k: v for k, v in data.items() if v is not None} == FULL_CONFIG["data"]
+    assert echo == {k: v for k, v in FULL_CONFIG.items() if k != "data"}
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +418,7 @@ def test_theorem32_mode_runs_with_overrides():
     assert runlog.phase_boundary is not None
     assert runlog.config_echo["gamma"] > 0
     assert runlog.config_echo["gamma_side"] == "lower estimate (subgradient witness)"
-    phases = {rec.phase for rec in runlog.records}
+    phases = set(runlog.records.phase.tolist())
     assert phases == {1, 2}
 
 
@@ -412,21 +491,49 @@ def test_cli_rejects_truncated_data_file(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize(
-    "init, message",
+    "activation, init, message",
     [
         # seed 0 misclassifies a sample at initialization and gets no warmup
-        ({"warmup_steps": 0, "warmup_retries": 0}, "warmup did not reach"),
-        ({"warmup_alpha": 1e20}, "non-finite loss"),
+        ("huberized", {"warmup_steps": 0, "warmup_retries": 0}, "warmup did not reach"),
+        ("huberized", {"warmup_alpha": 1e20}, "non-finite loss"),
+        # the gradient overflows before the loss does
+        ("huberized", {"warmup_alpha": 1e200}, "non-finite loss or gradient"),
+        ("huberized", {"warmup_alpha": 1e250}, "non-finite loss or gradient"),
+        ("swish", {"warmup_alpha": 1e200}, "non-finite loss or gradient"),
+        ("swish", {"warmup_alpha": 1e250}, "non-finite loss or gradient"),
     ],
 )
-def test_cli_exits_3_when_the_run_cannot_be_carried_out(tmp_path, capsys, init, message):
-    doc = minimal_config()
+def test_cli_exits_3_when_the_run_cannot_be_carried_out(
+    tmp_path, capsys, activation, init, message
+):
+    doc = minimal_config(network={"p": 4, "L": 1, "activation": activation, "h": "auto"})
     doc["init"] = dict(doc["init"], **init)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     assert cli_main(["run", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: the run could not be carried out") and message in err
+
+
+@pytest.mark.parametrize(
+    "mode, path, value",
+    [
+        ("theorem31", "data.clustered.r", 0.5),
+        ("theorem31", "optimizer.loss_floor", "x"),
+        ("theorem32", "phase_plan.T", "ten"),
+        ("diagnostics", "diagnostics.tau", "big"),
+    ],
+)
+def test_cli_rejects_bad_field_and_names_it(tmp_path, capsys, mode, path, value):
+    doc = minimal_config(mode=mode)
+    node = doc
+    for key in path.split(".")[:-1]:
+        node = node.setdefault(key, {})
+    node[path.split(".")[-1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_cli_diagnostics_subcommand(tmp_path, capsys):

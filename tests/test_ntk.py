@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from boundbench.activations import huberized, swish
-from boundbench.bounds import Verdict
 from boundbench.linalg import WeightStack, frobenius_norm, stack_axpy, stack_dot
 from boundbench.network import Dataset, LossValue, forward, forward_rows, total_loss
 from boundbench.ntk import (
@@ -490,16 +489,16 @@ def test_two_phase_mechanics_and_records():
     plan = replace(plan, stop_loss=0.05, phase2_steps=30, alpha_phase2=0.05)
     act = huberized(plan.h_nt)
     log = two_phase_train(V1, act, data, plan)
-    phases = [rec.phase for rec in log.records]
+    phases = log.records.phase.tolist()
     switches = sum(1 for i in range(1, len(phases)) if phases[i] != phases[i - 1])
     assert switches == 1
     assert log.phase_boundary == phases.index(2)
     assert log.config_echo["phase1_argmin_loss"] <= 0.05
-    # phase-1 records carry measurements; the rate checks stay not-applicable
-    assert log.records[0].verdicts["i1"] is Verdict.NA
-    assert math.isfinite(log.records[0].grad_norm)
+    # phase-1 rows carry measurements; the rate checks stay not-applicable
+    assert log.records.verdicts["i1"][0] == "na"
+    assert math.isfinite(log.records.grad_norm[0])
     # phase 2 restarts from the argmin iterate
-    restart_loss = log.records[log.phase_boundary].loss.value
+    restart_loss = log.records.loss[log.phase_boundary]
     assert restart_loss == pytest.approx(log.config_echo["phase1_argmin_loss"], rel=1e-12)
 
 
@@ -539,6 +538,20 @@ def test_run_phase_aborts_on_non_finite_loss():
     data = Dataset(inputs=np.eye(2), labels=np.array([1.0, -1.0]))
     with pytest.raises(NumericalDivergenceError) as err:
         run_phase(huge, huberized(0.5), data, alpha=0.1, max_steps=3)
+    assert err.value.step == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_run_phase_aborts_on_non_finite_gradient_with_finite_loss():
+    # the output overflows to +inf with the right sign: the loss is exactly 0,
+    # but the outer gradient block is 0 * inf
+    big = WeightStack(
+        hidden=(np.full((1, 1), 1e200), np.full((1, 1), 1e200)), outer=np.ones((1, 1))
+    )
+    data = Dataset(inputs=np.array([[1.0]]), labels=np.array([1.0]))
+    with pytest.raises(NumericalDivergenceError, match="gradient") as err:
+        run_phase(big, huberized(0.5), data, alpha=0.1, max_steps=3)
     assert err.value.step == 1
 
 
