@@ -417,15 +417,20 @@ TWO_PHASE_CONFIG = {
 }
 
 
-@pytest.mark.parametrize("mode", ["theorem31", "theorem32"])
-def test_criterion_14_determinism(tmp_path, mode):
-    if mode == "theorem31":
-        config = headline_config(p=4, L=1, max_steps=10_000)
-    else:
-        config = parse_config(TWO_PHASE_CONFIG)
-    run(config, out_dir=tmp_path / "a")
-    run(config, out_dir=tmp_path / "b")
-    same = (tmp_path / "a" / "trajectory.csv").read_bytes() == (
-        tmp_path / "b" / "trajectory.csv"
+def assert_reruns_identical(config, out_dir, label):
+    run(config, out_dir=out_dir / "a")
+    run(config, out_dir=out_dir / "b")
+    same = (out_dir / "a" / "trajectory.csv").read_bytes() == (
+        out_dir / "b" / "trajectory.csv"
     ).read_bytes()
-    report(f"14 byte-identical trajectory on rerun ({mode})", same)
+    report(f"14 byte-identical trajectory on rerun ({label})", same)
+
+
+def test_criterion_14_determinism(tmp_path):
+    assert_reruns_identical(
+        headline_config(p=4, L=1, max_steps=10_000), tmp_path, "theorem31"
+    )
+
+
+def test_criterion_14_determinism_two_phase(tmp_path):
+    assert_reruns_identical(parse_config(TWO_PHASE_CONFIG), tmp_path, "theorem32")
