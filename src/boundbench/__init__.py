@@ -48,12 +48,11 @@ from .network import (
     ForwardTrace,
     LossValue,
     forward,
-    g_factor,
     gd_step,
     gradient,
+    logistic,
     loss_and_gradient,
     output_gradient,
-    sample_loss,
     total_loss,
 )
 from .ntk import (

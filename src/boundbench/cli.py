@@ -9,15 +9,16 @@ Exit status:
     1  a monitored inequality failed
     2  a bad config or input: an invalid or truncated JSON file, an unknown,
        mistyped or out-of-range field (a string where a number belongs, a
-       data.clustered.r above 1/16), a data set whose width is not
-       network.p, a theorem32 gamma estimate that finds no positive tangent
-       margin, or a missing file
+       data.clustered.r above 1/16), a malformed inline or file sample, a
+       data set whose width is not network.p, a theorem32 gamma estimate
+       that finds no positive tangent margin, a phase-2 step size that
+       needs phase_plan.alpha_phase2, or a missing file
     3  the run could not be carried out: warmup could not classify every
        sample, the outer-layer scale search failed, or training hit a
        non-finite loss or gradient
 
-The network is evaluated in one batched pass over all samples; that pass
-does not depend on the BLAS thread count.
+The network is evaluated in one batched pass over all samples; neither
+that pass nor the norms of weight stacks depend on the BLAS thread count.
 """
 
 from __future__ import annotations

@@ -38,19 +38,20 @@ from .linalg import (
     operator_norm,
     product_operator_bound,
     stack_axpy,
+    stack_scale,
 )
 from .network import (
     Dataset,
     LossValue,
-    g_factor,
     gradient,
+    logistic,
     loss_and_gradient,
     margins,
-    sample_loss,
     total_loss,
 )
 from .ntk import (
     ClusteredDataSpec,
+    ConfigError,
     InitSpec,
     PhasePlan,
     RunAbortedError,
@@ -64,10 +65,6 @@ from .ntk import (
     two_phase_train,
 )
 from .oracles import FdConfig, fd_compare, fd_gradient
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration; the message names the offending field."""
 
 
 MODES = ("theorem31", "theorem32", "diagnostics", "property_suite")
@@ -254,16 +251,34 @@ def parse_config(source: str | dict) -> RunConfig:
     return RunConfig(**top)
 
 
+def _check_samples(doc, path: str) -> None:
+    """A data set document: {"p": int, "samples": [{"x": [...], "y": +-1}, ...]}."""
+    _expect(isinstance(doc, dict), path, "must be a JSON object")
+    p = _integer(1)(doc.get("p"), f"{path}.p")
+    samples = doc.get("samples")
+    _expect(isinstance(samples, list) and len(samples) > 0, f"{path}.samples", "must be a nonempty list")
+    for i, sample in enumerate(samples):
+        at = f"{path}.samples[{i}]"
+        _expect(isinstance(sample, dict), at, "must be a JSON object")
+        x_ok = _is_center(sample.get("x")) and len(sample["x"]) == p
+        _expect(x_ok, f"{at}.x", f"must be a nonzero list of {p} numbers")
+        _expect(_is_number(sample.get("y")) and sample["y"] in (-1, 1), f"{at}.y", "must be -1 or +1")
+
+
 def build_dataset(config: RunConfig) -> Dataset:
     """The configured data set; its width must match network.p."""
     data = config.data
     p = config.network["p"]
     if data["file"] is not None:
-        try:
-            dataset = Dataset.from_json_file(data["file"])
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"data.file: {data['file']} is not valid JSON ({exc})") from exc
+        with open(data["file"]) as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"data.file: {data['file']} is not valid JSON ({exc})") from exc
+        _check_samples(doc, "data.file")
+        dataset = Dataset.from_json_dict(doc, origin=data["file"])
     elif data["inline"] is not None:
+        _check_samples(data["inline"], "data.inline")
         dataset = Dataset.from_json_dict(data["inline"])
     else:
         cl = data["clustered"]
@@ -316,9 +331,7 @@ def build_small_loss_init(
         )
 
     def loss_at(c: float) -> float:
-        return LossValue.mean(
-            [LossValue.from_margin(c * m) for m in warm_margins.tolist()]
-        ).value
+        return logistic(c * warm_margins).loss.value
 
     if loss_at(1.0) <= target_loss:
         return V_warm
@@ -689,10 +702,10 @@ def _run_property_suite(config: RunConfig) -> tuple[RunLog, int]:
         act = huberized(0.5) if i % 2 == 0 else swish(0.5)
         V = _random_stack(p, L, rng)
         data = _random_dataset(p, int(rng.integers(2, 5)), rng)
-        for x, y in zip(data.inputs, data.labels):
-            # past |margin| ~ 37 the true separation g = J(1 - J/2 + ...) falls
-            # below one ulp and libm rounding can invert the last bit
-            g_ok &= g_factor(V, act, x, y) <= sample_loss(V, act, x, y).value * (1 + 1e-15)
+        # past |margin| ~ 37 the true separation g = J(1 - J/2 + ...) falls
+        # below one ulp and rounding in exp and log can invert the last bit
+        terms = logistic(margins(V, act, data))
+        g_ok &= bool(np.all(terms.g <= terms.values * (1 + 1e-15)))
         grad = gradient(V, act, data)
         report = fd_compare(grad, fd_gradient(V, act, data, FdConfig()), abs_floor=1e-8)
         fd_ok &= report.max_rel_error < 1e-6
@@ -726,8 +739,7 @@ def _scale_to_min_norm(V: WeightStack, floor: float) -> WeightStack:
     norm = frobenius_norm(V)
     if norm >= floor:
         return V
-    c = (floor / norm) * (1 + 1e-9)
-    return WeightStack(hidden=tuple(c * m for m in V.hidden), outer=c * V.outer)
+    return stack_scale(V, (floor / norm) * (1 + 1e-9))
 
 
 def _random_dataset(p: int, n: int, rng: np.random.Generator) -> Dataset:

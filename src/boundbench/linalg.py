@@ -1,15 +1,18 @@
 """Dense stacked-parameter arithmetic and norms.
 
 A network's trainable parameters live in a WeightStack: L square hidden
-matrices of side p plus a 1 x p outer row. All operations are pure and
-return new objects; arrays inside a stack are frozen on construction so
-stacks can be shared across threads safely.
+matrices of side p plus a 1 x p outer row, stored back to back in one
+contiguous, read-only float64 vector (`flat`); `hidden` and `outer` are
+reshaped views of it. Arithmetic on stacks is one array operation on that
+vector and returns a new stack. Norms and dot products go through one
+single-threaded reduction whose summation order is fixed, so unlike BLAS
+`dot` they do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -19,10 +22,31 @@ class ShapeMismatchError(ValueError):
     """Raised when two stacks (or a stack and data) disagree on shape."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True, order="C")
-    out.setflags(write=False)
-    return out
+def _attach(stack: "WeightStack", flat: np.ndarray, p: int, L: int) -> None:
+    """Freeze `flat` and point the stack's layer views into it."""
+    flat.setflags(write=False)
+    square = p * p
+    object.__setattr__(stack, "flat", flat)
+    object.__setattr__(
+        stack, "hidden", tuple(flat[i * square : (i + 1) * square].reshape(p, p) for i in range(L))
+    )
+    object.__setattr__(stack, "outer", flat[L * square :].reshape(1, p))
+
+
+def _require_finite(flat: np.ndarray, p: int) -> None:
+    # one pass: a non-finite entry makes the sum non-finite, and the exact
+    # check tells an overflowing sum of finite entries apart
+    bad = [] if math.isfinite(np.add.reduce(flat)) else np.flatnonzero(~np.isfinite(flat))
+    if len(bad):
+        raise ValueError(f"non-finite entries in layer {int(bad[0]) // (p * p)}")
+
+
+def _wrap(flat: np.ndarray, p: int, L: int) -> "WeightStack":
+    """A stack on a freshly computed vector, checked but not copied."""
+    _require_finite(flat, p)
+    stack = object.__new__(WeightStack)
+    _attach(stack, flat, p, L)
+    return stack
 
 
 @dataclass(frozen=True)
@@ -31,10 +55,11 @@ class WeightStack:
 
     hidden: tuple[np.ndarray, ...]
     outer: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        hidden = tuple(_freeze(m) for m in self.hidden)
-        outer = _freeze(self.outer)
+        hidden = tuple(np.asarray(m, dtype=np.float64) for m in self.hidden)
+        outer = np.asarray(self.outer, dtype=np.float64)
         if len(hidden) < 1:
             raise ValueError("a stack needs at least one hidden layer")
         if outer.ndim != 2 or outer.shape[0] != 1:
@@ -47,11 +72,9 @@ class WeightStack:
                 raise ShapeMismatchError(
                     f"hidden layer {i} has shape {m.shape}, expected ({p}, {p})"
                 )
-        for i, m in enumerate((*hidden, outer)):
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"non-finite entries in layer {i}")
-        object.__setattr__(self, "hidden", hidden)
-        object.__setattr__(self, "outer", outer)
+        flat = np.concatenate([m.ravel() for m in (*hidden, outer)])
+        _require_finite(flat, p)
+        _attach(self, flat, p, len(hidden))
 
     @property
     def p(self) -> int:
@@ -82,12 +105,12 @@ class WeightStack:
 
     @classmethod
     def _computed(cls, layers: Sequence[np.ndarray]) -> "WeightStack":
-        """Wrap L+1 layers computed inside the package, skipping the finite
+        """Pack L+1 layers computed inside the package, skipping the finite
         check that guards outside input: an overflowing gradient must reach
         the descent loop's divergence check instead of failing here."""
+        flat = np.concatenate([np.ravel(m) for m in layers])
         stack = object.__new__(cls)
-        object.__setattr__(stack, "hidden", tuple(_freeze(m) for m in layers[:-1]))
-        object.__setattr__(stack, "outer", _freeze(layers[-1]))
+        _attach(stack, flat, layers[-1].shape[1], len(layers) - 1)
         return stack
 
     @classmethod
@@ -122,34 +145,32 @@ def _require_same_shape(a: WeightStack, b: WeightStack) -> None:
         )
 
 
+def _fixed_order_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Entrywise dot product of equal-shape arrays by numpy's einsum loop:
+    one thread, an order set by the length and the CPU's vector width, and
+    no temporary (a pairwise sum of a * b costs twice as much at p = 512)."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
 def frobenius_norm(stack: WeightStack) -> float:
     """Square root of the sum of squared entries across all L+1 matrices."""
-    total = 0.0
-    for m in stack.layers():
-        total += float(np.dot(m.ravel(), m.ravel()))
-    return float(np.sqrt(total))
+    return math.sqrt(_fixed_order_dot(stack.flat, stack.flat))
 
 
 def stack_dot(a: WeightStack, b: WeightStack) -> float:
     """Entrywise dot product over all layers."""
     _require_same_shape(a, b)
-    total = 0.0
-    for ma, mb in zip(a.layers(), b.layers()):
-        total += float(np.dot(ma.ravel(), mb.ravel()))
-    return total
+    return _fixed_order_dot(a.flat, b.flat)
 
 
 def stack_axpy(y: WeightStack, alpha: float, x: WeightStack) -> WeightStack:
     """y + alpha * x, leaving both inputs untouched."""
     _require_same_shape(y, x)
-    return WeightStack(
-        hidden=tuple(my + alpha * mx for my, mx in zip(y.hidden, x.hidden)),
-        outer=y.outer + alpha * x.outer,
-    )
+    return _wrap(y.flat + alpha * x.flat, y.p, y.depth)
 
 
 def stack_scale(a: WeightStack, c: float) -> WeightStack:
-    return WeightStack(hidden=tuple(c * m for m in a.hidden), outer=c * a.outer)
+    return _wrap(c * a.flat, a.p, a.depth)
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -241,9 +262,9 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
 
 def stack_norms(stack: WeightStack) -> StackNorms:
     """Frobenius plus per-layer Frobenius norms and operator-norm brackets."""
-    per_f = tuple(float(np.linalg.norm(m)) for m in stack.layers())
+    per_f = tuple(math.sqrt(_fixed_order_dot(m, m)) for m in stack.layers())
     return StackNorms(
-        frobenius=float(np.sqrt(sum(f * f for f in per_f))),
+        frobenius=frobenius_norm(stack),
         per_layer_frobenius=per_f,
         per_layer_operator=tuple(operator_norm(m) for m in stack.layers()),
     )

@@ -3,21 +3,21 @@ gradients by reverse accumulation.
 
 The network is evaluated in one batched pass over the n x p input
 matrix; the one-input functions run the same pass on a single row.
-Losses carry a parallel log-space channel because instrumented runs push
-the mean loss far below 1e-12, where ratios like log(1/J) must stay
-accurate. Per-sample losses are reduced in a fixed left-to-right order,
-and no result of this module depends on the BLAS thread count, so repeated
-runs are bit-identical.
+Every loss and every per-sample gradient weight g = 1/(1 + e^z) comes from
+one vectorized kernel over the margin vector, `logistic`. Losses carry a
+parallel log-space channel because instrumented runs push the mean loss
+far below 1e-12, where ratios like log(1/J) must stay accurate. Per-sample
+losses are reduced in a fixed left-to-right order, and no result of this
+module depends on the BLAS thread count, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,18 +63,9 @@ class Dataset:
         return self.inputs.shape[1]
 
     @classmethod
-    def from_json_file(cls, path: str | Path) -> "Dataset":
-        """Load {"p": int, "samples": [{"x": [...], "y": +-1}, ...]}.
-
-        Inputs are renormalized to the unit sphere; a deviation beyond
-        1e-6 is surfaced as a warning rather than silently absorbed.
-        """
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls.from_json_dict(doc, origin=str(path))
-
-    @classmethod
     def from_json_dict(cls, doc: dict, origin: str = "<inline>") -> "Dataset":
+        """Load {"p": int, "samples": [{"x": [...], "y": +-1}, ...]}; inputs off
+        the unit sphere by more than 1e-6 are renormalized with a warning."""
         p = int(doc["p"])
         xs, ys = [], []
         for i, sample in enumerate(doc["samples"]):
@@ -130,39 +121,37 @@ class LossValue:
             raise ValueError("loss values are nonnegative")
         return cls(value=float(value), log_value=math.log(value) if value > 0 else -math.inf)
 
-    @classmethod
-    def from_margin(cls, z: float) -> "LossValue":
-        """Stable log1p(exp(-z)) with a dedicated asymptotic log channel."""
-        if z >= 0.0:
-            value = math.log1p(math.exp(-z))
-        else:
-            value = -z + math.log1p(math.exp(z))
-        if z > _ASYMPTOTIC_MARGIN:
-            # value == exp(-z)*(1 - exp(-z)/2 + ...); expand the log directly
-            log_value = -z - 0.5 * math.exp(-z)
-        else:
-            log_value = math.log(value)
-        return cls(value=value, log_value=log_value)
-
-    @classmethod
-    def mean(cls, parts: Sequence["LossValue"]) -> "LossValue":
-        """Arithmetic mean; value channel is a left-to-right sum."""
-        if not parts:
-            raise ValueError("cannot average an empty loss list")
-        total = 0.0
-        for part in parts:
-            total += part.value
-        logs = np.array([part.log_value for part in parts])
-        m = float(np.max(logs))
-        if math.isinf(m):
-            log_mean = -math.inf
-        else:
-            log_mean = m + math.log(float(np.sum(np.exp(logs - m)))) - math.log(len(parts))
-        return cls(value=total / len(parts), log_value=log_mean)
-
     def log_inverse(self) -> float:
         """log(1/J), taken from the log channel."""
         return -self.log_value
+
+
+class Logistic(NamedTuple):
+    """What `logistic` computes from a margin vector z."""
+
+    loss: LossValue  # mean of log(1 + e^-z), with its log channel
+    values: np.ndarray  # per-sample log(1 + e^-z)
+    g: np.ndarray  # per-sample 1/(1 + e^z), in [0, 1]
+
+
+def logistic(z: np.ndarray) -> Logistic:
+    """Stable logistic loss, its mean and the gradient weights of margins z.
+
+    The value channel is logaddexp(0, -z). The log channel is log(value),
+    except above margin 40, where the value underflows toward e^-z and its
+    log is expanded directly as -z - e^-z / 2. The mean's value is a
+    left-to-right sum; its log is a log-sum-exp over the log channel.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    values = np.logaddexp(0.0, -z)
+    e = np.exp(-np.abs(z))
+    g = np.where(z >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+    with np.errstate(divide="ignore"):  # log(0) of an underflowed value is never used
+        logs = np.where(z > _ASYMPTOTIC_MARGIN, -z - 0.5 * e, np.log(values))
+    top = float(np.max(logs))  # the log-sum-exp shift
+    spread = math.log(float(np.sum(np.exp(logs - top)))) if math.isfinite(top) else 0.0
+    total = float(np.add.accumulate(values)[-1])
+    return Logistic(LossValue(total / z.size, top + spread - math.log(z.size)), values, g)
 
 
 def forward_rows(V: WeightStack, act: Activation, inputs: np.ndarray) -> ForwardTrace:
@@ -236,35 +225,13 @@ def output_gradient(V: WeightStack, act: Activation, x: np.ndarray) -> WeightSta
     return output_gradients(V, act, _one_row(V, x))[0]
 
 
-def sample_loss(V: WeightStack, act: Activation, x: np.ndarray, y: float) -> LossValue:
-    if y not in (-1.0, 1.0, -1, 1):
-        raise ValueError(f"label must be -1 or +1, got {y}")
-    f = forward(V, act, x).output
-    return LossValue.from_margin(float(y) * f)
-
-
-def g_factor(V: WeightStack, act: Activation, x: np.ndarray, y: float) -> float:
-    """Per-sample gradient weight 1/(1 + exp(y*f)); always in (0, 1)."""
-    if y not in (-1.0, 1.0, -1, 1):
-        raise ValueError(f"label must be -1 or +1, got {y}")
-    z = float(y) * forward(V, act, x).output
-    return _stable_g(z)
-
-
-def _stable_g(z: float) -> float:
-    if z >= 0.0:
-        e = math.exp(-z)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(z))
-
-
 def margins(V: WeightStack, act: Activation, data: Dataset) -> np.ndarray:
     """y_i f(x_i) for every sample."""
     return data.labels * forward_rows(V, act, data.inputs).output
 
 
 def total_loss(V: WeightStack, act: Activation, data: Dataset) -> LossValue:
-    return LossValue.mean([LossValue.from_margin(z) for z in margins(V, act, data).tolist()])
+    return logistic(margins(V, act, data)).loss
 
 
 def gradient(V: WeightStack, act: Activation, data: Dataset) -> WeightStack:
@@ -281,12 +248,12 @@ def loss_and_gradient(
     and the outer block is c^T X_L. The loss equals `total_loss` exactly.
     """
     trace = forward_rows(V, act, data.inputs)
-    zs = (data.labels * trace.output).tolist()
-    c = np.array([-y * _stable_g(z) for y, z in zip(data.labels.tolist(), zs)]) / data.n
+    terms = logistic(data.labels * trace.output)
+    c = -data.labels * terms.g / data.n
     below = (data.inputs, *trace.x[:-1])
     grads = [(c[:, None] * b).T @ x for b, x in zip(sensitivities(V, trace), below)]
     grads.append((c @ trace.x[-1])[None, :])
-    return LossValue.mean([LossValue.from_margin(z) for z in zs]), WeightStack._computed(grads)
+    return terms.loss, WeightStack._computed(grads)
 
 
 def gd_step(V: WeightStack, alpha: float, grad: WeightStack) -> WeightStack:

@@ -33,6 +33,7 @@ from .bounds import (
 )
 from .linalg import (
     WeightStack,
+    _fixed_order_dot,
     frobenius_norm,
     operator_norm,
     stack_axpy,
@@ -42,13 +43,17 @@ from .linalg import (
 from .network import (
     Dataset,
     LossValue,
-    _stable_g,
     forward_rows,
+    logistic,
     loss_and_gradient,
     output_gradients,
     sensitivities,
     total_loss,
 )
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration; the message names the offending field."""
 
 
 class RunAbortedError(RuntimeError):
@@ -366,13 +371,6 @@ def nt_class_minimize(
     def margins(cs: list[np.ndarray]) -> np.ndarray:
         return ys * (f0 + sum(k @ c for k, c in zip(grams, cs)))
 
-    def objective(cs: list[np.ndarray]) -> LossValue:
-        return LossValue.mean([LossValue.from_margin(z) for z in margins(cs).tolist()])
-
-    def grad(cs: list[np.ndarray]) -> np.ndarray:
-        zs = margins(cs).tolist()
-        return np.array([-y * _stable_g(z) for y, z in zip(ys.tolist(), zs)]) / data.n
-
     def project(cs: list[np.ndarray]) -> list[np.ndarray]:
         clipped = []
         for k, c in zip(grams, cs):
@@ -382,28 +380,25 @@ def nt_class_minimize(
 
     feat_sq = sum(float(np.trace(k)) for k in grams) / data.n
     step = cfg.step_size if cfg.step_size is not None else 4.0 / max(feat_sq, 1e-12)
-    obj = objective(coef)
+    terms = logistic(margins(coef))
     for _ in range(cfg.steps):
-        g = grad(coef)
+        g = -ys * terms.g / data.n
         cand = project([c - step * g for c in coef])
-        cand_obj = objective(cand)
+        cand_terms = logistic(margins(cand))
         halvings = 0
-        while cand_obj.value > obj.value and halvings < 40:
+        while cand_terms.loss.value > terms.loss.value and halvings < 40:
             step *= 0.5
             halvings += 1
             cand = project([c - step * g for c in coef])
-            cand_obj = objective(cand)
-        if cand_obj.value > obj.value:
+            cand_terms = logistic(margins(cand))
+        if cand_terms.loss.value > terms.loss.value:
             break  # no acceptable step left; stationary within precision
-        coef, obj = cand, cand_obj
+        coef, terms = cand, cand_terms
         if halvings == 0:
             step *= 1.25
     offset = [(c[:, None] * b).T @ x for c, b, x in zip(coef, bs, below)]
     offset.append((coef[-1] @ trace.x[-1])[None, :])
-    v_star = WeightStack.from_layers(
-        [m + om for m, om in zip(V1.layers(), offset)]
-    )
-    return v_star, obj.value
+    return stack_axpy(V1, 1.0, WeightStack._computed(offset)), terms.loss.value
 
 
 def approx_error_sample(
@@ -481,15 +476,14 @@ def _perturb_layers_frobenius(
     for m in V.layers():
         g = rng.standard_normal(m.shape)
         radius = tau * float(rng.uniform(0.5, 1.0))
-        out.append(m + g * (radius / float(np.linalg.norm(g))))
+        out.append(m + g * (radius / math.sqrt(_fixed_order_dot(g, g))))
     return WeightStack.from_layers(out)
 
 
 def max_layer_distance(a: WeightStack, b: WeightStack) -> float:
     """max over layers of the Frobenius distance; the ball radius metric."""
-    return max(
-        float(np.linalg.norm(ma - mb)) for ma, mb in zip(a.layers(), b.layers())
-    )
+    diffs = (ma - mb for ma, mb in zip(a.layers(), b.layers()))
+    return max(math.sqrt(_fixed_order_dot(d, d)) for d in diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -738,9 +732,9 @@ def _phase2_context(
         constants = theory_constants(J_restart, p, L, norm_restart, n, h, alpha=alpha2)
         Q = plan.Q if plan.Q is not None else compute_q_tilde(alpha2, J_restart, L, norm_restart)
     elif alpha2 is None:
-        raise ValueError(
-            "phase-2 step size cannot be resolved: the restart loss is not in "
-            "(0,1) or h exceeds the admissible width; set alpha_phase2 explicitly"
+        raise ConfigError(
+            "phase_plan.alpha_phase2: the phase-2 step size cannot be resolved: the "
+            "restart loss is not in (0,1) or h exceeds the admissible width; set it explicitly"
         )
     return RunContext(
         p=p,

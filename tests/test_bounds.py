@@ -24,7 +24,7 @@ from boundbench.bounds import (
 )
 from boundbench import harness, ntk
 from boundbench.linalg import WeightStack, frobenius_norm
-from boundbench.network import Dataset, LossValue, gradient, total_loss
+from boundbench.network import Dataset, LossValue, gradient, logistic, total_loss
 from reference_monitor import monitor_rows
 from reference_monitor import summarize as reference_summarize
 
@@ -130,7 +130,7 @@ def test_grad_lower_bound_tiny_loss_uses_log_channel():
         GRAD_LOWER_EXAMPLE, rel=1e-12
     )
     # the log channel survives where value-space log would degrade
-    tiny = LossValue.from_margin(500.0)
+    tiny = logistic(np.array([500.0])).loss
     got = grad_lower_bound(tiny, normVt=5.0, L=2)
     assert got == pytest.approx(2.75 * tiny.value * 500.0 / 5.0, rel=1e-10)
 

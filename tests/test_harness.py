@@ -398,8 +398,8 @@ def test_property_suite_mode_passes():
     assert all(runlog.summary["property_suite"].values())
 
 
-def test_theorem32_mode_runs_with_overrides():
-    doc = {
+def theorem32_overrides_config():
+    return {
         "mode": "theorem32",
         "network": {"p": 32, "L": 1, "activation": "huberized", "h": "auto"},
         "data": {"clustered": {"r": 0.05, "n": 4}},
@@ -413,7 +413,10 @@ def test_theorem32_mode_runs_with_overrides():
         "seeds": {"init": 3, "data": 4, "probes": 5},
         "output": {"dir": None},
     }
-    runlog, status = run(parse_config(doc))
+
+
+def test_theorem32_mode_runs_with_overrides():
+    runlog, status = run(parse_config(theorem32_overrides_config()))
     assert status == 0
     assert runlog.phase_boundary is not None
     assert runlog.config_echo["gamma"] > 0
@@ -522,6 +525,42 @@ def test_cli_exits_3_when_the_gradient_overflows(tmp_path, capsys, activation, w
     err = capsys.readouterr().err
     assert err.startswith("error: the run could not be carried out")
     assert "non-finite loss or gradient" in err
+
+
+def test_cli_rejects_unresolvable_phase2_step_size(tmp_path, capsys):
+    # the restart iterate of this run is outside the small-loss regime, so
+    # without alpha_phase2 there is no step size for the second phase
+    doc = theorem32_overrides_config()
+    del doc["phase_plan"]["alpha_phase2"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: phase_plan.alpha_phase2: ")
+
+
+GOOD_SAMPLES = [{"x": [1.0, 0.0, 0.0, 0.0], "y": 1}, {"x": [0.0, 1.0, 0.0, 0.0], "y": -1}]
+
+
+@pytest.mark.parametrize(
+    "source, data, path",
+    [
+        ("inline", {"p": 4, "samples": [{"x": [1.0, 0.0, 0.0, 0.0]}]}, "data.inline.samples[0].y"),
+        ("inline", {"p": 4, "samples": [GOOD_SAMPLES[0], {"x": [0.0, 1.0, 0.0, 0.0], "y": 0}]}, "data.inline.samples[1].y"),
+        ("inline", {"p": 4, "samples": [{"x": [1.0, "a", 0.0, 0.0], "y": 1}]}, "data.inline.samples[0].x"),
+        ("inline", {"p": 4}, "data.inline.samples"),
+        ("file", {"p": 4, "samples": [GOOD_SAMPLES[0], {"x": [0.0, 1.0, 0.0, 0.0]}]}, "data.file.samples[1].y"),
+    ],
+    ids=["missing_y", "zero_y", "non_numeric_x", "missing_samples", "file_missing_y"],
+)
+def test_cli_rejects_malformed_samples_and_names_them(tmp_path, capsys, source, data, path):
+    if source == "file":
+        data_path = tmp_path / "data.json"
+        data_path.write_text(json.dumps(data))
+        data = str(data_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config(network={"p": 4, "L": 1}, data={source: data})))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 @pytest.mark.parametrize(

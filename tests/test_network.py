@@ -9,21 +9,21 @@ import numpy as np
 import pytest
 
 from boundbench.activations import huberized, swish
+from boundbench.harness import build_dataset, parse_config
 from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_axpy
 from boundbench.network import (
     Dataset,
-    LossValue,
     forward,
-    g_factor,
     gd_step,
     gradient,
+    logistic,
     loss_and_gradient,
     output_gradient,
-    sample_loss,
     total_loss,
 )
 from boundbench.ntk import ntk_features
 from boundbench.oracles import FdConfig, fd_compare, fd_gradient
+from scalar_loss import from_margin, g_factor, mean, sample_loss, stable_g
 
 # frozen 50-digit evaluations of the stable-loss formulas
 LOSS_AT_Z50 = 1.9287498479639178e-22
@@ -108,28 +108,82 @@ def test_sample_loss_at_zero_margin():
     assert loss.value == pytest.approx(math.log(2.0), rel=1e-15)
 
 
+def margin_loss(z):
+    """The kernel's loss at a single margin."""
+    return logistic(np.array([z])).loss
+
+
 def test_loss_margin_50_asymptotic_channel():
-    loss = LossValue.from_margin(50.0)
+    loss = margin_loss(50.0)
     assert loss.value == pytest.approx(LOSS_AT_Z50, rel=1e-14)
     assert loss.log_value == pytest.approx(-50.0, abs=1e-12)
 
 
 def test_loss_margin_minus_10_stable_branch():
-    loss = LossValue.from_margin(-10.0)
+    loss = margin_loss(-10.0)
     assert loss.value == pytest.approx(LOSS_AT_ZM10, rel=1e-15)
 
 
 def test_loss_log_channel_consistent_with_value():
     for z in (-30.0, -1.0, 0.0, 5.0, 35.0, 60.0, 300.0):
-        loss = LossValue.from_margin(z)
+        loss = margin_loss(z)
         if loss.value > 1e-300:
             assert math.exp(loss.log_value) == pytest.approx(loss.value, rel=1e-10)
 
 
 def test_log_channel_survives_value_underflow():
-    loss = LossValue.from_margin(800.0)
+    loss = margin_loss(800.0)
     assert loss.value == 0.0
     assert loss.log_value == pytest.approx(-800.0)
+
+
+def test_log_channel_continuous_at_the_asymptotic_switch():
+    zs = (np.nextafter(40.0, 0.0), 40.0, np.nextafter(40.0, 100.0))
+    logs = [margin_loss(z).log_value for z in zs]
+    # no jump where the log channel changes branch: neighbours one ulp of z
+    # apart stay a few ulp apart, in order, and both branches equal log(value)
+    assert logs[0] >= logs[1] >= logs[2]
+    assert logs[0] - logs[2] <= 4 * np.spacing(40.0)
+    for z, log in zip(zs, logs):
+        assert log == pytest.approx(math.log(margin_loss(z).value), rel=1e-15)
+
+
+# the scalar libm reference: 0 and -0.0, both sides of the asymptotic
+# switch at 40, and a sweep of [-90, 800] with a dense stretch where the
+# two branches of each formula meet
+KERNEL_GRID = np.concatenate(
+    [
+        [0.0, -0.0, 40.0, np.nextafter(40.0, 0.0), np.nextafter(40.0, 100.0)],
+        np.linspace(-90.0, 800.0, 4451),
+        np.linspace(-45.0, 60.0, 1051),
+    ]
+)
+
+
+def test_logistic_kernel_matches_scalar_reference():
+    terms = logistic(KERNEL_GRID)
+    ref = [from_margin(float(z)) for z in KERNEL_GRID]
+    # the value channel bit for bit, g to 2 ulp (numpy's exp against libm's)
+    np.testing.assert_array_equal(terms.values, [r.value for r in ref])
+    ref_g = np.array([stable_g(float(z)) for z in KERNEL_GRID])
+    assert np.all(np.abs(terms.g - ref_g) <= 2 * np.spacing(ref_g))
+    # the log channel to 1 ulp (numpy's log against libm's)
+    for z, r in zip(KERNEL_GRID, ref):
+        assert abs(margin_loss(z).log_value - r.log_value) <= np.spacing(abs(r.log_value))
+    # the mean: a left-to-right sum, so bit for bit given the values
+    for chunk in np.array_split(np.arange(KERNEL_GRID.size), 37):
+        got, want = logistic(KERNEL_GRID[chunk]).loss, mean([ref[i] for i in chunk])
+        assert got.value == want.value
+        assert abs(got.log_value - want.log_value) <= np.spacing(abs(want.log_value))
+
+
+def test_logistic_sums_left_to_right():
+    # each small loss is under half an ulp of the first, so a left-to-right
+    # sum never moves, while a pairwise or exact sum would
+    z = np.array([-1.0] + [37.0] * 15)
+    terms = logistic(z)
+    assert terms.loss.value == terms.values[0] / 16
+    assert math.fsum(terms.values) != terms.values[0]
 
 
 def test_total_loss_zero_network_is_log_two():
@@ -301,16 +355,19 @@ _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
 from boundbench.activations import huberized
+from boundbench.linalg import frobenius_norm, stack_dot
 from boundbench.network import Dataset, loss_and_gradient
-from boundbench.ntk import InitSpec, gaussian_init, ntk_features
+from boundbench.ntk import InitSpec, gaussian_init, max_layer_distance, ntk_features
 
 digest = hashlib.sha256()
-for p, L, n in ((32, 2, 6), (256, 3, 16)):
+for p, L, n in ((32, 2, 6), (256, 3, 16), (512, 1, 4)):
     V = gaussian_init(InitSpec(p=p, L=L, seed=p + L))
     rng = np.random.default_rng(n)
     data = Dataset(inputs=rng.standard_normal((n, p)), labels=np.resize([1.0, -1.0], n))
     loss, grad = loss_and_gradient(V, huberized(0.01), data)
     digest.update(repr((loss.value, loss.log_value)).encode())
+    norms = (frobenius_norm(grad), frobenius_norm(V), stack_dot(grad, V), max_layer_distance(V, grad))
+    digest.update(repr(norms).encode())
     for stack in [grad, *ntk_features(V, huberized(0.01), data)]:
         for m in stack.layers():
             digest.update(m.tobytes())
@@ -402,8 +459,9 @@ def test_dataset_json_roundtrip_and_warning(tmp_path):
     }
     path = tmp_path / "data.json"
     path.write_text(json.dumps(doc))
+    config = parse_config({"mode": "theorem31", "network": {"p": 2}, "data": {"file": str(path)}})
     with pytest.warns(UserWarning, match="unit norm"):
-        data = Dataset.from_json_file(path)
+        data = build_dataset(config)
     assert data.n == 2 and data.p == 2
     assert float(np.linalg.norm(data.inputs[0])) == pytest.approx(1.0, abs=1e-12)
     again = Dataset.from_json_dict(data.to_json_dict())

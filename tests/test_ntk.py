@@ -6,7 +6,7 @@ import pytest
 
 from boundbench.activations import huberized, swish
 from boundbench.linalg import WeightStack, frobenius_norm, stack_axpy, stack_dot
-from boundbench.network import Dataset, LossValue, forward, forward_rows, total_loss
+from boundbench.network import Dataset, forward, forward_rows, logistic, total_loss
 from boundbench.ntk import (
     ClusteredDataSpec,
     InitSpec,
@@ -358,7 +358,7 @@ def _tangent_margins(V1, act, data, feats, offset):
 
 def _tangent_loss(V1, act, data, feats, offset):
     zs = _tangent_margins(V1, act, data, feats, offset)
-    return LossValue.mean([LossValue.from_margin(float(z)) for z in zs]).value
+    return logistic(zs).loss.value
 
 
 def _stack_space_minimize(V1, act, data, feats, rho, steps):

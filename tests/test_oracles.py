@@ -54,7 +54,8 @@ def test_fd_gradient_agrees_with_backprop():
 def test_fd_outer_block_matches_analytic_weighted_feature_average():
     # the output is linear in the outer row, so its loss gradient block is
     # exactly -(1/n) sum_s y_s g_s x_s-features; FD must reproduce that
-    from boundbench.network import forward, g_factor
+    from boundbench.network import forward
+    from scalar_loss import g_factor
 
     rng = np.random.default_rng(6)
     p, n = 4, 3
