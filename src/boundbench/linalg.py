@@ -12,6 +12,7 @@ single-threaded reduction whose summation order is fixed, so unlike BLAS
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -122,11 +123,17 @@ class WeightStack:
 
 
 class OperatorNormBracket(NamedTuple):
-    """lower <= largest singular value <= upper; see `operator_norm`."""
+    """lower <= largest singular value <= upper; see `operator_norm`.
+
+    `iterations` counts Lanczos products with the Gram matrix, and `ended`
+    says what proved the bracket: "certificate" (the Cholesky test passed)
+    or "eigvalsh" (the dense fallback ran).
+    """
 
     lower: float
     upper: float
     iterations: int
+    ended: str
 
 
 @dataclass(frozen=True)
@@ -175,47 +182,77 @@ def stack_scale(a: WeightStack, c: float) -> WeightStack:
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
-# Gaussian p=2048 layers stop after about 100 steps; a Gram that needs three
+# Gaussian p=2048 layers stop after about 75 steps; a Gram that needs four
 # times that is cheaper to finish with one eigvalsh call
 _LANCZOS_STEP_CAP = 300
+# squared Frobenius norms outside this range are rescaled by a power of two
+# before the Gram is used, so that neither it nor its Lanczos quantities
+# overflow or lose digits to underflow
+_GRAM_RANGE = (2.0**-500, 2.0**500)
 
 
 def _lanczos_top(gram: np.ndarray) -> tuple[float, float, int, bool]:
     """Top Ritz value of a symmetric matrix by Lanczos with full
     reorthogonalisation.
 
-    Returns (theta, residual, steps, stopped): theta is the largest Ritz
-    value, residual the Ritz residual beta_j |s_j|, steps the number of
-    matrix-vector products, and stopped is False when the step cap ended
-    the run before the residual fell to rounding level (k eps theta).
-    The start vector is all-ones plus a tiny fixed-seed perturbation, so
-    repeated calls are bit-identical.
+    Returns (theta, estimate, steps, stopped): theta is the largest Ritz
+    value, estimate the error estimate min(r, r^2 / (theta - theta_2)) from
+    the Ritz residual r = beta_j |s_j| and the second Ritz value theta_2
+    (the Kato-Temple bound, with theta_2 standing in for the second
+    eigenvalue), steps the number of matrix-vector products, and stopped is
+    False when the step cap ended the run before the estimate fell to
+    rounding level (k eps theta). The Ritz value carries about twice as
+    many correct digits as the residual, so this stops well before a
+    residual test would. The estimate is not a bound; `operator_norm`
+    proves the bracket it seeds. The start vector is all-ones plus a tiny
+    fixed-seed perturbation, so repeated calls are bit-identical.
     """
     k = gram.shape[0]
     cap = min(k, _LANCZOS_STEP_CAP)
     basis = np.empty((cap, k))  # rows past the steps taken are never touched
+    tri = np.zeros((cap, cap))  # after j steps the tridiagonal is tri[:j, :j]
     q = np.ones(k) + 1e-3 * np.random.default_rng(0x5EED).standard_normal(k)
     q /= np.linalg.norm(q)
-    alphas: list[float] = []
-    betas: list[float] = []
-    theta = residual = 0.0
+    theta = estimate = 0.0
     for j in range(cap):
         basis[j] = q
         w = gram @ q
-        alphas.append(float(q @ w))
+        tri[j, j] = q @ w
         done = basis[: j + 1]
         for _ in range(2):  # a second Gram-Schmidt pass restores working precision
             w -= done.T @ (done @ w)
         beta = float(np.linalg.norm(w))
-        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        ritz, vecs = np.linalg.eigh(tri)
+        ritz, vecs = np.linalg.eigh(tri[: j + 1, : j + 1])
         theta = float(ritz[-1])
         residual = beta * abs(float(vecs[-1, -1]))
-        if residual <= k * _EPS * theta:
-            return theta, residual, j + 1, True
-        betas.append(beta)
+        gap = theta - float(ritz[-2]) if j else 0.0
+        estimate = min(residual, residual * residual / gap) if gap > 0 else residual
+        if estimate <= k * _EPS * theta:
+            return theta, estimate, j + 1, True
+        if j + 1 < cap:
+            tri[j, j + 1] = tri[j + 1, j] = beta
         q = w / beta
-    return theta, residual, cap, False
+    return theta, estimate, cap, False
+
+
+def _gram(m: np.ndarray) -> np.ndarray:
+    """The smaller of m m^T and m^T m."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the caller
+        return m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+
+
+def _bracket(lower: float, upper: float, exponent: int, steps: int, ended: str) -> OperatorNormBracket:
+    """The bracket for m from one for m / 2^exponent."""
+    if exponent:
+        try:
+            lower = math.ldexp(lower, exponent)
+        except OverflowError:  # the norm itself exceeds the largest float
+            lower = sys.float_info.max
+        try:
+            upper = math.ldexp(upper, exponent)
+        except OverflowError:
+            upper = math.inf
+    return OperatorNormBracket(lower, upper, steps, ended)
 
 
 def operator_norm(m: np.ndarray) -> OperatorNormBracket:
@@ -223,40 +260,57 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
 
     Works on the smaller Gram matrix G (m m^T or m^T m), formed once. Lanczos
     gives its top Ritz value theta <= lambda_max(G), so `lower` = sqrt(theta)
-    sits below the norm. The certificate then sets
-    s = theta + residual + 4 k eps theta (plus the smallest normal number,
-    so s > 0 for a zero matrix) and runs a Cholesky factorisation of sI - G,
-    overwriting G. It succeeds only when sI - G is positive definite, so
-    `upper` = sqrt(s) sits above the norm. Both ends hold for G as computed,
-    up to the factorisation's backward error (of order k eps s, which the
-    margin is sized to cover); rounding in forming G is of the same order.
-    When the certificate fails (the Krylov space missed the top eigenvalue)
-    or Lanczos reaches its step cap, LAPACK `eigvalsh` gives lambda_max
-    exactly to rounding and the bracket is that value widened by the same
-    margin on both sides. There is nothing to tune: the function takes no
-    tolerance and no iteration limit. `iterations` counts products with G.
+    sits below the norm, and an error estimate (see `_lanczos_top`). The
+    certificate then sets s = theta + estimate + 4 k eps theta (plus the
+    smallest normal number, so s > 0 for a zero matrix) and runs a Cholesky
+    factorisation of sI - G, overwriting G. It succeeds only when sI - G is
+    positive definite, so `upper` = sqrt(s) sits above the norm. Both ends
+    hold for G as computed, up to the factorisation's backward error (of
+    order k eps s, which the margin is sized to cover); rounding in forming
+    G is of the same order. When the certificate fails (the estimate was
+    too small, or the Krylov space missed the top eigenvalue) or Lanczos
+    reaches its step cap, LAPACK `eigvalsh` gives lambda_max exactly to
+    rounding and the bracket is that value widened by the same margin on
+    both sides; `ended` says which of the two proved the bracket.
+
+    A matrix with a NaN or infinite entry raises ValueError. One whose
+    squared Frobenius norm (the trace of G) lies outside [2^-500, 2^500] is
+    first scaled by an exact power of two, and the bracket scaled back, so
+    a finite matrix whose Gram would overflow or underflow still gets a
+    bracket; other matrices are used as they are. There is nothing to tune:
+    the function takes no tolerance and no iteration limit. `iterations`
+    counts products with G.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise ValueError(f"need a nonempty 2-d matrix, got shape {m.shape}")
-    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+    gram = _gram(m)
+    trace = float(np.trace(gram))
+    exponent = 0
+    if not _GRAM_RANGE[0] <= trace <= _GRAM_RANGE[1]:  # also true for NaN
+        largest, smallest = float(m.max()), float(m.min())
+        if not (math.isfinite(largest) and math.isfinite(smallest)):
+            raise ValueError("matrix has non-finite entries")
+        if largest or smallest:  # a zero matrix needs no scaling
+            exponent = math.frexp(max(largest, -smallest))[1]
+            gram = _gram(np.ldexp(m, -exponent))
     k = gram.shape[0]
-    theta, residual, steps, stopped = _lanczos_top(gram)
+    theta, estimate, steps, stopped = _lanczos_top(gram)
     theta = max(theta, 0.0)  # rounding can put a singular Gram's top Ritz value below 0
     if stopped:
-        s = theta + residual + 4 * k * _EPS * theta + _TINY
+        s = theta + estimate + 4 * k * _EPS * theta + _TINY
         gram *= -1.0
         gram.flat[:: k + 1] += s
         try:
             np.linalg.cholesky(gram)
-            return OperatorNormBracket(math.sqrt(theta), math.sqrt(s), steps)
+            return _bracket(math.sqrt(theta), math.sqrt(s), exponent, steps, "certificate")
         except np.linalg.LinAlgError:
             top = s - float(np.linalg.eigvalsh(gram)[0])
     else:
         top = float(np.linalg.eigvalsh(gram)[-1])
     margin = 4 * k * _EPS * abs(top) + _TINY
-    return OperatorNormBracket(
-        math.sqrt(max(top - margin, 0.0)), math.sqrt(top + margin), steps
+    return _bracket(
+        math.sqrt(max(top - margin, 0.0)), math.sqrt(top + margin), exponent, steps, "eigvalsh"
     )
 
 

@@ -34,6 +34,7 @@ from .bounds import (
 from .linalg import (
     WeightStack,
     _fixed_order_dot,
+    _wrap,
     frobenius_norm,
     operator_norm,
     stack_axpy,
@@ -95,16 +96,19 @@ class InitSpec:
 def gaussian_init(spec: InitSpec) -> WeightStack:
     """Hidden entries ~ N(0, 2/p), outer ~ N(0, 1), from one seeded stream.
 
-    The draw order (hidden layers first, then the outer row) is fixed, so
-    a given (seed, p, L) reproduces the same stack bitwise on one build.
+    The recipe is `rng.normal(0, sqrt(2/p), (p, p))` for each hidden layer
+    in turn, then `rng.normal(0, 1, (1, p))` for the outer row, with
+    `rng = np.random.default_rng(seed)`. It is carried out as one
+    `standard_normal` draw straight into the stack's flat vector (the same
+    stream in the same order) and an in-place scaling of the hidden part,
+    which gives the same bits without temporaries or a copy. A given
+    (seed, p, L) reproduces the same stack bitwise on one build.
     """
-    rng = np.random.default_rng(spec.seed)
-    std = math.sqrt(spec.hidden_variance)
-    hidden = tuple(
-        rng.normal(0.0, std, size=(spec.p, spec.p)) for _ in range(spec.L)
-    )
-    outer = rng.normal(0.0, 1.0, size=(1, spec.p))
-    return WeightStack(hidden=hidden, outer=outer)
+    p, L = spec.p, spec.L
+    flat = np.empty(L * p * p + p)
+    np.random.default_rng(spec.seed).standard_normal(out=flat)
+    flat[: L * p * p] *= math.sqrt(spec.hidden_variance)
+    return _wrap(flat, p, L)
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +807,8 @@ class InitDiagnostics:
     post_activation_norms: np.ndarray  # L x n
     hidden_operator_norms: tuple[float, ...]  # lower ends of the brackets
     hidden_operator_norms_upper: tuple[float, ...]
+    hidden_operator_norm_products: tuple[int, ...]  # Lanczos products with the Gram
+    hidden_operator_norm_ended: tuple[str, ...]  # "certificate" or "eigvalsh"
     outer_norm_over_sqrt_p: float
     narrow_regime: bool
     norms_in_range: bool
@@ -819,6 +825,8 @@ class InitDiagnostics:
             "post_activation_norm_max": float(self.post_activation_norms.max()),
             "hidden_operator_norms": list(self.hidden_operator_norms),
             "hidden_operator_norms_upper": list(self.hidden_operator_norms_upper),
+            "hidden_operator_norm_products": list(self.hidden_operator_norm_products),
+            "hidden_operator_norm_ended": list(self.hidden_operator_norm_ended),
             "outer_norm_over_sqrt_p": self.outer_norm_over_sqrt_p,
             "narrow_regime": self.narrow_regime,
             "norms_in_range": self.norms_in_range,
@@ -848,7 +856,10 @@ def init_diagnostics(
 
     Each hidden operator norm is a certified bracket from `operator_norm`:
     `hidden_operator_norms` holds the lower ends (at most the true norm) and
-    `hidden_operator_norms_upper` the upper ends (at least the true norm).
+    `hidden_operator_norms_upper` the upper ends (at least the true norm);
+    `hidden_operator_norm_products` counts each layer's Lanczos products
+    and `hidden_operator_norm_ended` says whether the Cholesky certificate
+    or the `eigvalsh` fallback proved its bracket.
     `operator_in_range` judges the upper ends against `operator_limit`, so
     it never passes a layer whose norm exceeds the limit. Feature norms and
     the outer norm are direct computations, exact to rounding.
@@ -875,6 +886,8 @@ def init_diagnostics(
         post_activation_norms=post_norms,
         hidden_operator_norms=tuple(b.lower for b in op_norms),
         hidden_operator_norms_upper=op_upper,
+        hidden_operator_norm_products=tuple(b.iterations for b in op_norms),
+        hidden_operator_norm_ended=tuple(b.ended for b in op_norms),
         outer_norm_over_sqrt_p=outer_scaled,
         narrow_regime=narrow,
         norms_in_range=bool(

@@ -150,7 +150,7 @@ def test_operator_norm_special_spectra_bracket_svd(m):
 
 def test_operator_norm_certificate_needs_no_fallback(eigvalsh_calls):
     rng = np.random.default_rng(19)
-    operator_norm(rng.standard_normal((64, 64)))
+    assert operator_norm(rng.standard_normal((64, 64))).ended == "certificate"
     assert eigvalsh_calls == []
 
 
@@ -158,6 +158,7 @@ def test_operator_norm_failed_certificate_falls_back_to_eigvalsh(eigvalsh_calls)
     m = start_orthogonal_matrix()
     result = operator_norm(m)
     assert eigvalsh_calls == [(40, 40)]
+    assert result.ended == "eigvalsh"
     assert_brackets(result, m)
     # Lanczos alone reaches only the second value, 1, a relative 5e-7 too low
     assert result.lower == pytest.approx(np.sqrt(1.0 + 1e-6), rel=1e-12)
@@ -169,7 +170,87 @@ def test_operator_norm_step_cap_falls_back_to_eigvalsh(monkeypatch, eigvalsh_cal
     result = operator_norm(m)
     assert result.iterations == 2
     assert eigvalsh_calls == [(10, 10)]
+    assert result.ended == "eigvalsh"
     assert_brackets(result, m)
+
+
+def rotated_spectrum(lam, seed):
+    """Symmetric m = Q diag(sqrt(lam)) Q^T, so m m^T has eigenvalues lam."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(lam), len(lam))))
+    return (q * np.sqrt(lam)) @ q.T
+
+
+def test_operator_norm_tiny_top_gap_brackets_svd():
+    # the second eigenvalue sits 1e-9 (relative) below the top. The top Ritz
+    # value settles between the two before the second Ritz value reaches
+    # them, so theta - theta_2 overstates the gap and r^2 / gap reads
+    # rounding level too early; the certificate rejects that shift and
+    # eigvalsh proves the bracket
+    rng = np.random.default_rng(29)
+    lam = np.concatenate([[1.0, 1.0 - 1e-9], rng.uniform(0.0, 0.9, 78)])
+    m = rotated_spectrum(lam, seed=31)
+    result = operator_norm(m)
+    assert_brackets(result, m)
+    assert result.ended == "eigvalsh"
+
+
+@pytest.mark.parametrize("p", [256, 512])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_operator_norm_gaussian_layers_need_no_fallback(p, seed, eigvalsh_calls):
+    m = np.random.default_rng(seed).normal(0.0, math.sqrt(2.0 / p), size=(p, p))
+    sigma = svd_top(m)
+    result = operator_norm(m)
+    assert eigvalsh_calls == []
+    assert result.ended == "certificate"
+    assert result.lower <= sigma * (1 + 1e-12)
+    assert sigma <= result.upper * (1 + 1e-12)
+    assert result.upper - result.lower <= 1e-11 * sigma
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_operator_norm_extreme_scales_bracket_svd(scale):
+    rng = np.random.default_rng(37)
+    for shape in ((1, 1), (3, 3), (5, 12), (40, 40)):
+        m = scale * rng.standard_normal(shape)
+        sigma = svd_top(m)
+        result = operator_norm(m)
+        assert result.lower <= sigma * (1 + 1e-12)
+        assert sigma <= result.upper * (1 + 1e-12)
+        assert result.upper - result.lower <= 1e-11 * sigma
+
+
+def test_operator_norm_gram_overflow_in_one_entry():
+    # finite, but m m^T overflows: the norm is 1e200 to rounding
+    m = np.array([[1e200, 1.0], [0.0, 1.0]])
+    result = operator_norm(m)
+    assert result.lower <= 1e200 * (1 + 1e-15) and 1e200 <= result.upper
+    assert result.upper - result.lower <= 1e-11 * 1e200
+
+
+def test_operator_norm_beyond_the_largest_float():
+    # every entry is finite but the norm, 2e308, is not: the lower end stops
+    # at the largest float and the upper end is infinite
+    result = operator_norm(np.full((2, 2), 1e308))
+    assert result.lower == np.finfo(np.float64).max and result.upper == math.inf
+
+
+@pytest.mark.parametrize("e", [700, -700])
+def test_operator_norm_rescaling_is_exact(e):
+    # entries below 1 in size: the scaled copy is bit for bit the original,
+    # so the bracket is the original's times 2^e
+    m = np.random.default_rng(41).standard_normal((20, 30))
+    m /= 2 * np.abs(m).max()
+    plain = operator_norm(m)
+    scaled = operator_norm(np.ldexp(m, e))
+    assert scaled == (math.ldexp(plain.lower, e), math.ldexp(plain.upper, e), plain.iterations, plain.ended)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_operator_norm_rejects_non_finite_entries(bad):
+    m = np.eye(3)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        operator_norm(m)
 
 
 def test_operator_norm_rejects_bad_inputs():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from boundbench.activations import huberized, swish
-from boundbench.linalg import WeightStack, frobenius_norm, stack_axpy, stack_dot
+from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_axpy, stack_dot
 from boundbench.network import Dataset, forward, forward_rows, logistic, total_loss
 from boundbench.ntk import (
     ClusteredDataSpec,
@@ -48,6 +48,16 @@ def test_gaussian_init_deterministic():
     b = gaussian_init(InitSpec(p=16, L=2, seed=42))
     for ma, mb in zip(a.layers(), b.layers()):
         np.testing.assert_array_equal(ma, mb)
+
+
+@pytest.mark.parametrize("p, L, seed", [(4, 1, 0), (8, 2, 3), (512, 1, 5), (2048, 3, 0)])
+def test_gaussian_init_matches_documented_recipe_bitwise(p, L, seed):
+    rng = np.random.default_rng(seed)
+    hidden = [rng.normal(0.0, math.sqrt(2.0 / p), size=(p, p)) for _ in range(L)]
+    outer = rng.normal(0.0, 1.0, size=(1, p))
+    V = gaussian_init(InitSpec(p=p, L=L, seed=seed))
+    for got, want in zip(V.layers(), [*hidden, outer], strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_gaussian_init_hidden_variance():
@@ -588,6 +598,17 @@ def test_init_diagnostics_operator_norms_bracket_the_truth():
         assert truth < upper
         assert upper - lower <= 1e-11 * truth
     assert report.operator_in_range
+
+
+def test_init_diagnostics_reports_how_each_bracket_ended():
+    p = 256
+    V1 = gaussian_init(InitSpec(p=p, L=2, seed=70))
+    _, data = clustered(p, 4, 0.05, seed=71)
+    d = init_diagnostics(V1, huberized(1e-4), data).to_dict()
+    brackets = [operator_norm(m) for m in V1.hidden]
+    assert d["hidden_operator_norm_products"] == [b.iterations for b in brackets]
+    assert all(0 < n < p for n in d["hidden_operator_norm_products"])
+    assert d["hidden_operator_norm_ended"] == ["certificate", "certificate"]
 
 
 def test_init_diagnostics_judges_the_upper_end_against_the_limit():
