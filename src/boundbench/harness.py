@@ -288,7 +288,10 @@ def build_dataset(config: RunConfig) -> Dataset:
         else:
             mu = np.random.default_rng(seed).standard_normal(p)
         spec = ClusteredDataSpec(mu=mu, r=float(cl["r"]), n=cl["n"], seed=seed)
-        dataset = make_clustered_dataset(spec)
+        try:
+            dataset = make_clustered_dataset(spec)
+        except RuntimeError as exc:  # renormalisation rounds every point out of a tiny cluster
+            raise ConfigError(f"data.clustered.r: {exc}; use 0 for exact centres") from exc
     if dataset.p != p:
         raise ConfigError(f"network.p: dataset width {dataset.p} does not match {p}")
     return dataset

@@ -4,9 +4,17 @@ A network's trainable parameters live in a WeightStack: L square hidden
 matrices of side p plus a 1 x p outer row, stored back to back in one
 contiguous, read-only float64 vector (`flat`); `hidden` and `outer` are
 reshaped views of it. Arithmetic on stacks is one array operation on that
-vector and returns a new stack. Norms and dot products go through one
-single-threaded reduction whose summation order is fixed, so unlike BLAS
-`dot` they do not depend on the thread count.
+vector and returns a new stack.
+
+Sums over stacks have one fixed order. The flat vector is cut into blocks
+of `_BLOCK` entries starting at index 0, and each block (or each piece of
+a block inside one layer) is reduced by numpy's single-threaded einsum
+loop. A stack sum adds the block partials left to right; a layer sum adds
+the pieces inside that layer left to right. `frobenius_norm`, `stack_dot`,
+`stack_norms`, `ntk.max_layer_distance` and the descent step's
+`descent_sweep` all reduce this way, so they agree bit for bit, do not
+depend on the BLAS thread count, and a stack that fits in one block
+reduces as one einsum over the whole vector.
 """
 
 from __future__ import annotations
@@ -34,20 +42,20 @@ def _attach(stack: "WeightStack", flat: np.ndarray, p: int, L: int) -> None:
     object.__setattr__(stack, "outer", flat[L * square :].reshape(1, p))
 
 
-def _require_finite(flat: np.ndarray, p: int) -> None:
-    # one pass: a non-finite entry makes the sum non-finite, and the exact
-    # check tells an overflowing sum of finite entries apart
-    bad = [] if math.isfinite(np.add.reduce(flat)) else np.flatnonzero(~np.isfinite(flat))
+def _require_finite(flat: np.ndarray, p: int, total: float) -> None:
+    """Raise naming the first layer with a non-finite entry. `total` is a sum
+    over all entries (or their squares) already at hand: a non-finite entry
+    makes it non-finite, and only then does the exact scan run, which also
+    tells an overflowing sum of finite entries apart."""
+    bad = [] if math.isfinite(total) else np.flatnonzero(~np.isfinite(flat))
     if len(bad):
         raise ValueError(f"non-finite entries in layer {int(bad[0]) // (p * p)}")
 
 
 def _wrap(flat: np.ndarray, p: int, L: int) -> "WeightStack":
     """A stack on a freshly computed vector, checked but not copied."""
-    _require_finite(flat, p)
-    stack = object.__new__(WeightStack)
-    _attach(stack, flat, p, L)
-    return stack
+    _require_finite(flat, p, np.add.reduce(flat))
+    return WeightStack._computed(flat, p, L)
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,7 @@ class WeightStack:
                     f"hidden layer {i} has shape {m.shape}, expected ({p}, {p})"
                 )
         flat = np.concatenate([m.ravel() for m in (*hidden, outer)])
-        _require_finite(flat, p)
+        _require_finite(flat, p, np.add.reduce(flat))
         _attach(self, flat, p, len(hidden))
 
     @property
@@ -105,13 +113,13 @@ class WeightStack:
         return cls(hidden=tuple(layers[:-1]), outer=np.asarray(layers[-1]))
 
     @classmethod
-    def _computed(cls, layers: Sequence[np.ndarray]) -> "WeightStack":
-        """Pack L+1 layers computed inside the package, skipping the finite
-        check that guards outside input: an overflowing gradient must reach
-        the descent loop's divergence check instead of failing here."""
-        flat = np.concatenate([np.ravel(m) for m in layers])
+    def _computed(cls, flat: np.ndarray, p: int, L: int) -> "WeightStack":
+        """Adopt a flat vector computed inside the package, without a copy
+        and without the finite check that guards outside input: an
+        overflowing gradient must reach the descent loop's divergence check
+        instead of failing here."""
         stack = object.__new__(cls)
-        _attach(stack, flat, layers[-1].shape[1], len(layers) - 1)
+        _attach(stack, flat, p, L)
         return stack
 
     @classmethod
@@ -152,22 +160,57 @@ def _require_same_shape(a: WeightStack, b: WeightStack) -> None:
         )
 
 
-def _fixed_order_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Entrywise dot product of equal-shape arrays by numpy's einsum loop:
-    one thread, an order set by the length and the CPU's vector width, and
-    no temporary (a pairwise sum of a * b costs twice as much at p = 512)."""
-    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+# Per p=512 descent step (one OpenBLAS thread, a 2-core x86 machine), the
+# vector work of `descent_sweep` took 1.47 ms in blocks of 2^13 entries,
+# 1.19 ms at 2^15, 1.27 ms at 2^16 and 2.98 ms at 2^18: four 256 KB block
+# slices stay in cache between the passes over them
+_BLOCK = 1 << 15
+
+
+def _einsum_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two 1-d arrays by numpy's einsum loop: one thread, an
+    order set by the length and the CPU's vector width (not by alignment),
+    and no temporary (a pairwise sum of a * b costs twice as much)."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _layer_pieces(p: int, L: int, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
+    """(layer, lo, hi) for each part of the flat range [start, stop) that
+    lies inside one layer, in order; layer L is the outer row."""
+    square = p * p
+    layer = min(start // square, L)
+    while start < stop:
+        hi = min(stop, (layer + 1) * square if layer < L else stop)
+        yield layer, start, hi
+        start, layer = hi, layer + 1
+
+
+def _stack_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b over two flat stack vectors, in the block order."""
+    total = 0.0
+    for start in range(0, a.size, _BLOCK):
+        total += _einsum_dot(a[start : start + _BLOCK], b[start : start + _BLOCK])
+    return total
+
+
+def _layer_sums(a: np.ndarray, b: np.ndarray, p: int, L: int) -> list[float]:
+    """Per-layer sums of a * b over two flat stack vectors, in the block order."""
+    sums = [0.0] * (L + 1)
+    for start in range(0, a.size, _BLOCK):
+        for layer, lo, hi in _layer_pieces(p, L, start, min(start + _BLOCK, a.size)):
+            sums[layer] += _einsum_dot(a[lo:hi], b[lo:hi])
+    return sums
 
 
 def frobenius_norm(stack: WeightStack) -> float:
     """Square root of the sum of squared entries across all L+1 matrices."""
-    return math.sqrt(_fixed_order_dot(stack.flat, stack.flat))
+    return math.sqrt(_stack_sum(stack.flat, stack.flat))
 
 
 def stack_dot(a: WeightStack, b: WeightStack) -> float:
     """Entrywise dot product over all layers."""
     _require_same_shape(a, b)
-    return _fixed_order_dot(a.flat, b.flat)
+    return _stack_sum(a.flat, b.flat)
 
 
 def stack_axpy(y: WeightStack, alpha: float, x: WeightStack) -> WeightStack:
@@ -178,6 +221,56 @@ def stack_axpy(y: WeightStack, alpha: float, x: WeightStack) -> WeightStack:
 
 def stack_scale(a: WeightStack, c: float) -> WeightStack:
     return _wrap(c * a.flat, a.p, a.depth)
+
+
+class Sweep(NamedTuple):
+    """What `descent_sweep` measures at V and the iterate it writes."""
+
+    grad_sq: float  # ||g||^2
+    grad_dot: float  # <g, V>
+    layer_drift_sq: list[float]  # ||V_l - anchor_l||^2 per layer
+    next_flat: np.ndarray  # V - alpha g, not yet checked for finiteness
+    next_sq: float  # ||V - alpha g||^2
+
+    def next_stack(self, p: int, L: int) -> WeightStack:
+        """The new iterate; its squared norm serves as the finite check, and
+        a non-finite one is scanned to name the layer (ValueError)."""
+        _require_finite(self.next_flat, p, self.next_sq)
+        return WeightStack._computed(self.next_flat, p, L)
+
+
+def descent_sweep(V: WeightStack, grad: WeightStack, anchor: WeightStack, alpha: float) -> Sweep:
+    """One pass over the flat vectors for a gradient step V - alpha grad.
+
+    Each block of `_BLOCK` entries is read while it is in cache: it adds to
+    ||g||^2 and <g, V>, to each layer's ||V - anchor||^2 (the difference is
+    staged in the block's slice of the new iterate), then receives
+    V - alpha g and adds that to the new iterate's squared norm. The sums
+    follow the module's block order, so they equal `frobenius_norm(grad)^2`,
+    `stack_dot(grad, V)`, the per-layer sums behind
+    `ntk.max_layer_distance(V, anchor)` and `frobenius_norm(new)^2` bit for
+    bit, and the new iterate equals `stack_axpy(V, -alpha, grad)`.
+    """
+    _require_same_shape(V, grad)
+    _require_same_shape(V, anchor)
+    p, L = V.p, V.depth
+    x, g, a = V.flat, grad.flat, anchor.flat
+    out = np.empty_like(x)
+    drift = [0.0] * (L + 1)
+    grad_sq = grad_dot = next_sq = 0.0
+    for start in range(0, x.size, _BLOCK):
+        stop = min(start + _BLOCK, x.size)
+        xb, gb, ob = x[start:stop], g[start:stop], out[start:stop]
+        grad_sq += _einsum_dot(gb, gb)
+        grad_dot += _einsum_dot(gb, xb)
+        np.subtract(xb, a[start:stop], out=ob)
+        for layer, lo, hi in _layer_pieces(p, L, start, stop):
+            d = ob[lo - start : hi - start]
+            drift[layer] += _einsum_dot(d, d)
+        np.multiply(gb, -alpha, out=ob)
+        np.add(xb, ob, out=ob)
+        next_sq += _einsum_dot(ob, ob)
+    return Sweep(grad_sq, grad_dot, drift, out, next_sq)
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -191,15 +284,16 @@ _LANCZOS_STEP_CAP = 300
 _GRAM_RANGE = (2.0**-500, 2.0**500)
 
 
-def _lanczos_top(gram: np.ndarray) -> tuple[float, float, int, bool]:
+def _lanczos_top(gram: np.ndarray) -> tuple[float, float, float, int, bool]:
     """Top Ritz value of a symmetric matrix by Lanczos with full
     reorthogonalisation.
 
-    Returns (theta, estimate, steps, stopped): theta is the largest Ritz
-    value, estimate the error estimate min(r, r^2 / (theta - theta_2)) from
-    the Ritz residual r = beta_j |s_j| and the second Ritz value theta_2
-    (the Kato-Temple bound, with theta_2 standing in for the second
-    eigenvalue), steps the number of matrix-vector products, and stopped is
+    Returns (theta, estimate, residual, steps, stopped): theta is the
+    largest Ritz value, residual the Ritz residual r = beta_j |s_j|,
+    estimate the error estimate min(r, r^2 / (theta - theta_2)) from r and
+    the second Ritz value theta_2 (the Kato-Temple bound, with theta_2
+    standing in for the second eigenvalue), steps the number of
+    matrix-vector products, and stopped is
     False when the step cap ended the run before the estimate fell to
     rounding level (k eps theta). The Ritz value carries about twice as
     many correct digits as the residual, so this stops well before a
@@ -213,7 +307,7 @@ def _lanczos_top(gram: np.ndarray) -> tuple[float, float, int, bool]:
     tri = np.zeros((cap, cap))  # after j steps the tridiagonal is tri[:j, :j]
     q = np.ones(k) + 1e-3 * np.random.default_rng(0x5EED).standard_normal(k)
     q /= np.linalg.norm(q)
-    theta = estimate = 0.0
+    theta = estimate = residual = 0.0
     for j in range(cap):
         basis[j] = q
         w = gram @ q
@@ -228,11 +322,11 @@ def _lanczos_top(gram: np.ndarray) -> tuple[float, float, int, bool]:
         gap = theta - float(ritz[-2]) if j else 0.0
         estimate = min(residual, residual * residual / gap) if gap > 0 else residual
         if estimate <= k * _EPS * theta:
-            return theta, estimate, j + 1, True
+            return theta, estimate, residual, j + 1, True
         if j + 1 < cap:
             tri[j, j + 1] = tri[j + 1, j] = beta
         q = w / beta
-    return theta, estimate, cap, False
+    return theta, estimate, residual, cap, False
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -267,11 +361,16 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
     positive definite, so `upper` = sqrt(s) sits above the norm. Both ends
     hold for G as computed, up to the factorisation's backward error (of
     order k eps s, which the margin is sized to cover); rounding in forming
-    G is of the same order. When the certificate fails (the estimate was
-    too small, or the Krylov space missed the top eigenvalue) or Lanczos
-    reaches its step cap, LAPACK `eigvalsh` gives lambda_max exactly to
-    rounding and the bracket is that value widened by the same margin on
-    both sides; `ended` says which of the two proved the bracket.
+    G is of the same order. The test fails when the Kato-Temple estimate
+    overstates the gap, as when the top two eigenvalues nearly coincide; it
+    is then retried once with the Ritz residual r in place of the estimate.
+    [theta - r, theta + r] holds an eigenvalue, so the wider shift passes
+    unless the Krylov space missed the top eigenvalue, at the price of a
+    bracket about r / (2 sqrt(theta)) wide. When the retry fails too, or
+    Lanczos reaches its step cap, LAPACK `eigvalsh` gives lambda_max
+    exactly to rounding and the bracket is that value widened by the same
+    margin on both sides; `ended` says which of the two proved the
+    bracket.
 
     A matrix with a NaN or infinite entry raises ValueError. One whose
     squared Frobenius norm (the trace of G) lies outside [2^-500, 2^500] is
@@ -295,17 +394,20 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
             exponent = math.frexp(max(largest, -smallest))[1]
             gram = _gram(np.ldexp(m, -exponent))
     k = gram.shape[0]
-    theta, estimate, steps, stopped = _lanczos_top(gram)
+    theta, estimate, residual, steps, stopped = _lanczos_top(gram)
     theta = max(theta, 0.0)  # rounding can put a singular Gram's top Ritz value below 0
     if stopped:
-        s = theta + estimate + 4 * k * _EPS * theta + _TINY
+        diagonal = gram.diagonal().copy()
         gram *= -1.0
-        gram.flat[:: k + 1] += s
-        try:
-            np.linalg.cholesky(gram)
-            return _bracket(math.sqrt(theta), math.sqrt(s), exponent, steps, "certificate")
-        except np.linalg.LinAlgError:
-            top = s - float(np.linalg.eigvalsh(gram)[0])
+        for shift in (estimate, residual) if residual > estimate else (estimate,):
+            s = theta + shift + 4 * k * _EPS * theta + _TINY
+            gram.flat[:: k + 1] = s - diagonal
+            try:
+                np.linalg.cholesky(gram)
+                return _bracket(math.sqrt(theta), math.sqrt(s), exponent, steps, "certificate")
+            except np.linalg.LinAlgError:
+                pass
+        top = s - float(np.linalg.eigvalsh(gram)[0])
     else:
         top = float(np.linalg.eigvalsh(gram)[-1])
     margin = 4 * k * _EPS * abs(top) + _TINY
@@ -316,7 +418,8 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
 
 def stack_norms(stack: WeightStack) -> StackNorms:
     """Frobenius plus per-layer Frobenius norms and operator-norm brackets."""
-    per_f = tuple(math.sqrt(_fixed_order_dot(m, m)) for m in stack.layers())
+    sums = _layer_sums(stack.flat, stack.flat, stack.p, stack.depth)
+    per_f = tuple(math.sqrt(s) for s in sums)
     return StackNorms(
         frobenius=frobenius_norm(stack),
         per_layer_frobenius=per_f,

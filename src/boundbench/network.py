@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,11 +145,14 @@ def logistic(z: np.ndarray) -> Logistic:
     z = np.asarray(z, dtype=np.float64)
     values = np.logaddexp(0.0, -z)
     e = np.exp(-np.abs(z))
-    g = np.where(z >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
-    with np.errstate(divide="ignore"):  # log(0) of an underflowed value is never used
-        logs = np.where(z > _ASYMPTOTIC_MARGIN, -z - 0.5 * e, np.log(values))
-    top = float(np.max(logs))  # the log-sum-exp shift
-    spread = math.log(float(np.sum(np.exp(logs - top)))) if math.isfinite(top) else 0.0
+    g = np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+    far = z > _ASYMPTOTIC_MARGIN
+    # log(1) stands in where the value may have underflowed to 0
+    logs = np.log(np.where(far, 1.0, values))
+    if far.any():
+        logs = np.where(far, -z - 0.5 * e, logs)
+    top = float(logs.max())  # the log-sum-exp shift
+    spread = math.log(float(np.exp(logs - top).sum())) if math.isfinite(top) else 0.0
     total = float(np.add.accumulate(values)[-1])
     return Logistic(LossValue(total / z.size, top + spread - math.log(z.size)), values, g)
 
@@ -239,6 +242,27 @@ def gradient(V: WeightStack, act: Activation, data: Dataset) -> WeightStack:
     return loss_and_gradient(V, act, data)[1]
 
 
+def _combine_features(
+    coefs: Sequence[np.ndarray],
+    bs: Sequence[np.ndarray],
+    below: Sequence[np.ndarray],
+    top: np.ndarray,
+) -> WeightStack:
+    """sum_i c_{l,i} F_{l,i} in every layer l, for per-sample coefficient
+    vectors c_l (L+1 of them) and the tangent features F_{l,i} of one pass:
+    (c_l * B_l)^T X_{l-1} for hidden layer l, c_L^T X_L for the outer row.
+    Each product is written by its GEMM straight into the stack's flat
+    vector, which is adopted unchecked (see `WeightStack._computed`)."""
+    L, p = len(bs), top.shape[1]
+    square = p * p
+    flat = np.empty(L * square + p)
+    for layer, (c, b, x) in enumerate(zip(coefs, bs, below)):
+        block = flat[layer * square : (layer + 1) * square].reshape(p, p)
+        np.matmul((c[:, None] * b).T, x, out=block)
+    np.matmul(coefs[L], top, out=flat[L * square :])
+    return WeightStack._computed(flat, p, L)
+
+
 def loss_and_gradient(
     V: WeightStack, act: Activation, data: Dataset
 ) -> tuple[LossValue, WeightStack]:
@@ -251,9 +275,8 @@ def loss_and_gradient(
     terms = logistic(data.labels * trace.output)
     c = -data.labels * terms.g / data.n
     below = (data.inputs, *trace.x[:-1])
-    grads = [(c[:, None] * b).T @ x for b, x in zip(sensitivities(V, trace), below)]
-    grads.append((c @ trace.x[-1])[None, :])
-    return terms.loss, WeightStack._computed(grads)
+    grad = _combine_features([c] * (V.depth + 1), sensitivities(V, trace), below, trace.x[-1])
+    return terms.loss, grad
 
 
 def gd_step(V: WeightStack, alpha: float, grad: WeightStack) -> WeightStack:

@@ -33,8 +33,11 @@ from .bounds import (
 )
 from .linalg import (
     WeightStack,
-    _fixed_order_dot,
+    _einsum_dot,
+    _layer_sums,
+    _stack_sum,
     _wrap,
+    descent_sweep,
     frobenius_norm,
     operator_norm,
     stack_axpy,
@@ -44,6 +47,7 @@ from .linalg import (
 from .network import (
     Dataset,
     LossValue,
+    _combine_features,
     forward_rows,
     logistic,
     loss_and_gradient,
@@ -400,9 +404,8 @@ def nt_class_minimize(
         coef, terms = cand, cand_terms
         if halvings == 0:
             step *= 1.25
-    offset = [(c[:, None] * b).T @ x for c, b, x in zip(coef, bs, below)]
-    offset.append((coef[-1] @ trace.x[-1])[None, :])
-    return stack_axpy(V1, 1.0, WeightStack._computed(offset)), terms.loss.value
+    offset = _combine_features(coef, bs, below, trace.x[-1])
+    return stack_axpy(V1, 1.0, offset), terms.loss.value
 
 
 def approx_error_sample(
@@ -475,19 +478,27 @@ def gamma_bound(
 def _perturb_layers_frobenius(
     V: WeightStack, tau: float, rng: np.random.Generator
 ) -> WeightStack:
-    # radii biased toward the shell, where the extrema of smooth maps live
-    out = []
+    """V plus, in each layer, a random direction of Frobenius norm
+    tau * uniform(0.5, 1): radii biased toward the shell, where the extrema
+    of smooth maps live. Each layer's normal draw goes straight into its
+    slice of one flat vector, which is scaled by radius / (its own einsum
+    norm) and has V added in place."""
+    flat = np.empty_like(V.flat)
+    lo = 0
     for m in V.layers():
-        g = rng.standard_normal(m.shape)
+        g = flat[lo : lo + m.size]
+        rng.standard_normal(out=g)
         radius = tau * float(rng.uniform(0.5, 1.0))
-        out.append(m + g * (radius / math.sqrt(_fixed_order_dot(g, g))))
-    return WeightStack.from_layers(out)
+        g *= radius / math.sqrt(_einsum_dot(g, g))
+        lo += m.size
+    flat += V.flat
+    return _wrap(flat, V.p, V.depth)
 
 
 def max_layer_distance(a: WeightStack, b: WeightStack) -> float:
     """max over layers of the Frobenius distance; the ball radius metric."""
-    diffs = (ma - mb for ma, mb in zip(a.layers(), b.layers()))
-    return max(math.sqrt(_fixed_order_dot(d, d)) for d in diffs)
+    d = a.flat - b.flat
+    return max(math.sqrt(s) for s in _layer_sums(d, d, a.p, a.depth))
 
 
 # ---------------------------------------------------------------------------
@@ -591,30 +602,38 @@ def run_phase(
     """Plain constant-step GD, measuring everything monitors will need.
 
     The one descent loop: warmup, monitored descent and both phases of the
-    two-phase schedule run it. Each step's loss, log loss, gradient norm,
-    weight norm, gradient-weight product and max-layer drift from `anchor`
-    (default: the starting stack) go into preallocated columns, trimmed to
+    two-phase schedule run it. Each step is one `loss_and_gradient` call and
+    one `linalg.descent_sweep`, a cache-blocked pass that measures the
+    gradient norm, the gradient-weight product and each layer's drift from
+    `anchor` (default: the starting stack) and writes the next iterate
+    together with its norm, which is the next step's weight norm. The
+    columns equal `frobenius_norm(grad)`, `frobenius_norm(cur)`,
+    `stack_dot(grad, cur)` and `max_layer_distance(cur, anchor)` bit for
+    bit, and the iterates equal repeated `stack_axpy(cur, -alpha, grad)`.
+    Loss, log loss and those four go into preallocated columns, trimmed to
     the steps taken. Tracks the argmin-loss iterate with earliest-step
     tie-breaking. `final_stack` is the iterate after the last step taken,
     which has not been evaluated unless a stop rule fired. A non-finite loss
-    or gradient raises `NumericalDivergenceError`.
+    or gradient raises `NumericalDivergenceError`; a non-finite new iterate
+    from a finite gradient raises ValueError naming the layer.
     """
     anchor = anchor if anchor is not None else V
     columns = np.empty((6, max_steps))
     best_step, best_stack = 0, None
-    cur, steps = V, 0
+    cur, cur_sq, steps = V, _stack_sum(V.flat, V.flat), 0
     for t in range(1, max_steps + 1):
         loss, grad = loss_and_gradient(cur, act, data)
-        grad_norm = frobenius_norm(grad)
+        sweep = descent_sweep(cur, grad, anchor, alpha)
+        grad_norm = math.sqrt(sweep.grad_sq)
         if not (math.isfinite(loss.value) and math.isfinite(grad_norm)):
             raise NumericalDivergenceError(t)
         columns[:, t - 1] = (
             loss.value,
             loss.log_value,
             grad_norm,
-            frobenius_norm(cur),
-            stack_dot(grad, cur),
-            max_layer_distance(cur, anchor),
+            math.sqrt(cur_sq),
+            sweep.grad_dot,
+            max(math.sqrt(s) for s in sweep.layer_drift_sq),
         )
         steps = t
         if best_step == 0 or loss.value < columns[0, best_step - 1]:
@@ -623,7 +642,7 @@ def run_phase(
             break
         if loss.value <= loss_floor:
             break
-        cur = stack_axpy(cur, -alpha, grad)
+        cur, cur_sq = sweep.next_stack(cur.p, cur.depth), sweep.next_sq
     return PhaseTrace(
         *columns[:, :steps].copy(),
         best_step=best_step,

@@ -11,6 +11,7 @@ from boundbench.activations import huberized, swish
 from boundbench.cli import main as cli_main
 from boundbench.harness import (
     ConfigError,
+    build_dataset,
     build_small_loss_init,
     parse_config,
     run,
@@ -582,6 +583,24 @@ def test_cli_rejects_bad_field_and_names_it(tmp_path, capsys, mode, path, value)
     cfg_path.write_text(json.dumps(doc))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("r", [1e-20, 5e-324])
+def test_cli_rejects_a_cluster_radius_too_small_to_place_points(tmp_path, capsys, r):
+    # renormalising to the sphere rounds every point more than r from +-mu
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config(data={"clustered": {"r": r, "n": 3}})))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: data.clustered.r: ")
+
+
+def test_zero_cluster_radius_gives_the_exact_centres():
+    mu = np.array([3.0, 0.0, 4.0, 0.0])
+    config = parse_config(minimal_config(data={"clustered": {"r": 0.0, "n": 3, "mu": mu.tolist()}}))
+    data = build_dataset(config)
+    centre = mu / np.linalg.norm(mu)
+    for x, y in zip(data.inputs, data.labels):
+        assert x.tobytes() == (y * centre).tobytes()
 
 
 def test_cli_diagnostics_subcommand(tmp_path, capsys):

@@ -357,7 +357,7 @@ import numpy as np
 from boundbench.activations import huberized
 from boundbench.linalg import frobenius_norm, stack_dot
 from boundbench.network import Dataset, loss_and_gradient
-from boundbench.ntk import InitSpec, gaussian_init, max_layer_distance, ntk_features
+from boundbench.ntk import InitSpec, gaussian_init, max_layer_distance, ntk_features, run_phase
 
 digest = hashlib.sha256()
 for p, L, n in ((32, 2, 6), (256, 3, 16), (512, 1, 4)):
@@ -371,6 +371,11 @@ for p, L, n in ((32, 2, 6), (256, 3, 16), (512, 1, 4)):
     for stack in [grad, *ntk_features(V, huberized(0.01), data)]:
         for m in stack.layers():
             digest.update(m.tobytes())
+# 20 descent steps on the last case, (512, 1, 4): every column and the final iterate
+trace = run_phase(V, huberized(0.01), data, 0.05, 20)
+for column in (trace.loss, trace.log_loss, trace.grad_norm, trace.weight_norm,
+               trace.grad_dot_weights, trace.drift, trace.final_stack.flat):
+    digest.update(column.tobytes())
 print(digest.hexdigest())
 """
 

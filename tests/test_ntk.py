@@ -6,7 +6,14 @@ import pytest
 
 from boundbench.activations import huberized, swish
 from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_axpy, stack_dot
-from boundbench.network import Dataset, forward, forward_rows, logistic, total_loss
+from boundbench.network import (
+    Dataset,
+    forward,
+    forward_rows,
+    logistic,
+    loss_and_gradient,
+    total_loss,
+)
 from boundbench.ntk import (
     ClusteredDataSpec,
     InitSpec,
@@ -15,6 +22,7 @@ from boundbench.ntk import (
     NumericalDivergenceError,
     PhasePlan,
     WitnessConstruction,
+    _perturb_layers_frobenius,
     approx_error_sample,
     gamma_bound,
     gaussian_init,
@@ -487,6 +495,52 @@ def test_run_phase_argmin_prefers_earliest():
     data = Dataset(inputs=np.eye(4)[:2], labels=np.array([1.0, -1.0]))
     trace = run_phase(V, huberized(0.5), data, alpha=0.1, max_steps=5)
     assert trace.best_step == 1
+
+
+@pytest.mark.parametrize("p, L", [(4, 1), (8, 2), (300, 2), (512, 1)])
+@pytest.mark.parametrize("anchored", [False, True], ids=["start", "V1"])
+def test_run_phase_columns_and_iterates_equal_the_stack_helpers(p, L, anchored):
+    # at (300, 2) the sweep's blocks of 2^15 entries straddle layer edges
+    V1 = gaussian_init(InitSpec(p=p, L=L, seed=p + L))
+    start = stack_axpy(V1, 0.01, gaussian_init(InitSpec(p=p, L=L, seed=p + L + 1)))
+    _, data = clustered(p, 4, 0.05, seed=p)
+    act, alpha, steps = huberized(0.01), 0.05, 4
+    trace = run_phase(start, act, data, alpha, steps, anchor=V1 if anchored else None)
+    anchor = V1 if anchored else start
+    cur = start
+    for t in range(steps):
+        grad = loss_and_gradient(cur, act, data)[1]
+        assert trace.grad_norm[t] == frobenius_norm(grad)
+        assert trace.weight_norm[t] == frobenius_norm(cur)
+        assert trace.grad_dot_weights[t] == stack_dot(grad, cur)
+        assert trace.drift[t] == max_layer_distance(cur, anchor)
+        if trace.best_step == t + 1:
+            assert trace.best_stack.flat.tobytes() == cur.flat.tobytes()
+        cur = stack_axpy(cur, -alpha, grad)
+    assert trace.final_stack.flat.tobytes() == cur.flat.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_run_phase_names_the_layer_of_a_non_finite_iterate():
+    # a misclassified sample: loss and gradient are finite (the outer block
+    # is about 10), but alpha times it overflows the outer row
+    V = WeightStack(hidden=(np.array([[10.0]]),), outer=np.array([[1.0]]))
+    data = Dataset(inputs=np.array([[1.0]]), labels=np.array([-1.0]))
+    with pytest.raises(ValueError, match="non-finite entries in layer 1"):
+        run_phase(V, huberized(0.5), data, alpha=1e308, max_steps=2)
+
+
+@pytest.mark.parametrize("p, L", [(4, 1), (8, 2), (512, 1)])
+def test_perturbation_bits_equal_the_two_temporary_form(p, L):
+    V = gaussian_init(InitSpec(p=p, L=L, seed=3))
+    rng = np.random.default_rng(4)
+    want = []
+    for m in V.layers():
+        g = rng.standard_normal(m.shape)
+        radius = 0.3 * float(rng.uniform(0.5, 1.0))
+        want.append(m + g * (radius / math.sqrt(float(np.einsum("i,i->", g.ravel(), g.ravel())))))
+    got = _perturb_layers_frobenius(V, 0.3, np.random.default_rng(4))
+    assert got.flat.tobytes() == np.concatenate([w.ravel() for w in want]).tobytes()
 
 
 def test_two_phase_mechanics_and_records():
