@@ -14,7 +14,6 @@ from .bounds import (
     PhaseTrace,
     RunContext,
     RunLog,
-    TheoryConstants,
     Tolerances,
     Trajectory,
     compute_alpha_max,
@@ -24,9 +23,9 @@ from .bounds import (
     grad_upper_bound,
     monitor_transition,
     probe_local_lipschitz,
+    resolve_context,
     smoothness_bound,
     summarize,
-    theory_constants,
     weight_norm_floor,
     write_csv,
     write_summary_json,

@@ -1,6 +1,10 @@
 """Closed-form hyperparameters of the convergence analysis and runtime
 monitors for the step-by-step inequalities it rests on.
 
+`resolve_context` is the one place that decides whether a phase is
+instrumented and fills in its step size, rate and constants; a
+`theorem31` run and phase 2 of a `theorem32` run both go through it.
+
 Monitors never abort a run: every check yields a signed slack (positive
 means satisfied) and a three-way verdict. "Not applicable" is distinct
 from failure, because each inequality has preconditions and a negative
@@ -93,14 +97,6 @@ def _libm(fn, *args) -> np.ndarray:
     return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class TheoryConstants:
-    h_max: float
-    alpha_max: float
-    q_tilde: float
-    inputs_echo: dict
-
-
 def compute_h_max(J1, p: int, L: int, normV1: float) -> float:
     """min{ L^(L/2-3) log(1/J1) / (24 sqrt(p) ||V1||^L), 1 }."""
     J1 = _as_loss(J1)
@@ -132,34 +128,6 @@ def compute_q_tilde(alpha: float, J1, L: int, normV1: float) -> float:
     return (
         L * (L + 0.75) ** 2 * alpha * J1.value * log_inv ** (2.0 / L)
         / ((L + 0.5) * normV1**2)
-    )
-
-
-def theory_constants(
-    J1, p: int, L: int, normV1: float, n: int, h: float, alpha: float | None = None
-) -> TheoryConstants:
-    """Evaluate all three constants for one run and echo the inputs.
-
-    q_tilde is evaluated at `alpha` when given, else at alpha_max(h).
-    """
-    J1 = _as_loss(J1)
-    alpha_max = compute_alpha_max(h, J1, p, L, normV1)
-    if alpha is None:
-        alpha = alpha_max
-    return TheoryConstants(
-        h_max=compute_h_max(J1, p, L, normV1),
-        alpha_max=alpha_max,
-        q_tilde=compute_q_tilde(alpha, J1, L, normV1),
-        inputs_echo={
-            "J1": J1.value,
-            "logJ1": J1.log_value,
-            "p": p,
-            "L": L,
-            "normV1": normV1,
-            "n": n,
-            "h": h,
-            "alpha": alpha,
-        },
     )
 
 
@@ -223,11 +191,14 @@ def small_loss_log_threshold(n: int, L: int) -> float:
 
 @dataclass(frozen=True)
 class RunContext:
-    """Everything fixed along one monitored run.
+    """Everything fixed along one monitored phase.
 
-    `instrumented=False` marks a phase outside the small-loss analysis
-    (no admissible constants exist there); the constant-dependent checks
-    then report not-applicable while regime-free ones keep running.
+    `h_max`, `alpha_max` and `q_tilde` are the phase's constants, evaluated
+    at its start (J1, normV1), with q_tilde at `alpha`. A phase outside the
+    small-loss analysis has none (all three None) and is not instrumented:
+    the constant-dependent checks then report not-applicable while
+    regime-free ones keep running. Only `resolve_context` fills in the
+    constants.
     """
 
     p: int
@@ -238,9 +209,40 @@ class RunContext:
     Q: float
     J1: LossValue
     normV1: float
-    constants: TheoryConstants | None
-    instrumented: bool = True
+    h_max: float | None = None
+    alpha_max: float | None = None
+    q_tilde: float | None = None
     tolerances: Tolerances = DEFAULT_TOLERANCES
+
+    @property
+    def instrumented(self) -> bool:
+        return self.h_max is not None
+
+
+def resolve_context(
+    J1, normV1: float, p: int, L: int, n: int, h: float, alpha: float | None = None, Q: float | None = None
+) -> RunContext:
+    """The context of a phase that starts at loss J1 and weight norm normV1.
+
+    The phase is instrumented when J1 is in (0, 1), normV1 > 0 and
+    h <= h_max; then alpha is the given value or alpha_max(h), and Q the
+    given value or q_tilde at alpha. Otherwise no constants exist, Q is 0
+    and alpha must be given: without it this raises ValueError.
+    """
+    J1 = _as_loss(J1)
+    h_max = compute_h_max(J1, p, L, normV1) if J1.log_value < 0.0 and normV1 > 0.0 else None
+    if h_max is None or h > h_max:
+        if alpha is None:
+            raise ValueError("no admissible step size: loss not in (0,1), zero weight norm or h above h_max")
+        return RunContext(p=p, L=L, n=n, h=h, alpha=alpha, Q=0.0, J1=J1, normV1=normV1)
+    alpha_max = compute_alpha_max(h, J1, p, L, normV1)
+    alpha = alpha_max if alpha is None else alpha
+    q_tilde = compute_q_tilde(alpha, J1, L, normV1)
+    Q = q_tilde if Q is None else Q
+    return RunContext(
+        p=p, L=L, n=n, h=h, alpha=alpha, Q=Q, J1=J1, normV1=normV1,
+        h_max=h_max, alpha_max=alpha_max, q_tilde=q_tilde,
+    )
 
 
 @dataclass
@@ -361,8 +363,7 @@ def monitor_transition(trace: PhaseTrace, ctx: RunContext, phase: int) -> Trajec
         lower = np.where(log_J < 0, grad_lower_bound(LossValue(J, log_J), normV, L), math.nan)
         lower_applicable = (
             inst
-            and ctx.constants is not None
-            and ctx.h <= ctx.constants.h_max
+            and ctx.h <= ctx.h_max
             and small_loss & (slacks["i2"] >= -tol.i2_rel)
         )
         slacks["lower"] = np.where(lower > 0, (grad_norm - lower) / lower, math.nan)

@@ -12,7 +12,9 @@ Exit status:
        data.clustered.r above 1/16), a malformed inline or file sample, a
        data set whose width is not network.p, a theorem32 gamma estimate
        that finds no positive tangent margin, a phase-2 step size that
-       needs phase_plan.alpha_phase2, or a missing file
+       needs phase_plan.alpha_phase2, an "auto" network.h or phase_plan.h_nt
+       for a single sample (log n = 0), a negative --seed-override, or a
+       missing file
     3  the run could not be carried out: warmup could not classify every
        sample, the outer-layer scale search failed, or training hit a
        non-finite loss or gradient
@@ -43,8 +45,9 @@ def _load_config(path: str) -> RunConfig:
 
 
 def _apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
+    """The config with seeds K, K+1, K+2, checked by the same schema as a config file."""
     seeds = {"init": seed, "data": seed + 1, "probes": seed + 2}
-    return replace(config, seeds=seeds)
+    return parse_config({**config.to_json_dict(), "seeds": seeds})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -22,13 +22,11 @@ from .bounds import (
     RunContext,
     RunLog,
     Trajectory,
-    compute_alpha_max,
     compute_h_max,
-    compute_q_tilde,
     grad_upper_bound,
     monitor_transition,
+    resolve_context,
     summarize,
-    theory_constants,
     write_csv,
     write_summary_json,
 )
@@ -375,12 +373,7 @@ def _with_outer_scaled(V: WeightStack, c: float) -> WeightStack:
 class ResolvedSetup:
     act: Activation
     V1: WeightStack
-    J1: LossValue
-    normV1: float
-    h: float
-    alpha: float
-    Q: float
-    ctx: RunContext
+    ctx: RunContext  # holds h, alpha, Q, J1, normV1 and the constants
     h_fixed_point: dict | None  # how the "auto" h loop ended; None for a given h
 
 
@@ -439,35 +432,10 @@ def resolve_theorem31_setup(
             f"network.h: smoothing width {h} is not below the admissible "
             f"width {h_max:.3g} at the achieved initialization; use \"auto\""
         )
-    alpha = (
-        compute_alpha_max(h, J1, p, L, normV1)
-        if alpha_setting == "auto"
-        else float(alpha_setting)
-    )
-    Q = compute_q_tilde(alpha, J1, L, normV1) if q_setting == "auto" else float(q_setting)
-    constants = theory_constants(J1, p, L, normV1, data.n, h, alpha=alpha)
-    ctx = RunContext(
-        p=p,
-        L=L,
-        n=data.n,
-        h=h,
-        alpha=alpha,
-        Q=Q,
-        J1=J1,
-        normV1=normV1,
-        constants=constants,
-    )
-    return ResolvedSetup(
-        act=act,
-        V1=V1,
-        J1=J1,
-        normV1=normV1,
-        h=h,
-        alpha=alpha,
-        Q=Q,
-        ctx=ctx,
-        h_fixed_point=h_fixed_point,
-    )
+    alpha = None if alpha_setting == "auto" else float(alpha_setting)
+    Q = None if q_setting == "auto" else float(q_setting)
+    ctx = resolve_context(J1, normV1, p, L, data.n, h, alpha=alpha, Q=Q)
+    return ResolvedSetup(act=act, V1=V1, ctx=ctx, h_fixed_point=h_fixed_point)
 
 
 def monitored_descent(
@@ -565,25 +533,32 @@ def _run_theorem31(config: RunConfig) -> tuple[RunLog, int]:
         config.optimizer["max_steps"],
         loss_floor=config.optimizer["loss_floor"],
     )
+    ctx = setup.ctx
     echo = {
         "resolved": {
             "init_seed_used": used_seed,
-            "h": setup.h,
+            "h": ctx.h,
             "h_fixed_point": setup.h_fixed_point,
-            "alpha": setup.alpha,
-            "Q": setup.Q,
+            "alpha": ctx.alpha,
+            "Q": ctx.Q,
             "target_loss": target,
-            "J1": setup.J1.value,
-            "logJ1": setup.J1.log_value,
-            "normV1": setup.normV1,
-            "h_max": setup.ctx.constants.h_max,
-            "alpha_max": setup.ctx.constants.alpha_max,
-            "q_tilde": setup.ctx.constants.q_tilde,
+            "J1": ctx.J1.value,
+            "logJ1": ctx.J1.log_value,
+            "normV1": ctx.normV1,
+            "h_max": ctx.h_max,
+            "alpha_max": ctx.alpha_max,
+            "q_tilde": ctx.q_tilde,
         }
     }
     runlog = RunLog(config_echo=echo, records=records)
     runlog.summary = summarize(records)
     return runlog, (1 if runlog.summary["failed"] else 0)
+
+
+def _auto_width(data: Dataset, p: int, L: int, path: str) -> float:
+    h = nt_smoothing_width(data.n, p, L)
+    _expect(h > 0, path, "the automatic width is 0 for a single sample (log n = 0); give a positive width")
+    return h
 
 
 def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
@@ -596,7 +571,7 @@ def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=config.seeds["init"]))
 
     gamma = plan_cfg["gamma"]
-    h_probe = plan_cfg["h_nt"] if plan_cfg["h_nt"] != "auto" else nt_smoothing_width(data.n, p, L)
+    h_probe = plan_cfg["h_nt"] if plan_cfg["h_nt"] != "auto" else _auto_width(data, p, L, "phase_plan.h_nt")
     act_probe = huberized(h_probe)
     gamma_side = "given"
     if gamma == "estimate":
@@ -641,7 +616,7 @@ def _run_diagnostics(config: RunConfig) -> tuple[RunLog, int]:
     kind = _ACTIVATIONS[config.network["activation"]]
     h = config.network["h"]
     if h == "auto":
-        h = nt_smoothing_width(data.n, p, L)
+        h = _auto_width(data, p, L, "network.h")
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=config.seeds["init"]))
     report = init_diagnostics(
         V1,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +24,9 @@ from .bounds import (
     RunContext,
     RunLog,
     Trajectory,
-    compute_alpha_max,
-    compute_h_max,
-    compute_q_tilde,
     monitor_transition,
+    resolve_context,
     summarize,
-    theory_constants,
 )
 from .linalg import (
     WeightStack,
@@ -531,8 +528,6 @@ class PhasePlan:
     theta_const: float = 1.0
     stop_loss: float | None = None  # desk-scale early stop for the first phase
     phase2_steps: int = 0
-    loss_floor: float = 0.0
-    Q: float | None = None  # None: q_tilde at the resolved phase-2 step size
     T_faithful_log10: float | None = None
 
     def __post_init__(self):
@@ -577,7 +572,7 @@ class PhasePlan:
             + (2 + 24 * L) * math.log10(n)
         )
         T = T_cap if log10_T > math.log10(T_cap) else int(math.ceil(10.0**log10_T))
-        plan = cls(
+        resolved = dict(
             alpha_nt=alpha_nt,
             T=max(T, 1),
             h_nt=nt_smoothing_width(n, p, L),
@@ -586,7 +581,7 @@ class PhasePlan:
             theta_const=theta_const,
             T_faithful_log10=log10_T,
         )
-        return replace(plan, **overrides) if overrides else plan
+        return cls(**(resolved | overrides))
 
 
 def run_phase(
@@ -610,15 +605,16 @@ def run_phase(
     columns equal `frobenius_norm(grad)`, `frobenius_norm(cur)`,
     `stack_dot(grad, cur)` and `max_layer_distance(cur, anchor)` bit for
     bit, and the iterates equal repeated `stack_axpy(cur, -alpha, grad)`.
-    Loss, log loss and those four go into preallocated columns, trimmed to
-    the steps taken. Tracks the argmin-loss iterate with earliest-step
+    Loss, log loss and those four go into columns that start at
+    min(max_steps, 1024) steps, double when full and are trimmed to the
+    steps taken. Tracks the argmin-loss iterate with earliest-step
     tie-breaking. `final_stack` is the iterate after the last step taken,
     which has not been evaluated unless a stop rule fired. A non-finite loss
     or gradient raises `NumericalDivergenceError`; a non-finite new iterate
     from a finite gradient raises ValueError naming the layer.
     """
     anchor = anchor if anchor is not None else V
-    columns = np.empty((6, max_steps))
+    columns = np.empty((6, min(max_steps, 1024)))
     best_step, best_stack = 0, None
     cur, cur_sq, steps = V, _stack_sum(V.flat, V.flat), 0
     for t in range(1, max_steps + 1):
@@ -627,6 +623,10 @@ def run_phase(
         grad_norm = math.sqrt(sweep.grad_sq)
         if not (math.isfinite(loss.value) and math.isfinite(grad_norm)):
             raise NumericalDivergenceError(t)
+        if t > columns.shape[1]:
+            grown = np.empty((6, min(2 * columns.shape[1], max_steps)))
+            grown[:, : t - 1] = columns
+            columns = grown
         columns[:, t - 1] = (
             loss.value,
             loss.log_value,
@@ -681,8 +681,6 @@ def two_phase_train(
         Q=0.0,
         J1=LossValue(float(phase1.loss[0]), float(phase1.log_loss[0])),
         normV1=float(phase1.weight_norm[0]),
-        constants=None,
-        instrumented=False,
     )
     records = monitor_transition(phase1, ctx1, 1)
 
@@ -708,20 +706,17 @@ def two_phase_train(
     }
     phase_boundary = None
     if plan.phase2_steps > 0:
-        J_restart = total_loss(restart, act, data)
-        norm_restart = frobenius_norm(restart)
-        ctx2 = _phase2_context(J_restart, norm_restart, p, L, n, act.h, plan)
+        J_restart, norm_restart = total_loss(restart, act, data), frobenius_norm(restart)
+        try:
+            ctx2 = resolve_context(J_restart, norm_restart, p, L, n, act.h, alpha=plan.alpha_phase2)
+        except ValueError as exc:
+            raise ConfigError(
+                f"phase_plan.alpha_phase2: the phase-2 step size cannot be resolved at the "
+                f"restart iterate ({exc}); set it explicitly"
+            ) from exc
         echo["phase2_alpha"] = ctx2.alpha
         echo["phase2_instrumented"] = ctx2.instrumented
-        phase2 = run_phase(
-            restart,
-            act,
-            data,
-            ctx2.alpha,
-            plan.phase2_steps,
-            loss_floor=plan.loss_floor,
-            anchor=V1,
-        )
+        phase2 = run_phase(restart, act, data, ctx2.alpha, plan.phase2_steps, anchor=V1)
         phase_boundary = len(records)
         records = Trajectory.concat([records, monitor_transition(phase2, ctx2, 2)])
     log = RunLog(config_echo=echo, records=records, phase_boundary=phase_boundary)
@@ -732,45 +727,6 @@ def two_phase_train(
         "max_drift": max_drift,
     }
     return log
-
-
-def _phase2_context(
-    J_restart: LossValue,
-    norm_restart: float,
-    p: int,
-    L: int,
-    n: int,
-    h: float,
-    plan: PhasePlan,
-) -> RunContext:
-    instrumented = (
-        J_restart.log_value < 0.0
-        and norm_restart > 0.0
-        and h <= compute_h_max(J_restart, p, L, norm_restart)
-    )
-    alpha2, Q, constants = plan.alpha_phase2, 0.0, None
-    if instrumented:
-        if alpha2 is None:
-            alpha2 = compute_alpha_max(h, J_restart, p, L, norm_restart)
-        constants = theory_constants(J_restart, p, L, norm_restart, n, h, alpha=alpha2)
-        Q = plan.Q if plan.Q is not None else compute_q_tilde(alpha2, J_restart, L, norm_restart)
-    elif alpha2 is None:
-        raise ConfigError(
-            "phase_plan.alpha_phase2: the phase-2 step size cannot be resolved: the "
-            "restart loss is not in (0,1) or h exceeds the admissible width; set it explicitly"
-        )
-    return RunContext(
-        p=p,
-        L=L,
-        n=n,
-        h=h,
-        alpha=alpha2,
-        Q=Q,
-        J1=J_restart,
-        normV1=norm_restart,
-        constants=constants,
-        instrumented=instrumented,
-    )
 
 
 def average_loss_bound_check(

@@ -113,8 +113,7 @@ def monitor_step(
     lower = grad_lower_bound(J, normV, L) if J.log_value < 0 else math.nan
     lower_applicable = (
         inst
-        and ctx.constants is not None
-        and ctx.h <= ctx.constants.h_max
+        and ctx.h <= ctx.h_max
         and small_loss
         and slacks["i2"] >= -tol.i2_rel
     )

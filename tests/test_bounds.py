@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from boundbench.bounds import (
     grad_upper_bound,
     monitor_transition,
     probe_local_lipschitz,
+    resolve_context,
     smoothness_bound,
     summarize,
-    theory_constants,
     weight_norm_floor,
     write_csv,
 )
@@ -107,11 +108,38 @@ def test_q_tilde_tracks_loss_structure():
 
 
 def test_theory_constants_echo_inputs():
-    c = theory_constants(loss(1e-12), p=4, L=1, normV1=30.0, n=3, h=0.01)
+    c = resolve_context(loss(1e-12), 30.0, p=4, L=1, n=3, h=0.01)
     assert c.h_max == pytest.approx(H_MAX_EXAMPLE, rel=1e-12)
     assert c.alpha_max == pytest.approx(ALPHA_TERM_SMOOTH, rel=1e-10)
     assert c.q_tilde == pytest.approx(Q_TILDE_EXAMPLE, rel=1e-10)
-    assert c.inputs_echo["p"] == 4 and c.inputs_echo["n"] == 3
+    assert (c.p, c.L, c.n, c.h, c.normV1, c.J1.value) == (4, 1, 3, 0.01, 30.0, 1e-12)
+    assert (c.alpha, c.Q) == (c.alpha_max, c.q_tilde)
+
+
+@pytest.mark.parametrize("alpha, Q", [(None, None), (1e-7, None), (None, 5e-19), (1e-7, 5e-19)])
+def test_resolve_context_constants_equal_the_closed_forms(alpha, Q):
+    J1, normV1, p, L, h = loss(1e-12), 30.0, 4, 1, 0.01
+    ctx = resolve_context(J1, normV1, p, L, 3, h, alpha=alpha, Q=Q)
+    assert ctx.instrumented
+    assert ctx.h_max == compute_h_max(J1, p, L, normV1)
+    assert ctx.alpha_max == compute_alpha_max(h, J1, p, L, normV1)
+    assert ctx.alpha == (ctx.alpha_max if alpha is None else alpha)
+    assert ctx.q_tilde == compute_q_tilde(ctx.alpha, J1, L, normV1)
+    assert ctx.Q == (ctx.q_tilde if Q is None else Q)
+
+
+@pytest.mark.parametrize(
+    "J1, normV1, h",
+    [(loss(1.0), 30.0, 0.01), (loss(2.0), 30.0, 0.01), (loss(1e-12), 0.0, 0.01), (loss(1e-12), 30.0, 0.02)],
+    ids=["loss_one", "loss_above_one", "zero_norm", "h_above_h_max"],
+)
+def test_resolve_context_outside_the_regime_is_uninstrumented(J1, normV1, h):
+    ctx = resolve_context(J1, normV1, p=4, L=1, n=3, h=h, alpha=0.1, Q=1.0)
+    assert not ctx.instrumented
+    assert (ctx.h_max, ctx.alpha_max, ctx.q_tilde) == (None, None, None)
+    assert (ctx.alpha, ctx.Q) == (0.1, 0.0)
+    with pytest.raises(ValueError, match="no admissible step size"):
+        resolve_context(J1, normV1, p=4, L=1, n=3, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +197,7 @@ def test_weight_norm_floor_values():
 def make_context(J1=1e-13, normV1=10.0, p=4, L=1, n=3, h=None, alpha=None, Q=None):
     J1 = loss(J1)
     h = h if h is not None else compute_h_max(J1, p, L, normV1) / 2
-    alpha = alpha if alpha is not None else compute_alpha_max(h, J1, p, L, normV1)
-    Q = Q if Q is not None else compute_q_tilde(alpha, J1, L, normV1)
-    return RunContext(
-        p=p,
-        L=L,
-        n=n,
-        h=h,
-        alpha=alpha,
-        Q=Q,
-        J1=J1,
-        normV1=normV1,
-        constants=theory_constants(J1, p, L, normV1, n, h, alpha=alpha),
-    )
+    return resolve_context(J1, normV1, p, L, n, h, alpha=alpha, Q=Q)
 
 
 def make_trace(*rows):
@@ -227,18 +243,7 @@ def test_monitor_flags_not_applicable_outside_regime():
 
 
 def uninstrumented_context():
-    return RunContext(
-        p=4,
-        L=1,
-        n=3,
-        h=0.01,
-        alpha=0.1,
-        Q=0.0,
-        J1=loss(0.9),
-        normV1=3.0,
-        constants=None,
-        instrumented=False,
-    )
+    return RunContext(p=4, L=1, n=3, h=0.01, alpha=0.1, Q=0.0, J1=loss(0.9), normV1=3.0)
 
 
 def test_monitor_uninstrumented_context_reports_na():
@@ -251,17 +256,7 @@ def test_monitor_uninstrumented_context_reports_na():
 
 def test_monitor_records_violation_without_aborting():
     ctx = make_context()
-    oversized = RunContext(
-        p=ctx.p,
-        L=ctx.L,
-        n=ctx.n,
-        h=ctx.h,
-        alpha=10 * ctx.constants.alpha_max,
-        Q=ctx.Q,
-        J1=ctx.J1,
-        normV1=ctx.normV1,
-        constants=ctx.constants,
-    )
+    oversized = replace(ctx, alpha=10 * ctx.alpha_max)
     rec = monitor_transition(make_trace((ctx.J1, 1e-12, ctx.normV1)), oversized, 1)
     assert rec.verdicts["i3"][0] == "fail"
     assert rec.slacks["i3"][0] < 0

@@ -681,3 +681,61 @@ def test_theorem32_echoes_given_gamma_and_its_side(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert (summary["gamma"], summary["gamma_side"]) == (0.25, "given")
     assert runlog.config_echo["gamma_side"] == "given"
+
+
+def test_cli_rejects_a_given_h_not_below_the_admissible_width(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config(network={"p": 4, "L": 1, "h": 0.5})))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: network.h: ")
+
+
+def test_cli_rejects_a_negative_seed_override(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config()))
+    assert cli_main(["run", "--config", str(cfg_path), "--seed-override", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: seeds.init: ")
+
+
+def _single_sample(mode, **sections):
+    samples = [{"x": [1.0, 0.0, 0.0, 0.0], "y": 1}]
+    doc = {
+        "mode": mode,
+        "network": {"p": 4, "L": 1, "activation": "huberized", "h": "auto"},
+        "data": {"inline": {"p": 4, "samples": samples}},
+        "output": {"dir": None},
+    }
+    return doc | sections
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (_single_sample("diagnostics"), "network.h"),
+        (_single_sample("theorem32", phase_plan={"T": 20}), "phase_plan.h_nt"),
+    ],
+    ids=["diagnostics", "theorem32"],
+)
+def test_cli_rejects_an_auto_width_for_a_single_sample(tmp_path, capsys, doc, path):
+    # the automatic width is proportional to log n, which is 0 at n = 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_theorem32_runs_a_single_sample_with_a_given_width(tmp_path):
+    doc = _single_sample("theorem32", phase_plan={"T": 20, "h_nt": 0.01})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 0
+
+
+def test_theorem31_allocates_columns_for_the_steps_taken(tmp_path):
+    # 10^13 preallocated steps would need hundreds of TiB; the floor stops it at step 1
+    doc = minimal_config()
+    doc["optimizer"] = dict(doc["optimizer"], max_steps=10**13, loss_floor=1e-3)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 2

@@ -489,6 +489,14 @@ def test_phase_plan_auto_formulas():
     )
 
 
+def test_plan_auto_validates_with_the_overrides_applied():
+    # at n = 1 the automatic width is 0, which the plan alone would reject
+    plan = PhasePlan.auto(n=1, p=4, L=1, gamma=0.3, T_cap=50, h_nt=0.01)
+    assert plan.h_nt == 0.01
+    with pytest.raises(ValueError, match="out of range"):
+        PhasePlan.auto(n=1, p=4, L=1, gamma=0.3, T_cap=50)
+
+
 def test_run_phase_argmin_prefers_earliest():
     # zero gradient everywhere: every iterate ties, the first must win
     V = WeightStack.zeros(4, 1)
