@@ -33,13 +33,11 @@ from .bounds import (
 from .linalg import (
     OperatorNormBracket,
     ShapeMismatchError,
-    StackNorms,
     WeightStack,
     frobenius_norm,
     operator_norm,
     stack_axpy,
     stack_dot,
-    stack_norms,
     stack_scale,
 )
 from .network import (
@@ -47,7 +45,6 @@ from .network import (
     ForwardTrace,
     LossValue,
     forward,
-    gd_step,
     gradient,
     logistic,
     loss_and_gradient,
@@ -63,7 +60,6 @@ from .ntk import (
     PhasePlan,
     RunAbortedError,
     approx_error_sample,
-    gamma_bound,
     gaussian_init,
     init_diagnostics,
     make_clustered_dataset,

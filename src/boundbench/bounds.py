@@ -259,6 +259,7 @@ class PhaseTrace:
     best_step: int = 0  # earliest step of least loss
     best_stack: WeightStack | None = None
     final_stack: WeightStack | None = None
+    best_coef: np.ndarray | None = None  # first-layer coefficients of best_stack (ntk.run_phase)
 
     def __len__(self) -> int:
         return len(self.loss)

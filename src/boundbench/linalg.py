@@ -10,11 +10,13 @@ Sums over stacks have one fixed order. The flat vector is cut into blocks
 of `_BLOCK` entries starting at index 0, and each block (or each piece of
 a block inside one layer) is reduced by numpy's single-threaded einsum
 loop. A stack sum adds the block partials left to right; a layer sum adds
-the pieces inside that layer left to right. `frobenius_norm`, `stack_dot`,
-`stack_norms`, `ntk.max_layer_distance` and the descent step's
-`descent_sweep` all reduce this way, so they agree bit for bit, do not
+the pieces inside that layer left to right. `frobenius_norm`, `stack_dot`
+and `descent_sweep` reduce this way, so they agree bit for bit, do not
 depend on the BLAS thread count, and a stack that fits in one block
-reduces as one einsum over the whole vector.
+reduces as one einsum over the whole vector. `ntk.run_phase` holds the
+first hidden layer in coordinates of the inputs and sweeps the rest, layers
+2..L and the outer row: a stack of depth L - 1 (0 at L = 1) made inside
+the package.
 """
 
 from __future__ import annotations
@@ -144,15 +146,6 @@ class OperatorNormBracket(NamedTuple):
     ended: str
 
 
-@dataclass(frozen=True)
-class StackNorms:
-    """Collective and per-layer norms of a stack."""
-
-    frobenius: float
-    per_layer_frobenius: tuple[float, ...]
-    per_layer_operator: tuple[OperatorNormBracket, ...]
-
-
 def _require_same_shape(a: WeightStack, b: WeightStack) -> None:
     if not a.same_shape(b):
         raise ShapeMismatchError(
@@ -193,15 +186,6 @@ def _stack_sum(a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
-def _layer_sums(a: np.ndarray, b: np.ndarray, p: int, L: int) -> list[float]:
-    """Per-layer sums of a * b over two flat stack vectors, in the block order."""
-    sums = [0.0] * (L + 1)
-    for start in range(0, a.size, _BLOCK):
-        for layer, lo, hi in _layer_pieces(p, L, start, min(start + _BLOCK, a.size)):
-            sums[layer] += _einsum_dot(a[lo:hi], b[lo:hi])
-    return sums
-
-
 def frobenius_norm(stack: WeightStack) -> float:
     """Square root of the sum of squared entries across all L+1 matrices."""
     return math.sqrt(_stack_sum(stack.flat, stack.flat))
@@ -232,12 +216,6 @@ class Sweep(NamedTuple):
     next_flat: np.ndarray  # V - alpha g, not yet checked for finiteness
     next_sq: float  # ||V - alpha g||^2
 
-    def next_stack(self, p: int, L: int) -> WeightStack:
-        """The new iterate; its squared norm serves as the finite check, and
-        a non-finite one is scanned to name the layer (ValueError)."""
-        _require_finite(self.next_flat, p, self.next_sq)
-        return WeightStack._computed(self.next_flat, p, L)
-
 
 def descent_sweep(V: WeightStack, grad: WeightStack, anchor: WeightStack, alpha: float) -> Sweep:
     """One pass over the flat vectors for a gradient step V - alpha grad.
@@ -247,9 +225,11 @@ def descent_sweep(V: WeightStack, grad: WeightStack, anchor: WeightStack, alpha:
     staged in the block's slice of the new iterate), then receives
     V - alpha g and adds that to the new iterate's squared norm. The sums
     follow the module's block order, so they equal `frobenius_norm(grad)^2`,
-    `stack_dot(grad, V)`, the per-layer sums behind
-    `ntk.max_layer_distance(V, anchor)` and `frobenius_norm(new)^2` bit for
-    bit, and the new iterate equals `stack_axpy(V, -alpha, grad)`.
+    `stack_dot(grad, V)`, the per-layer block-order sums of the difference
+    and `frobenius_norm(new)^2` bit for bit, and the new iterate equals
+    `stack_axpy(V, -alpha, grad)`. `ntk.run_phase` sweeps the tail of its
+    iterate (layers 2..L and the outer row), so there layer 0 of the sweep
+    is network layer 1.
     """
     _require_same_shape(V, grad)
     _require_same_shape(V, anchor)
@@ -413,17 +393,6 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
     margin = 4 * k * _EPS * abs(top) + _TINY
     return _bracket(
         math.sqrt(max(top - margin, 0.0)), math.sqrt(top + margin), exponent, steps, "eigvalsh"
-    )
-
-
-def stack_norms(stack: WeightStack) -> StackNorms:
-    """Frobenius plus per-layer Frobenius norms and operator-norm brackets."""
-    sums = _layer_sums(stack.flat, stack.flat, stack.p, stack.depth)
-    per_f = tuple(math.sqrt(s) for s in sums)
-    return StackNorms(
-        frobenius=frobenius_norm(stack),
-        per_layer_frobenius=per_f,
-        per_layer_operator=tuple(operator_norm(m) for m in stack.layers()),
     )
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .activations import Activation
-from .linalg import ShapeMismatchError, WeightStack, stack_axpy
+from .linalg import ShapeMismatchError, WeightStack
 
 # above this margin, log1p(exp(-z)) collapses to exp(-z) at double precision
 _ASYMPTOTIC_MARGIN = 40.0
@@ -162,15 +162,22 @@ def forward_rows(V: WeightStack, act: Activation, inputs: np.ndarray) -> Forward
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != V.p:
         raise ShapeMismatchError(f"inputs have shape {inputs.shape}, expected (n, {V.p})")
+    return _forward(act, inputs @ V.hidden[0].T, V.hidden[1:], V.outer[0])
+
+
+def _forward(
+    act: Activation, u: np.ndarray, above: Sequence[np.ndarray], outer: np.ndarray
+) -> ForwardTrace:
+    """Forward pass from the first layer's pre-activations u (n x p) through
+    the hidden matrices `above` (layers 2..L) and the outer row."""
     us, xs, sigmas = [], [], []
-    cur = inputs
-    for W in V.hidden:
-        u = cur @ W.T
-        cur = np.asarray(act.value(u))
+    for W in (None, *above):
+        if W is not None:
+            u = xs[-1] @ W.T
         us.append(u)
-        xs.append(cur)
+        xs.append(np.asarray(act.value(u)))
         sigmas.append(np.asarray(act.deriv(u)))
-    return ForwardTrace(u=tuple(us), x=tuple(xs), sigma_diag=tuple(sigmas), output=cur @ V.outer[0])
+    return ForwardTrace(u=tuple(us), x=tuple(xs), sigma_diag=tuple(sigmas), output=xs[-1] @ outer)
 
 
 def sensitivities(V: WeightStack, trace: ForwardTrace) -> list[np.ndarray]:
@@ -180,13 +187,19 @@ def sensitivities(V: WeightStack, trace: ForwardTrace) -> list[np.ndarray]:
     pre-activations, so the layer-l block of that output's gradient is the
     outer product B_l[i] x_{l-1}[i]^T.
     """
-    L = V.depth
+    return _sensitivities(trace, V.hidden[1:], V.outer[0])
+
+
+def _sensitivities(
+    trace: ForwardTrace, above: Sequence[np.ndarray], outer: np.ndarray
+) -> list[np.ndarray]:
+    L = len(trace.sigma_diag)
     bs: list[np.ndarray] = [np.empty(0)] * L
-    b = trace.sigma_diag[L - 1] * V.outer[0]
+    b = trace.sigma_diag[L - 1] * outer
     for layer in range(L - 1, -1, -1):
         bs[layer] = b
         if layer > 0:
-            b = trace.sigma_diag[layer - 1] * (b @ V.hidden[layer])
+            b = trace.sigma_diag[layer - 1] * (b @ above[layer - 1])
     return bs
 
 
@@ -263,23 +276,34 @@ def _combine_features(
     return WeightStack._computed(flat, p, L)
 
 
+class RowSpacePoint(NamedTuple):
+    """A network known through its first layer's pre-activations at the
+    inputs, u1 = X W_1^T (n x p), and `tail`, the stack of layers 2..L and
+    the outer row (depth L - 1: only the outer row at L = 1)."""
+
+    u1: np.ndarray
+    tail: WeightStack
+
+
 def loss_and_gradient(
-    V: WeightStack, act: Activation, data: Dataset
-) -> tuple[LossValue, WeightStack]:
+    V: WeightStack | RowSpacePoint, act: Activation, data: Dataset
+) -> tuple[LossValue, WeightStack | tuple[np.ndarray, WeightStack]]:
     """Mean loss and its exact gradient from one batched pass.
 
     With c_i = -y_i g(z_i) / n, the layer-l block is (c * B_l)^T X_{l-1}
     and the outer block is c^T X_L. The loss equals `total_loss` exactly.
+    At a `RowSpacePoint` the gradient is (C, tail gradient): the first block
+    stays in the coordinates of the inputs, C^T X with C = c * B_1 (n x p),
+    and the rest is a stack shaped like the point's tail.
     """
-    trace = forward_rows(V, act, data.inputs)
+    point = isinstance(V, RowSpacePoint)
+    above, outer = (V.tail.hidden, V.tail.outer[0]) if point else (V.hidden[1:], V.outer[0])
+    trace = _forward(act, V.u1, above, outer) if point else forward_rows(V, act, data.inputs)
     terms = logistic(data.labels * trace.output)
     c = -data.labels * terms.g / data.n
+    bs = _sensitivities(trace, above, outer)
     below = (data.inputs, *trace.x[:-1])
-    grad = _combine_features([c] * (V.depth + 1), sensitivities(V, trace), below, trace.x[-1])
-    return terms.loss, grad
-
-
-def gd_step(V: WeightStack, alpha: float, grad: WeightStack) -> WeightStack:
-    if not alpha > 0:
-        raise ValueError("step size must be positive")
-    return stack_axpy(V, -alpha, grad)
+    if point:
+        tail = _combine_features([c] * len(bs), bs[1:], below[1:], trace.x[-1])
+        return terms.loss, (c[:, None] * bs[0], tail)
+    return terms.loss, _combine_features([c] * (len(bs) + 1), bs, below, trace.x[-1])

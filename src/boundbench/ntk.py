@@ -31,7 +31,6 @@ from .bounds import (
 from .linalg import (
     WeightStack,
     _einsum_dot,
-    _layer_sums,
     _stack_sum,
     _wrap,
     descent_sweep,
@@ -44,6 +43,7 @@ from .linalg import (
 from .network import (
     Dataset,
     LossValue,
+    RowSpacePoint,
     _combine_features,
     forward_rows,
     logistic,
@@ -442,36 +442,6 @@ def approx_error_sample(
     return worst
 
 
-def gamma_bound(
-    V1: WeightStack,
-    act: Activation,
-    data: Dataset,
-    tau: float,
-    k_samples: int = 8,
-    seed: int = 0,
-) -> float:
-    """Sampled lower estimate of the largest per-layer gradient norm of f
-    over the ball of radius tau; exact at tau = 0 (only V1 is evaluated)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    rng = np.random.default_rng(seed)
-    points = [V1]
-    if tau > 0.0:
-        points += [_perturb_layers_frobenius(V1, tau, rng) for _ in range(k_samples)]
-    worst = 0.0
-    for V in points:
-        trace = forward_rows(V, act, data.inputs)
-        below = (data.inputs, *trace.x[:-1])
-        # one block at a time; the norms equal those of ntk_features bit for bit
-        hidden = (
-            float(np.linalg.norm(np.outer(b_i, x_i)))
-            for b, x in zip(sensitivities(V, trace), below)
-            for b_i, x_i in zip(b, x)
-        )
-        worst = max(worst, *hidden, *(float(np.linalg.norm(x)) for x in trace.x[-1]))
-    return worst
-
-
 def _perturb_layers_frobenius(
     V: WeightStack, tau: float, rng: np.random.Generator
 ) -> WeightStack:
@@ -490,12 +460,6 @@ def _perturb_layers_frobenius(
         lo += m.size
     flat += V.flat
     return _wrap(flat, V.p, V.depth)
-
-
-def max_layer_distance(a: WeightStack, b: WeightStack) -> float:
-    """max over layers of the Frobenius distance; the ball radius metric."""
-    d = a.flat - b.flat
-    return max(math.sqrt(s) for s in _layer_sums(d, d, a.p, a.depth))
 
 
 # ---------------------------------------------------------------------------
@@ -592,35 +556,70 @@ def run_phase(
     max_steps: int,
     stop_loss: float | None = None,
     loss_floor: float = 0.0,
-    anchor: WeightStack | None = None,
+    start: tuple[np.ndarray, WeightStack] | None = None,
 ) -> PhaseTrace:
     """Plain constant-step GD, measuring everything monitors will need.
 
     The one descent loop: warmup, monitored descent and both phases of the
-    two-phase schedule run it. Each step is one `loss_and_gradient` call and
-    one `linalg.descent_sweep`, a cache-blocked pass that measures the
-    gradient norm, the gradient-weight product and each layer's drift from
-    `anchor` (default: the starting stack) and writes the next iterate
-    together with its norm, which is the next step's weight norm. The
-    columns equal `frobenius_norm(grad)`, `frobenius_norm(cur)`,
-    `stack_dot(grad, cur)` and `max_layer_distance(cur, anchor)` bit for
-    bit, and the iterates equal repeated `stack_axpy(cur, -alpha, grad)`.
-    Loss, log loss and those four go into columns that start at
-    min(max_steps, 1024) steps, double when full and are trimmed to the
-    steps taken. Tracks the argmin-loss iterate with earliest-step
-    tie-breaking. `final_stack` is the iterate after the last step taken,
-    which has not been evaluated unless a stop rule fired. A non-finite loss
-    or gradient raises `NumericalDivergenceError`; a non-finite new iterate
-    from a finite gradient raises ValueError naming the layer.
+    two-phase schedule run it. The first layer's gradient (c B_1)^T X has
+    its rows in the span of the n inputs, so every iterate's first layer is
+    W_1 = V_1 + A^T X. The loop holds the n x p coefficients A and, with
+    U_0 = X V_1^T and K = X X^T fixed, costs O(n^2 p) per step for that
+    layer: u_1 = U_0 + K A, the step A <- A - alpha C with C = c B_1,
+    ||g_1||^2 = <K C, C>, <g_1, W_1> = <C, u_1>, ||W_1||^2 = ||V_1||^2 +
+    2 <U_0, A> + <K A, A> and the drift from V_1, sqrt(<K A, A>). Each step
+    is one `loss_and_gradient` call at that `RowSpacePoint` and one
+    `linalg.descent_sweep` over the tail (layers 2..L and the outer row),
+    which measures the rest and writes the next tail with its squared norm.
+    The iterate starts at V, or at `start` = (A, S) (first layer
+    V_1 + A^T X, the rest from S), such as `(trace.best_coef,
+    trace.best_stack)` of a phase run from V, whose argmin row the first
+    row then repeats bit for bit. Drift is measured from V. Columns and
+    iterates equal repeated `stack_axpy(cur, -alpha, grad)` to rounding.
+
+    Loss, log loss, gradient norm, weight norm, gradient-weight product and
+    drift go into columns that start at min(max_steps, 1024) steps, double
+    when full and are trimmed to the steps taken. Tracks the argmin-loss
+    iterate with earliest-step tie-breaking. `best_stack` and `final_stack`
+    (the iterate after the last step taken, not evaluated unless a stop
+    rule fired) are each formed once, with one GEMM. A non-finite loss or
+    gradient raises `NumericalDivergenceError`; a non-finite new iterate
+    from a finite gradient raises ValueError naming the layer (0 for A).
     """
-    anchor = anchor if anchor is not None else V
+    p, L, X = V.p, V.depth, data.inputs
+    square = p * p
+    K, U0 = X @ X.T, X @ V.hidden[0].T
+    base_sq = _einsum_dot(V.flat[:square], V.flat[:square])
+    anchor = WeightStack._computed(V.flat[square:], p, L - 1)
+    if start is None:
+        coef, tail = np.zeros_like(U0), anchor
+    else:
+        coef, tail = start[0], WeightStack._computed(start[1].flat[square:], p, L - 1)
+
+    def first_layer(coef: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """K A, ||W_1||^2 and the squared drift of W_1 from V_1."""
+        kc = K @ coef
+        drift_sq, cross = np.einsum("ij,kij->k", coef, (kc, U0)).tolist()  # one call, two sums
+        return kc, base_sq + 2.0 * cross + drift_sq, drift_sq
+
+    def formed(coef: np.ndarray, tail: WeightStack) -> WeightStack:
+        flat = np.empty(L * square + p)
+        first = flat[:square].reshape(p, p)
+        np.matmul(coef.T, X, out=first)  # no p x p temporary
+        first += V.hidden[0]
+        flat[square:] = tail.flat
+        return _wrap(flat, p, L)
+
     columns = np.empty((6, min(max_steps, 1024)))
-    best_step, best_stack = 0, None
-    cur, cur_sq, steps = V, _stack_sum(V.flat, V.flat), 0
+    best_step, best = 0, None
+    kc, first_sq, first_drift_sq = first_layer(coef)
+    tail_sq, steps = _stack_sum(tail.flat, tail.flat), 0
     for t in range(1, max_steps + 1):
-        loss, grad = loss_and_gradient(cur, act, data)
-        sweep = descent_sweep(cur, grad, anchor, alpha)
-        grad_norm = math.sqrt(sweep.grad_sq)
+        u1 = U0 + kc
+        loss, (C, tail_grad) = loss_and_gradient(RowSpacePoint(u1, tail), act, data)
+        sweep = descent_sweep(tail, tail_grad, anchor, alpha)
+        first_grad_sq, first_grad_dot = np.einsum("ij,kij->k", C, (K @ C, u1)).tolist()
+        grad_norm = math.sqrt(first_grad_sq + sweep.grad_sq)
         if not (math.isfinite(loss.value) and math.isfinite(grad_norm)):
             raise NumericalDivergenceError(t)
         if t > columns.shape[1]:
@@ -631,23 +630,28 @@ def run_phase(
             loss.value,
             loss.log_value,
             grad_norm,
-            math.sqrt(cur_sq),
-            sweep.grad_dot,
-            max(math.sqrt(s) for s in sweep.layer_drift_sq),
+            math.sqrt(first_sq + tail_sq),
+            first_grad_dot + sweep.grad_dot,
+            math.sqrt(max(first_drift_sq, *sweep.layer_drift_sq)),
         )
         steps = t
         if best_step == 0 or loss.value < columns[0, best_step - 1]:
-            best_step, best_stack = t, cur
-        if stop_loss is not None and loss.value <= stop_loss:
+            best_step, best = t, (coef, tail)
+        if loss.value <= loss_floor or (stop_loss is not None and loss.value <= stop_loss):
             break
-        if loss.value <= loss_floor:
-            break
-        cur, cur_sq = sweep.next_stack(cur.p, cur.depth), sweep.next_sq
+        coef = coef - alpha * C
+        kc, first_sq, first_drift_sq = first_layer(coef)
+        tail, tail_sq = WeightStack._computed(sweep.next_flat, p, L - 1), sweep.next_sq
+        if not math.isfinite(first_sq + tail_sq):  # scan only now, to name the layer
+            for layer, block in enumerate((coef, *tail.layers())):
+                if not np.isfinite(block).all():
+                    raise ValueError(f"non-finite entries in layer {layer}")
     return PhaseTrace(
         *columns[:, :steps].copy(),
         best_step=best_step,
-        best_stack=best_stack,
-        final_stack=cur,
+        best_stack=formed(*best) if best else None,
+        final_stack=formed(coef, tail),
+        best_coef=best[0] if best else None,
     )
 
 
@@ -659,8 +663,10 @@ def two_phase_train(
 
     Each phase is monitored once and the log holds both, joined. Phase-1
     rows carry measurements with the theory checks marked not-applicable
-    (the small-loss regime has not been entered). Phase 2 re-anchors the
-    constants at the restart iterate; when that state cannot support the
+    (the small-loss regime has not been entered). Phase 2 runs in phase 1's
+    coordinates from its argmin iterate, with drift still measured from V1,
+    and re-anchors the constants at that iterate, read from phase 1's
+    argmin row; when that state cannot support the
     closed-form step size (loss not in (0,1), or the run's h exceeding the
     admissible width), an explicit alpha_phase2 is required and the phase
     stays uninstrumented.
@@ -684,8 +690,8 @@ def two_phase_train(
     )
     records = monitor_transition(phase1, ctx1, 1)
 
-    restart = phase1.best_stack
-    argmin_loss = float(phase1.loss[phase1.best_step - 1])
+    best = phase1.best_step - 1
+    argmin_loss = float(phase1.loss[best])
     max_drift = float(phase1.drift.max())
     echo: dict = {
         "plan": {
@@ -706,7 +712,10 @@ def two_phase_train(
     }
     phase_boundary = None
     if plan.phase2_steps > 0:
-        J_restart, norm_restart = total_loss(restart, act, data), frobenius_norm(restart)
+        # phase 2 starts at the argmin iterate in the same coordinates, so its
+        # first row, and these constants, repeat phase 1's argmin row bit for bit
+        J_restart = LossValue(argmin_loss, float(phase1.log_loss[best]))
+        norm_restart = float(phase1.weight_norm[best])
         try:
             ctx2 = resolve_context(J_restart, norm_restart, p, L, n, act.h, alpha=plan.alpha_phase2)
         except ValueError as exc:
@@ -716,7 +725,8 @@ def two_phase_train(
             ) from exc
         echo["phase2_alpha"] = ctx2.alpha
         echo["phase2_instrumented"] = ctx2.instrumented
-        phase2 = run_phase(restart, act, data, ctx2.alpha, plan.phase2_steps, anchor=V1)
+        start = (phase1.best_coef, phase1.best_stack)
+        phase2 = run_phase(V1, act, data, ctx2.alpha, plan.phase2_steps, start=start)
         phase_boundary = len(records)
         records = Trajectory.concat([records, monitor_transition(phase2, ctx2, 2)])
     log = RunLog(config_echo=echo, records=records, phase_boundary=phase_boundary)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boundbench import ntk
 from boundbench.activations import huberized, swish
+from boundbench.bounds import resolve_context
 from boundbench.cli import main as cli_main
 from boundbench.harness import (
     ConfigError,
@@ -424,6 +426,25 @@ def test_theorem32_mode_runs_with_overrides():
     assert runlog.config_echo["gamma_side"] == "lower estimate (subgradient witness)"
     phases = set(runlog.records.phase.tolist())
     assert phases == {1, 2}
+
+
+def test_phase2_constants_repeat_the_argmin_row_bit_for_bit(monkeypatch):
+    # J1 and ||V1|| of phase 2 are read from phase 1's argmin row, which
+    # phase 2's first row repeats: none of the three is recomputed apart
+    resolved = []
+
+    def spy(J1, normV1, *args, **kwargs):
+        resolved.append((J1, normV1))
+        return resolve_context(J1, normV1, *args, **kwargs)
+
+    monkeypatch.setattr(ntk, "resolve_context", spy)
+    runlog, _ = run(parse_config(theorem32_overrides_config()))
+    (J1, normV1), = resolved
+    records, first = runlog.records, runlog.phase_boundary
+    argmin = runlog.config_echo["phase1_argmin_step"] - 1
+    assert J1.value == runlog.config_echo["phase1_argmin_loss"] == records.loss[first] == records.loss[argmin]
+    assert J1.log_value == records.log_loss[first] == records.log_loss[argmin]
+    assert normV1 == records.weight_norm[first] == records.weight_norm[argmin]
 
 
 # ---------------------------------------------------------------------------

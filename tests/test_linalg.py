@@ -10,14 +10,15 @@ from boundbench.linalg import (
     OperatorNormBracket,
     ShapeMismatchError,
     WeightStack,
+    descent_sweep,
     frobenius_norm,
     operator_norm,
     product_operator_bound,
     stack_axpy,
     stack_dot,
-    stack_norms,
     stack_scale,
 )
+from stack_helpers import stack_norms
 
 
 def random_stack(p, L, rng, scale=1.0):
@@ -88,6 +89,22 @@ def test_block_order_spans_layer_edges():
         layer = min(lo // (p * p), L)
         layer_sums[layer] += float(np.einsum("i,i->", v[lo:hi], v[lo:hi]))
     assert list(stack_norms(a).per_layer_frobenius) == [math.sqrt(s) for s in layer_sums]
+
+
+@pytest.mark.parametrize("p, L", [(4, 1), (300, 2), (512, 0)])
+def test_descent_sweep_equals_the_stack_helpers(p, L):
+    # (300, 2) puts block edges inside layers; depth 0 is the tail that the
+    # descent loop sweeps at L = 1, the outer row alone
+    rng = np.random.default_rng(p + L)
+    V, grad, anchor = (flat_stack(p, L, rng) for _ in range(3))
+    sweep = descent_sweep(V, grad, anchor, 0.05)
+    assert math.sqrt(sweep.grad_sq) == frobenius_norm(grad)
+    assert sweep.grad_dot == stack_dot(grad, V)
+    drift = stack_norms(stack_axpy(V, -1.0, anchor)).per_layer_frobenius
+    assert [math.sqrt(s) for s in sweep.layer_drift_sq] == list(drift)
+    new = stack_axpy(V, -0.05, grad)
+    assert sweep.next_flat.tobytes() == new.flat.tobytes()
+    assert math.sqrt(sweep.next_sq) == frobenius_norm(new)
 
 
 # ---------------------------------------------------------------------------

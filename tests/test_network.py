@@ -14,7 +14,6 @@ from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_
 from boundbench.network import (
     Dataset,
     forward,
-    gd_step,
     gradient,
     logistic,
     loss_and_gradient,
@@ -24,6 +23,7 @@ from boundbench.network import (
 from boundbench.ntk import ntk_features
 from boundbench.oracles import FdConfig, fd_compare, fd_gradient
 from scalar_loss import from_margin, g_factor, mean, sample_loss, stable_g
+from stack_helpers import gd_step
 
 # frozen 50-digit evaluations of the stable-loss formulas
 LOSS_AT_Z50 = 1.9287498479639178e-22
@@ -357,13 +357,26 @@ import numpy as np
 from boundbench.activations import huberized
 from boundbench.linalg import frobenius_norm, stack_dot
 from boundbench.network import Dataset, loss_and_gradient
-from boundbench.ntk import InitSpec, gaussian_init, max_layer_distance, ntk_features, run_phase
+from boundbench.ntk import InitSpec, gaussian_init, ntk_features, run_phase
+from stack_helpers import max_layer_distance
+
+
+def case(p, L, n):
+    rng = np.random.default_rng(n)
+    data = Dataset(inputs=rng.standard_normal((n, p)), labels=np.resize([1.0, -1.0], n))
+    return gaussian_init(InitSpec(p=p, L=L, seed=p + L)), data
+
+
+def add_phase(trace):
+    for column in (trace.loss, trace.log_loss, trace.grad_norm, trace.weight_norm,
+                   trace.grad_dot_weights, trace.drift, trace.best_coef,
+                   trace.best_stack.flat, trace.final_stack.flat):
+        digest.update(column.tobytes())
+
 
 digest = hashlib.sha256()
 for p, L, n in ((32, 2, 6), (256, 3, 16), (512, 1, 4)):
-    V = gaussian_init(InitSpec(p=p, L=L, seed=p + L))
-    rng = np.random.default_rng(n)
-    data = Dataset(inputs=rng.standard_normal((n, p)), labels=np.resize([1.0, -1.0], n))
+    V, data = case(p, L, n)
     loss, grad = loss_and_gradient(V, huberized(0.01), data)
     digest.update(repr((loss.value, loss.log_value)).encode())
     norms = (frobenius_norm(grad), frobenius_norm(V), stack_dot(grad, V), max_layer_distance(V, grad))
@@ -371,21 +384,25 @@ for p, L, n in ((32, 2, 6), (256, 3, 16), (512, 1, 4)):
     for stack in [grad, *ntk_features(V, huberized(0.01), data)]:
         for m in stack.layers():
             digest.update(m.tobytes())
-# 20 descent steps on the last case, (512, 1, 4): every column and the final iterate
-trace = run_phase(V, huberized(0.01), data, 0.05, 20)
-for column in (trace.loss, trace.log_loss, trace.grad_norm, trace.weight_norm,
-               trace.grad_dot_weights, trace.drift, trace.final_stack.flat):
-    digest.update(column.tobytes())
+# 20 descent steps on the last case, (512, 1, 4), then 20 more restarted from
+# that phase's argmin as phase 2 of the two-phase schedule restarts
+first = run_phase(V, huberized(0.01), data, 0.05, 20)
+add_phase(first)
+add_phase(run_phase(V, huberized(0.01), data, 0.05, 20, start=(first.best_coef, first.best_stack)))
+# 20 steps at (256, 2, 16): layer 1 in coordinates, layer 2 and the outer row swept
+V, data = case(256, 2, 16)
+add_phase(run_phase(V, huberized(0.01), data, 0.05, 20))
 print(digest.hexdigest())
 """
 
 
 def test_results_do_not_depend_on_blas_thread_count():
     src = str(Path(__file__).resolve().parents[1] / "src")
+    tests = str(Path(__file__).resolve().parent)
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", _DIGEST_SCRIPT],
             env=env,

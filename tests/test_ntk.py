@@ -11,7 +11,6 @@ from boundbench.network import (
     forward,
     forward_rows,
     logistic,
-    loss_and_gradient,
     total_loss,
 )
 from boundbench.ntk import (
@@ -24,20 +23,20 @@ from boundbench.ntk import (
     WitnessConstruction,
     _perturb_layers_frobenius,
     approx_error_sample,
-    gamma_bound,
     gaussian_init,
     init_diagnostics,
     make_clustered_dataset,
     margin_estimate_subgradient,
     margin_gamma,
     margin_witness_clustered,
-    max_layer_distance,
     nt_class_minimize,
     ntk_features,
     run_phase,
     sigma_difference_sparsity,
     two_phase_train,
 )
+from reference_descent import descent
+from stack_helpers import gamma_bound, max_layer_distance
 
 
 def clustered(p, n, r, seed, data_seed=None):
@@ -505,27 +504,48 @@ def test_run_phase_argmin_prefers_earliest():
     assert trace.best_step == 1
 
 
-@pytest.mark.parametrize("p, L", [(4, 1), (8, 2), (300, 2), (512, 1)])
+@pytest.mark.parametrize("p, L", [(4, 1), (8, 2), (300, 2), (512, 1), (32, 3), (2, 1)])
 @pytest.mark.parametrize("anchored", [False, True], ids=["start", "V1"])
 def test_run_phase_columns_and_iterates_equal_the_stack_helpers(p, L, anchored):
-    # at (300, 2) the sweep's blocks of 2^15 entries straddle layer edges
+    # run_phase holds layer 1 in coordinates of the inputs, so it agrees with
+    # the parameter-space loop to rounding, not bit for bit. At (300, 2) the
+    # sweep's blocks of 2^15 entries straddle layer edges; at (2, 1) there are
+    # more inputs than coordinates (n = 4), so K = X X^T is singular. "V1"
+    # starts as phase 2 does: at a nonzero A, drift measured from V1
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=p + L))
-    start = stack_axpy(V1, 0.01, gaussian_init(InitSpec(p=p, L=L, seed=p + L + 1)))
+    other = stack_axpy(V1, 0.01, gaussian_init(InitSpec(p=p, L=L, seed=p + L + 1)))
     _, data = clustered(p, 4, 0.05, seed=p)
     act, alpha, steps = huberized(0.01), 0.05, 4
-    trace = run_phase(start, act, data, alpha, steps, anchor=V1 if anchored else None)
-    anchor = V1 if anchored else start
-    cur = start
-    for t in range(steps):
-        grad = loss_and_gradient(cur, act, data)[1]
-        assert trace.grad_norm[t] == frobenius_norm(grad)
-        assert trace.weight_norm[t] == frobenius_norm(cur)
-        assert trace.grad_dot_weights[t] == stack_dot(grad, cur)
-        assert trace.drift[t] == max_layer_distance(cur, anchor)
-        if trace.best_step == t + 1:
-            assert trace.best_stack.flat.tobytes() == cur.flat.tobytes()
-        cur = stack_axpy(cur, -alpha, grad)
-    assert trace.final_stack.flat.tobytes() == cur.flat.tobytes()
+    if anchored:
+        coef = 0.1 * np.random.default_rng(p + L + 2).standard_normal((data.n, p))
+        trace = run_phase(V1, act, data, alpha, steps, start=(coef, other))
+        first = V1.hidden[0] + coef.T @ data.inputs
+        start = WeightStack.from_layers([first, *other.hidden[1:], other.outer])
+        want = descent(start, act, data, alpha, steps, anchor=V1)
+        assert trace.drift[0] > 0.01
+    else:
+        trace = run_phase(other, act, data, alpha, steps)
+        want = descent(other, act, data, alpha, steps)
+    for column in ("loss", "log_loss", "grad_norm", "weight_norm", "drift"):
+        np.testing.assert_allclose(getattr(trace, column), getattr(want, column), rtol=1e-13, atol=0)
+    # <g, V> cancels, so its error is measured against ||g|| ||V||
+    dot_error = np.abs(trace.grad_dot_weights - want.grad_dot_weights)
+    assert np.all(dot_error <= 1e-13 * want.grad_norm * want.weight_norm)
+    assert trace.best_step == want.best_step
+    for got, ref in ((trace.best_stack, want.best_stack), (trace.final_stack, want.final_stack)):
+        assert frobenius_norm(stack_axpy(got, -1.0, ref)) <= 1e-13 * frobenius_norm(ref)
+
+
+def test_run_phase_restarts_at_the_argmin_row_bit_for_bit():
+    # phase 2 of the schedule: start at phase 1's argmin, drift still from V
+    V1 = gaussian_init(InitSpec(p=64, L=2, seed=80))
+    _, data = clustered(64, 4, 0.05, seed=81)
+    act = huberized(0.01)
+    first = run_phase(V1, act, data, 0.05, 6)
+    second = run_phase(V1, act, data, 0.02, 3, start=(first.best_coef, first.best_stack))
+    row = first.best_step - 1
+    for column in ("loss", "log_loss", "grad_norm", "weight_norm", "grad_dot_weights", "drift"):
+        assert getattr(second, column)[0] == getattr(first, column)[row]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -535,6 +555,16 @@ def test_run_phase_names_the_layer_of_a_non_finite_iterate():
     V = WeightStack(hidden=(np.array([[10.0]]),), outer=np.array([[1.0]]))
     data = Dataset(inputs=np.array([[1.0]]), labels=np.array([-1.0]))
     with pytest.raises(ValueError, match="non-finite entries in layer 1"):
+        run_phase(V, huberized(0.5), data, alpha=1e308, max_steps=2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_run_phase_names_layer_0_when_the_coefficients_overflow():
+    # as above with an outer weight of 10: the first layer's coefficient
+    # step is about 10 alpha and overflows first
+    V = WeightStack(hidden=(np.array([[10.0]]),), outer=np.array([[10.0]]))
+    data = Dataset(inputs=np.array([[1.0]]), labels=np.array([-1.0]))
+    with pytest.raises(ValueError, match="non-finite entries in layer 0"):
         run_phase(V, huberized(0.5), data, alpha=1e308, max_steps=2)
 
 
@@ -624,6 +654,20 @@ def test_run_phase_aborts_on_non_finite_gradient_with_finite_loss():
     data = Dataset(inputs=np.array([[1.0]]), labels=np.array([1.0]))
     with pytest.raises(NumericalDivergenceError, match="gradient") as err:
         run_phase(big, huberized(0.5), data, alpha=0.1, max_steps=3)
+    assert err.value.step == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_run_phase_aborts_on_a_non_finite_first_layer_gradient_with_finite_loss():
+    # u_1 = 1e-150 sits in the quadratic part (x_1 = 1e-300), so the output
+    # (about 1e11) and the loss are finite, but B_1 = sigma'(u_1) (B_2 W_2)
+    # overflows: B_2 = v = 1e10 on the linear part, and B_2 W_2 = 1e311
+    V = WeightStack(
+        hidden=(np.array([[1e-150]]), np.array([[1e301]])), outer=np.array([[1e10]])
+    )
+    data = Dataset(inputs=np.array([[1.0]]), labels=np.array([-1.0]))
+    with pytest.raises(NumericalDivergenceError) as err:
+        run_phase(V, huberized(0.5), data, alpha=0.1, max_steps=3)
     assert err.value.step == 1
 
 
