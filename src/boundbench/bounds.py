@@ -257,9 +257,9 @@ class PhaseTrace:
     grad_dot_weights: np.ndarray  # gradient . weights (positive means misaligned)
     drift: np.ndarray  # max-layer distance from the phase's anchor
     best_step: int = 0  # earliest step of least loss
-    best_stack: WeightStack | None = None
-    final_stack: WeightStack | None = None
-    best_coef: np.ndarray | None = None  # first-layer coefficients of best_stack (ntk.run_phase)
+    # iterates (A, tail) of `ntk.run_phase`, first layer V_1 + A^T X; see `ntk.phase_stack`
+    best: tuple[np.ndarray, WeightStack] | None = None  # at best_step
+    final: tuple[np.ndarray, WeightStack] | None = None  # after the last step taken
 
     def __len__(self) -> int:
         return len(self.loss)

@@ -59,7 +59,9 @@ from .ntk import (
     margin_estimate_subgradient,
     nt_smoothing_width,
     ntk_features,
+    phase_stack,
     run_phase,
+    split_sq_norm,
     two_phase_train,
 )
 from .oracles import FdConfig, fd_compare, fd_gradient
@@ -306,7 +308,7 @@ def warmup(
     sample ends up correctly classified."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    V = run_phase(V0, act, data, alpha, steps).final_stack
+    V = phase_stack(V0, data, run_phase(V0, act, data, alpha, steps).final)
     return V, bool(np.all(margins(V, act, data) > 0.0))
 
 
@@ -403,7 +405,8 @@ def resolve_theorem31_setup(
         act = Activation(kind, h)
         V1 = build_small_loss_init(V_warm, data, act, target_loss)
         J1 = total_loss(V1, act, data)
-        return act, V1, J1, frobenius_norm(V1)
+        first_sq, tail_sq = split_sq_norm(V1)  # as the monitored run's first row
+        return act, V1, J1, math.sqrt(first_sq + tail_sq)
 
     h_fixed_point = None
     if h_setting == "auto":

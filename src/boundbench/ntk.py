@@ -45,6 +45,8 @@ from .network import (
     LossValue,
     RowSpacePoint,
     _combine_features,
+    _forward,
+    _sensitivities,
     forward_rows,
     logistic,
     loss_and_gradient,
@@ -336,8 +338,8 @@ class NtBallConfig:
     step_size: float | None = None  # None: inverse curvature estimate
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("ball radius must be nonnegative")
+        if not self.rho >= 0:
+            raise ValueError(f"ball radius rho must be nonnegative, got {self.rho}")
         if self.steps < 1:
             raise ValueError("need at least one iteration")
 
@@ -414,52 +416,84 @@ def approx_error_sample(
     seed: int = 0,
 ) -> float:
     """Sampled lower estimate of the worst first-order remainder of f over
-    pairs of points in the per-layer ball of radius tau around V1.
+    pairs of points in the per-layer ball of radius tau around V1: the
+    largest |f(V^) - f(V~) - <grad f(V~), V^ - V~>| over inputs and pairs.
+    Each layer of a point moves by a random direction of Frobenius norm
+    r = tau * uniform(0.5, 1), biased toward the shell, where the extrema of
+    smooth maps live. A non-finite tau or remainder raises ValueError.
+
+    Layer 1's move D = r G / ||G|| (G a p x p standard normal) reaches f only
+    through D X^T. With X^T = Q R (reduced QR, k = min(n, p)), Z = G Q is a
+    p x k standard normal independent of ||G Q_perp||^2 ~ chi^2(p (p - k)),
+    so D X^T = r Z R / sqrt(||Z||^2 + chi^2) has exactly the full draw's law.
+    Draw order per point: Z, the chi-square (if k < p), r, then the normals
+    and radius of each of layers 2..L and the outer row, drawn in full since
+    their inputs move; a pair draws V^, then V~. So a seed yields other pairs
+    than full p x p draws would, from the same distribution. A pair costs
+    2 (pk + (L - 1) p^2 + p) normals, two forward passes and one backward at
+    `RowSpacePoint`s and two p x k x n products; at L = 1 no p x p array is
+    formed.
 
     A sup over a continuum cannot be certified by sampling; callers must
     treat this as the measured side of an upper bound, never as the bound.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     if k_pairs < 1:
         raise ValueError("need at least one pair")
     if tau == 0.0:
         return 0.0
+    p = V1.p
+    R = np.linalg.qr(data.inputs.T, mode="r")  # k x n
+    k = R.shape[0]
+    U0 = data.inputs @ V1.hidden[0].T
+    tail = _tail(V1)
     rng = np.random.default_rng(seed)
+
+    def point() -> RowSpacePoint:
+        z = rng.standard_normal((p, k))
+        chi_sq = float(rng.chisquare(p * (p - k))) if k < p else 0.0
+        u1 = _span_u1(U0, R, z, chi_sq, tau * float(rng.uniform(0.5, 1.0)))
+        flat = np.empty_like(tail.flat)
+        lo = 0
+        for m in tail.layers():
+            g = flat[lo : lo + m.size]
+            rng.standard_normal(out=g)
+            g *= tau * float(rng.uniform(0.5, 1.0)) / math.sqrt(_einsum_dot(g, g))
+            lo += m.size
+        flat += tail.flat
+        return RowSpacePoint(u1, WeightStack._computed(flat, p, tail.depth))
+
     worst = 0.0
-    for _ in range(k_pairs):
-        v_hat = _perturb_layers_frobenius(V1, tau, rng)
-        v_til = _perturb_layers_frobenius(V1, tau, rng)
-        delta = stack_axpy(v_hat, -1.0, v_til)
-        f_hat = forward_rows(v_hat, act, data.inputs).output
-        til = forward_rows(v_til, act, data.inputs)
-        # <b x^T, D> = b^T D x, so no per-sample feature stack is formed
-        lin = til.output + til.x[-1] @ delta.outer[0]
-        below = (data.inputs, *til.x[:-1])
-        for b, x, d in zip(sensitivities(v_til, til), below, delta.hidden):
-            lin = lin + np.einsum("ij,ij->i", b, x @ d.T)
-        worst = max(worst, float(np.max(np.abs(f_hat - lin))))
+    for pair in range(k_pairs):
+        v_hat = point()
+        err = float(np.max(np.abs(_remainders(act, v_hat, point()))))
+        if not math.isfinite(err):
+            raise ValueError(f"non-finite first-order remainder in pair {pair} at tau {tau}")
+        worst = max(worst, err)
     return worst
 
 
-def _perturb_layers_frobenius(
-    V: WeightStack, tau: float, rng: np.random.Generator
-) -> WeightStack:
-    """V plus, in each layer, a random direction of Frobenius norm
-    tau * uniform(0.5, 1): radii biased toward the shell, where the extrema
-    of smooth maps live. Each layer's normal draw goes straight into its
-    slice of one flat vector, which is scaled by radius / (its own einsum
-    norm) and has V added in place."""
-    flat = np.empty_like(V.flat)
-    lo = 0
-    for m in V.layers():
-        g = flat[lo : lo + m.size]
-        rng.standard_normal(out=g)
-        radius = tau * float(rng.uniform(0.5, 1.0))
-        g *= radius / math.sqrt(_einsum_dot(g, g))
-        lo += m.size
-    flat += V.flat
-    return _wrap(flat, V.p, V.depth)
+def _span_u1(U0: np.ndarray, R: np.ndarray, z: np.ndarray, chi_sq: float, radius: float) -> np.ndarray:
+    """X W_1^T for W_1 = V_1 + radius G / ||G||, from U0 = X V_1^T, the factor
+    R of X^T = Q R, Z = G Q and chi_sq = ||G||^2 - ||Z||^2."""
+    scale = radius / math.sqrt(_einsum_dot(z.ravel(), z.ravel()) + chi_sq)
+    return U0 + scale * (z @ R).T
+
+
+def _remainders(act: Activation, v_hat: RowSpacePoint, v_til: RowSpacePoint) -> np.ndarray:
+    """f(V^) - f(V~) - <grad f(V~), V^ - V~> at every input. A layer's term
+    <b x^T, D> = b^T D x is a row-wise dot of B_l with X_{l-1} D^T, which for
+    layer 1 is u^_1 - u~_1, so no per-sample feature stack is formed."""
+    above, outer = v_til.tail.hidden, v_til.tail.outer[0]
+    f_hat = _forward(act, v_hat.u1, v_hat.tail.hidden, v_hat.tail.outer[0]).output
+    til = _forward(act, v_til.u1, above, outer)
+    delta = WeightStack._computed(v_hat.tail.flat - v_til.tail.flat, v_til.tail.p, len(above))
+    lin = til.output + til.x[-1] @ delta.outer[0]
+    moves = (v_hat.u1 - v_til.u1, *(x @ d.T for x, d in zip(til.x[:-1], delta.hidden)))
+    for b, move in zip(_sensitivities(til, above, outer), moves):
+        lin = lin + np.einsum("ij,ij->i", b, move)
+    return f_hat - lin
 
 
 # ---------------------------------------------------------------------------
@@ -571,30 +605,26 @@ def run_phase(
     is one `loss_and_gradient` call at that `RowSpacePoint` and one
     `linalg.descent_sweep` over the tail (layers 2..L and the outer row),
     which measures the rest and writes the next tail with its squared norm.
-    The iterate starts at V, or at `start` = (A, S) (first layer
-    V_1 + A^T X, the rest from S), such as `(trace.best_coef,
-    trace.best_stack)` of a phase run from V, whose argmin row the first
-    row then repeats bit for bit. Drift is measured from V. Columns and
-    iterates equal repeated `stack_axpy(cur, -alpha, grad)` to rounding.
+    An iterate is the pair (A, tail), which `phase_stack` turns into a
+    stack. The iterate starts at V, or at `start`, such as `trace.best` of a
+    phase run from V, whose argmin row the first row then repeats bit for
+    bit. Drift is measured from V. Columns and iterates equal repeated
+    `stack_axpy(cur, -alpha, grad)` to rounding.
 
     Loss, log loss, gradient norm, weight norm, gradient-weight product and
     drift go into columns that start at min(max_steps, 1024) steps, double
     when full and are trimmed to the steps taken. Tracks the argmin-loss
-    iterate with earliest-step tie-breaking. `best_stack` and `final_stack`
-    (the iterate after the last step taken, not evaluated unless a stop
-    rule fired) are each formed once, with one GEMM. A non-finite loss or
+    iterate with earliest-step tie-breaking in `best`; `final` is the
+    iterate after the last step taken (not evaluated unless a stop rule
+    fired). No p x p layer is formed. A non-finite loss or
     gradient raises `NumericalDivergenceError`; a non-finite new iterate
     from a finite gradient raises ValueError naming the layer (0 for A).
     """
     p, L, X = V.p, V.depth, data.inputs
-    square = p * p
     K, U0 = X @ X.T, X @ V.hidden[0].T
-    base_sq = _einsum_dot(V.flat[:square], V.flat[:square])
-    anchor = WeightStack._computed(V.flat[square:], p, L - 1)
-    if start is None:
-        coef, tail = np.zeros_like(U0), anchor
-    else:
-        coef, tail = start[0], WeightStack._computed(start[1].flat[square:], p, L - 1)
+    anchor = _tail(V)
+    coef, tail = (np.zeros_like(U0), anchor) if start is None else start
+    base_sq, tail_sq = split_sq_norm(V, tail)
 
     def first_layer(coef: np.ndarray) -> tuple[np.ndarray, float, float]:
         """K A, ||W_1||^2 and the squared drift of W_1 from V_1."""
@@ -602,18 +632,10 @@ def run_phase(
         drift_sq, cross = np.einsum("ij,kij->k", coef, (kc, U0)).tolist()  # one call, two sums
         return kc, base_sq + 2.0 * cross + drift_sq, drift_sq
 
-    def formed(coef: np.ndarray, tail: WeightStack) -> WeightStack:
-        flat = np.empty(L * square + p)
-        first = flat[:square].reshape(p, p)
-        np.matmul(coef.T, X, out=first)  # no p x p temporary
-        first += V.hidden[0]
-        flat[square:] = tail.flat
-        return _wrap(flat, p, L)
-
     columns = np.empty((6, min(max_steps, 1024)))
     best_step, best = 0, None
     kc, first_sq, first_drift_sq = first_layer(coef)
-    tail_sq, steps = _stack_sum(tail.flat, tail.flat), 0
+    steps = 0
     for t in range(1, max_steps + 1):
         u1 = U0 + kc
         loss, (C, tail_grad) = loss_and_gradient(RowSpacePoint(u1, tail), act, data)
@@ -649,10 +671,37 @@ def run_phase(
     return PhaseTrace(
         *columns[:, :steps].copy(),
         best_step=best_step,
-        best_stack=formed(*best) if best else None,
-        final_stack=formed(coef, tail),
-        best_coef=best[0] if best else None,
+        best=best,
+        final=(coef, tail),
     )
+
+
+def _tail(V: WeightStack) -> WeightStack:
+    """Layers 2..L and the outer row of V: a depth L - 1 stack on V's vector."""
+    return WeightStack._computed(V.flat[V.p * V.p :], V.p, V.depth - 1)
+
+
+def split_sq_norm(V: WeightStack, tail: WeightStack | None = None) -> tuple[float, float]:
+    """||V_1||^2 by one einsum over the first hidden layer, and the squared
+    norm of a tail (V's own unless given) in the block order of its own
+    vector. `run_phase` reduces its weight norm this way, so a phase run
+    from V has sqrt of their sum as its first row's weight norm, bit for bit."""
+    tail = _tail(V) if tail is None else tail
+    first = V.flat[: V.p * V.p]
+    return _einsum_dot(first, first), _stack_sum(tail.flat, tail.flat)
+
+
+def phase_stack(V: WeightStack, data: Dataset, point: tuple[np.ndarray, WeightStack]) -> WeightStack:
+    """The stack of an iterate (A, tail) of a phase run from V: first layer
+    V_1 + A^T X, written by one GEMM into the stack's vector, then the tail."""
+    coef, tail = point
+    p, L = V.p, V.depth
+    flat = np.empty(L * p * p + p)
+    first = flat[: p * p].reshape(p, p)
+    np.matmul(coef.T, data.inputs, out=first)  # no p x p temporary
+    first += V.hidden[0]
+    flat[p * p :] = tail.flat
+    return _wrap(flat, p, L)
 
 
 def two_phase_train(
@@ -725,8 +774,7 @@ def two_phase_train(
             ) from exc
         echo["phase2_alpha"] = ctx2.alpha
         echo["phase2_instrumented"] = ctx2.instrumented
-        start = (phase1.best_coef, phase1.best_stack)
-        phase2 = run_phase(V1, act, data, ctx2.alpha, plan.phase2_steps, start=start)
+        phase2 = run_phase(V1, act, data, ctx2.alpha, plan.phase2_steps, start=phase1.best)
         phase_boundary = len(records)
         records = Trajectory.concat([records, monitor_transition(phase2, ctx2, 2)])
     log = RunLog(config_echo=echo, records=records, phase_boundary=phase_boundary)

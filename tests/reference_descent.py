@@ -30,8 +30,10 @@ def descent(
     stop_loss: float | None = None,
     loss_floor: float = 0.0,
     anchor: WeightStack | None = None,
-) -> PhaseTrace:
-    """Constant-step GD from V with drift measured from `anchor` (default V)."""
+) -> tuple[PhaseTrace, WeightStack, WeightStack]:
+    """Constant-step GD from V with drift measured from `anchor` (default V);
+    returns the columns, the argmin iterate and the iterate after the last
+    step taken."""
     anchor = anchor if anchor is not None else V
     columns = np.empty((6, max_steps))
     best_step, best_stack = 0, None
@@ -59,9 +61,4 @@ def descent(
             break
         _require_finite(sweep.next_flat, cur.p, sweep.next_sq)
         cur, cur_sq = WeightStack._computed(sweep.next_flat, cur.p, cur.depth), sweep.next_sq
-    return PhaseTrace(
-        *columns[:, :steps].copy(),
-        best_step=best_step,
-        best_stack=best_stack,
-        final_stack=cur,
-    )
+    return PhaseTrace(*columns[:, :steps].copy(), best_step=best_step), best_stack, cur

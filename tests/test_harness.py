@@ -447,6 +447,22 @@ def test_phase2_constants_repeat_the_argmin_row_bit_for_bit(monkeypatch):
     assert normV1 == records.weight_norm[first] == records.weight_norm[argmin]
 
 
+def test_theorem31_constants_repeat_the_first_row_bit_for_bit():
+    # J1 and ||V1|| are computed before the run, and ||V1|| is reduced as the
+    # run reduces its rows (layer 1, then the rest), so the t = 1 slack of i2
+    # is exactly 0. The p = 8, L = 2 headline config, 50 steps
+    config = minimal_config(
+        network={"p": 8, "L": 2, "activation": "huberized", "h": "auto"},
+        init={"warmup_steps": 3000, "warmup_alpha": 0.5, "target_loss": "auto"},
+    )
+    runlog, _ = run(parse_config(config))
+    resolved, records = runlog.config_echo["resolved"], runlog.records
+    assert resolved["normV1"] == records.weight_norm[0]
+    assert resolved["J1"] == records.loss[0]
+    assert resolved["logJ1"] == records.log_loss[0]
+    assert records.slacks["i2"][0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

@@ -369,8 +369,8 @@ def case(p, L, n):
 
 def add_phase(trace):
     for column in (trace.loss, trace.log_loss, trace.grad_norm, trace.weight_norm,
-                   trace.grad_dot_weights, trace.drift, trace.best_coef,
-                   trace.best_stack.flat, trace.final_stack.flat):
+                   trace.grad_dot_weights, trace.drift, trace.best[0], trace.best[1].flat,
+                   trace.final[0], trace.final[1].flat):
         digest.update(column.tobytes())
 
 
@@ -388,7 +388,7 @@ for p, L, n in ((32, 2, 6), (256, 3, 16), (512, 1, 4)):
 # that phase's argmin as phase 2 of the two-phase schedule restarts
 first = run_phase(V, huberized(0.01), data, 0.05, 20)
 add_phase(first)
-add_phase(run_phase(V, huberized(0.01), data, 0.05, 20, start=(first.best_coef, first.best_stack)))
+add_phase(run_phase(V, huberized(0.01), data, 0.05, 20, start=first.best))
 # 20 steps at (256, 2, 16): layer 1 in coordinates, layer 2 and the outer row swept
 V, data = case(256, 2, 16)
 add_phase(run_phase(V, huberized(0.01), data, 0.05, 20))

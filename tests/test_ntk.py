@@ -8,6 +8,7 @@ from boundbench.activations import huberized, swish
 from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_axpy, stack_dot
 from boundbench.network import (
     Dataset,
+    RowSpacePoint,
     forward,
     forward_rows,
     logistic,
@@ -21,7 +22,9 @@ from boundbench.ntk import (
     NumericalDivergenceError,
     PhasePlan,
     WitnessConstruction,
-    _perturb_layers_frobenius,
+    _remainders,
+    _span_u1,
+    _tail,
     approx_error_sample,
     gaussian_init,
     init_diagnostics,
@@ -31,12 +34,19 @@ from boundbench.ntk import (
     margin_witness_clustered,
     nt_class_minimize,
     ntk_features,
+    phase_stack,
     run_phase,
     sigma_difference_sparsity,
     two_phase_train,
 )
 from reference_descent import descent
-from stack_helpers import gamma_bound, max_layer_distance
+from stack_helpers import (
+    _perturb_layers_frobenius,
+    approx_error_reference,
+    gamma_bound,
+    max_layer_distance,
+    remainders,
+)
 
 
 def clustered(p, n, r, seed, data_seed=None):
@@ -333,6 +343,71 @@ def test_approx_error_bounded_by_calibrated_scaling_form():
         assert est <= 1.5 * C * scale
 
 
+@pytest.mark.parametrize("act", [huberized(0.01), swish(0.1)], ids=["huberized", "swish"])
+@pytest.mark.parametrize("p, L, n", [(16, 1, 3), (12, 2, 4), (8, 3, 10)])
+def test_span_draw_remainders_equal_the_parameter_space_form(p, L, n, act):
+    # each point's first layer is one full p x p draw G, given to the span
+    # form as Z = G Q and ||G||^2 - ||Z||^2 (X^T = Q R); at (8, 3, 10) there
+    # are more inputs than coordinates, so Q is square and that difference
+    # is rounding. Error measured against the largest remainder
+    V1 = gaussian_init(InitSpec(p=p, L=L, seed=p + L))
+    rng = np.random.default_rng(n)
+    data = Dataset(inputs=rng.standard_normal((n, p)), labels=np.resize([1.0, -1.0], n))
+    Q, R = np.linalg.qr(data.inputs.T)
+    U0 = data.inputs @ V1.hidden[0].T
+    stacks, points = [], []
+    for _ in range(2):
+        G = rng.standard_normal((p, p))
+        radius = 0.8 * rng.uniform(0.5, 1.0)
+        full = _perturb_layers_frobenius(V1, 0.8, rng)
+        first = V1.hidden[0] + radius * G / np.linalg.norm(G)
+        stacks.append(WeightStack.from_layers([first, *full.hidden[1:], full.outer]))
+        Z = G @ Q
+        chi_sq = float(np.vdot(G, G) - np.vdot(Z, Z))
+        points.append(RowSpacePoint(_span_u1(U0, R, Z, chi_sq, radius), _tail(full)))
+    want = remainders(*stacks, act, data)
+    got = _remainders(act, *points)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("p, L, n", [(16, 1, 3), (12, 2, 4)])
+def test_span_draw_matches_the_parameter_space_sampler_in_distribution(p, L, n):
+    # single-pair estimates from 300 seeds of each sampler (disjoint seeds);
+    # the two-sample Kolmogorov-Smirnov statistic stays below its critical
+    # value at level 0.001
+    V1 = gaussian_init(InitSpec(p=p, L=L, seed=7))
+    rng = np.random.default_rng(8)
+    data = Dataset(inputs=rng.standard_normal((n, p)), labels=np.resize([1.0, -1.0], n))
+    act, m = huberized(0.01), 300
+    got = np.sort([approx_error_sample(V1, act, data, 0.8, k_pairs=1, seed=s) for s in range(m)])
+    want = np.sort(
+        [approx_error_reference(V1, act, data, 0.8, k_pairs=1, seed=m + s) for s in range(m)]
+    )
+    both = np.concatenate([got, want])
+    gap = np.searchsorted(got, both, side="right") - np.searchsorted(want, both, side="right")
+    assert np.max(np.abs(gap)) / m <= math.sqrt(-math.log(0.0005) / 2.0) * math.sqrt(2.0 / m)
+
+
+@pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+def test_approx_error_rejects_a_bad_radius(nt_setup, tau):
+    V1, act, data = nt_setup
+    with pytest.raises(ValueError, match="tau"):
+        approx_error_sample(V1, act, data, tau)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_approx_error_raises_on_a_non_finite_remainder(nt_setup):
+    # the outputs overflow and the remainders are nan, which max() would drop
+    V1, act, data = nt_setup
+    with pytest.raises(ValueError, match="non-finite first-order remainder in pair 0"):
+        approx_error_sample(V1, act, data, tau=1e300, k_pairs=2)
+
+
+def test_nt_ball_config_rejects_a_nan_radius():
+    with pytest.raises(ValueError, match="rho"):
+        NtBallConfig(rho=math.nan)
+
+
 def test_gamma_bound_exact_at_zero_radius(nt_setup):
     V1, act, data = nt_setup
     feats = ntk_features(V1, act, data)
@@ -518,21 +593,23 @@ def test_run_phase_columns_and_iterates_equal_the_stack_helpers(p, L, anchored):
     act, alpha, steps = huberized(0.01), 0.05, 4
     if anchored:
         coef = 0.1 * np.random.default_rng(p + L + 2).standard_normal((data.n, p))
-        trace = run_phase(V1, act, data, alpha, steps, start=(coef, other))
+        trace = run_phase(V1, act, data, alpha, steps, start=(coef, _tail(other)))
         first = V1.hidden[0] + coef.T @ data.inputs
         start = WeightStack.from_layers([first, *other.hidden[1:], other.outer])
-        want = descent(start, act, data, alpha, steps, anchor=V1)
+        want, want_best, want_final = descent(start, act, data, alpha, steps, anchor=V1)
         assert trace.drift[0] > 0.01
     else:
+        V1 = other
         trace = run_phase(other, act, data, alpha, steps)
-        want = descent(other, act, data, alpha, steps)
+        want, want_best, want_final = descent(other, act, data, alpha, steps)
     for column in ("loss", "log_loss", "grad_norm", "weight_norm", "drift"):
         np.testing.assert_allclose(getattr(trace, column), getattr(want, column), rtol=1e-13, atol=0)
     # <g, V> cancels, so its error is measured against ||g|| ||V||
     dot_error = np.abs(trace.grad_dot_weights - want.grad_dot_weights)
     assert np.all(dot_error <= 1e-13 * want.grad_norm * want.weight_norm)
     assert trace.best_step == want.best_step
-    for got, ref in ((trace.best_stack, want.best_stack), (trace.final_stack, want.final_stack)):
+    for got, ref in ((trace.best, want_best), (trace.final, want_final)):
+        got = phase_stack(V1, data, got)
         assert frobenius_norm(stack_axpy(got, -1.0, ref)) <= 1e-13 * frobenius_norm(ref)
 
 
@@ -542,7 +619,7 @@ def test_run_phase_restarts_at_the_argmin_row_bit_for_bit():
     _, data = clustered(64, 4, 0.05, seed=81)
     act = huberized(0.01)
     first = run_phase(V1, act, data, 0.05, 6)
-    second = run_phase(V1, act, data, 0.02, 3, start=(first.best_coef, first.best_stack))
+    second = run_phase(V1, act, data, 0.02, 3, start=first.best)
     row = first.best_step - 1
     for column in ("loss", "log_loss", "grad_norm", "weight_norm", "grad_dot_weights", "drift"):
         assert getattr(second, column)[0] == getattr(first, column)[row]
