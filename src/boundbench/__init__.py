@@ -64,13 +64,11 @@ from .ntk import (
     init_diagnostics,
     make_clustered_dataset,
     margin_estimate_subgradient,
-    margin_gamma,
     margin_witness_clustered,
     nt_class_minimize,
     ntk_features,
     two_phase_train,
 )
-from .oracles import FdConfig, fd_compare, fd_gradient, kink_exclusions
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

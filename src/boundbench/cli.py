@@ -4,17 +4,21 @@
     boundbench certify-activation --kind huberized|swish --h 0.1
     boundbench diagnostics --config cfg.json [--out DIR]
 
+`run` executes the config's mode: theorem31 (one monitored descent from a
+small-loss initialization), theorem32 (the two-phase schedule) or
+diagnostics (initialization concentration).
+
 Exit status:
     0  every monitored check passed or was not applicable
     1  a monitored inequality failed
-    2  a bad config or input: an invalid or truncated JSON file, an unknown,
-       mistyped or out-of-range field (a string where a number belongs, a
-       data.clustered.r above 1/16), a malformed inline or file sample, a
-       data set whose width is not network.p, a theorem32 gamma estimate
-       that finds no positive tangent margin, a phase-2 step size that
-       needs phase_plan.alpha_phase2, an "auto" network.h or phase_plan.h_nt
-       for a single sample (log n = 0), a negative --seed-override, or a
-       missing file
+    2  a bad config or input: an invalid or truncated JSON file, an unknown
+       mode, section or key, a mistyped or out-of-range field (a string
+       where a number belongs, a data.clustered.r above 1/16), a malformed
+       inline or file sample, a data set whose width is not network.p, a
+       theorem32 gamma estimate that finds no positive tangent margin, a
+       phase-2 step size that needs phase_plan.alpha_phase2, an "auto"
+       network.h or phase_plan.h_nt for a single sample (log n = 0), a
+       negative --seed-override, or a missing file
     3  the run could not be carried out: warmup could not classify every
        sample, the outer-layer scale search failed, or training hit a
        non-finite loss or gradient

@@ -394,10 +394,3 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
     return _bracket(
         math.sqrt(max(top - margin, 0.0)), math.sqrt(top + margin), exponent, steps, "eigvalsh"
     )
-
-
-def product_operator_bound(stack: WeightStack) -> float:
-    """max{ ||V||^(L+1) / (L+1)^((L+1)/2), ||V|| } for the collective norm."""
-    f = frobenius_norm(stack)
-    k = stack.n_layers
-    return max(f**k / k ** (k / 2.0), f)

@@ -15,6 +15,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .linalg import (
     frobenius_norm,
     operator_norm,
     stack_axpy,
-    stack_dot,
     stack_scale,
 )
 from .network import (
@@ -123,6 +123,33 @@ def ntk_features(V1: WeightStack, act: Activation, data: Dataset) -> list[Weight
     return output_gradients(V1, act, data.inputs)
 
 
+class _Tangent(NamedTuple):
+    """One batched pass at V1 with its tangent features left unformed: F_i
+    is B_l[i] X_{l-1}[i]^T in hidden layer l and X_L[i] in the outer row."""
+
+    output: np.ndarray  # f(V1) at every input
+    bs: list[np.ndarray]  # B_l, n x p
+    below: tuple[np.ndarray, ...]  # X_{l-1}, n x p
+    top: np.ndarray  # X_L, n x p
+
+    @classmethod
+    def at(cls, V1: WeightStack, act: Activation, data: Dataset) -> "_Tangent":
+        trace = forward_rows(V1, act, data.inputs)
+        return cls(trace.output, sensitivities(V1, trace), (data.inputs, *trace.x[:-1]), trace.x[-1])
+
+    def grams(self) -> list[np.ndarray]:
+        """K_l = (B_l B_l^T) * (X_{l-1} X_{l-1}^T) per hidden layer, then X_L X_L^T."""
+        return [(b @ b.T) * (x @ x.T) for b, x in zip(self.bs, self.below)] + [self.top @ self.top.T]
+
+    def margin(self, labels: np.ndarray, W: WeightStack) -> float:
+        """min_i y_i (F_i . W) / sqrt(p). <b x^T, W_l> = b^T W_l x is a row-wise
+        dot of B_l with X_{l-1} W_l^T, so no feature stack is formed."""
+        dots = self.top @ W.outer[0]
+        for b, x, w in zip(self.bs, self.below, W.hidden):
+            dots = dots + np.einsum("ij,ij->i", b, x @ w.T)
+        return float(np.min(labels * dots)) / math.sqrt(W.p)
+
+
 class WitnessConstruction(enum.Enum):
     CLUSTERED_EXPLICIT = "clustered_explicit"
     SUBGRADIENT_ESTIMATE = "subgradient_estimate"
@@ -138,15 +165,6 @@ class MarginWitness:
         norm = frobenius_norm(self.w_star)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"witness must have unit norm, got {norm}")
-
-
-def margin_gamma(features: list[WeightStack], labels: np.ndarray, W: WeightStack) -> float:
-    """min over samples of y * (feature . W) / sqrt(p)."""
-    p = W.p
-    vals = [
-        float(y) * stack_dot(f, W) / math.sqrt(p) for f, y in zip(features, labels)
-    ]
-    return min(vals)
 
 
 @dataclass(frozen=True)
@@ -244,50 +262,41 @@ def margin_witness_clustered(
     v2 = V1.outer[0]
     moderate = (np.abs(v2) >= 0.5) & (np.abs(v2) <= 2.0)
     lean = V1.hidden[0] @ mu
-    s_plus = moderate & (lean >= 4.0 * act.h)
-    s_minus = moderate & (-lean >= 4.0 * act.h)
-    active = s_plus | s_minus
+    active = moderate & (np.abs(lean) >= 4.0 * act.h)
     count = int(np.count_nonzero(active))
     if count == 0:
         raise ValueError("degenerate initialization: no active coordinates for the witness")
     w1 = np.zeros((p, p))
     w1[active] = np.sign(v2[active])[:, None] * mu[None, :] / math.sqrt(count)
     w_star = WeightStack(hidden=(w1,), outer=np.zeros((1, p)))
-    # the outer block is zero and <b x^T, w1> = b^T w1 x, so no feature stack is formed
-    trace = forward_rows(V1, act, data.inputs)
-    (b,) = sensitivities(V1, trace)
-    dots = np.einsum("ij,ij->i", b, data.inputs @ w1.T)
-    gamma = float(np.min(data.labels * dots)) / math.sqrt(p)
+    gamma = _Tangent.at(V1, act, data).margin(data.labels, w_star)
     return MarginWitness(
         w_star=w_star, gamma=gamma, construction=WitnessConstruction.CLUSTERED_EXPLICIT
     )
 
 
 def margin_estimate_subgradient(
-    features: list[WeightStack],
-    labels: np.ndarray,
+    V1: WeightStack,
+    act: Activation,
+    data: Dataset,
     iters: int = 200,
     step: float = 0.5,
 ) -> MarginWitness:
-    """Lower-bound the best achievable margin by projected subgradient
-    ascent on the unit sphere, started at the normalized sum of y_i F_i.
+    """Lower-bound the best achievable margin of the tangent features F_i at
+    V1 by projected subgradient ascent on the unit sphere, started at the
+    normalized sum of y_i F_i.
 
     Every iterate is W = sum_i a_i F_i, so the ascent runs on the n
-    coefficients a with the Gram K[i,j] = F_i . F_j, formed once: the
-    margins are y * (K a) / sqrt(p) and the norm is sqrt(a^T K a). The
-    best W is built once at the end and its gamma re-evaluated from the
-    features, so it certifies a lower bound on the optimum. A zero start
-    raises ValueError.
+    coefficients a with the Gram K = sum_l K_l of one batched pass (the
+    layer Grams of `_Tangent.grams`): the margins are y * (K a) / sqrt(p)
+    and the norm is sqrt(a^T K a). The best W (the start when iters = 0) is
+    formed once at the end and its gamma re-evaluated on the same pass, so it
+    certifies a lower bound on the optimum. A zero start raises ValueError.
     """
-    if len(features) < 1 or iters < 1:
-        raise ValueError("need at least one feature and one iteration")
-    n = len(features)
-    sqrt_p = math.sqrt(features[0].p)
-    ys = np.asarray(labels, dtype=np.float64)
-    gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = stack_dot(features[i], features[j])
+    tangent = _Tangent.at(V1, act, data)
+    gram = sum(tangent.grams())
+    sqrt_p = math.sqrt(V1.p)
+    ys = data.labels
 
     def unit(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sq = float(a @ gram @ a)
@@ -298,33 +307,22 @@ def margin_estimate_subgradient(
 
     a, margins = unit(ys)
     best_a, best_gamma = a, float(np.min(margins))
-    cur_step = step
     for _ in range(iters):
         worst = int(np.argmin(margins))
         a = a.copy()
-        a[worst] += cur_step * ys[worst] / sqrt_p
+        a[worst] += step * ys[worst] / sqrt_p
         a, margins = unit(a)
         gamma = float(np.min(margins))
         if gamma > best_gamma:
             best_gamma, best_a = gamma, a
-        cur_step *= 0.995
-    layers = [
-        sum(c * m for c, m in zip(best_a.tolist(), blocks))
-        for blocks in zip(*(f.layers() for f in features))
-    ]
-    W = _normalized(WeightStack.from_layers(layers))
+        step *= 0.995
+    W = _combine_features([best_a] * (V1.depth + 1), tangent.bs, tangent.below, tangent.top)
+    W = stack_scale(W, 1.0 / frobenius_norm(W))
     return MarginWitness(
         w_star=W,
-        gamma=margin_gamma(features, labels, W),
+        gamma=tangent.margin(ys, W),
         construction=WitnessConstruction.SUBGRADIENT_ESTIMATE,
     )
-
-
-def _normalized(W: WeightStack) -> WeightStack:
-    norm = frobenius_norm(W)
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero stack")
-    return stack_scale(W, 1.0 / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +340,8 @@ class NtBallConfig:
             raise ValueError(f"ball radius rho must be nonnegative, got {self.rho}")
         if self.steps < 1:
             raise ValueError("need at least one iteration")
+        if self.step_size is not None and not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be a finite positive number, got {self.step_size}")
 
 
 def nt_class_minimize(
@@ -356,27 +356,21 @@ def nt_class_minimize(
 
     Every iterate is a per-layer combination of the n tangent features,
     off_l = sum_i c_{l,i} F_{l,i}, so the descent runs on the n(L+1)
-    coefficients c_l. Feature l of sample i is the rank-1 block
-    B_l[i] x_{l-1}[i]^T (x_L[i] for the outer row), hence the layer Gram
-    K_l = (B_l B_l^T) * (X_{l-1} X_{l-1}^T) and the margins are
-    y * (f0 + sum_l K_l c_l). Grams cost O(n^2 L p) once, each step
-    O(n^2 L); the offset is formed once at the end, with the GEMM of the
-    loss gradient. In exact arithmetic the iterates equal those of the
+    coefficients c_l with the layer Grams K_l of one batched pass
+    (`_Tangent.grams`), and the margins are y * (f0 + sum_l K_l c_l). Grams
+    cost O(n^2 L p) once, each step O(n^2 L); the offset is formed once at
+    the end, with the GEMM of the loss gradient. In exact arithmetic the iterates equal those of the
     same descent run on the p^2 L + p parameters.
     """
     if cfg.rho == 0.0:
         return V1, total_loss(V1, act, data).value
-    trace = forward_rows(V1, act, data.inputs)
-    below = (data.inputs, *trace.x[:-1])
-    bs = sensitivities(V1, trace)
-    grams = [(b @ b.T) * (x @ x.T) for b, x in zip(bs, below)]
-    grams.append(trace.x[-1] @ trace.x[-1].T)
-    f0 = trace.output
+    tangent = _Tangent.at(V1, act, data)
+    grams = tangent.grams()
     ys = data.labels
     coef = [np.zeros(data.n) for _ in grams]
 
     def margins(cs: list[np.ndarray]) -> np.ndarray:
-        return ys * (f0 + sum(k @ c for k, c in zip(grams, cs)))
+        return ys * (tangent.output + sum(k @ c for k, c in zip(grams, cs)))
 
     def project(cs: list[np.ndarray]) -> list[np.ndarray]:
         clipped = []
@@ -403,7 +397,7 @@ def nt_class_minimize(
         coef, terms = cand, cand_terms
         if halvings == 0:
             step *= 1.25
-    offset = _combine_features(coef, bs, below, trace.x[-1])
+    offset = _combine_features(coef, tangent.bs, tangent.below, tangent.top)
     return stack_axpy(V1, 1.0, offset), terms.loss.value
 
 
@@ -533,8 +527,14 @@ class PhasePlan:
             raise ValueError("the linearized-phase step size must be positive")
         if self.T < 1:
             raise ValueError("need at least one first-phase step")
-        if not self.h_nt > 0 or self.rho < 0 or self.phase2_steps < 0:
+        if not self.h_nt > 0 or self.phase2_steps < 0:
             raise ValueError("plan values out of range")
+        if not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
+        if self.stop_loss is not None and not (math.isfinite(self.stop_loss) and self.stop_loss >= 0):
+            raise ValueError(f"stop_loss must be finite and nonnegative, got {self.stop_loss}")
+        if self.alpha_phase2 is not None and not (math.isfinite(self.alpha_phase2) and self.alpha_phase2 > 0):
+            raise ValueError(f"alpha_phase2 must be finite and positive, got {self.alpha_phase2}")
 
     @classmethod
     def auto(

@@ -1,5 +1,6 @@
-"""Brute-force oracles used in tests: central-difference gradients and
-entrywise comparison reports.
+"""Brute-force oracles used in tests: central-difference gradients,
+entrywise comparison reports and the mask of entries near a kink of the
+Huberized activation.
 
 These deliberately avoid the reverse-accumulation path in `network` so
 agreement between the two is evidence, not tautology.
@@ -11,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Activation, ActivationKind
-from .linalg import ShapeMismatchError, WeightStack
-from .network import Dataset, forward_rows, total_loss
+from boundbench.activations import Activation, ActivationKind
+from boundbench.linalg import ShapeMismatchError, WeightStack
+from boundbench.network import Dataset, forward_rows, total_loss
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Stack helpers that only tests use: per-layer norms in the block order,
 the per-layer ball distance, the per-layer ball perturbation, the sampled
 gradient-norm bound, the parameter-space form of the first-order remainder
-sampler and the plain gradient step."""
+sampler, the plain gradient step, the margin of formed feature stacks and
+the product bound on operator norms."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from boundbench.linalg import (
     frobenius_norm,
     operator_norm,
     stack_axpy,
+    stack_dot,
 )
 from boundbench.network import Dataset, forward_rows, sensitivities
 
@@ -139,3 +141,19 @@ def gd_step(V: WeightStack, alpha: float, grad: WeightStack) -> WeightStack:
     if not alpha > 0:
         raise ValueError("step size must be positive")
     return stack_axpy(V, -alpha, grad)
+
+
+def margin_gamma(features: list[WeightStack], labels: np.ndarray, W: WeightStack) -> float:
+    """min over samples of y * (feature . W) / sqrt(p)."""
+    p = W.p
+    vals = [
+        float(y) * stack_dot(f, W) / math.sqrt(p) for f, y in zip(features, labels)
+    ]
+    return min(vals)
+
+
+def product_operator_bound(stack: WeightStack) -> float:
+    """max{ ||V||^(L+1) / (L+1)^((L+1)/2), ||V|| } for the collective norm."""
+    f = frobenius_norm(stack)
+    k = stack.n_layers
+    return max(f**k / k ** (k / 2.0), f)

@@ -13,13 +13,7 @@ import pytest
 
 from boundbench.activations import certify_h_smooth, huberized, swish
 from boundbench.harness import parse_config, run
-from boundbench.linalg import (
-    WeightStack,
-    frobenius_norm,
-    operator_norm,
-    product_operator_bound,
-    stack_scale,
-)
+from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_scale
 from boundbench.network import Dataset, gradient, total_loss
 from boundbench.ntk import (
     ClusteredDataSpec,
@@ -34,7 +28,8 @@ from boundbench.ntk import (
     nt_class_minimize,
     run_phase,
 )
-from boundbench.oracles import FdConfig, fd_compare, fd_gradient
+from oracles import FdConfig, fd_compare, fd_gradient
+from stack_helpers import product_operator_bound
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

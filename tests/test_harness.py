@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boundbench import ntk
+from boundbench import network, ntk
 from boundbench.activations import huberized, swish
 from boundbench.bounds import resolve_context
 from boundbench.cli import main as cli_main
@@ -116,7 +116,6 @@ FULL_CONFIG = {
         "phase2_steps": 2,
     },
     "diagnostics": {"tau": 0.1, "operator_limit": 3.5},
-    "suite": {"instances": 5},
     "seeds": {"init": 0, "data": 1, "probes": 2},
     "output": {"dir": "out", "csv": True, "json": True},
 }
@@ -387,20 +386,6 @@ def test_diagnostics_mode_reports_ranges(tmp_path):
     assert json.loads((tmp_path / "summary.json").read_text())["summary"]["diagnostics"]
 
 
-def test_property_suite_mode_passes():
-    doc = {
-        "mode": "property_suite",
-        "network": {"p": 4, "L": 1},
-        "data": {"clustered": {"r": 0.05, "n": 3}},
-        "suite": {"instances": 10},
-        "seeds": {"init": 0, "data": 1, "probes": 2},
-        "output": {"dir": None},
-    }
-    runlog, status = run(parse_config(doc))
-    assert status == 0
-    assert all(runlog.summary["property_suite"].values())
-
-
 def theorem32_overrides_config():
     return {
         "mode": "theorem32",
@@ -426,6 +411,21 @@ def test_theorem32_mode_runs_with_overrides():
     assert runlog.config_echo["gamma_side"] == "lower estimate (subgradient witness)"
     phases = set(runlog.records.phase.tolist())
     assert phases == {1, 2}
+
+
+def test_theorem32_gamma_estimate_forms_no_feature_stacks(monkeypatch):
+    # the estimate runs in kernel coordinates from one batched pass
+    calls, original = [], network.output_gradients
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (ntk, network):
+        monkeypatch.setattr(module, "output_gradients", spy)
+    runlog, status = run(parse_config(theorem32_overrides_config()))
+    assert status == 0 and runlog.config_echo["gamma"] > 0
+    assert calls == []
 
 
 def test_phase2_constants_repeat_the_argmin_row_bit_for_bit(monkeypatch):
@@ -499,9 +499,15 @@ def test_cli_certify_activation(capsys):
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(minimal_config(mode="nope")))
-    assert cli_main(["run", "--config", str(cfg_path)]) == 2
-    assert "error" in capsys.readouterr().err
+    cases = [
+        (minimal_config(mode="nope"), "error: mode: "),
+        (minimal_config(mode="property_suite"), "error: mode: "),
+        (minimal_config(suite={"instances": 5}), "error: config: unknown keys ['suite']"),
+    ]
+    for doc, message in cases:
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(message)
 
 
 def test_cli_rejects_truncated_config_json(tmp_path, capsys):

@@ -13,12 +13,11 @@ from boundbench.linalg import (
     descent_sweep,
     frobenius_norm,
     operator_norm,
-    product_operator_bound,
     stack_axpy,
     stack_dot,
     stack_scale,
 )
-from stack_helpers import stack_norms
+from stack_helpers import product_operator_bound, stack_norms
 
 
 def random_stack(p, L, rng, scale=1.0):

@@ -21,7 +21,7 @@ from boundbench.network import (
     total_loss,
 )
 from boundbench.ntk import ntk_features
-from boundbench.oracles import FdConfig, fd_compare, fd_gradient
+from oracles import FdConfig, fd_compare, fd_gradient
 from scalar_loss import from_margin, g_factor, mean, sample_loss, stable_g
 from stack_helpers import gd_step
 
@@ -167,6 +167,9 @@ def test_logistic_kernel_matches_scalar_reference():
     np.testing.assert_array_equal(terms.values, [r.value for r in ref])
     ref_g = np.array([stable_g(float(z)) for z in KERNEL_GRID])
     assert np.all(np.abs(terms.g - ref_g) <= 2 * np.spacing(ref_g))
+    # g <= loss: past |z| ~ 37 the gap g = J (1 - J/2 + ...) is below one ulp,
+    # where rounding in exp and log can invert the last bit
+    assert np.all(terms.g <= terms.values * (1 + 1e-15))
     # the log channel to 1 ulp (numpy's log against libm's)
     for z, r in zip(KERNEL_GRID, ref):
         assert abs(margin_loss(z).log_value - r.log_value) <= np.spacing(abs(r.log_value))
@@ -357,7 +360,15 @@ import numpy as np
 from boundbench.activations import huberized
 from boundbench.linalg import frobenius_norm, stack_dot
 from boundbench.network import Dataset, loss_and_gradient
-from boundbench.ntk import InitSpec, gaussian_init, ntk_features, run_phase
+from boundbench.ntk import (
+    InitSpec,
+    NtBallConfig,
+    gaussian_init,
+    margin_estimate_subgradient,
+    nt_class_minimize,
+    ntk_features,
+    run_phase,
+)
 from stack_helpers import max_layer_distance
 
 
@@ -384,6 +395,12 @@ for p, L, n in ((32, 2, 6), (256, 3, 16), (512, 1, 4)):
     for stack in [grad, *ntk_features(V, huberized(0.01), data)]:
         for m in stack.layers():
             digest.update(m.tobytes())
+    # both tangent solvers: the margin estimate and the rho = 1 ball minimizer
+    witness = margin_estimate_subgradient(V, huberized(0.01), data)
+    v_star, value = nt_class_minimize(V, huberized(0.01), data, NtBallConfig(rho=1.0))
+    digest.update(repr((witness.gamma, value)).encode())
+    digest.update(witness.w_star.flat.tobytes())
+    digest.update(v_star.flat.tobytes())
 # 20 descent steps on the last case, (512, 1, 4), then 20 more restarted from
 # that phase's argmin as phase 2 of the two-phase schedule restarts
 first = run_phase(V, huberized(0.01), data, 0.05, 20)

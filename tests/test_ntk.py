@@ -30,7 +30,6 @@ from boundbench.ntk import (
     init_diagnostics,
     make_clustered_dataset,
     margin_estimate_subgradient,
-    margin_gamma,
     margin_witness_clustered,
     nt_class_minimize,
     ntk_features,
@@ -44,6 +43,7 @@ from stack_helpers import (
     _perturb_layers_frobenius,
     approx_error_reference,
     gamma_bound,
+    margin_gamma,
     max_layer_distance,
     remainders,
 )
@@ -223,9 +223,8 @@ def test_subgradient_single_sample_optimum():
     act = huberized(0.01)
     x = np.random.default_rng(32).standard_normal(16)
     data = Dataset(inputs=x[None, :], labels=np.array([1.0]))
-    feats = ntk_features(V1, act, data)
-    witness = margin_estimate_subgradient(feats, data.labels, iters=50)
-    expected = frobenius_norm(feats[0]) / math.sqrt(16)
+    witness = margin_estimate_subgradient(V1, act, data, iters=50)
+    expected = frobenius_norm(ntk_features(V1, act, data)[0]) / math.sqrt(16)
     assert witness.gamma == pytest.approx(expected, rel=1e-12)
 
 
@@ -236,10 +235,8 @@ def test_subgradient_duplicate_sample_matches_single():
     x /= np.linalg.norm(x)
     single = Dataset(inputs=x[None, :], labels=np.array([1.0]))
     double = Dataset(inputs=np.stack([x, x]), labels=np.array([1.0, 1.0]))
-    f1 = ntk_features(V1, act, single)
-    f2 = ntk_features(V1, act, double)
-    w1 = margin_estimate_subgradient(f1, single.labels, iters=50)
-    w2 = margin_estimate_subgradient(f2, double.labels, iters=50)
+    w1 = margin_estimate_subgradient(V1, act, single, iters=50)
+    w2 = margin_estimate_subgradient(V1, act, double, iters=50)
     assert w1.gamma == pytest.approx(w2.gamma, rel=1e-12)
 
 
@@ -249,9 +246,8 @@ def test_subgradient_competitive_with_explicit_witness():
     act = huberized(h)
     V1 = gaussian_init(InitSpec(p=p, L=1, seed=35))
     spec, data = clustered(p, 6, 0.01, seed=36)
-    feats = ntk_features(V1, act, data)
     explicit = margin_witness_clustered(V1, act, spec.mu, data)
-    estimated = margin_estimate_subgradient(feats, data.labels, iters=300)
+    estimated = margin_estimate_subgradient(V1, act, data, iters=300)
     assert estimated.gamma >= 0.9 * explicit.gamma
 
 
@@ -408,6 +404,13 @@ def test_nt_ball_config_rejects_a_nan_radius():
         NtBallConfig(rho=math.nan)
 
 
+@pytest.mark.parametrize("step_size", [-1.0, 0.0, math.nan, math.inf])
+def test_nt_ball_config_rejects_a_bad_step_size(step_size):
+    # a nonpositive step would leave the minimizer at V1 and report its loss as the minimum
+    with pytest.raises(ValueError, match="step_size"):
+        NtBallConfig(rho=1.0, step_size=step_size)
+
+
 def test_gamma_bound_exact_at_zero_radius(nt_setup):
     V1, act, data = nt_setup
     feats = ntk_features(V1, act, data)
@@ -522,12 +525,14 @@ def _stack_space_margin_estimate(feats, labels, iters=200, step=0.5):
 @pytest.mark.parametrize("L,act", KERNEL_CASES)
 def test_margin_estimate_kernel_coordinates_match_stack_space(L, act):
     V1, data, feats = _kernel_case(L, act)
-    witness = margin_estimate_subgradient(ntk_features(V1, act, data), data.labels)
+    witness = margin_estimate_subgradient(V1, act, data)
     assert witness.gamma == pytest.approx(_stack_space_margin_estimate(feats, data.labels), rel=1e-12)
+    direct = margin_gamma(ntk_features(V1, act, data), data.labels, witness.w_star)
+    assert witness.gamma == pytest.approx(direct, rel=1e-12)
     assert abs(frobenius_norm(witness.w_star) - 1.0) <= 1e-12
     twice = Dataset(inputs=np.stack([data.inputs[0]] * 2), labels=np.array([1.0, -1.0]))
     with pytest.raises(ValueError, match="zero"):
-        margin_estimate_subgradient(ntk_features(V1, act, twice), twice.labels)
+        margin_estimate_subgradient(V1, act, twice)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +546,20 @@ def test_phase_plan_validation():
         PhasePlan(alpha_nt=0.1, T=0, h_nt=0.01, rho=1.0)
     plan = PhasePlan(alpha_nt=0.1, T=1, h_nt=0.01, rho=1.0)
     assert plan.T == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rho", math.nan), ("rho", -1.0), ("rho", math.inf),
+        ("alpha_phase2", math.nan), ("alpha_phase2", -1.0), ("alpha_phase2", 0.0),
+        ("stop_loss", math.nan), ("stop_loss", -1.0),
+    ],
+)
+def test_phase_plan_rejects_a_bad_value_and_names_it(field, value):
+    given = {"alpha_nt": 0.1, "T": 1, "h_nt": 0.01, "rho": 1.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        PhasePlan(**given)
 
 
 def test_phase_plan_auto_formulas():

@@ -4,7 +4,7 @@ import pytest
 from boundbench.activations import huberized, swish
 from boundbench.linalg import WeightStack
 from boundbench.network import Dataset, gradient
-from boundbench.oracles import FdConfig, fd_compare, fd_gradient, kink_exclusions
+from oracles import FdConfig, fd_compare, fd_gradient, kink_exclusions
 
 
 def make_instance(p, L, n, seed, act):
