@@ -212,7 +212,6 @@ class RunContext:
     h_max: float | None = None
     alpha_max: float | None = None
     q_tilde: float | None = None
-    tolerances: Tolerances = DEFAULT_TOLERANCES
 
     @property
     def instrumented(self) -> bool:
@@ -320,7 +319,7 @@ def monitor_transition(trace: PhaseTrace, ctx: RunContext, phase: int) -> Trajec
     its regime, and a monitor that cried wolf outside the regime would
     be useless for negative controls.
     """
-    tol = ctx.tolerances
+    tol = DEFAULT_TOLERANCES
     L, p, n = ctx.L, ctx.p, ctx.n
     J, log_J = trace.loss, trace.log_loss
     grad_norm, normV = trace.grad_norm, trace.weight_norm

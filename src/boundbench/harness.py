@@ -30,7 +30,7 @@ from .bounds import (
     write_summary_json,
 )
 from .linalg import WeightStack
-from .network import Dataset, LossValue, logistic, margins, total_loss
+from .network import Dataset, LossValue, forward_rows, logistic, margins, total_loss
 # not called here: the benchmark's span fixture reads and wraps `harness.loss_and_gradient`
 from .network import loss_and_gradient  # noqa: F401
 from .ntk import (
@@ -300,12 +300,16 @@ def build_small_loss_init(
     The output is linear in the outer row, so scaling it by c > 1
     multiplies every margin by c; with all margins positive the loss is
     strictly decreasing in c and a bisection lands inside
-    [target/2, target]. Raises if any sample is misclassified: scaling
-    cannot fix a wrong sign, so the caller should warm up first.
+    [target/2, target]. It evaluates logistic(y (X_L (c v))), X_L from one
+    forward pass and v the outer row: bit for bit the scaled stack's loss,
+    so its invariant loss(hi) <= target certifies the result. Raises if any
+    sample is misclassified: scaling cannot fix a wrong sign, so the caller
+    should warm up first.
     """
     if not (0.0 < target_loss < 1.0):
         raise ValueError("target loss must be in (0, 1)")
-    warm_margins = margins(V_warm, act, data)
+    trace = forward_rows(V_warm, act, data.inputs)
+    warm_margins = data.labels * trace.output
     if np.any(warm_margins <= 0.0):
         bad = int(np.argmin(warm_margins))
         raise ValueError(
@@ -314,7 +318,7 @@ def build_small_loss_init(
         )
 
     def loss_at(c: float) -> float:
-        return logistic(c * warm_margins).loss.value
+        return logistic(data.labels * (trace.x[-1] @ (c * V_warm.outer[0]))).loss.value
 
     if loss_at(1.0) <= target_loss:
         return V_warm
@@ -332,15 +336,7 @@ def build_small_loss_init(
             lo = mid
         else:
             hi = mid
-    scaled = _with_outer_scaled(V_warm, hi)
-    # the margin model and the recomputed loss agree to rounding; nudge up
-    # if rounding left the real loss a hair above the target
-    for _ in range(8):
-        if total_loss(scaled, act, data).value <= target_loss:
-            return scaled
-        hi *= 1.0 + 1e-6
-        scaled = _with_outer_scaled(V_warm, hi)
-    raise RunAbortedError("could not certify the scaled loss under the target")
+    return _with_outer_scaled(V_warm, hi)
 
 
 def _with_outer_scaled(V: WeightStack, c: float) -> WeightStack:
@@ -367,7 +363,6 @@ def resolve_theorem31_setup(
     h_setting: float | str = "auto",
     alpha_setting: float | str = "auto",
     q_setting: float | str = "auto",
-    h_cap: float = 1.0,
 ) -> ResolvedSetup:
     """Resolve h, the scaled initialization, and the run constants.
 
@@ -390,10 +385,10 @@ def resolve_theorem31_setup(
 
     h_fixed_point = None
     if h_setting == "auto":
-        h = min(0.1, h_cap)
+        h = 0.1
         for iterations in range(1, 13):
             act, V1, J1, normV1 = build(h)
-            h_new = min(compute_h_max(J1, p, L, normV1) / 2.0, h_cap)
+            h_new = compute_h_max(J1, p, L, normV1) / 2.0
             change = abs(h_new - h)
             converged = change <= 1e-12 * max(h, h_new)
             h = h_new
@@ -434,7 +429,7 @@ def monitored_descent(
     Measures max_steps iterates and one lookahead state so the final
     row still carries its one-step descent comparison.
     """
-    trace = run_phase(V1, act, data, ctx.alpha, max_steps + 1, loss_floor=loss_floor)
+    trace = run_phase(V1, act, data, ctx.alpha, max_steps + 1, stop_loss=loss_floor)
     return monitor_transition(trace, ctx, 1).head(max(len(trace) - 1, 1))
 
 
@@ -607,8 +602,7 @@ def _run_diagnostics(config: RunConfig) -> tuple[RunLog, int]:
         seed=config.seeds["probes"],
     )
     runlog = RunLog(config_echo={"resolved": {"h": h}})
-    runlog.summary = {"diagnostics": report.to_dict(), "failed": False}
     # narrow networks report, they do not fail: concentration is a wide-regime claim
-    failed = (not report.ok()) and not report.narrow_regime
-    runlog.summary["failed"] = failed
+    failed = not report["ok"] and not report["narrow_regime"]
+    runlog.summary = {"diagnostics": report, "failed": failed}
     return runlog, (1 if failed else 0)

@@ -250,11 +250,6 @@ def total_loss(V: WeightStack, act: Activation, data: Dataset) -> LossValue:
     return logistic(margins(V, act, data)).loss
 
 
-def gradient(V: WeightStack, act: Activation, data: Dataset) -> WeightStack:
-    """Exact loss gradient."""
-    return loss_and_gradient(V, act, data)[1]
-
-
 def _combine_features(
     coefs: Sequence[np.ndarray],
     bs: Sequence[np.ndarray],
@@ -285,25 +280,38 @@ class RowSpacePoint(NamedTuple):
     tail: WeightStack
 
 
+def _tail(V: WeightStack) -> WeightStack:
+    """Layers 2..L and the outer row of V: a depth L - 1 stack on V's vector."""
+    return WeightStack._computed(V.flat[V.p * V.p :], V.p, V.depth - 1)
+
+
 def loss_and_gradient(
-    V: WeightStack | RowSpacePoint, act: Activation, data: Dataset
-) -> tuple[LossValue, WeightStack | tuple[np.ndarray, WeightStack]]:
-    """Mean loss and its exact gradient from one batched pass.
+    point: RowSpacePoint, act: Activation, data: Dataset
+) -> tuple[LossValue, tuple[np.ndarray, WeightStack]]:
+    """Mean loss and its exact gradient at a `RowSpacePoint`, in one batched pass.
 
     With c_i = -y_i g(z_i) / n, the layer-l block is (c * B_l)^T X_{l-1}
-    and the outer block is c^T X_L. The loss equals `total_loss` exactly.
-    At a `RowSpacePoint` the gradient is (C, tail gradient): the first block
-    stays in the coordinates of the inputs, C^T X with C = c * B_1 (n x p),
-    and the rest is a stack shaped like the point's tail.
+    and the outer block is c^T X_L. The gradient is (C, tail gradient): the
+    first block stays in the coordinates of the inputs, C^T X with
+    C = c * B_1 (n x p), and the rest is a stack shaped like the point's
+    tail. The loss equals `total_loss` of the point's network exactly.
     """
-    point = isinstance(V, RowSpacePoint)
-    above, outer = (V.tail.hidden, V.tail.outer[0]) if point else (V.hidden[1:], V.outer[0])
-    trace = _forward(act, V.u1, above, outer) if point else forward_rows(V, act, data.inputs)
+    above, outer = point.tail.hidden, point.tail.outer[0]
+    trace = _forward(act, point.u1, above, outer)
     terms = logistic(data.labels * trace.output)
     c = -data.labels * terms.g / data.n
     bs = _sensitivities(trace, above, outer)
-    below = (data.inputs, *trace.x[:-1])
-    if point:
-        tail = _combine_features([c] * len(bs), bs[1:], below[1:], trace.x[-1])
-        return terms.loss, (c[:, None] * bs[0], tail)
-    return terms.loss, _combine_features([c] * (len(bs) + 1), bs, below, trace.x[-1])
+    tail = _combine_features([c] * len(bs), bs[1:], trace.x[:-1], trace.x[-1])
+    return terms.loss, (c[:, None] * bs[0], tail)
+
+
+def gradient(V: WeightStack, act: Activation, data: Dataset) -> WeightStack:
+    """Exact loss gradient of a stack: `loss_and_gradient` at its
+    `RowSpacePoint`, with the first block C^T X written by one GEMM into the
+    stack's vector."""
+    p, X = V.p, data.inputs
+    C, tail = loss_and_gradient(RowSpacePoint(X @ V.hidden[0].T, _tail(V)), act, data)[1]
+    flat = np.empty(V.flat.size)
+    np.matmul(C.T, X, out=flat[: p * p].reshape(p, p))
+    flat[p * p :] = tail.flat
+    return WeightStack._computed(flat, p, V.depth)

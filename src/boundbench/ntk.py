@@ -11,7 +11,6 @@ sparsity diagnostic.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,6 +46,7 @@ from .network import (
     _combine_features,
     _forward,
     _sensitivities,
+    _tail,
     forward_rows,
     logistic,
     loss_and_gradient,
@@ -87,14 +87,6 @@ class InitSpec:
         if self.p < 1 or self.L < 1:
             raise ValueError("need p >= 1 and L >= 1")
 
-    @property
-    def hidden_variance(self) -> float:
-        return 2.0 / self.p
-
-    @property
-    def outer_variance(self) -> float:
-        return 1.0
-
 
 def gaussian_init(spec: InitSpec) -> WeightStack:
     """Hidden entries ~ N(0, 2/p), outer ~ N(0, 1), from one seeded stream.
@@ -110,7 +102,7 @@ def gaussian_init(spec: InitSpec) -> WeightStack:
     p, L = spec.p, spec.L
     flat = np.empty(L * p * p + p)
     np.random.default_rng(spec.seed).standard_normal(out=flat)
-    flat[: L * p * p] *= math.sqrt(spec.hidden_variance)
+    flat[: L * p * p] *= math.sqrt(2.0 / p)
     return _wrap(flat, p, L)
 
 
@@ -150,16 +142,10 @@ class _Tangent(NamedTuple):
         return float(np.min(labels * dots)) / math.sqrt(W.p)
 
 
-class WitnessConstruction(enum.Enum):
-    CLUSTERED_EXPLICIT = "clustered_explicit"
-    SUBGRADIENT_ESTIMATE = "subgradient_estimate"
-
-
 @dataclass(frozen=True)
 class MarginWitness:
     w_star: WeightStack
     gamma: float
-    construction: WitnessConstruction
 
     def __post_init__(self):
         norm = frobenius_norm(self.w_star)
@@ -175,7 +161,6 @@ class ClusteredDataSpec:
     r: float
     n: int
     seed: int
-    allow_wide_radius: bool = False
 
     def __post_init__(self):
         mu = np.array(self.mu, dtype=np.float64, copy=True)
@@ -185,29 +170,21 @@ class ClusteredDataSpec:
         mu = mu / norm
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
-        if self.r < 0:
-            raise ValueError("cluster radius must be nonnegative")
-        if self.r > 1.0 / 16.0:
-            if self.allow_wide_radius:
-                warnings.warn(
-                    f"cluster radius {self.r} exceeds 1/16; the explicit margin "
-                    "construction is no longer guaranteed",
-                    stacklevel=2,
-                )
-            else:
-                raise ValueError("cluster radius above 1/16 needs allow_wide_radius")
+        # the explicit margin construction holds up to radius 1/16
+        if not 0.0 <= self.r <= 1.0 / 16.0:
+            raise ValueError(f"cluster radius r must be in [0, 1/16], got {self.r}")
         if self.n < 2:
             raise ValueError("need at least one sample of each label")
 
 
-def make_clustered_dataset(spec: ClusteredDataSpec, max_resamples: int = 200) -> Dataset:
+def make_clustered_dataset(spec: ClusteredDataSpec) -> Dataset:
     """Unit-sphere samples within r of +mu (label +1) or -mu (label -1).
 
     The first ceil(n/2) samples carry label +1, the rest -1, so labels
     are balanced whenever n is even. Each point is mu plus a random
     perturbation of norm at most r, renormalized to the sphere; because
     renormalization can push a point slightly outside the cluster, the
-    distance is re-verified and the point resampled if needed.
+    distance is re-verified and the point resampled, up to 200 times.
     """
     rng = np.random.default_rng(spec.seed)
     p = spec.mu.shape[0]
@@ -219,7 +196,7 @@ def make_clustered_dataset(spec: ClusteredDataSpec, max_resamples: int = 200) ->
         if spec.r == 0.0:
             rows.append(center.copy())
             continue
-        for attempt in range(max_resamples):
+        for _ in range(200):
             delta = rng.standard_normal(p)
             radius = spec.r * float(rng.uniform()) ** (1.0 / p)
             x = center + delta * (radius / float(np.linalg.norm(delta)))
@@ -230,7 +207,7 @@ def make_clustered_dataset(spec: ClusteredDataSpec, max_resamples: int = 200) ->
         else:
             raise RuntimeError(
                 f"could not place a point within {spec.r} of the cluster center "
-                f"after {max_resamples} attempts"
+                "after 200 attempts"
             )
     return Dataset(inputs=np.stack(rows), labels=labels)
 
@@ -270,9 +247,7 @@ def margin_witness_clustered(
     w1[active] = np.sign(v2[active])[:, None] * mu[None, :] / math.sqrt(count)
     w_star = WeightStack(hidden=(w1,), outer=np.zeros((1, p)))
     gamma = _Tangent.at(V1, act, data).margin(data.labels, w_star)
-    return MarginWitness(
-        w_star=w_star, gamma=gamma, construction=WitnessConstruction.CLUSTERED_EXPLICIT
-    )
+    return MarginWitness(w_star=w_star, gamma=gamma)
 
 
 def margin_estimate_subgradient(
@@ -318,11 +293,7 @@ def margin_estimate_subgradient(
         step *= 0.995
     W = _combine_features([best_a] * (V1.depth + 1), tangent.bs, tangent.below, tangent.top)
     W = stack_scale(W, 1.0 / frobenius_norm(W))
-    return MarginWitness(
-        w_star=W,
-        gamma=tangent.margin(ys, W),
-        construction=WitnessConstruction.SUBGRADIENT_ESTIMATE,
-    )
+    return MarginWitness(w_star=W, gamma=tangent.margin(ys, W))
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +304,12 @@ def margin_estimate_subgradient(
 class NtBallConfig:
     rho: float
     steps: int = 400
-    step_size: float | None = None  # None: inverse curvature estimate
 
     def __post_init__(self):
         if not self.rho >= 0:
             raise ValueError(f"ball radius rho must be nonnegative, got {self.rho}")
         if self.steps < 1:
             raise ValueError("need at least one iteration")
-        if self.step_size is not None and not (math.isfinite(self.step_size) and self.step_size > 0):
-            raise ValueError(f"step_size must be a finite positive number, got {self.step_size}")
 
 
 def nt_class_minimize(
@@ -380,7 +348,7 @@ def nt_class_minimize(
         return clipped
 
     feat_sq = sum(float(np.trace(k)) for k in grams) / data.n
-    step = cfg.step_size if cfg.step_size is not None else 4.0 / max(feat_sq, 1e-12)
+    step = 4.0 / max(feat_sq, 1e-12)  # inverse curvature estimate
     terms = logistic(margins(coef))
     for _ in range(cfg.steps):
         g = -ys * terms.g / data.n
@@ -588,8 +556,7 @@ def run_phase(
     data: Dataset,
     alpha: float,
     max_steps: int,
-    stop_loss: float | None = None,
-    loss_floor: float = 0.0,
+    stop_loss: float = 0.0,
     start: tuple[np.ndarray, WeightStack] | None = None,
 ) -> PhaseTrace:
     """Plain constant-step GD, measuring everything monitors will need.
@@ -615,8 +582,8 @@ def run_phase(
     drift go into columns that start at min(max_steps, 1024) steps, double
     when full and are trimmed to the steps taken. Tracks the argmin-loss
     iterate with earliest-step tie-breaking in `best`; `final` is the
-    iterate after the last step taken (not evaluated unless a stop rule
-    fired). No p x p layer is formed. A non-finite loss or
+    iterate after the last step taken (not evaluated unless the loss fell
+    to `stop_loss` or below, which stops the loop). No p x p layer is formed. A non-finite loss or
     gradient raises `NumericalDivergenceError`; a non-finite new iterate
     from a finite gradient raises ValueError naming the layer (0 for A).
     """
@@ -659,7 +626,7 @@ def run_phase(
         steps = t
         if best_step == 0 or loss.value < columns[0, best_step - 1]:
             best_step, best = t, (coef, tail)
-        if loss.value <= loss_floor or (stop_loss is not None and loss.value <= stop_loss):
+        if loss.value <= stop_loss:
             break
         coef = coef - alpha * C
         kc, first_sq, first_drift_sq = first_layer(coef)
@@ -674,11 +641,6 @@ def run_phase(
         best=best,
         final=(coef, tail),
     )
-
-
-def _tail(V: WeightStack) -> WeightStack:
-    """Layers 2..L and the outer row of V: a depth L - 1 stack on V's vector."""
-    return WeightStack._computed(V.flat[V.p * V.p :], V.p, V.depth - 1)
 
 
 def split_sq_norm(V: WeightStack, tail: WeightStack | None = None) -> tuple[float, float]:
@@ -724,9 +686,8 @@ def two_phase_train(
         raise ValueError("the two-phase schedule is defined for the Huberized ReLU")
     p, L, n = V1.p, V1.depth, data.n
 
-    phase1 = run_phase(
-        V1, act, data, plan.alpha_nt, plan.T, stop_loss=plan.stop_loss
-    )
+    stop_loss = 0.0 if plan.stop_loss is None else plan.stop_loss
+    phase1 = run_phase(V1, act, data, plan.alpha_nt, plan.T, stop_loss=stop_loss)
     ctx1 = RunContext(
         p=p,
         L=L,
@@ -835,57 +796,22 @@ def average_loss_bound_check(
 # initialization diagnostics
 
 
-@dataclass(frozen=True)
-class InitDiagnostics:
-    post_activation_norms: np.ndarray  # L x n
-    hidden_operator_norms: tuple[float, ...]  # lower ends of the brackets
-    hidden_operator_norms_upper: tuple[float, ...]
-    hidden_operator_norm_products: tuple[int, ...]  # Lanczos products with the Gram
-    hidden_operator_norm_ended: tuple[str, ...]  # "certificate" or "eigvalsh"
-    outer_norm_over_sqrt_p: float
-    narrow_regime: bool
-    norms_in_range: bool
-    operator_in_range: bool
-    outer_in_range: bool
-    sigma_sparsity: dict | None = None
-
-    def ok(self) -> bool:
-        return self.norms_in_range and self.operator_in_range and self.outer_in_range
-
-    def to_dict(self) -> dict:
-        return {
-            "post_activation_norm_min": float(self.post_activation_norms.min()),
-            "post_activation_norm_max": float(self.post_activation_norms.max()),
-            "hidden_operator_norms": list(self.hidden_operator_norms),
-            "hidden_operator_norms_upper": list(self.hidden_operator_norms_upper),
-            "hidden_operator_norm_products": list(self.hidden_operator_norm_products),
-            "hidden_operator_norm_ended": list(self.hidden_operator_norm_ended),
-            "outer_norm_over_sqrt_p": self.outer_norm_over_sqrt_p,
-            "narrow_regime": self.narrow_regime,
-            "norms_in_range": self.norms_in_range,
-            "operator_in_range": self.operator_in_range,
-            "outer_in_range": self.outer_in_range,
-            "sigma_sparsity": self.sigma_sparsity,
-            "ok": self.ok(),
-        }
-
-
 def init_diagnostics(
     V1: WeightStack,
     act: Activation,
     data: Dataset,
-    norm_range: tuple[float, float] = (0.9, 1.1),
     operator_limit: float = 3.5,
-    outer_range: tuple[float, float] = (0.85, 1.2),
     tau: float | None = None,
     seed: int = 0,
-) -> InitDiagnostics:
-    """Concentration measurements at a random initialization.
+) -> dict:
+    """Concentration measurements at a random initialization, as the
+    `diagnostics` section of a run's summary.
 
-    In the wide regime the per-layer feature norms stay within about 10%
-    of one, hidden operator norms stay order one, and the outer row's
-    norm tracks sqrt(p). Narrow networks (p < 256) get a warning and
-    their out-of-range readings are reported rather than failed.
+    In the wide regime the per-layer feature norms stay within
+    [0.9, 1.1], hidden operator norms stay order one and the outer row's
+    norm over sqrt(p) within [0.85, 1.2]. Narrow networks (p < 256) get a
+    warning and their out-of-range readings are reported rather than
+    failed; "ok" holds when all three readings are in range.
 
     Each hidden operator norm is a certified bracket from `operator_norm`:
     `hidden_operator_norms` holds the lower ends (at most the true norm) and
@@ -897,7 +823,7 @@ def init_diagnostics(
     it never passes a layer whose norm exceeds the limit. Feature norms and
     the outer norm are direct computations, exact to rounding.
     """
-    p, L = V1.p, V1.depth
+    p = V1.p
     narrow = p < 256
     if narrow:
         warnings.warn(
@@ -907,29 +833,26 @@ def init_diagnostics(
 
     trace = forward_rows(V1, act, data.inputs)
     post_norms = np.stack([np.linalg.norm(x, axis=1) for x in trace.x])  # L x n
-    op_norms = [operator_norm(m) for m in V1.hidden]
-    op_upper = tuple(b.upper for b in op_norms)
+    brackets = [operator_norm(m) for m in V1.hidden]
     outer_scaled = float(np.linalg.norm(V1.outer)) / math.sqrt(p)
-    sparsity = (
-        sigma_difference_sparsity(V1, act, data, tau, seed=seed)
-        if tau is not None
-        else None
-    )
-    return InitDiagnostics(
-        post_activation_norms=post_norms,
-        hidden_operator_norms=tuple(b.lower for b in op_norms),
-        hidden_operator_norms_upper=op_upper,
-        hidden_operator_norm_products=tuple(b.iterations for b in op_norms),
-        hidden_operator_norm_ended=tuple(b.ended for b in op_norms),
-        outer_norm_over_sqrt_p=outer_scaled,
-        narrow_regime=narrow,
-        norms_in_range=bool(
-            (post_norms >= norm_range[0]).all() and (post_norms <= norm_range[1]).all()
-        ),
-        operator_in_range=bool(all(v <= operator_limit for v in op_upper)),
-        outer_in_range=bool(outer_range[0] <= outer_scaled <= outer_range[1]),
-        sigma_sparsity=sparsity,
-    )
+    in_range = {
+        "norms_in_range": bool((post_norms >= 0.9).all() and (post_norms <= 1.1).all()),
+        "operator_in_range": bool(all(b.upper <= operator_limit for b in brackets)),
+        "outer_in_range": bool(0.85 <= outer_scaled <= 1.2),
+    }
+    return {
+        "post_activation_norm_min": float(post_norms.min()),
+        "post_activation_norm_max": float(post_norms.max()),
+        "hidden_operator_norms": [b.lower for b in brackets],
+        "hidden_operator_norms_upper": [b.upper for b in brackets],
+        "hidden_operator_norm_products": [b.iterations for b in brackets],
+        "hidden_operator_norm_ended": [b.ended for b in brackets],
+        "outer_norm_over_sqrt_p": outer_scaled,
+        "narrow_regime": narrow,
+        **in_range,
+        "sigma_sparsity": None if tau is None else sigma_difference_sparsity(V1, act, data, tau, seed=seed),
+        "ok": all(in_range.values()),
+    }
 
 
 def sigma_difference_sparsity(
@@ -939,8 +862,11 @@ def sigma_difference_sparsity(
     between two random per-layer operator-norm-tau perturbations of V1.
 
     Reported against the p L^2 tau^(2/3) trend the analysis predicts; the
-    hidden constant is unknown, so raw counts are diagnostic only.
+    hidden constant is unknown, so raw counts are diagnostic only. A
+    negative or non-finite tau raises ValueError.
     """
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     rng = np.random.default_rng(seed)
     v_til = _perturb_hidden_operator(V1, tau, rng)
     v_hat = _perturb_hidden_operator(V1, tau, rng)

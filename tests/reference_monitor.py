@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from boundbench.bounds import (
+    DEFAULT_TOLERANCES,
     PhaseTrace,
     RunContext,
     grad_upper_bound_applicable,
@@ -78,7 +79,7 @@ def _verdict(slack: float, tol: float, applicable: bool) -> Verdict:
 def monitor_step(
     prev: StepState, nxt: StepState | None, ctx: RunContext, phase: int
 ) -> StepRecord:
-    tol = ctx.tolerances
+    tol = DEFAULT_TOLERANCES
     L, p, n = ctx.L, ctx.p, ctx.n
     J = prev.loss
     normV = prev.weight_norm

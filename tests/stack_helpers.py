@@ -1,8 +1,9 @@
 """Stack helpers that only tests use: per-layer norms in the block order,
 the per-layer ball distance, the per-layer ball perturbation, the sampled
 gradient-norm bound, the parameter-space form of the first-order remainder
-sampler, the plain gradient step, the margin of formed feature stacks and
-the product bound on operator norms."""
+sampler, the all-layer form of the loss gradient, the plain gradient step,
+the margin of formed feature stacks and the product bound on operator
+norms."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from boundbench.linalg import (
     stack_axpy,
     stack_dot,
 )
-from boundbench.network import Dataset, forward_rows, sensitivities
+from boundbench.network import Dataset, _combine_features, forward_rows, logistic, sensitivities
 
 
 def _layer_sums(a: np.ndarray, b: np.ndarray, p: int, L: int) -> list[float]:
@@ -135,6 +136,15 @@ def gamma_bound(
         )
         worst = max(worst, *hidden, *(float(np.linalg.norm(x)) for x in trace.x[-1]))
     return worst
+
+
+def gradient_reference(V: WeightStack, act, data: Dataset) -> WeightStack:
+    """The loss gradient with every layer formed by `_combine_features` from
+    one batched pass at the whole stack, c_i = -y_i g(z_i) / n in each layer."""
+    trace = forward_rows(V, act, data.inputs)
+    c = -data.labels * logistic(data.labels * trace.output).g / data.n
+    below = (data.inputs, *trace.x[:-1])
+    return _combine_features([c] * (V.depth + 1), sensitivities(V, trace), below, trace.x[-1])
 
 
 def gd_step(V: WeightStack, alpha: float, grad: WeightStack) -> WeightStack:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boundbench import network, ntk
+from boundbench import harness, network, ntk
 from boundbench.activations import huberized, swish
 from boundbench.bounds import resolve_context
 from boundbench.cli import main as cli_main
@@ -233,6 +233,43 @@ def test_small_loss_init_reaches_target_within_factor_two(warm_state):
     # only the outer row was touched
     for a, b in zip(V1.hidden, V_warm.hidden):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.fixture(scope="module", params=[(4, 1, huberized), (8, 2, swish)], ids=["huberized", "swish"])
+def warm_stack(request):
+    p, L, make = request.param
+    mu = np.random.default_rng(1).standard_normal(p)
+    data = make_clustered_dataset(ClusteredDataSpec(mu=mu, r=0.05, n=3, seed=1))
+    act = make(0.1)
+    V_warm, ok = warmup(gaussian_init(InitSpec(p=p, L=L, seed=0)), act, data, steps=2000, alpha=0.5)
+    assert ok
+    return V_warm, act, data
+
+
+def test_small_loss_bisection_evaluates_the_scaled_stack_exactly(warm_stack):
+    # the bisection's loss at c is the loss of the stack whose outer row is scaled by c
+    V_warm, act, data = warm_stack
+    x_top = network.forward_rows(V_warm, act, data.inputs).x[-1]
+    for c in np.geomspace(1.0, 1e6, 41):
+        bisected = network.logistic(data.labels * (x_top @ (c * V_warm.outer[0]))).loss.value
+        assert bisected == total_loss(harness._with_outer_scaled(V_warm, c), act, data).value
+
+
+@pytest.mark.parametrize("target", [1e-3, 1e-10, 1e-30, 1e-80])
+def test_small_loss_init_certified_without_retry(warm_stack, target, monkeypatch):
+    # the returned stack's loss is one the bisection itself evaluated, at most the target
+    V_warm, act, data = warm_stack
+    seen = []
+
+    def recording(z):
+        out = network.logistic(z)
+        seen.append(out.loss.value)
+        return out
+
+    monkeypatch.setattr(harness, "logistic", recording)
+    V1 = build_small_loss_init(V_warm, data, act, target)
+    achieved = total_loss(V1, act, data).value
+    assert achieved <= target and achieved in seen
 
 
 def test_small_loss_init_noop_when_already_under_target(warm_state):

@@ -13,6 +13,8 @@ from boundbench.harness import build_dataset, parse_config
 from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_axpy
 from boundbench.network import (
     Dataset,
+    RowSpacePoint,
+    _tail,
     forward,
     gradient,
     logistic,
@@ -23,7 +25,7 @@ from boundbench.network import (
 from boundbench.ntk import ntk_features
 from oracles import FdConfig, fd_compare, fd_gradient
 from scalar_loss import from_margin, g_factor, mean, sample_loss, stable_g
-from stack_helpers import gd_step
+from stack_helpers import gd_step, gradient_reference
 
 # frozen 50-digit evaluations of the stable-loss formulas
 LOSS_AT_Z50 = 1.9287498479639178e-22
@@ -297,11 +299,25 @@ def test_loss_and_gradient_agrees_with_separate_calls():
     V = random_stack(3, 2, seed=81)
     act = huberized(0.7)
     data = make_dataset(3, 4, seed=82)
-    loss, grad = loss_and_gradient(V, act, data)
+    point = RowSpacePoint(data.inputs @ V.hidden[0].T, _tail(V))
+    loss, (C, tail) = loss_and_gradient(point, act, data)
     assert loss.value == total_loss(V, act, data).value
     sep = gradient(V, act, data)
-    for a, b in zip(grad.layers(), sep.layers()):
+    np.testing.assert_array_equal(C.T @ data.inputs, sep.hidden[0])
+    for a, b in zip(tail.layers(), list(sep.layers())[1:]):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("make_act", [huberized, swish])
+@pytest.mark.parametrize("p,L,n", [(4, 1, 3), (8, 2, 3), (32, 3, 6), (2, 1, 4)])
+def test_gradient_equals_the_all_layer_form_bit_for_bit(make_act, p, L, n):
+    # gradient forms layer 1 as C^T X from loss_and_gradient at a RowSpacePoint;
+    # the reference forms every layer from one pass at the whole stack.
+    # At (2, 1, 4) there are more inputs than coordinates
+    act = make_act(0.3)
+    V = random_stack(p, L, seed=700 + p + L, scale=1.5 / math.sqrt(p))
+    data = make_dataset(p, n, seed=800 + n)
+    assert gradient(V, act, data).flat.tobytes() == gradient_reference(V, act, data).flat.tobytes()
 
 
 def _per_sample_reference(V, act, data):
@@ -342,8 +358,7 @@ def test_batched_pass_matches_per_sample_reference(make_act, p, L, n):
     data = make_dataset(p, n, seed=600 + n)
     want_loss, want_grad, want_feats = _per_sample_reference(V, act, data)
 
-    loss, grad = loss_and_gradient(V, act, data)
-    assert loss.value == pytest.approx(want_loss, rel=1e-13)
+    grad = gradient(V, act, data)
     assert total_loss(V, act, data).value == pytest.approx(want_loss, rel=1e-13)
     for got, want in zip(grad.layers(), want_grad):
         assert _rel(got, want) <= 1e-13
@@ -359,7 +374,7 @@ import hashlib
 import numpy as np
 from boundbench.activations import huberized
 from boundbench.linalg import frobenius_norm, stack_dot
-from boundbench.network import Dataset, loss_and_gradient
+from boundbench.network import Dataset, gradient, total_loss
 from boundbench.ntk import (
     InitSpec,
     NtBallConfig,
@@ -388,7 +403,7 @@ def add_phase(trace):
 digest = hashlib.sha256()
 for p, L, n in ((32, 2, 6), (256, 3, 16), (512, 1, 4)):
     V, data = case(p, L, n)
-    loss, grad = loss_and_gradient(V, huberized(0.01), data)
+    loss, grad = total_loss(V, huberized(0.01), data), gradient(V, huberized(0.01), data)
     digest.update(repr((loss.value, loss.log_value)).encode())
     norms = (frobenius_norm(grad), frobenius_norm(V), stack_dot(grad, V), max_layer_distance(V, grad))
     digest.update(repr(norms).encode())
