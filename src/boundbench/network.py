@@ -40,6 +40,8 @@ class Dataset:
         labels = np.array(self.labels, dtype=np.float64, copy=True)
         if inputs.ndim != 2 or inputs.shape[0] == 0:
             raise ValueError("inputs must be a nonempty n x p array")
+        if not np.isfinite(inputs).all():
+            raise ValueError("inputs must be finite")
         if labels.shape != (inputs.shape[0],):
             raise ShapeMismatchError("labels must be one per input row")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -143,16 +145,19 @@ def logistic(z: np.ndarray) -> Logistic:
     left-to-right sum; its log is a log-sum-exp over the log channel.
     """
     z = np.asarray(z, dtype=np.float64)
-    values = np.logaddexp(0.0, -z)
-    e = np.exp(-np.abs(z))
-    g = np.where(z >= 0.0, e, 1.0) / (1.0 + e)
-    far = z > _ASYMPTOTIC_MARGIN
-    # log(1) stands in where the value may have underflowed to 0
-    logs = np.log(np.where(far, 1.0, values))
-    if far.any():
-        logs = np.where(far, -z - 0.5 * e, logs)
-    top = float(logs.max())  # the log-sum-exp shift
-    spread = math.log(float(np.exp(logs - top).sum())) if math.isfinite(top) else 0.0
+    neg = np.negative(z)
+    values = np.logaddexp(0.0, neg)
+    e = np.exp(np.minimum(z, neg))  # e^-|z|
+    g = np.exp(np.minimum(neg, 0.0))  # e^-max(z, 0): e where z >= 0, else 1
+    g /= 1.0 + e
+    if np.maximum.reduce(z) <= _ASYMPTOTIC_MARGIN:  # False on NaN too
+        logs = np.log(values)
+    else:
+        far = z > _ASYMPTOTIC_MARGIN
+        # log(1) stands in where the value may have underflowed to 0
+        logs = np.where(far, -z - 0.5 * e, np.log(np.where(far, 1.0, values)))
+    top = float(np.maximum.reduce(logs))  # the log-sum-exp shift
+    spread = math.log(float(np.add.reduce(np.exp(logs - top)))) if math.isfinite(top) else 0.0
     total = float(np.add.accumulate(values)[-1])
     return Logistic(LossValue(total / z.size, top + spread - math.log(z.size)), values, g)
 

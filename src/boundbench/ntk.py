@@ -29,6 +29,7 @@ from .bounds import (
     summarize,
 )
 from .linalg import (
+    _EPS,
     WeightStack,
     _einsum_dot,
     _stack_sum,
@@ -164,6 +165,8 @@ class ClusteredDataSpec:
 
     def __post_init__(self):
         mu = np.array(self.mu, dtype=np.float64, copy=True)
+        if not np.isfinite(mu).all():
+            raise ValueError("cluster center mu must be finite")
         norm = float(np.linalg.norm(mu))
         if norm == 0.0:
             raise ValueError("cluster center must be nonzero")
@@ -312,11 +315,16 @@ class NtBallConfig:
             raise ValueError("need at least one iteration")
 
 
+# `nt_class_minimize` stops once its Frank-Wolfe gap, with the gap's own
+# rounding bound, is at most this fraction of the loss
+_GAP_STOP = 2.0**-42
+
+
 def nt_class_minimize(
     V1: WeightStack, act: Activation, data: Dataset, cfg: NtBallConfig
 ) -> tuple[WeightStack, float]:
-    """Approximately minimize the tangent-model logistic loss over the
-    per-layer Frobenius ball of radius rho around V1.
+    """Minimize the tangent-model logistic loss over the per-layer
+    Frobenius ball of radius rho around V1.
 
     The objective is convex in the offset, so projected gradient descent
     with step halving converges to the global minimum; the accepted
@@ -324,49 +332,105 @@ def nt_class_minimize(
 
     Every iterate is a per-layer combination of the n tangent features,
     off_l = sum_i c_{l,i} F_{l,i}, so the descent runs on the n(L+1)
-    coefficients c_l with the layer Grams K_l of one batched pass
-    (`_Tangent.grams`), and the margins are y * (f0 + sum_l K_l c_l). Grams
-    cost O(n^2 L p) once, each step O(n^2 L); the offset is formed once at
-    the end, with the GEMM of the loss gradient. In exact arithmetic the iterates equal those of the
-    same descent run on the p^2 L + p parameters.
+    coefficients with the layer Grams K_l of one batched pass
+    (`_Tangent.grams`). It holds a_l = y * c_l and the signed Grams
+    S_l = K_l * (y y^T), so the margins are y f0 + sum_l S_l a_l,
+    ||off_l||^2 = a_l^T S_l a_l, and a step of size s adds t w to every a_l,
+    t = s / n, with w the kernel's weights (the loss gradient in these
+    coordinates is -w / n). Each step makes one stacked product, S_l a_l
+    and S_l w for all layers, and from it the 2 x 2 Grams of (a_l, w);
+    every step halving reuses them. A candidate's squared layer norm is the
+    expanded quadratic a^T S a + 2 t a^T S w + t^2 w^T S w, a layer outside
+    the ball is scaled back onto it by theta_l, and the candidate's margins
+    are one weighted sum of the stacked rows,
+    y f0 + sum_l theta_l (S_l a_l + t S_l w). The margins are thus
+    recomputed from the Grams at every step, and rounding does not build up
+    over the steps. Grams cost O(n^2 L p) once, each step O(n^2 L); the
+    offset is formed once at the end, with the GEMM of the loss gradient.
+    In exact arithmetic the iterates equal those of the same descent run on
+    the p^2 L + p parameters.
+
+    `cfg.steps` is a cap. The loop stops before it once the Frank-Wolfe gap
+    over the product of the balls (Jaggi, ICML 2013),
+    gap = sum_l g^T K_l c_l + rho sum_l sqrt(g^T K_l g), g = -y w / n,
+    plus a bound on the gap's rounding error, is at most `_GAP_STOP`
+    (2^-42) times the loss. By convexity the gap bounds how far the
+    objective computed from the Grams, at the returned coefficients, sits
+    above its minimum over the balls; that is what the stop certifies. The
+    error bound covers the gap's own arithmetic, from the weights w that the
+    kernel returned at the margins it was given (within a few ulps of the
+    exact weights there): each computed entry of a 2 x 2 Gram is within
+    gamma_2n times the same product on absolute values,
+    |(a_l, w)|^T |K_l| |(a_l, w)| (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 3.1). The bound adds
+    (2n + 2L + 20) 2^-53 times those absolute products to each Gram entry
+    (under the square roots for the g^T K_l g terms) and scales the root
+    terms by 1 + that factor, which also covers the final sums.
     """
     if cfg.rho == 0.0:
         return V1, total_loss(V1, act, data).value
     tangent = _Tangent.at(V1, act, data)
-    grams = tangent.grams()
-    ys = data.labels
-    coef = [np.zeros(data.n) for _ in grams]
-
-    def margins(cs: list[np.ndarray]) -> np.ndarray:
-        return ys * (tangent.output + sum(k @ c for k, c in zip(grams, cs)))
-
-    def project(cs: list[np.ndarray]) -> list[np.ndarray]:
-        clipped = []
-        for k, c in zip(grams, cs):
-            norm = math.sqrt(max(float(c @ k @ c), 0.0))
-            clipped.append(c if norm <= cfg.rho else c * (cfg.rho / norm))
-        return clipped
-
-    feat_sq = sum(float(np.trace(k)) for k in grams) / data.n
+    ys, n, rho = data.labels, data.n, cfg.rho
+    grams = np.stack(tangent.grams())
+    signed, magnitude = grams * np.outer(ys, ys), np.abs(grams)
+    layers = grams.shape[0]
+    eps = (n + layers + 9) * _EPS  # (2n + 2L + 20) 2^-53
+    # rows[l] = (a_l, w); the margins at V1 sit below the stacked products,
+    # so one weighted sum of `stacked` gives a candidate's margins
+    rows = np.zeros((layers, 2, n))
+    stacked = np.empty((2 * layers + 1, n))
+    products = stacked[:-1].reshape(layers, 2, n)
+    stacked[-1] = ys * tangent.output
+    feat_sq = sum(np.trace(grams, axis1=1, axis2=2).tolist()) / n
     step = 4.0 / max(feat_sq, 1e-12)  # inverse curvature estimate
-    terms = logistic(margins(coef))
+    terms = logistic(stacked[-1])
     for _ in range(cfg.steps):
-        g = -ys * terms.g / data.n
-        cand = project([c - step * g for c in coef])
-        cand_terms = logistic(margins(cand))
+        rows[:, 1] = terms.g  # w, in every layer's pair
+        np.matmul(rows, signed, out=products)  # S_l is symmetric
+        # per layer the 2 x 2 Gram (a^T S a, a^T S w; w^T S a, w^T S w), flattened
+        entries = (products @ rows.mT).ravel().tolist()
+        a_a, a_w, w_w = entries[0::4], entries[1::4], entries[3::4]
+        # the gap times n, against the loss times n
+        gap = rho * sum([math.sqrt(x) if x > 0.0 else 0.0 for x in w_w]) - sum(a_w)
+        limit = _GAP_STOP * n * terms.loss.value
+        if gap <= limit:
+            absolute = np.abs(rows)
+            bounds = (absolute @ magnitude @ absolute.mT).ravel().tolist()
+            certified = sum(eps * m - x for x, m in zip(a_w, bounds[1::4])) + rho * (1.0 + eps) * sum(
+                math.sqrt(max(x, 0.0) + eps * m) for x, m in zip(w_w, bounds[3::4])
+            )
+            if certified <= limit:
+                break
         halvings = 0
-        while cand_terms.loss.value > terms.loss.value and halvings < 40:
+        while True:
+            weights = _ball_weights(a_a, a_w, w_w, step / n, rho)
+            cand_terms = logistic(weights @ stacked)
+            if cand_terms.loss.value <= terms.loss.value or halvings == 40:
+                break
             step *= 0.5
             halvings += 1
-            cand = project([c - step * g for c in coef])
-            cand_terms = logistic(margins(cand))
         if cand_terms.loss.value > terms.loss.value:
             break  # no acceptable step left; stationary within precision
-        coef, terms = cand, cand_terms
+        pairs = weights[:-1].reshape(layers, 1, 2)
+        rows[:, 0] = (pairs @ rows)[:, 0]  # theta_l (a_l + t w)
+        terms = cand_terms
         if halvings == 0:
             step *= 1.25
-    offset = _combine_features(coef, tangent.bs, tangent.below, tangent.top)
-    return stack_axpy(V1, 1.0, offset), terms.loss.value
+    offset = _combine_features(rows[:, 0] * ys, tangent.bs, tangent.below, tangent.top)
+    return _wrap(V1.flat + offset.flat, V1.p, V1.depth), terms.loss.value
+
+
+def _ball_weights(a_a: list, a_w: list, w_w: list, t: float, rho: float) -> np.ndarray:
+    """Weights (theta_l, theta_l t) per layer, then 1, of the candidate
+    a_l <- theta_l (a_l + t w) of `nt_class_minimize`: theta_l = 1 inside the
+    ball, else rho over the layer norm from the expanded quadratic."""
+    weights = []
+    for aa, aw, ww in zip(a_a, a_w, w_w):
+        sq = aa + 2.0 * t * aw + t * t * ww
+        theta = 1.0 if sq <= rho * rho else rho / math.sqrt(sq)
+        weights += (theta, theta * t)
+    weights.append(1.0)
+    return np.array(weights)
 
 
 def approx_error_sample(
@@ -592,22 +656,25 @@ def run_phase(
     anchor = _tail(V)
     coef, tail = (np.zeros_like(U0), anchor) if start is None else start
     base_sq, tail_sq = split_sq_norm(V, tail)
-
-    def first_layer(coef: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """K A, ||W_1||^2 and the squared drift of W_1 from V_1."""
-        kc = K @ coef
-        drift_sq, cross = np.einsum("ij,kij->k", coef, (kc, U0)).tolist()  # one call, two sums
-        return kc, base_sq + 2.0 * cross + drift_sq, drift_sq
-
     columns = np.empty((6, min(max_steps, 1024)))
     best_step, best = 0, None
-    kc, first_sq, first_drift_sq = first_layer(coef)
+    kc = K @ coef
+    drift_sq, cross = np.einsum("ij,kij->k", coef, (kc, U0)).tolist()  # one call, two sums
     steps = 0
     for t in range(1, max_steps + 1):
+        first_sq = base_sq + 2.0 * cross + drift_sq
         u1 = U0 + kc
         loss, (C, tail_grad) = loss_and_gradient(RowSpacePoint(u1, tail), act, data)
         sweep = descent_sweep(tail, tail_grad, anchor, alpha)
-        first_grad_sq, first_grad_dot = np.einsum("ij,kij->k", C, (K @ C, u1)).tolist()
+        # C and the next coefficients A - alpha C, with their K-products from
+        # one GEMM call; one einsum call makes this step's two sums and the
+        # next iterate's two
+        pair = np.empty((2, *C.shape))
+        pair[0] = C
+        np.subtract(coef, alpha * C, out=pair[1])
+        k_pair = K @ pair
+        sums = np.einsum("kij,lkij->lk", pair, (k_pair, (u1, U0))).tolist()
+        (first_grad_sq, next_drift_sq), (first_grad_dot, next_cross) = sums
         grad_norm = math.sqrt(first_grad_sq + sweep.grad_sq)
         if not (math.isfinite(loss.value) and math.isfinite(grad_norm)):
             raise NumericalDivergenceError(t)
@@ -621,17 +688,16 @@ def run_phase(
             grad_norm,
             math.sqrt(first_sq + tail_sq),
             first_grad_dot + sweep.grad_dot,
-            math.sqrt(max(first_drift_sq, *sweep.layer_drift_sq)),
+            math.sqrt(max(drift_sq, *sweep.layer_drift_sq)),
         )
         steps = t
         if best_step == 0 or loss.value < columns[0, best_step - 1]:
             best_step, best = t, (coef, tail)
         if loss.value <= stop_loss:
             break
-        coef = coef - alpha * C
-        kc, first_sq, first_drift_sq = first_layer(coef)
+        coef, kc, drift_sq, cross = pair[1], k_pair[1], next_drift_sq, next_cross
         tail, tail_sq = WeightStack._computed(sweep.next_flat, p, L - 1), sweep.next_sq
-        if not math.isfinite(first_sq + tail_sq):  # scan only now, to name the layer
+        if not math.isfinite(base_sq + 2.0 * cross + drift_sq + tail_sq):  # scan only now, to name the layer
             for layer, block in enumerate((coef, *tail.layers())):
                 if not np.isfinite(block).all():
                     raise ValueError(f"non-finite entries in layer {layer}")

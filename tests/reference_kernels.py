@@ -1,0 +1,74 @@
+"""Earlier forms of two kernels, kept as references.
+
+`logistic` is the loss kernel as `network.logistic` computed it before it
+was rewritten with fewer numpy calls; the rewrite must return the same
+bits. `nt_minimize_old_rule` is the tangent-ball minimiser as
+`ntk.nt_class_minimize` ran it before it stopped on a certified
+Frank-Wolfe gap: per-layer Grams and coefficient lists, norms from
+c^T K c, every one of `steps` steps taken. Tests compare against both.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from boundbench.network import _ASYMPTOTIC_MARGIN, Logistic, LossValue
+from boundbench.ntk import _Tangent
+
+
+def logistic(z: np.ndarray) -> Logistic:
+    z = np.asarray(z, dtype=np.float64)
+    values = np.logaddexp(0.0, -z)
+    e = np.exp(-np.abs(z))
+    g = np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+    far = z > _ASYMPTOTIC_MARGIN
+    # log(1) stands in where the value may have underflowed to 0
+    logs = np.log(np.where(far, 1.0, values))
+    if far.any():
+        logs = np.where(far, -z - 0.5 * e, logs)
+    top = float(logs.max())  # the log-sum-exp shift
+    spread = math.log(float(np.exp(logs - top).sum())) if math.isfinite(top) else 0.0
+    total = float(np.add.accumulate(values)[-1])
+    return Logistic(LossValue(total / z.size, top + spread - math.log(z.size)), values, g)
+
+
+def nt_minimize_old_rule(V1, act, data, rho: float, steps: int) -> float:
+    """The tangent-ball minimum by the old rule: projected descent with step
+    halving in kernel coordinates for all `steps` steps (or until no halving
+    is accepted). Returns the loss."""
+    tangent = _Tangent.at(V1, act, data)
+    grams = tangent.grams()
+    ys = data.labels
+    coef = [np.zeros(data.n) for _ in grams]
+
+    def margins(cs):
+        return ys * (tangent.output + sum(k @ c for k, c in zip(grams, cs)))
+
+    def project(cs):
+        clipped = []
+        for k, c in zip(grams, cs):
+            norm = math.sqrt(max(float(c @ k @ c), 0.0))
+            clipped.append(c if norm <= rho else c * (rho / norm))
+        return clipped
+
+    feat_sq = sum(float(np.trace(k)) for k in grams) / data.n
+    step = 4.0 / max(feat_sq, 1e-12)
+    terms = logistic(margins(coef))
+    for _ in range(steps):
+        g = -ys * terms.g / data.n
+        cand = project([c - step * g for c in coef])
+        cand_terms = logistic(margins(cand))
+        halvings = 0
+        while cand_terms.loss.value > terms.loss.value and halvings < 40:
+            step *= 0.5
+            halvings += 1
+            cand = project([c - step * g for c in coef])
+            cand_terms = logistic(margins(cand))
+        if cand_terms.loss.value > terms.loss.value:
+            break
+        coef, terms = cand, cand_terms
+        if halvings == 0:
+            step *= 1.25
+    return terms.loss.value

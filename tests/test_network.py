@@ -24,6 +24,7 @@ from boundbench.network import (
 )
 from boundbench.ntk import ntk_features
 from oracles import FdConfig, fd_compare, fd_gradient
+from reference_kernels import logistic as logistic_reference
 from scalar_loss import from_margin, g_factor, mean, sample_loss, stable_g
 from stack_helpers import gd_step, gradient_reference
 
@@ -189,6 +190,35 @@ def test_logistic_sums_left_to_right():
     terms = logistic(z)
     assert terms.loss.value == terms.values[0] / 16
     assert math.fsum(terms.values) != terms.values[0]
+
+
+def _assert_same_bits(z):
+    got, want = logistic(z), logistic_reference(z)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.g.tobytes() == want.g.tobytes()
+    assert got.loss == want.loss
+
+
+def test_logistic_bits_equal_the_reference_kernel_on_the_grid():
+    _assert_same_bits(KERNEL_GRID)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 8, 100])
+def test_logistic_bits_equal_the_reference_kernel(n):
+    rng = np.random.default_rng(500 + n)
+    vectors = [rng.standard_normal(n) * scale for scale in (0.1, 1.0, 10.0, 60.0, 400.0) for _ in range(10)]
+    vectors += [
+        rng.uniform(40.5, 90.0, n),  # every margin on the asymptotic branch
+        rng.uniform(-5.0, 60.0, n),  # some on it
+        rng.uniform(746.0, 1000.0, n),  # every value underflows to 0
+        rng.uniform(700.0, 760.0, n),  # subnormal and underflowing values
+        rng.uniform(-1000.0, -700.0, n),  # values equal to -z
+        np.full(n, 40.0),
+        np.full(n, np.nextafter(40.0, 100.0)),
+        np.zeros(n),
+    ]
+    for z in vectors:
+        _assert_same_bits(z)
 
 
 def test_total_loss_zero_network_is_log_two():
@@ -501,6 +531,13 @@ def test_dataset_renormalizes_inputs():
 def test_dataset_rejects_bad_labels():
     with pytest.raises(ValueError):
         Dataset(inputs=np.eye(2), labels=np.array([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dataset_rejects_a_non_finite_input(bad):
+    # NaN fails both norm checks and inf normalizes to a row holding NaN
+    with pytest.raises(ValueError, match="inputs"):
+        Dataset(inputs=np.array([[bad, 1.0], [1.0, 0.0]]), labels=np.array([1.0, -1.0]))
 
 
 def test_dataset_json_roundtrip_and_warning(tmp_path):

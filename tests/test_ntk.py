@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from boundbench import ntk
 from boundbench.activations import huberized, swish
 from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_axpy, stack_dot
 from boundbench.network import (
@@ -38,6 +39,7 @@ from boundbench.ntk import (
     two_phase_train,
 )
 from reference_descent import descent
+from reference_kernels import nt_minimize_old_rule
 from stack_helpers import (
     _perturb_layers_frobenius,
     approx_error_reference,
@@ -178,6 +180,12 @@ def test_clustered_spec_rejects_a_radius_outside_the_range(r):
         ClusteredDataSpec(mu=np.eye(4)[0], r=r, n=4, seed=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_clustered_spec_rejects_a_non_finite_center(bad):
+    with pytest.raises(ValueError, match="mu"):
+        ClusteredDataSpec(mu=np.array([bad, 1.0]), r=0.0, n=2, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # margin witnesses
 
@@ -297,6 +305,52 @@ def test_nt_minimize_restarts_agree(nt_setup):
     _, a = nt_class_minimize(V1, act, data, NtBallConfig(rho=0.5, steps=1500))
     _, b = nt_class_minimize(V1, act, data, NtBallConfig(rho=0.5, steps=3000))
     assert a == pytest.approx(b, abs=1e-6)
+
+
+class _CountingLogistic:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        monkeypatch.setattr(ntk, "logistic", self)
+
+    def __call__(self, z):
+        self.calls += 1
+        return logistic(z)
+
+
+def test_nt_minimize_stops_before_the_cap_at_a_small_radius(nt_setup, monkeypatch):
+    # one evaluation at V1 and at least one per step taken: a run of all
+    # 100 steps makes more than 100 calls, and a stop on the gap makes as
+    # many calls whatever the cap
+    V1, act, data = nt_setup
+    counter = _CountingLogistic(monkeypatch)
+    calls = []
+    for steps in (100, 400):
+        counter.calls = 0
+        nt_class_minimize(V1, act, data, NtBallConfig(rho=0.1, steps=steps))
+        calls.append(counter.calls)
+    assert calls[0] <= 100
+    assert calls[0] == calls[1]
+
+
+def test_nt_minimize_runs_every_step_where_it_cannot_converge(nt_setup, monkeypatch):
+    # at rho = 10 the loss keeps falling through all 400 steps
+    V1, act, data = nt_setup
+    counter = _CountingLogistic(monkeypatch)
+    nt_class_minimize(V1, act, data, NtBallConfig(rho=10.0, steps=400))
+    assert counter.calls >= 401
+
+
+@pytest.mark.parametrize("case", ["p96-huberized", "p12-huberized-L1", "p12-swish-L3"])
+def test_nt_minimize_stop_is_within_the_threshold_of_a_long_run(case, nt_setup):
+    # the certified gap bounds the stopped value's excess over the minimum
+    if case == "p96-huberized":
+        (V1, act, data), rho = nt_setup, 0.1
+    else:
+        L, act, rho = {"p12-huberized-L1": (1, huberized(0.05), 1.0), "p12-swish-L3": (3, swish(0.1), 0.5)}[case]
+        V1, data, _ = _kernel_case(L, act)
+    _, value = nt_class_minimize(V1, act, data, NtBallConfig(rho=rho, steps=400))
+    longer = nt_minimize_old_rule(V1, act, data, rho, steps=20 * 400)
+    assert value - longer <= ntk._GAP_STOP * value
 
 
 def test_nt_minimize_stays_in_ball(nt_setup):
