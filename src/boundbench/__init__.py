@@ -22,7 +22,6 @@ from .bounds import (
     grad_lower_bound,
     grad_upper_bound,
     monitor_transition,
-    probe_local_lipschitz,
     resolve_context,
     smoothness_bound,
     summarize,

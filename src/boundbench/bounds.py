@@ -28,9 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .activations import Activation
-from .linalg import WeightStack, frobenius_norm, stack_axpy
-from .network import Dataset, LossValue, gradient
+from .linalg import WeightStack
+from .network import LossValue
 
 CSV_COLUMNS = (
     "t",
@@ -405,50 +404,6 @@ def monitor_transition(trace: PhaseTrace, ctx: RunContext, phase: int) -> Trajec
         slacks=slacks,
         verdicts=verdicts,
     )
-
-
-def probe_local_lipschitz(
-    V: WeightStack,
-    act: Activation,
-    data: Dataset,
-    radius: float,
-    k: int = 16,
-    seed: int = 0,
-) -> float:
-    """Lower estimate of the local Lipschitz constant of the loss gradient.
-
-    Takes k seeded random pairs inside the Frobenius ball of the given
-    radius and returns the largest gradient difference quotient. Being a
-    max over finitely many secants, the estimate sits below the true
-    local constant, which the smoothness bound upper-bounds.
-    """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    if k < 2:
-        raise ValueError("need at least 2 probe pairs")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(k):
-        a = _random_point_in_ball(V, radius, rng)
-        b = _random_point_in_ball(V, radius, rng)
-        diff = stack_axpy(a, -1.0, b)
-        dist = frobenius_norm(diff)
-        if dist == 0.0:
-            continue  # duplicate probes carry no secant information
-        ga = gradient(a, act, data)
-        gb = gradient(b, act, data)
-        quot = frobenius_norm(stack_axpy(ga, -1.0, gb)) / dist
-        best = max(best, quot)
-    return best
-
-
-def _random_point_in_ball(V: WeightStack, radius: float, rng: np.random.Generator) -> WeightStack:
-    direction = WeightStack.from_layers(
-        [rng.standard_normal(m.shape) for m in V.layers()]
-    )
-    norm = frobenius_norm(direction)
-    r = radius * float(rng.uniform(0.0, 1.0))
-    return stack_axpy(V, r / norm, direction)
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,17 @@ class Dataset:
             raise ShapeMismatchError("labels must be one per input row")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        norms = np.linalg.norm(inputs, axis=1)
-        if np.any(norms == 0.0):
-            raise ValueError("zero input vector cannot be normalized")
+        # the plain norm does not rescale: rows near 1e200 overflow and rows
+        # near 1e-200 underflow, so those are first divided by their peak
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(inputs, axis=1)
+        odd = (norms == 0.0) | (norms == math.inf)
+        if odd.any():
+            peak = np.maximum.reduce(np.abs(inputs[odd]), axis=1, keepdims=True)
+            if not peak.all():
+                raise ValueError("zero input vector cannot be normalized")
+            inputs[odd] /= peak
+            norms[odd] = np.linalg.norm(inputs[odd], axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             inputs = inputs / norms[:, None]
         inputs.setflags(write=False)

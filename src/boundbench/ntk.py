@@ -306,7 +306,7 @@ def margin_estimate_subgradient(
 @dataclass(frozen=True)
 class NtBallConfig:
     rho: float
-    steps: int = 400
+    steps: int = 400  # cap on the Newton steps of `nt_class_minimize`
 
     def __post_init__(self):
         if not self.rho >= 0:
@@ -315,9 +315,49 @@ class NtBallConfig:
             raise ValueError("need at least one iteration")
 
 
-# `nt_class_minimize` stops once its Frank-Wolfe gap, with the gap's own
+# `nt_class_minimize` stops once its duality gap, with the gap's own
 # rounding bound, is at most this fraction of the loss
 _GAP_STOP = 2.0**-42
+
+
+class _DualPoint(NamedTuple):
+    """The dual point s = sigma(-z) of `nt_class_minimize` at margins z and
+    what follows from it, all scaled by e^shift, shift = max(min z, 0)."""
+
+    z: np.ndarray
+    shift: float
+    loss: np.ndarray  # e^shift log(1 + e^-z)
+    s: np.ndarray  # e^shift sigma(-z), largest entry in [1/2, 1)
+    comp: np.ndarray  # sigma(z) = 1 - sigma(-z), unscaled
+    unit: np.ndarray  # S_l s / q_l per layer, q_l = sqrt(s^T S_l s); 0 where q_l = 0
+    inv: np.ndarray  # rho / q_l per layer; 0 where q_l = 0
+    zp: np.ndarray  # z' = b + rho sum_l S_l s / q_l, the primal margins
+    dual: float  # n e^shift D(s)
+
+
+def _scaled_logistic(z: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^shift log(1 + e^-z), e^shift sigma(-z) and sigma(z), elementwise.
+    The first two are e^(shift - max(z, 0)) times a factor in (0, |z| + 1]:
+    they underflow only where z exceeds shift by 700, and an overflow is inf."""
+    e = np.exp(-np.abs(z))
+    with np.errstate(over="ignore"):
+        scale = np.exp(shift - np.maximum(z, 0.0))
+    tail = np.log1p(e)
+    ratio = np.divide(tail, e, out=np.ones_like(e), where=e > 0.0)  # log1p(e) / e
+    above = z >= 0.0
+    return scale * np.where(above, ratio, tail - z), scale / (1.0 + e), np.where(above, 1.0, e) / (1.0 + e)
+
+
+def _dual_point(z: np.ndarray, signed: np.ndarray, b: np.ndarray, rho: float) -> _DualPoint:
+    shift = max(float(np.minimum.reduce(z)), 0.0)
+    loss, s, comp = _scaled_logistic(z, shift)
+    products = signed @ s
+    q = np.sqrt(products @ s)
+    live = q > 0.0
+    unit = np.divide(products, q[:, None], out=np.zeros_like(products), where=live[:, None])
+    inv = np.divide(rho, q, out=np.zeros_like(q), where=live)
+    zp = b + rho * np.add.reduce(unit)
+    return _DualPoint(z, shift, loss, s, comp, unit, inv, zp, float(np.add.reduce(loss) + s @ (z - zp)))
 
 
 def nt_class_minimize(
@@ -326,111 +366,108 @@ def nt_class_minimize(
     """Minimize the tangent-model logistic loss over the per-layer
     Frobenius ball of radius rho around V1.
 
-    The objective is convex in the offset, so projected gradient descent
-    with step halving converges to the global minimum; the accepted
-    objective never increases across iterations.
+    The minimiser is a per-layer combination of the n tangent features,
+    off_l = sum_i c_{l,i} F_{l,i}, so the problem is posed on the layer Grams
+    K_l of one batched pass (`_Tangent.grams`): with a_l = y * c_l, the signed
+    Grams S_l = K_l * (y y^T) and b = y f0, the margins are b + sum_l S_l a_l
+    and ||off_l||^2 = a_l^T S_l a_l <= rho^2. As l(z) = log(1 + e^-z) is the
+    maximum over s in [0, 1] of H(s) - s z (H the binary entropy, at
+    s = sigma(-z)), every s in (0, 1)^n bounds the minimum from below by
 
-    Every iterate is a per-layer combination of the n tangent features,
-    off_l = sum_i c_{l,i} F_{l,i}, so the descent runs on the n(L+1)
-    coefficients with the layer Grams K_l of one batched pass
-    (`_Tangent.grams`). It holds a_l = y * c_l and the signed Grams
-    S_l = K_l * (y y^T), so the margins are y f0 + sum_l S_l a_l,
-    ||off_l||^2 = a_l^T S_l a_l, and a step of size s adds t w to every a_l,
-    t = s / n, with w the kernel's weights (the loss gradient in these
-    coordinates is -w / n). Each step makes one stacked product, S_l a_l
-    and S_l w for all layers, and from it the 2 x 2 Grams of (a_l, w);
-    every step halving reuses them. A candidate's squared layer norm is the
-    expanded quadratic a^T S a + 2 t a^T S w + t^2 w^T S w, a layer outside
-    the ball is scaled back onto it by theta_l, and the candidate's margins
-    are one weighted sum of the stacked rows,
-    y f0 + sum_l theta_l (S_l a_l + t S_l w). The margins are thus
-    recomputed from the Grams at every step, and rounding does not build up
-    over the steps. Grams cost O(n^2 L p) once, each step O(n^2 L); the
-    offset is formed once at the end, with the GEMM of the loss gradient.
-    In exact arithmetic the iterates equal those of the same descent run on
-    the p^2 L + p parameters.
+        D(s) = (1/n) [sum_i H(s_i) - s^T b - rho sum_l q_l],  q_l = sqrt(s^T S_l s),
 
-    `cfg.steps` is a cap. The loop stops before it once the Frank-Wolfe gap
-    over the product of the balls (Jaggi, ICML 2013),
-    gap = sum_l g^T K_l c_l + rho sum_l sqrt(g^T K_l g), g = -y w / n,
-    plus a bound on the gap's rounding error, is at most `_GAP_STOP`
-    (2^-42) times the loss. By convexity the gap bounds how far the
-    objective computed from the Grams, at the returned coefficients, sits
-    above its minimum over the balls; that is what the stop certifies. The
-    error bound covers the gap's own arithmetic, from the weights w that the
-    kernel returned at the margins it was given (within a few ulps of the
-    exact weights there): each computed entry of a 2 x 2 Gram is within
-    gamma_2n times the same product on absolute values,
-    |(a_l, w)|^T |K_l| |(a_l, w)| (Higham, Accuracy and Stability of
-    Numerical Algorithms, sec. 3.1). The bound adds
-    (2n + 2L + 20) 2^-53 times those absolute products to each Gram entry
-    (under the square roots for the g^T K_l g terms) and scales the root
-    terms by 1 + that factor, which also covers the final sums.
+    and a_l = rho s / q_l is a primal point on every ball's boundary, with
+    margins z' = b + rho sum_l S_l s / q_l and loss P = mean l(z'). D is
+    largest where z = z' for the z with s = sigma(-z); Newton's method solves
+    that from z = b (Boyd & Vandenberghe, Convex Optimization, 2004, sec. 5.1
+    and 9.5), with the n x n Jacobian of z - z'
+
+        J = I + sum_l (rho / q_l) (S_l - u_l u_l^T) diag(s (1 - s)),  u_l = S_l s / q_l,
+
+    each step halved until D = mean l(z) + s^T (z - z') / n rises by 1e-4 of
+    its predicted rise. Only the direction of s enters z' and J, so s and
+    the losses are held scaled by e^shift, shift = max(min z, 0): nothing
+    underflows where the loss does.
+
+    The gap P - D = (1/n) sum_i [l(z'_i) - l(z_i) + s_i (z'_i - z_i)] sums
+    Bregman divergences of l, each >= 0. `cfg.steps` caps the Newton steps.
+    The loop stops before the cap once the gap plus a bound on its rounding
+    error is at most `_GAP_STOP` (2^-42) times P, all scaled by e^shift, or
+    once a step finds no rise (no ascent left, or 40 halvings). It returns
+    the primal point of least P seen (by `logistic`'s log channel, which
+    holds where P underflows), as a stack, and that P. In the
+    `t32-tangent-p512` workload the stop comes after 2-13 Newton steps at
+    every radius.
+
+    Rounding bound. Weak duality holds at the s held, so only the arithmetic
+    of D and P needs bounding for the stop to certify that P, the loss at the
+    computed margins z', is within gap + bound of the minimum over the balls
+    (for the computed Grams). With e = 2^-53, k(x) = (|shift - max(x, 0)| + 12) e
+    bounds to first order the relative error of `_scaled_logistic` at x (the
+    rounded exponent, then at most 11e from exp, log1p, the divisions and
+    products). Scaled by n e^shift, the computed gap is short of P - D(s) by
+    at most the sum of
+      - sum_i k(z_i) l(z_i) + k(z'_i) l(z'_i), the two losses;
+      - sum_i k(z_i)^2 s_i / sigma(z_i), as the s_i held is sigma(-z_i) to
+        relative k(z_i), so H(s_i) - s_i z_i is short of l(z_i) by
+        KL(s_i || sigma(-z_i)), at most that term;
+      - (n + 4) e sum_i [l(z'_i) + l(z_i) + s_i |z'_i - z_i|], forming and
+        summing the n terms (Higham, Accuracy and Stability of Numerical
+        Algorithms, sec. 3.1);
+      - (2n + L + 4) e (s^T |b| + sum_l (rho / q_l) s^T |S_l| s), as s^T z'
+        stands for s^T b + rho sum_l q_l: an entry of z' (S_l s to gamma_n
+        of |S_l| s, times rho / q_l, summed over the L + 1 layers) is within
+        (n + L + 3) e of |b| + sum_l (rho / q_l) |S_l| s, and q_l^2 = s^T S_l s
+        within gamma_2n of s^T |S_l| s, so rho |q_l - q_l^2 / q_computed| is
+        within (n + 1) e (rho / q_l) s^T |S_l| s.
+    The last term, about (2n + L + 4) e max z' of the loss, keeps the stop
+    reachable while the margins stay below about 2^11 / (2n + L + 4).
     """
     if cfg.rho == 0.0:
         return V1, total_loss(V1, act, data).value
     tangent = _Tangent.at(V1, act, data)
-    ys, n, rho = data.labels, data.n, cfg.rho
-    grams = np.stack(tangent.grams())
-    signed, magnitude = grams * np.outer(ys, ys), np.abs(grams)
-    layers = grams.shape[0]
-    eps = (n + layers + 9) * _EPS  # (2n + 2L + 20) 2^-53
-    # rows[l] = (a_l, w); the margins at V1 sit below the stacked products,
-    # so one weighted sum of `stacked` gives a candidate's margins
-    rows = np.zeros((layers, 2, n))
-    stacked = np.empty((2 * layers + 1, n))
-    products = stacked[:-1].reshape(layers, 2, n)
-    stacked[-1] = ys * tangent.output
-    feat_sq = sum(np.trace(grams, axis1=1, axis2=2).tolist()) / n
-    step = 4.0 / max(feat_sq, 1e-12)  # inverse curvature estimate
-    terms = logistic(stacked[-1])
-    for _ in range(cfg.steps):
-        rows[:, 1] = terms.g  # w, in every layer's pair
-        np.matmul(rows, signed, out=products)  # S_l is symmetric
-        # per layer the 2 x 2 Gram (a^T S a, a^T S w; w^T S a, w^T S w), flattened
-        entries = (products @ rows.mT).ravel().tolist()
-        a_a, a_w, w_w = entries[0::4], entries[1::4], entries[3::4]
-        # the gap times n, against the loss times n
-        gap = rho * sum([math.sqrt(x) if x > 0.0 else 0.0 for x in w_w]) - sum(a_w)
-        limit = _GAP_STOP * n * terms.loss.value
-        if gap <= limit:
-            absolute = np.abs(rows)
-            bounds = (absolute @ magnitude @ absolute.mT).ravel().tolist()
-            certified = sum(eps * m - x for x, m in zip(a_w, bounds[1::4])) + rho * (1.0 + eps) * sum(
-                math.sqrt(max(x, 0.0) + eps * m) for x, m in zip(w_w, bounds[3::4])
+    ys, n, rho, e = data.labels, data.n, cfg.rho, _EPS / 2
+    signed = np.stack(tangent.grams()) * np.outer(ys, ys)
+    b = ys * tangent.output
+    point = _dual_point(b, signed, b, rho)
+    best = None
+    for step in range(cfg.steps + 1):
+        primal = logistic(point.zp).loss
+        if best is None or primal.log_value < best[0].log_value:
+            best = (primal, point)
+        z, zp, s = point.z, point.zp, point.s
+        loss_zp, _, _ = _scaled_logistic(zp, point.shift)
+        gap = float(np.add.reduce(loss_zp - point.loss + s * (zp - z)))
+        limit = _GAP_STOP * float(np.add.reduce(loss_zp))
+        if gap <= limit < math.inf:
+            k_z, k_zp = ((np.abs(point.shift - np.maximum(x, 0.0)) + 12.0) * e for x in (z, zp))
+            bound = k_z @ point.loss + k_zp @ loss_zp + k_z * k_z @ (s / point.comp) + e * (
+                (n + 4) * float(np.add.reduce(loss_zp + point.loss + s * np.abs(zp - z)))
+                + (2 * n + V1.depth + 4) * (s @ np.abs(b) + point.inv @ (np.abs(signed) @ s @ s))
             )
-            if certified <= limit:
+            if gap + bound <= limit:
                 break
-        halvings = 0
-        while True:
-            weights = _ball_weights(a_a, a_w, w_w, step / n, rho)
-            cand_terms = logistic(weights @ stacked)
-            if cand_terms.loss.value <= terms.loss.value or halvings == 40:
+        if step == cfg.steps:
+            break
+        weights = s * point.comp
+        jacobian = np.tensordot(point.inv, signed, 1) - (point.unit.T * point.inv) @ point.unit
+        jacobian *= weights
+        jacobian.flat[:: n + 1] += 1.0
+        direction = np.linalg.solve(jacobian, zp - z)
+        rise = float((zp - z) * weights @ direction)  # n e^shift dD/dt at t = 0
+        t = 1.0
+        while rise > 0.0 and t >= 2.0**-40:
+            cand = _dual_point(z + t * direction, signed, b, rho)
+            # cand.dual in this point's scale, the exponent capped so that it cannot overflow
+            if cand.dual * math.exp(min(point.shift - cand.shift, 700.0)) > point.dual + 1e-4 * t * rise:
                 break
-            step *= 0.5
-            halvings += 1
-        if cand_terms.loss.value > terms.loss.value:
-            break  # no acceptable step left; stationary within precision
-        pairs = weights[:-1].reshape(layers, 1, 2)
-        rows[:, 0] = (pairs @ rows)[:, 0]  # theta_l (a_l + t w)
-        terms = cand_terms
-        if halvings == 0:
-            step *= 1.25
-    offset = _combine_features(rows[:, 0] * ys, tangent.bs, tangent.below, tangent.top)
-    return _wrap(V1.flat + offset.flat, V1.p, V1.depth), terms.loss.value
-
-
-def _ball_weights(a_a: list, a_w: list, w_w: list, t: float, rho: float) -> np.ndarray:
-    """Weights (theta_l, theta_l t) per layer, then 1, of the candidate
-    a_l <- theta_l (a_l + t w) of `nt_class_minimize`: theta_l = 1 inside the
-    ball, else rho over the layer norm from the expanded quadratic."""
-    weights = []
-    for aa, aw, ww in zip(a_a, a_w, w_w):
-        sq = aa + 2.0 * t * aw + t * t * ww
-        theta = 1.0 if sq <= rho * rho else rho / math.sqrt(sq)
-        weights += (theta, theta * t)
-    weights.append(1.0)
-    return np.array(weights)
+            t *= 0.5
+        else:
+            break
+        point = cand
+    primal, point = best
+    offset = _combine_features(ys * (point.inv[:, None] * point.s), tangent.bs, tangent.below, tangent.top)
+    return _wrap(V1.flat + offset.flat, V1.p, V1.depth), primal.value
 
 
 def approx_error_sample(

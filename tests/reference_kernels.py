@@ -3,9 +3,12 @@
 `logistic` is the loss kernel as `network.logistic` computed it before it
 was rewritten with fewer numpy calls; the rewrite must return the same
 bits. `nt_minimize_old_rule` is the tangent-ball minimiser as
-`ntk.nt_class_minimize` ran it before it stopped on a certified
-Frank-Wolfe gap: per-layer Grams and coefficient lists, norms from
-c^T K c, every one of `steps` steps taken. Tests compare against both.
+`ntk.nt_class_minimize` ran it before it solved the problem's dual by
+Newton's method with a certified stop: projected descent with step
+halving on per-layer Grams and coefficient lists, norms from c^T K c,
+every one of `steps` steps taken. A long run of it approaches the minimum
+from above, so the certified value must come within its gap of that run.
+Tests compare against both.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 the per-layer ball distance, the per-layer ball perturbation, the sampled
 gradient-norm bound, the parameter-space form of the first-order remainder
 sampler, the all-layer form of the loss gradient, the plain gradient step,
-the margin of formed feature stacks and the product bound on operator
-norms."""
+the margin of formed feature stacks, the product bound on operator
+norms and the sampled local Lipschitz constant of the gradient."""
 
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ from boundbench.linalg import (
     stack_axpy,
     stack_dot,
 )
-from boundbench.network import Dataset, _combine_features, forward_rows, logistic, sensitivities
+from boundbench.activations import Activation
+from boundbench.network import Dataset, _combine_features, forward_rows, gradient, logistic, sensitivities
 
 
 def _layer_sums(a: np.ndarray, b: np.ndarray, p: int, L: int) -> list[float]:
@@ -167,3 +168,47 @@ def product_operator_bound(stack: WeightStack) -> float:
     f = frobenius_norm(stack)
     k = stack.n_layers
     return max(f**k / k ** (k / 2.0), f)
+
+
+def probe_local_lipschitz(
+    V: WeightStack,
+    act: Activation,
+    data: Dataset,
+    radius: float,
+    k: int = 16,
+    seed: int = 0,
+) -> float:
+    """Lower estimate of the local Lipschitz constant of the loss gradient.
+
+    Takes k seeded random pairs inside the Frobenius ball of the given
+    radius and returns the largest gradient difference quotient. Being a
+    max over finitely many secants, the estimate sits below the true
+    local constant, which the smoothness bound upper-bounds.
+    """
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    if k < 2:
+        raise ValueError("need at least 2 probe pairs")
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(k):
+        a = _random_point_in_ball(V, radius, rng)
+        b = _random_point_in_ball(V, radius, rng)
+        diff = stack_axpy(a, -1.0, b)
+        dist = frobenius_norm(diff)
+        if dist == 0.0:
+            continue  # duplicate probes carry no secant information
+        ga = gradient(a, act, data)
+        gb = gradient(b, act, data)
+        quot = frobenius_norm(stack_axpy(ga, -1.0, gb)) / dist
+        best = max(best, quot)
+    return best
+
+
+def _random_point_in_ball(V: WeightStack, radius: float, rng: np.random.Generator) -> WeightStack:
+    direction = WeightStack.from_layers(
+        [rng.standard_normal(m.shape) for m in V.layers()]
+    )
+    norm = frobenius_norm(direction)
+    r = radius * float(rng.uniform(0.0, 1.0))
+    return stack_axpy(V, r / norm, direction)

@@ -16,7 +16,6 @@ from boundbench.bounds import (
     grad_lower_bound,
     grad_upper_bound,
     monitor_transition,
-    probe_local_lipschitz,
     resolve_context,
     smoothness_bound,
     summarize,
@@ -28,6 +27,7 @@ from boundbench.linalg import WeightStack, frobenius_norm
 from boundbench.network import Dataset, LossValue, gradient, logistic, total_loss
 from reference_monitor import monitor_rows
 from reference_monitor import summarize as reference_summarize
+from stack_helpers import probe_local_lipschitz
 
 # 50-digit reference evaluations of the closed forms, frozen
 H_MAX_EXAMPLE = 0.019188209108283714  # L=1, p=4, ||V1||=30, J1=1e-12

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +539,26 @@ def test_dataset_rejects_a_non_finite_input(bad):
     # NaN fails both norm checks and inf normalizes to a row holding NaN
     with pytest.raises(ValueError, match="inputs"):
         Dataset(inputs=np.array([[bad, 1.0], [1.0, 0.0]]), labels=np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324, 1.7e308])
+def test_dataset_normalises_rows_at_extreme_magnitudes(scale):
+    # squared entries overflow or underflow; the row is rescaled by its
+    # largest entry before its norm is taken
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        data = Dataset(inputs=np.array([[scale, scale], [scale, 0.0], [1.0, 0.0]]), labels=np.array([1.0, -1.0, 1.0]))
+    np.testing.assert_allclose(data.inputs[0], [math.sqrt(0.5)] * 2, rtol=1e-15)
+    assert data.inputs[1].tolist() == [1.0, 0.0]
+    assert data.inputs[2].tolist() == [1.0, 0.0]
+
+
+def test_dataset_normalises_ordinary_rows_bit_for_bit_as_before():
+    inputs = np.random.default_rng(7).standard_normal((9, 5)) * np.array([1e-150, 1e-8, 0.3, 1.0, 1.0, 2.0, 1e3, 1e8, 1e150])[:, None]
+    data = Dataset(inputs=inputs, labels=np.ones(9))
+    assert data.inputs.tobytes() == (inputs / np.linalg.norm(inputs, axis=1)[:, None]).tobytes()
+    with pytest.raises(ValueError, match="zero input"):
+        Dataset(inputs=np.array([[0.0, 0.0], [1e-200, 0.0]]), labels=np.array([1.0, -1.0]))
 
 
 def test_dataset_json_roundtrip_and_warning(tmp_path):
