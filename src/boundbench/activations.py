@@ -4,7 +4,7 @@ properties.
 Both activations are parameterized by a smoothing width h > 0 and satisfy,
 up to certification tolerance: value(0) = 0, |deriv| <= 1, deriv is
 (1/h)-Lipschitz, and |deriv(z)*z - value(z)| <= h/2. Exact ReLU (h = 0)
-is rejected at construction.
+is rejected at construction. `value` and `deriv` map NaN to NaN.
 """
 
 from __future__ import annotations
@@ -61,11 +61,14 @@ def swish(h: float) -> Activation:
 
 
 def _huberized_value(z: np.ndarray, h: float) -> np.ndarray:
-    return np.where(z < 0.0, 0.0, np.where(z <= h, z * z / (2.0 * h), z - h / 2.0))
+    quad = z.clip(0.0, h)  # squared below h only: no square overflows
+    quad *= quad
+    quad /= 2.0 * h
+    return np.where(z > h, z - h / 2.0, quad)
 
 
 def _huberized_deriv(z: np.ndarray, h: float) -> np.ndarray:
-    return np.where(z < 0.0, 0.0, np.where(z <= h, z / h, 1.0))
+    return z.clip(0.0, h) / h
 
 
 def _stable_sigmoid(t: np.ndarray) -> np.ndarray:

@@ -28,6 +28,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+try:  # einsum's C entry point, without the Python argument dispatch that np.einsum adds
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as _c_einsum
+
 
 class ShapeMismatchError(ValueError):
     """Raised when two stacks (or a stack and data) disagree on shape."""
@@ -105,7 +110,7 @@ class WeightStack:
         yield self.outer
 
     def same_shape(self, other: "WeightStack") -> bool:
-        return self.depth == other.depth and self.p == other.p
+        return len(self.hidden) == len(other.hidden) and self.outer.shape == other.outer.shape
 
     @classmethod
     def from_layers(cls, layers: Sequence[np.ndarray]) -> "WeightStack":
@@ -164,18 +169,7 @@ def _einsum_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product of two 1-d arrays by numpy's einsum loop: one thread, an
     order set by the length and the CPU's vector width (not by alignment),
     and no temporary (a pairwise sum of a * b costs twice as much)."""
-    return float(np.einsum("i,i->", a, b))
-
-
-def _layer_pieces(p: int, L: int, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
-    """(layer, lo, hi) for each part of the flat range [start, stop) that
-    lies inside one layer, in order; layer L is the outer row."""
-    square = p * p
-    layer = min(start // square, L)
-    while start < stop:
-        hi = min(stop, (layer + 1) * square if layer < L else stop)
-        yield layer, start, hi
-        start, layer = hi, layer + 1
+    return float(_c_einsum("i,i->", a, b))
 
 
 def _stack_sum(a: np.ndarray, b: np.ndarray) -> float:
@@ -217,8 +211,9 @@ class Sweep(NamedTuple):
     next_sq: float  # ||V - alpha g||^2
 
 
-def descent_sweep(V: WeightStack, grad: WeightStack, anchor: WeightStack, alpha: float) -> Sweep:
-    """One pass over the flat vectors for a gradient step V - alpha grad.
+def descent_sweep(V: WeightStack, grad: np.ndarray, anchor: WeightStack, alpha: float) -> Sweep:
+    """One pass over the flat vectors for a gradient step V - alpha grad,
+    where `grad` is a flat vector shaped like `V.flat`.
 
     Each block of `_BLOCK` entries is read while it is in cache: it adds to
     ||g||^2 and <g, V>, to each layer's ||V - anchor||^2 (the difference is
@@ -231,21 +226,24 @@ def descent_sweep(V: WeightStack, grad: WeightStack, anchor: WeightStack, alpha:
     iterate (layers 2..L and the outer row), so there layer 0 of the sweep
     is network layer 1.
     """
-    _require_same_shape(V, grad)
+    x, a = V.flat, anchor.flat
+    if grad.shape != x.shape:
+        raise ShapeMismatchError(f"gradient vector has shape {grad.shape}, expected {x.shape}")
     _require_same_shape(V, anchor)
-    p, L = V.p, V.depth
-    x, g, a = V.flat, grad.flat, anchor.flat
+    square, L = V.p * V.p, V.depth
     out = np.empty_like(x)
     drift = [0.0] * (L + 1)
     grad_sq = grad_dot = next_sq = 0.0
     for start in range(0, x.size, _BLOCK):
         stop = min(start + _BLOCK, x.size)
-        xb, gb, ob = x[start:stop], g[start:stop], out[start:stop]
+        xb, gb, ob = x[start:stop], grad[start:stop], out[start:stop]
         grad_sq += _einsum_dot(gb, gb)
         grad_dot += _einsum_dot(gb, xb)
         np.subtract(xb, a[start:stop], out=ob)
-        for layer, lo, hi in _layer_pieces(p, L, start, stop):
-            d = ob[lo - start : hi - start]
+        # each layer's part of the block; layer L, the outer row, ends before
+        # (L + 1) p^2 as p <= p^2
+        for layer in range(min(start // square, L), min((stop - 1) // square, L) + 1):
+            d = out[max(start, layer * square) : min(stop, (layer + 1) * square)]
             drift[layer] += _einsum_dot(d, d)
         np.multiply(gb, -alpha, out=ob)
         np.add(xb, ob, out=ob)

@@ -152,7 +152,12 @@ def logistic(z: np.ndarray) -> Logistic:
     log is expanded directly as -z - e^-z / 2. The mean's value is a
     left-to-right sum; its log is a log-sum-exp over the log channel.
     """
-    z = np.asarray(z, dtype=np.float64)
+    mean, log_mean, values, g = _logistic(np.asarray(z, dtype=np.float64))
+    return Logistic(LossValue(mean, log_mean), values, g)
+
+
+def _logistic(z: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """`logistic` of a float64 array as a plain tuple (mean, log mean, values, g)."""
     neg = np.negative(z)
     values = np.logaddexp(0.0, neg)
     e = np.exp(np.minimum(z, neg))  # e^-|z|
@@ -167,7 +172,7 @@ def logistic(z: np.ndarray) -> Logistic:
     top = float(np.maximum.reduce(logs))  # the log-sum-exp shift
     spread = math.log(float(np.add.reduce(np.exp(logs - top)))) if math.isfinite(top) else 0.0
     total = float(np.add.accumulate(values)[-1])
-    return Logistic(LossValue(total / z.size, top + spread - math.log(z.size)), values, g)
+    return total / z.size, top + spread - math.log(z.size), values, g
 
 
 def forward_rows(V: WeightStack, act: Activation, inputs: np.ndarray) -> ForwardTrace:
@@ -175,22 +180,23 @@ def forward_rows(V: WeightStack, act: Activation, inputs: np.ndarray) -> Forward
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != V.p:
         raise ShapeMismatchError(f"inputs have shape {inputs.shape}, expected (n, {V.p})")
-    return _forward(act, inputs @ V.hidden[0].T, V.hidden[1:], V.outer[0])
+    return ForwardTrace(*_forward(act, inputs @ V.hidden[0].T, V.hidden[1:], V.outer[0]))
 
 
 def _forward(
     act: Activation, u: np.ndarray, above: Sequence[np.ndarray], outer: np.ndarray
-) -> ForwardTrace:
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray]:
     """Forward pass from the first layer's pre-activations u (n x p) through
-    the hidden matrices `above` (layers 2..L) and the outer row."""
+    the hidden matrices `above` (layers 2..L) and the outer row: the fields
+    of a `ForwardTrace`, as a plain tuple."""
     us, xs, sigmas = [], [], []
     for W in (None, *above):
         if W is not None:
             u = xs[-1] @ W.T
         us.append(u)
-        xs.append(np.asarray(act.value(u)))
-        sigmas.append(np.asarray(act.deriv(u)))
-    return ForwardTrace(u=tuple(us), x=tuple(xs), sigma_diag=tuple(sigmas), output=xs[-1] @ outer)
+        xs.append(act.value(u))
+        sigmas.append(act.deriv(u))
+    return tuple(us), tuple(xs), tuple(sigmas), xs[-1] @ outer
 
 
 def sensitivities(V: WeightStack, trace: ForwardTrace) -> list[np.ndarray]:
@@ -200,19 +206,19 @@ def sensitivities(V: WeightStack, trace: ForwardTrace) -> list[np.ndarray]:
     pre-activations, so the layer-l block of that output's gradient is the
     outer product B_l[i] x_{l-1}[i]^T.
     """
-    return _sensitivities(trace, V.hidden[1:], V.outer[0])
+    return _sensitivities(trace.sigma_diag, V.hidden[1:], V.outer[0])
 
 
 def _sensitivities(
-    trace: ForwardTrace, above: Sequence[np.ndarray], outer: np.ndarray
+    sigmas: Sequence[np.ndarray], above: Sequence[np.ndarray], outer: np.ndarray
 ) -> list[np.ndarray]:
-    L = len(trace.sigma_diag)
+    L = len(sigmas)
     bs: list[np.ndarray] = [np.empty(0)] * L
-    b = trace.sigma_diag[L - 1] * outer
+    b = sigmas[L - 1] * outer
     for layer in range(L - 1, -1, -1):
         bs[layer] = b
         if layer > 0:
-            b = trace.sigma_diag[layer - 1] * (b @ above[layer - 1])
+            b = sigmas[layer - 1] * (b @ above[layer - 1])
     return bs
 
 
@@ -268,12 +274,12 @@ def _combine_features(
     bs: Sequence[np.ndarray],
     below: Sequence[np.ndarray],
     top: np.ndarray,
-) -> WeightStack:
+) -> np.ndarray:
     """sum_i c_{l,i} F_{l,i} in every layer l, for per-sample coefficient
     vectors c_l (L+1 of them) and the tangent features F_{l,i} of one pass:
     (c_l * B_l)^T X_{l-1} for hidden layer l, c_L^T X_L for the outer row.
-    Each product is written by its GEMM straight into the stack's flat
-    vector, which is adopted unchecked (see `WeightStack._computed`)."""
+    Each product is written by its GEMM straight into one new, writable
+    flat stack vector, which is returned unchecked."""
     L, p = len(bs), top.shape[1]
     square = p * p
     flat = np.empty(L * square + p)
@@ -281,16 +287,7 @@ def _combine_features(
         block = flat[layer * square : (layer + 1) * square].reshape(p, p)
         np.matmul((c[:, None] * b).T, x, out=block)
     np.matmul(coefs[L], top, out=flat[L * square :])
-    return WeightStack._computed(flat, p, L)
-
-
-class RowSpacePoint(NamedTuple):
-    """A network known through its first layer's pre-activations at the
-    inputs, u1 = X W_1^T (n x p), and `tail`, the stack of layers 2..L and
-    the outer row (depth L - 1: only the outer row at L = 1)."""
-
-    u1: np.ndarray
-    tail: WeightStack
+    return flat
 
 
 def _tail(V: WeightStack) -> WeightStack:
@@ -299,32 +296,37 @@ def _tail(V: WeightStack) -> WeightStack:
 
 
 def loss_and_gradient(
-    point: RowSpacePoint, act: Activation, data: Dataset
-) -> tuple[LossValue, tuple[np.ndarray, WeightStack]]:
-    """Mean loss and its exact gradient at a `RowSpacePoint`, in one batched pass.
+    point: tuple[np.ndarray, WeightStack], act: Activation, data: Dataset
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Mean loss, its log and its exact gradient, in one batched pass, at a
+    network known through its first layer's pre-activations at the inputs,
+    u1 = X W_1^T (n x p), and `tail`, the stack of layers 2..L and the outer
+    row (depth L - 1: only the outer row at L = 1): the point (u1, tail).
 
     With c_i = -y_i g(z_i) / n, the layer-l block is (c * B_l)^T X_{l-1}
     and the outer block is c^T X_L. The gradient is (C, tail gradient): the
     first block stays in the coordinates of the inputs, C^T X with
-    C = c * B_1 (n x p), and the rest is a stack shaped like the point's
-    tail. The loss equals `total_loss` of the point's network exactly.
+    C = c * B_1 (n x p), and the rest is a new flat vector shaped like
+    `tail.flat`. The loss and its log equal `total_loss` of the point's
+    network exactly. It builds no trace, loss or stack object.
     """
-    above, outer = point.tail.hidden, point.tail.outer[0]
-    trace = _forward(act, point.u1, above, outer)
-    terms = logistic(data.labels * trace.output)
-    c = -data.labels * terms.g / data.n
-    bs = _sensitivities(trace, above, outer)
-    tail = _combine_features([c] * len(bs), bs[1:], trace.x[:-1], trace.x[-1])
-    return terms.loss, (c[:, None] * bs[0], tail)
+    u1, tail = point
+    above, outer = tail.hidden, tail.outer[0]
+    _, xs, sigmas, output = _forward(act, u1, above, outer)
+    loss, log_loss, _, c = _logistic(data.labels * output)
+    c *= data.labels  # c = -y g / n, in g's buffer
+    c /= -data.n
+    bs = _sensitivities(sigmas, above, outer)
+    return loss, log_loss, c[:, None] * bs[0], _combine_features([c] * len(bs), bs[1:], xs[:-1], xs[-1])
 
 
 def gradient(V: WeightStack, act: Activation, data: Dataset) -> WeightStack:
-    """Exact loss gradient of a stack: `loss_and_gradient` at its
-    `RowSpacePoint`, with the first block C^T X written by one GEMM into the
+    """Exact loss gradient of a stack: `loss_and_gradient` at its point
+    (X W_1^T, tail), with the first block C^T X written by one GEMM into the
     stack's vector."""
     p, X = V.p, data.inputs
-    C, tail = loss_and_gradient(RowSpacePoint(X @ V.hidden[0].T, _tail(V)), act, data)[1]
+    C, tail = loss_and_gradient((X @ V.hidden[0].T, _tail(V)), act, data)[2:]
     flat = np.empty(V.flat.size)
     np.matmul(C.T, X, out=flat[: p * p].reshape(p, p))
-    flat[p * p :] = tail.flat
+    flat[p * p :] = tail
     return WeightStack._computed(flat, p, V.depth)

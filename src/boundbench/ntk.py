@@ -31,6 +31,7 @@ from .bounds import (
 from .linalg import (
     _EPS,
     WeightStack,
+    _c_einsum,
     _einsum_dot,
     _stack_sum,
     _wrap,
@@ -43,7 +44,6 @@ from .linalg import (
 from .network import (
     Dataset,
     LossValue,
-    RowSpacePoint,
     _combine_features,
     _forward,
     _sensitivities,
@@ -294,7 +294,8 @@ def margin_estimate_subgradient(
         if gamma > best_gamma:
             best_gamma, best_a = gamma, a
         step *= 0.995
-    W = _combine_features([best_a] * (V1.depth + 1), tangent.bs, tangent.below, tangent.top)
+    flat = _combine_features([best_a] * (V1.depth + 1), tangent.bs, tangent.below, tangent.top)
+    W = WeightStack._computed(flat, V1.p, V1.depth)
     W = stack_scale(W, 1.0 / frobenius_norm(W))
     return MarginWitness(w_star=W, gamma=tangent.margin(ys, W))
 
@@ -466,8 +467,9 @@ def nt_class_minimize(
             break
         point = cand
     primal, point = best
-    offset = _combine_features(ys * (point.inv[:, None] * point.s), tangent.bs, tangent.below, tangent.top)
-    return _wrap(V1.flat + offset.flat, V1.p, V1.depth), primal.value
+    flat = _combine_features(ys * (point.inv[:, None] * point.s), tangent.bs, tangent.below, tangent.top)
+    flat += V1.flat  # V1 + offset, in the offset's buffer
+    return _wrap(flat, V1.p, V1.depth), primal.value
 
 
 def approx_error_sample(
@@ -494,7 +496,7 @@ def approx_error_sample(
     their inputs move; a pair draws V^, then V~. So a seed yields other pairs
     than full p x p draws would, from the same distribution. A pair costs
     2 (pk + (L - 1) p^2 + p) normals, two forward passes and one backward at
-    `RowSpacePoint`s and two p x k x n products; at L = 1 no p x p array is
+    points (u1, tail) and two p x k x n products; at L = 1 no p x p array is
     formed.
 
     A sup over a continuum cannot be certified by sampling; callers must
@@ -513,7 +515,7 @@ def approx_error_sample(
     tail = _tail(V1)
     rng = np.random.default_rng(seed)
 
-    def point() -> RowSpacePoint:
+    def point() -> tuple[np.ndarray, WeightStack]:
         z = rng.standard_normal((p, k))
         chi_sq = float(rng.chisquare(p * (p - k))) if k < p else 0.0
         u1 = _span_u1(U0, R, z, chi_sq, tau * float(rng.uniform(0.5, 1.0)))
@@ -525,7 +527,7 @@ def approx_error_sample(
             g *= tau * float(rng.uniform(0.5, 1.0)) / math.sqrt(_einsum_dot(g, g))
             lo += m.size
         flat += tail.flat
-        return RowSpacePoint(u1, WeightStack._computed(flat, p, tail.depth))
+        return u1, WeightStack._computed(flat, p, tail.depth)
 
     worst = 0.0
     for pair in range(k_pairs):
@@ -544,17 +546,19 @@ def _span_u1(U0: np.ndarray, R: np.ndarray, z: np.ndarray, chi_sq: float, radius
     return U0 + scale * (z @ R).T
 
 
-def _remainders(act: Activation, v_hat: RowSpacePoint, v_til: RowSpacePoint) -> np.ndarray:
-    """f(V^) - f(V~) - <grad f(V~), V^ - V~> at every input. A layer's term
-    <b x^T, D> = b^T D x is a row-wise dot of B_l with X_{l-1} D^T, which for
-    layer 1 is u^_1 - u~_1, so no per-sample feature stack is formed."""
-    above, outer = v_til.tail.hidden, v_til.tail.outer[0]
-    f_hat = _forward(act, v_hat.u1, v_hat.tail.hidden, v_hat.tail.outer[0]).output
-    til = _forward(act, v_til.u1, above, outer)
-    delta = WeightStack._computed(v_hat.tail.flat - v_til.tail.flat, v_til.tail.p, len(above))
-    lin = til.output + til.x[-1] @ delta.outer[0]
-    moves = (v_hat.u1 - v_til.u1, *(x @ d.T for x, d in zip(til.x[:-1], delta.hidden)))
-    for b, move in zip(_sensitivities(til, above, outer), moves):
+def _remainders(act: Activation, v_hat: tuple, v_til: tuple) -> np.ndarray:
+    """f(V^) - f(V~) - <grad f(V~), V^ - V~> at every input, for points
+    (u1, tail). A layer's term <b x^T, D> = b^T D x is a row-wise dot of B_l
+    with X_{l-1} D^T, which for layer 1 is u^_1 - u~_1, so no per-sample
+    feature stack is formed."""
+    (u_hat, tail_hat), (u_til, tail_til) = v_hat, v_til
+    above, outer = tail_til.hidden, tail_til.outer[0]
+    f_hat = _forward(act, u_hat, tail_hat.hidden, tail_hat.outer[0])[3]
+    _, xs, sigmas, lin = _forward(act, u_til, above, outer)
+    delta = WeightStack._computed(tail_hat.flat - tail_til.flat, tail_til.p, len(above))
+    lin = lin + xs[-1] @ delta.outer[0]
+    moves = (u_hat - u_til, *(x @ d.T for x, d in zip(xs[:-1], delta.hidden)))
+    for b, move in zip(_sensitivities(sigmas, above, outer), moves):
         lin = lin + np.einsum("ij,ij->i", b, move)
     return f_hat - lin
 
@@ -670,7 +674,7 @@ def run_phase(
     layer: u_1 = U_0 + K A, the step A <- A - alpha C with C = c B_1,
     ||g_1||^2 = <K C, C>, <g_1, W_1> = <C, u_1>, ||W_1||^2 = ||V_1||^2 +
     2 <U_0, A> + <K A, A> and the drift from V_1, sqrt(<K A, A>). Each step
-    is one `loss_and_gradient` call at that `RowSpacePoint` and one
+    is one `loss_and_gradient` call at the point (u_1, tail) and one
     `linalg.descent_sweep` over the tail (layers 2..L and the outer row),
     which measures the rest and writes the next tail with its squared norm.
     An iterate is the pair (A, tail), which `phase_stack` turns into a
@@ -681,15 +685,19 @@ def run_phase(
 
     Loss, log loss, gradient norm, weight norm, gradient-weight product and
     drift go into columns that start at min(max_steps, 1024) steps, double
-    when full and are trimmed to the steps taken. Tracks the argmin-loss
-    iterate with earliest-step tie-breaking in `best`; `final` is the
-    iterate after the last step taken (not evaluated unless the loss fell
-    to `stop_loss` or below, which stops the loop). No p x p layer is formed. A non-finite loss or
-    gradient raises `NumericalDivergenceError`; a non-finite new iterate
-    from a finite gradient raises ValueError naming the layer (0 for A).
+    when full and are trimmed to the steps taken. The operand
+    ((K C, K A'), (u_1, U_0)) of each step's sums, A' = A - alpha C, is one
+    buffer per phase; no returned array shares its memory. Tracks the
+    argmin-loss iterate with earliest-step tie-breaking in `best`; `final`
+    is the iterate after the last step taken (not evaluated unless the loss
+    fell to `stop_loss` or below, which stops the loop). No p x p layer is
+    formed. A non-finite loss or gradient raises `NumericalDivergenceError`;
+    a non-finite new iterate from a finite gradient raises ValueError
+    naming the layer (0 for A).
     """
     p, L, X = V.p, V.depth, data.inputs
-    K, U0 = X @ X.T, X @ V.hidden[0].T
+    terms = np.empty((2, 2, data.n, p))
+    K, U0 = X @ X.T, np.matmul(X, V.hidden[0].T, out=terms[1, 1])
     anchor = _tail(V)
     coef, tail = (np.zeros_like(U0), anchor) if start is None else start
     base_sq, tail_sq = split_sq_norm(V, tail)
@@ -700,37 +708,36 @@ def run_phase(
     steps = 0
     for t in range(1, max_steps + 1):
         first_sq = base_sq + 2.0 * cross + drift_sq
-        u1 = U0 + kc
-        loss, (C, tail_grad) = loss_and_gradient(RowSpacePoint(u1, tail), act, data)
+        u1 = np.add(U0, kc, out=terms[1, 0])
+        loss, log_loss, C, tail_grad = loss_and_gradient((u1, tail), act, data)
         sweep = descent_sweep(tail, tail_grad, anchor, alpha)
-        # C and the next coefficients A - alpha C, with their K-products from
-        # one GEMM call; one einsum call makes this step's two sums and the
-        # next iterate's two
+        # C and A' = A - alpha C, with their K-products from one GEMM call; one
+        # einsum call makes this step's two sums and the next iterate's two
         pair = np.empty((2, *C.shape))
         pair[0] = C
         np.subtract(coef, alpha * C, out=pair[1])
-        k_pair = K @ pair
-        sums = np.einsum("kij,lkij->lk", pair, (k_pair, (u1, U0))).tolist()
+        k_pair = np.matmul(K, pair, out=terms[0])
+        sums = _c_einsum("kij,lkij->lk", pair, terms).tolist()
         (first_grad_sq, next_drift_sq), (first_grad_dot, next_cross) = sums
         grad_norm = math.sqrt(first_grad_sq + sweep.grad_sq)
-        if not (math.isfinite(loss.value) and math.isfinite(grad_norm)):
+        if not (math.isfinite(loss) and math.isfinite(grad_norm)):
             raise NumericalDivergenceError(t)
         if t > columns.shape[1]:
             grown = np.empty((6, min(2 * columns.shape[1], max_steps)))
             grown[:, : t - 1] = columns
             columns = grown
         columns[:, t - 1] = (
-            loss.value,
-            loss.log_value,
+            loss,
+            log_loss,
             grad_norm,
             math.sqrt(first_sq + tail_sq),
             first_grad_dot + sweep.grad_dot,
             math.sqrt(max(drift_sq, *sweep.layer_drift_sq)),
         )
         steps = t
-        if best_step == 0 or loss.value < columns[0, best_step - 1]:
+        if best_step == 0 or loss < columns[0, best_step - 1]:
             best_step, best = t, (coef, tail)
-        if loss.value <= stop_loss:
+        if loss <= stop_loss:
             break
         coef, kc, drift_sq, cross = pair[1], k_pair[1], next_drift_sq, next_cross
         tail, tail_sq = WeightStack._computed(sweep.next_flat, p, L - 1), sweep.next_sq

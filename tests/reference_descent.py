@@ -40,7 +40,7 @@ def descent(
     cur, cur_sq, steps = V, _stack_sum(V.flat, V.flat), 0
     for t in range(1, max_steps + 1):
         loss, grad = total_loss(cur, act, data), gradient(cur, act, data)
-        sweep = descent_sweep(cur, grad, anchor, alpha)
+        sweep = descent_sweep(cur, grad.flat, anchor, alpha)
         grad_norm = math.sqrt(sweep.grad_sq)
         if not (math.isfinite(loss.value) and math.isfinite(grad_norm)):
             raise NumericalDivergenceError(t)

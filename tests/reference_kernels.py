@@ -1,14 +1,18 @@
-"""Earlier forms of two kernels, kept as references.
+"""Earlier forms of some kernels, kept as references.
 
 `logistic` is the loss kernel as `network.logistic` computed it before it
 was rewritten with fewer numpy calls; the rewrite must return the same
-bits. `nt_minimize_old_rule` is the tangent-ball minimiser as
-`ntk.nt_class_minimize` ran it before it solved the problem's dual by
-Newton's method with a certified stop: projected descent with step
-halving on per-layer Grams and coefficient lists, norms from c^T K c,
-every one of `steps` steps taken. A long run of it approaches the minimum
-from above, so the certified value must come within its gap of that run.
-Tests compare against both.
+bits. `huberized_value` and `huberized_deriv` are the Huberized ReLU and
+its derivative as `activations` computed them before they were rewritten
+from one clip of the input; the rewrite must return the same bits on every
+input but NaN (these map a NaN to NaN and 1.0, and warn of an overflow in
+a branch they discard). `nt_minimize_old_rule` is the tangent-ball
+minimiser as `ntk.nt_class_minimize` ran it before it solved the
+problem's dual by Newton's method with a certified stop: projected
+descent with step halving on per-layer Grams and coefficient lists, norms
+from c^T K c, every one of `steps` steps taken. A long run of it
+approaches the minimum from above, so the certified value must come
+within its gap of that run. Tests compare against all of them.
 """
 
 from __future__ import annotations
@@ -35,6 +39,14 @@ def logistic(z: np.ndarray) -> Logistic:
     spread = math.log(float(np.exp(logs - top).sum())) if math.isfinite(top) else 0.0
     total = float(np.add.accumulate(values)[-1])
     return Logistic(LossValue(total / z.size, top + spread - math.log(z.size)), values, g)
+
+
+def huberized_value(z: np.ndarray, h: float) -> np.ndarray:
+    return np.where(z < 0.0, 0.0, np.where(z <= h, z * z / (2.0 * h), z - h / 2.0))
+
+
+def huberized_deriv(z: np.ndarray, h: float) -> np.ndarray:
+    return np.where(z < 0.0, 0.0, np.where(z <= h, z / h, 1.0))
 
 
 def nt_minimize_old_rule(V1, act, data, rho: float, steps: int) -> float:

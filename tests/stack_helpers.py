@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from boundbench.linalg import (
     OperatorNormBracket,
     WeightStack,
     _einsum_dot,
-    _layer_pieces,
     _wrap,
     frobenius_norm,
     operator_norm,
@@ -26,6 +26,17 @@ from boundbench.linalg import (
 )
 from boundbench.activations import Activation
 from boundbench.network import Dataset, _combine_features, forward_rows, gradient, logistic, sensitivities
+
+
+def _layer_pieces(p: int, L: int, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
+    """(layer, lo, hi) for each part of the flat range [start, stop) that
+    lies inside one layer, in order; layer L is the outer row."""
+    square = p * p
+    layer = min(start // square, L)
+    while start < stop:
+        hi = min(stop, (layer + 1) * square if layer < L else stop)
+        yield layer, start, hi
+        start, layer = hi, layer + 1
 
 
 def _layer_sums(a: np.ndarray, b: np.ndarray, p: int, L: int) -> list[float]:
@@ -145,7 +156,8 @@ def gradient_reference(V: WeightStack, act, data: Dataset) -> WeightStack:
     trace = forward_rows(V, act, data.inputs)
     c = -data.labels * logistic(data.labels * trace.output).g / data.n
     below = (data.inputs, *trace.x[:-1])
-    return _combine_features([c] * (V.depth + 1), sensitivities(V, trace), below, trace.x[-1])
+    flat = _combine_features([c] * (V.depth + 1), sensitivities(V, trace), below, trace.x[-1])
+    return WeightStack._computed(flat, V.p, V.depth)
 
 
 def gd_step(V: WeightStack, alpha: float, grad: WeightStack) -> WeightStack:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from boundbench.activations import (
     huberized,
     swish,
 )
+from reference_kernels import huberized_deriv, huberized_value
 
 # 1/(1.1*(1+exp(-2))), 50-digit evaluation frozen to double precision
 SWISH_AT_1_H1 = 0.8007246163435295
@@ -21,6 +25,43 @@ def test_huberized_branch_values():
     assert act.value(-1.0) == 0.0
     assert act.value(0.25) == 0.0625
     assert act.value(1.0) == 0.75
+
+
+# the sign of zero, the smallest subnormal, h and its neighbours, the
+# largest magnitudes and the infinities, where the clip form of the
+# Huberized ReLU could part from its three-branch form
+def huberized_edges(h: float) -> np.ndarray:
+    near_h = [np.nextafter(h, -np.inf), h, np.nextafter(h, np.inf)]
+    extremes = [0.0, 5e-324, 1e154, 2e154, 1e200, 1e308, np.inf]
+    return np.array([*near_h, *extremes, *(-x for x in extremes)])
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.0123, 1.0])
+def test_huberized_matches_the_three_branch_form_bit_for_bit(h):
+    z = np.concatenate([default_certification_grid(h), huberized_edges(h)])
+    act = huberized(h)
+    with np.errstate(over="ignore"):  # the reference squares entries it then discards
+        want_value, want_deriv = huberized_value(z, h), huberized_deriv(z, h)
+    assert act.value(z).tobytes() == want_value.tobytes()
+    assert act.deriv(z).tobytes() == want_deriv.tobytes()
+
+
+def test_huberized_large_inputs_do_not_warn():
+    act = huberized(0.1)
+    z = np.array([1e200, 1e308, -1e308, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert act.value(z).tolist() == [1e200 - 0.05, 1e308 - 0.05, 0.0, np.inf]
+        assert act.deriv(z).tolist() == [1.0, 1.0, 0.0, 1.0]
+
+
+def test_huberized_propagates_nan():
+    act = huberized(0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(act.value(math.nan))
+        assert math.isnan(act.deriv(math.nan))
+        assert np.isnan(act.deriv(np.array([0.05, math.nan, 1.0]))).tolist() == [False, True, False]
 
 
 def test_swish_values():

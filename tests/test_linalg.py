@@ -96,7 +96,7 @@ def test_descent_sweep_equals_the_stack_helpers(p, L):
     # descent loop sweeps at L = 1, the outer row alone
     rng = np.random.default_rng(p + L)
     V, grad, anchor = (flat_stack(p, L, rng) for _ in range(3))
-    sweep = descent_sweep(V, grad, anchor, 0.05)
+    sweep = descent_sweep(V, grad.flat, anchor, 0.05)
     assert math.sqrt(sweep.grad_sq) == frobenius_norm(grad)
     assert sweep.grad_dot == stack_dot(grad, V)
     drift = stack_norms(stack_axpy(V, -1.0, anchor)).per_layer_frobenius
@@ -104,6 +104,17 @@ def test_descent_sweep_equals_the_stack_helpers(p, L):
     new = stack_axpy(V, -0.05, grad)
     assert sweep.next_flat.tobytes() == new.flat.tobytes()
     assert math.sqrt(sweep.next_sq) == frobenius_norm(new)
+
+
+def test_descent_sweep_rejects_a_mismatched_gradient_or_anchor():
+    rng = np.random.default_rng(7)
+    V = flat_stack(4, 1, rng)
+    with pytest.raises(ShapeMismatchError, match="gradient"):
+        descent_sweep(V, np.zeros(V.flat.size - 1), V, 0.1)
+    # (p, L) = (1, 5) and (2, 1) have flat vectors of the same length
+    one, two = flat_stack(1, 5, rng), flat_stack(2, 1, rng)
+    with pytest.raises(ShapeMismatchError, match="stack shapes differ"):
+        descent_sweep(one, two.flat, two, 0.1)
 
 
 # ---------------------------------------------------------------------------

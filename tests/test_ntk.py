@@ -10,7 +10,6 @@ from boundbench.activations import huberized, swish
 from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_axpy, stack_dot
 from boundbench.network import (
     Dataset,
-    RowSpacePoint,
     _tail,
     forward,
     forward_rows,
@@ -458,7 +457,7 @@ def test_span_draw_remainders_equal_the_parameter_space_form(p, L, n, act):
         stacks.append(WeightStack.from_layers([first, *full.hidden[1:], full.outer]))
         Z = G @ Q
         chi_sq = float(np.vdot(G, G) - np.vdot(Z, Z))
-        points.append(RowSpacePoint(_span_u1(U0, R, Z, chi_sq, radius), _tail(full)))
+        points.append((_span_u1(U0, R, Z, chi_sq, radius), _tail(full)))
     want = remainders(*stacks, act, data)
     got = _remainders(act, *points)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -732,6 +731,25 @@ def test_run_phase_restarts_at_the_argmin_row_bit_for_bit():
     act = huberized(0.01)
     first = run_phase(V1, act, data, 0.05, 6)
     second = run_phase(V1, act, data, 0.02, 3, start=first.best)
+    row = first.best_step - 1
+    for column in ("loss", "log_loss", "grad_norm", "weight_norm", "grad_dot_weights", "drift"):
+        assert getattr(second, column)[0] == getattr(first, column)[row]
+
+
+def test_run_phase_returns_no_array_of_its_scratch_buffers():
+    # at this step size the argmin is step 3 of 12, so the argmin and final
+    # iterates differ; a second phase must leave the first one's iterates be
+    V1 = gaussian_init(InitSpec(p=8, L=2, seed=80))
+    _, data = clustered(8, 4, 0.05, seed=81)
+    act = huberized(0.01)
+    first = run_phase(V1, act, data, 20.0, 12)
+    assert first.best_step == 3 and len(first) == 12
+    best, final = (first.best[0], first.best[1].flat), (first.final[0], first.final[1].flat)
+    assert not any(np.shares_memory(a, b) for a in best for b in final)
+    saved = [a.tobytes() for a in best]
+    run_phase(V1, act, data, 20.0, 12)
+    second = run_phase(V1, act, data, 0.02, 3, start=first.best)
+    assert [a.tobytes() for a in best] == saved
     row = first.best_step - 1
     for column in ("loss", "log_loss", "grad_norm", "weight_norm", "grad_dot_weights", "drift"):
         assert getattr(second, column)[0] == getattr(first, column)[row]
