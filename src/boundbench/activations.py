@@ -30,6 +30,8 @@ class Activation:
     h: float
 
     def __post_init__(self):
+        if not isinstance(self.kind, ActivationKind):
+            raise ValueError(f"activation kind must be an ActivationKind, got {self.kind!r}")
         if not (self.h > 0.0 and np.isfinite(self.h)):
             raise ValueError(f"smoothing width must be a positive finite number, got {self.h}")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -73,19 +73,9 @@ class RunConfig:
     output: dict
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "mode": self.mode,
-            "network": dict(self.network),
-            "data": dict(self.data),
-            "optimizer": dict(self.optimizer),
-            "init": dict(self.init),
-            "diagnostics": dict(self.diagnostics),
-            "seeds": dict(self.seeds),
-            "output": dict(self.output),
-        }
-        if self.phase_plan is not None:
-            doc["phase_plan"] = dict(self.phase_plan)
-        return doc
+        """Every field, each section copied; phase_plan only when set."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v if k == "mode" else dict(v) for k, v in doc.items() if v is not None}
 
 
 def _expect(cond: bool, path: str, message: str) -> None:

@@ -1,10 +1,11 @@
-"""Forward pass with trace, stable logistic loss, and exact layerwise
-gradients by reverse accumulation.
+"""Forward pass with trace, stable logistic loss, tangent features and
+exact layerwise gradients by reverse accumulation, each in one form.
 
 The network is evaluated in one batched pass over the n x p input
 matrix; the one-input functions run the same pass on a single row.
-Every loss and every per-sample gradient weight g = 1/(1 + e^z) comes from
-one vectorized kernel over the margin vector, `logistic`. Losses carry a
+Tangent features are formed only on request (`_Tangent`). Every loss and
+every per-sample gradient weight g = 1/(1 + e^z) comes from one
+vectorized kernel over the margin vector, `logistic`. Losses carry a
 parallel log-space channel because instrumented runs push the mean loss
 far below 1e-12, where ratios like log(1/J) must stay accurate. Per-sample
 losses are reduced in a fixed left-to-right order, and no result of this
@@ -17,12 +18,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .activations import Activation
-from .linalg import ShapeMismatchError, WeightStack
+from .linalg import ShapeMismatchError, WeightStack, _wrap
 
 # above this margin, log1p(exp(-z)) collapses to exp(-z) at double precision
 _ASYMPTOTIC_MARGIN = 40.0
@@ -103,8 +104,7 @@ class Dataset:
         }
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
+class ForwardTrace(NamedTuple):
     """Everything one forward pass produces, per layer.
 
     From `forward_rows` each entry is an n x p array with one row per
@@ -152,12 +152,7 @@ def logistic(z: np.ndarray) -> Logistic:
     log is expanded directly as -z - e^-z / 2. The mean's value is a
     left-to-right sum; its log is a log-sum-exp over the log channel.
     """
-    mean, log_mean, values, g = _logistic(np.asarray(z, dtype=np.float64))
-    return Logistic(LossValue(mean, log_mean), values, g)
-
-
-def _logistic(z: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """`logistic` of a float64 array as a plain tuple (mean, log mean, values, g)."""
+    z = np.asarray(z, dtype=np.float64)
     neg = np.negative(z)
     values = np.logaddexp(0.0, neg)
     e = np.exp(np.minimum(z, neg))  # e^-|z|
@@ -172,23 +167,26 @@ def _logistic(z: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
     top = float(np.maximum.reduce(logs))  # the log-sum-exp shift
     spread = math.log(float(np.add.reduce(np.exp(logs - top)))) if math.isfinite(top) else 0.0
     total = float(np.add.accumulate(values)[-1])
-    return total / z.size, top + spread - math.log(z.size), values, g
+    return Logistic(LossValue(total / z.size, top + spread - math.log(z.size)), values, g)
 
 
-def forward_rows(V: WeightStack, act: Activation, inputs: np.ndarray) -> ForwardTrace:
-    """Forward pass over every row of `inputs` (n x p) at once."""
+def _point(V: WeightStack, inputs: np.ndarray) -> tuple[np.ndarray, WeightStack]:
+    """V at the rows of `inputs` (n x p) as a point (u1, tail): the first
+    layer's pre-activations X W_1^T and the stack of the other layers."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != V.p:
         raise ShapeMismatchError(f"inputs have shape {inputs.shape}, expected (n, {V.p})")
-    return ForwardTrace(*_forward(act, inputs @ V.hidden[0].T, V.hidden[1:], V.outer[0]))
+    return inputs @ V.hidden[0].T, _tail(V)
 
 
-def _forward(
-    act: Activation, u: np.ndarray, above: Sequence[np.ndarray], outer: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray]:
+def _tail(V: WeightStack) -> WeightStack:
+    """Layers 2..L and the outer row of V: a depth L - 1 stack on V's vector."""
+    return WeightStack._computed(V.flat[V.p * V.p :], V.p, V.depth - 1)
+
+
+def _forward(act: Activation, u: np.ndarray, above: Sequence[np.ndarray], outer: np.ndarray) -> ForwardTrace:
     """Forward pass from the first layer's pre-activations u (n x p) through
-    the hidden matrices `above` (layers 2..L) and the outer row: the fields
-    of a `ForwardTrace`, as a plain tuple."""
+    the hidden matrices `above` (layers 2..L) and the outer row."""
     us, xs, sigmas = [], [], []
     for W in (None, *above):
         if W is not None:
@@ -196,22 +194,26 @@ def _forward(
         us.append(u)
         xs.append(act.value(u))
         sigmas.append(act.deriv(u))
-    return tuple(us), tuple(xs), tuple(sigmas), xs[-1] @ outer
+    return ForwardTrace(tuple(us), tuple(xs), tuple(sigmas), xs[-1] @ outer)
 
 
-def sensitivities(V: WeightStack, trace: ForwardTrace) -> list[np.ndarray]:
-    """B_l (n x p) for each hidden layer l, by reverse accumulation.
+def forward_rows(V: WeightStack, act: Activation, inputs: np.ndarray) -> ForwardTrace:
+    """Forward pass over every row of `inputs` (n x p) at once."""
+    u1, tail = _point(V, inputs)
+    return _forward(act, u1, tail.hidden, tail.outer[0])
+
+
+def sensitivities(
+    sigmas: Sequence[np.ndarray], above: Sequence[np.ndarray], outer: np.ndarray
+) -> list[np.ndarray]:
+    """B_l (n x p) for each hidden layer l, by reverse accumulation from a
+    pass's activation derivatives through the matrices `above` (layers
+    2..L) and the outer row.
 
     Row i of B_l is the sensitivity of output i to the layer-l
     pre-activations, so the layer-l block of that output's gradient is the
     outer product B_l[i] x_{l-1}[i]^T.
     """
-    return _sensitivities(trace.sigma_diag, V.hidden[1:], V.outer[0])
-
-
-def _sensitivities(
-    sigmas: Sequence[np.ndarray], above: Sequence[np.ndarray], outer: np.ndarray
-) -> list[np.ndarray]:
     L = len(sigmas)
     bs: list[np.ndarray] = [np.empty(0)] * L
     b = sigmas[L - 1] * outer
@@ -222,19 +224,55 @@ def _sensitivities(
     return bs
 
 
-def output_gradients(V: WeightStack, act: Activation, inputs: np.ndarray) -> list[WeightStack]:
-    """Gradient of the network output f (not the loss) at each input row:
-    hidden blocks B_l[i] x_{l-1}[i]^T and the outer block x_L[i]."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    trace = forward_rows(V, act, inputs)
-    below = (inputs, *trace.x[:-1])
-    bs = sensitivities(V, trace)
-    return [
-        WeightStack.from_layers(
-            [np.outer(b[i], x[i]) for b, x in zip(bs, below)] + [trace.x[-1][i : i + 1]]
-        )
-        for i in range(inputs.shape[0])
-    ]
+class _Tangent(NamedTuple):
+    """One batched pass with its tangent features left unformed: the
+    gradient of output i is F_i, B_l[i] X_{l-1}[i]^T in hidden layer l and
+    X_L[i] in the outer row."""
+
+    output: np.ndarray  # f at every input
+    bs: list[np.ndarray]  # B_l, n x p
+    below: tuple  # X_{l-1}, n x p; X_0, the inputs, may be None (see `at_point`)
+    top: np.ndarray  # X_L, n x p
+
+    @classmethod
+    def at(cls, V1: WeightStack, act: Activation, data: Dataset) -> "_Tangent":
+        return cls.at_point(act, data.inputs, _point(V1, data.inputs))
+
+    @classmethod
+    def at_point(cls, act: Activation, inputs: np.ndarray | None, point: tuple) -> "_Tangent":
+        """The pass at a point (u1, tail) of the rows of `inputs`, which only
+        `grams` and `features` read: `dots` takes layer 1's move as X D_1^T."""
+        u1, tail = point
+        above, outer = tail.hidden, tail.outer[0]
+        trace = _forward(act, u1, above, outer)
+        bs = sensitivities(trace.sigma_diag, above, outer)
+        return cls(trace.output, bs, (inputs, *trace.x[:-1]), trace.x[-1])
+
+    def grams(self) -> list[np.ndarray]:
+        """K_l = (B_l B_l^T) * (X_{l-1} X_{l-1}^T) per hidden layer, then X_L X_L^T."""
+        return [(b @ b.T) * (x @ x.T) for b, x in zip(self.bs, self.below)] + [self.top @ self.top.T]
+
+    def features(self) -> list[WeightStack]:
+        """Every F_i as a stack, formed by `_combine_features` with the
+        one-hot coefficients e_i in every layer."""
+        L, p = len(self.bs), self.top.shape[1]
+        flats = (_combine_features([e] * (L + 1), self.bs, self.below, self.top) for e in np.eye(len(self.top)))
+        return [_wrap(flat, p, L) for flat in flats]
+
+    def dots(self, start: np.ndarray | float, moves: Iterable[np.ndarray], outer: np.ndarray) -> np.ndarray:
+        """start + F_i . D at every input, for a move D given by its outer row
+        and, per hidden layer, X_{l-1} D_l^T (n x p). <b x^T, D_l> = b^T D_l x
+        is a row-wise dot of B_l with X_{l-1} D_l^T, so no feature stack is
+        formed."""
+        out = start + self.top @ outer
+        for b, move in zip(self.bs, moves):
+            out = out + np.einsum("ij,ij->i", b, move)
+        return out
+
+    def margin(self, labels: np.ndarray, W: WeightStack) -> float:
+        """min_i y_i (F_i . W) / sqrt(p); -0.0 is the exact additive identity."""
+        dots = self.dots(-0.0, (x @ w.T for x, w in zip(self.below, W.hidden)), W.outer[0])
+        return float(np.min(labels * dots)) / math.sqrt(W.p)
 
 
 def _one_row(V: WeightStack, x: np.ndarray) -> np.ndarray:
@@ -247,17 +285,13 @@ def _one_row(V: WeightStack, x: np.ndarray) -> np.ndarray:
 def forward(V: WeightStack, act: Activation, x: np.ndarray) -> ForwardTrace:
     """Forward pass at one input: `forward_rows` on a single row."""
     trace = forward_rows(V, act, _one_row(V, x))
-    return ForwardTrace(
-        u=tuple(u[0] for u in trace.u),
-        x=tuple(v[0] for v in trace.x),
-        sigma_diag=tuple(s[0] for s in trace.sigma_diag),
-        output=float(trace.output[0]),
-    )
+    return ForwardTrace(*(tuple(a[0] for a in arrays) for arrays in trace[:3]), float(trace.output[0]))
 
 
 def output_gradient(V: WeightStack, act: Activation, x: np.ndarray) -> WeightStack:
     """Gradient of the network output f (not the loss) at one input."""
-    return output_gradients(V, act, _one_row(V, x))[0]
+    row = _one_row(V, x)
+    return _Tangent.at_point(act, row, _point(V, row)).features()[0]
 
 
 def margins(V: WeightStack, act: Activation, data: Dataset) -> np.ndarray:
@@ -290,11 +324,6 @@ def _combine_features(
     return flat
 
 
-def _tail(V: WeightStack) -> WeightStack:
-    """Layers 2..L and the outer row of V: a depth L - 1 stack on V's vector."""
-    return WeightStack._computed(V.flat[V.p * V.p :], V.p, V.depth - 1)
-
-
 def loss_and_gradient(
     point: tuple[np.ndarray, WeightStack], act: Activation, data: Dataset
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -308,16 +337,16 @@ def loss_and_gradient(
     first block stays in the coordinates of the inputs, C^T X with
     C = c * B_1 (n x p), and the rest is a new flat vector shaped like
     `tail.flat`. The loss and its log equal `total_loss` of the point's
-    network exactly. It builds no trace, loss or stack object.
+    network exactly. It builds no stack object.
     """
     u1, tail = point
     above, outer = tail.hidden, tail.outer[0]
     _, xs, sigmas, output = _forward(act, u1, above, outer)
-    loss, log_loss, _, c = _logistic(data.labels * output)
+    loss, _, c = logistic(data.labels * output)
     c *= data.labels  # c = -y g / n, in g's buffer
     c /= -data.n
-    bs = _sensitivities(sigmas, above, outer)
-    return loss, log_loss, c[:, None] * bs[0], _combine_features([c] * len(bs), bs[1:], xs[:-1], xs[-1])
+    bs = sensitivities(sigmas, above, outer)
+    return loss.value, loss.log_value, c[:, None] * bs[0], _combine_features([c] * len(bs), bs[1:], xs[:-1], xs[-1])
 
 
 def gradient(V: WeightStack, act: Activation, data: Dataset) -> WeightStack:
@@ -325,7 +354,7 @@ def gradient(V: WeightStack, act: Activation, data: Dataset) -> WeightStack:
     (X W_1^T, tail), with the first block C^T X written by one GEMM into the
     stack's vector."""
     p, X = V.p, data.inputs
-    C, tail = loss_and_gradient((X @ V.hidden[0].T, _tail(V)), act, data)[2:]
+    C, tail = loss_and_gradient(_point(V, X), act, data)[2:]
     flat = np.empty(V.flat.size)
     np.matmul(C.T, X, out=flat[: p * p].reshape(p, p))
     flat[p * p :] = tail

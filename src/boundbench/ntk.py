@@ -1,6 +1,6 @@
-"""Random initialization, tangent-feature machinery, margin witnesses,
-linearized-model quantities, two-phase training, and initialization
-concentration diagnostics.
+"""Random initialization, margin witnesses and linearized-model quantities
+(on the tangent features of `network._Tangent`), two-phase training, and
+initialization concentration diagnostics.
 
 Conventions: the linearized (tangent) model at V1 maps x to
 f_{V1}(x) + feature(x) . (V - V1) with feature(x) the gradient of the
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,13 +46,12 @@ from .network import (
     LossValue,
     _combine_features,
     _forward,
-    _sensitivities,
+    _point,
     _tail,
+    _Tangent,
     forward_rows,
     logistic,
     loss_and_gradient,
-    output_gradients,
-    sensitivities,
     total_loss,
 )
 
@@ -113,34 +112,7 @@ def gaussian_init(spec: InitSpec) -> WeightStack:
 
 def ntk_features(V1: WeightStack, act: Activation, data: Dataset) -> list[WeightStack]:
     """Per-sample gradient of the network output at V1 (not of the loss)."""
-    return output_gradients(V1, act, data.inputs)
-
-
-class _Tangent(NamedTuple):
-    """One batched pass at V1 with its tangent features left unformed: F_i
-    is B_l[i] X_{l-1}[i]^T in hidden layer l and X_L[i] in the outer row."""
-
-    output: np.ndarray  # f(V1) at every input
-    bs: list[np.ndarray]  # B_l, n x p
-    below: tuple[np.ndarray, ...]  # X_{l-1}, n x p
-    top: np.ndarray  # X_L, n x p
-
-    @classmethod
-    def at(cls, V1: WeightStack, act: Activation, data: Dataset) -> "_Tangent":
-        trace = forward_rows(V1, act, data.inputs)
-        return cls(trace.output, sensitivities(V1, trace), (data.inputs, *trace.x[:-1]), trace.x[-1])
-
-    def grams(self) -> list[np.ndarray]:
-        """K_l = (B_l B_l^T) * (X_{l-1} X_{l-1}^T) per hidden layer, then X_L X_L^T."""
-        return [(b @ b.T) * (x @ x.T) for b, x in zip(self.bs, self.below)] + [self.top @ self.top.T]
-
-    def margin(self, labels: np.ndarray, W: WeightStack) -> float:
-        """min_i y_i (F_i . W) / sqrt(p). <b x^T, W_l> = b^T W_l x is a row-wise
-        dot of B_l with X_{l-1} W_l^T, so no feature stack is formed."""
-        dots = self.top @ W.outer[0]
-        for b, x, w in zip(self.bs, self.below, W.hidden):
-            dots = dots + np.einsum("ij,ij->i", b, x @ w.T)
-        return float(np.min(labels * dots)) / math.sqrt(W.p)
+    return _Tangent.at(V1, act, data).features()
 
 
 @dataclass(frozen=True)
@@ -310,8 +282,8 @@ class NtBallConfig:
     steps: int = 400  # cap on the Newton steps of `nt_class_minimize`
 
     def __post_init__(self):
-        if not self.rho >= 0:
-            raise ValueError(f"ball radius rho must be nonnegative, got {self.rho}")
+        if not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError(f"ball radius rho must be finite and nonnegative, got {self.rho}")
         if self.steps < 1:
             raise ValueError("need at least one iteration")
 
@@ -511,8 +483,7 @@ def approx_error_sample(
     p = V1.p
     R = np.linalg.qr(data.inputs.T, mode="r")  # k x n
     k = R.shape[0]
-    U0 = data.inputs @ V1.hidden[0].T
-    tail = _tail(V1)
+    U0, tail = _point(V1, data.inputs)
     rng = np.random.default_rng(seed)
 
     def point() -> tuple[np.ndarray, WeightStack]:
@@ -548,19 +519,14 @@ def _span_u1(U0: np.ndarray, R: np.ndarray, z: np.ndarray, chi_sq: float, radius
 
 def _remainders(act: Activation, v_hat: tuple, v_til: tuple) -> np.ndarray:
     """f(V^) - f(V~) - <grad f(V~), V^ - V~> at every input, for points
-    (u1, tail). A layer's term <b x^T, D> = b^T D x is a row-wise dot of B_l
-    with X_{l-1} D^T, which for layer 1 is u^_1 - u~_1, so no per-sample
-    feature stack is formed."""
+    (u1, tail), by `_Tangent.dots` at V~: layer 1's move X D_1^T is
+    u^_1 - u~_1."""
     (u_hat, tail_hat), (u_til, tail_til) = v_hat, v_til
-    above, outer = tail_til.hidden, tail_til.outer[0]
-    f_hat = _forward(act, u_hat, tail_hat.hidden, tail_hat.outer[0])[3]
-    _, xs, sigmas, lin = _forward(act, u_til, above, outer)
-    delta = WeightStack._computed(tail_hat.flat - tail_til.flat, tail_til.p, len(above))
-    lin = lin + xs[-1] @ delta.outer[0]
-    moves = (u_hat - u_til, *(x @ d.T for x, d in zip(xs[:-1], delta.hidden)))
-    for b, move in zip(_sensitivities(sigmas, above, outer), moves):
-        lin = lin + np.einsum("ij,ij->i", b, move)
-    return f_hat - lin
+    f_hat = _forward(act, u_hat, tail_hat.hidden, tail_hat.outer[0]).output
+    tangent = _Tangent.at_point(act, None, v_til)
+    delta = WeightStack._computed(tail_hat.flat - tail_til.flat, tail_til.p, tail_til.depth)
+    moves = (u_hat - u_til, *(x @ d.T for x, d in zip(tangent.below[1:], delta.hidden)))
+    return f_hat - tangent.dots(tangent.output, moves, delta.outer[0])
 
 
 # ---------------------------------------------------------------------------
@@ -596,18 +562,18 @@ class PhasePlan:
     T_faithful_log10: float | None = None
 
     def __post_init__(self):
-        if not self.alpha_nt > 0:
-            raise ValueError("the linearized-phase step size must be positive")
+        for name in ("alpha_nt", "h_nt", "alpha_phase2"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} out of range: must be finite and positive, got {value}")
+        for name in ("rho", "stop_loss"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} out of range: must be finite and nonnegative, got {value}")
         if self.T < 1:
-            raise ValueError("need at least one first-phase step")
-        if not self.h_nt > 0 or self.phase2_steps < 0:
-            raise ValueError("plan values out of range")
-        if not (math.isfinite(self.rho) and self.rho >= 0):
-            raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
-        if self.stop_loss is not None and not (math.isfinite(self.stop_loss) and self.stop_loss >= 0):
-            raise ValueError(f"stop_loss must be finite and nonnegative, got {self.stop_loss}")
-        if self.alpha_phase2 is not None and not (math.isfinite(self.alpha_phase2) and self.alpha_phase2 > 0):
-            raise ValueError(f"alpha_phase2 must be finite and positive, got {self.alpha_phase2}")
+            raise ValueError(f"T out of range: need at least one first-phase step, got {self.T}")
+        if self.phase2_steps < 0:
+            raise ValueError(f"phase2_steps out of range: must be nonnegative, got {self.phase2_steps}")
 
     @classmethod
     def auto(
@@ -628,8 +594,8 @@ class PhasePlan:
         desk-scale budget; it is computed in log space and kept in
         T_faithful_log10 for traceability.
         """
-        if not 0 < gamma:
-            raise ValueError("need a positive margin")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"margin gamma must be finite and positive, got {gamma}")
         log_n = math.log(n)
         rho = (
             c1
@@ -814,17 +780,7 @@ def two_phase_train(
     argmin_loss = float(phase1.loss[best])
     max_drift = float(phase1.drift.max())
     echo: dict = {
-        "plan": {
-            "alpha_nt": plan.alpha_nt,
-            "T": plan.T,
-            "T_faithful_log10": plan.T_faithful_log10,
-            "h_nt": plan.h_nt,
-            "rho": plan.rho,
-            "c1": plan.c1,
-            "theta_const": plan.theta_const,
-            "stop_loss": plan.stop_loss,
-            "phase2_steps": plan.phase2_steps,
-        },
+        "plan": {k: v for k, v in asdict(plan).items() if k != "alpha_phase2"},
         "phase1_steps": len(phase1),
         "phase1_argmin_step": phase1.best_step,
         "phase1_argmin_loss": argmin_loss,
@@ -873,9 +829,11 @@ def average_loss_bound_check(
 
     eps_app here is a sampled lower estimate of a quantity the analysis
     upper-bounds, which makes the right side smaller (the check stricter);
-    eps_nt from the projected minimizer is an upper estimate, making it
-    looser. Both roles are recorded. The verdict only applies when every
-    iterate stayed inside the tau-ball and eps_app < 3/8.
+    eps_nt from `nt_class_minimize` is the loss at the primal point of its
+    Newton iteration on the dual, a point of the ball, so an upper estimate
+    (within the certified gap where that stop is reached), making it looser.
+    Both roles are recorded. The verdict only applies when every iterate
+    stayed inside the tau-ball and eps_app < 3/8.
     """
     T = len(phase)
     avg = sum(phase.loss.tolist()) / T
@@ -896,7 +854,7 @@ def average_loss_bound_check(
         "in_ball": in_ball,
         "max_drift": max_drift,
         "tau": tau,
-        "eps_nt_side": "upper estimate (projected descent)",
+        "eps_nt_side": "upper estimate (primal point of the dual Newton solve)",
         "eps_app_side": "lower estimate (sampled pairs)",
         "T": T,
     }

@@ -101,7 +101,7 @@ def remainders(v_hat: WeightStack, v_til: WeightStack, act, data: Dataset) -> np
     til = forward_rows(v_til, act, data.inputs)
     lin = til.output + til.x[-1] @ delta.outer[0]
     below = (data.inputs, *til.x[:-1])
-    for b, x, d in zip(sensitivities(v_til, til), below, delta.hidden):
+    for b, x, d in zip(sensitivities(til.sigma_diag, v_til.hidden[1:], v_til.outer[0]), below, delta.hidden):
         lin = lin + np.einsum("ij,ij->i", b, x @ d.T)
     return f_hat - lin
 
@@ -143,7 +143,7 @@ def gamma_bound(
         # one block at a time; the norms equal those of ntk_features bit for bit
         hidden = (
             float(np.linalg.norm(np.outer(b_i, x_i)))
-            for b, x in zip(sensitivities(V, trace), below)
+            for b, x in zip(sensitivities(trace.sigma_diag, V.hidden[1:], V.outer[0]), below)
             for b_i, x_i in zip(b, x)
         )
         worst = max(worst, *hidden, *(float(np.linalg.norm(x)) for x in trace.x[-1]))
@@ -156,7 +156,8 @@ def gradient_reference(V: WeightStack, act, data: Dataset) -> WeightStack:
     trace = forward_rows(V, act, data.inputs)
     c = -data.labels * logistic(data.labels * trace.output).g / data.n
     below = (data.inputs, *trace.x[:-1])
-    flat = _combine_features([c] * (V.depth + 1), sensitivities(V, trace), below, trace.x[-1])
+    bs = sensitivities(trace.sigma_diag, V.hidden[1:], V.outer[0])
+    flat = _combine_features([c] * (V.depth + 1), bs, below, trace.x[-1])
     return WeightStack._computed(flat, V.p, V.depth)
 
 

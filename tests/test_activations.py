@@ -92,6 +92,13 @@ def test_zero_smoothing_width_rejected():
             Activation(kind, -0.1)
 
 
+@pytest.mark.parametrize("kind", ["huberized", "swish", None])
+def test_activation_rejects_a_kind_that_is_not_an_activation_kind(kind):
+    # a string would otherwise fall through to the Swish branch
+    with pytest.raises(ValueError, match="kind"):
+        Activation(kind, 0.5)
+
+
 def test_value_at_zero_is_exact_zero():
     for act in (huberized(0.03), swish(0.03), huberized(2.0), swish(2.0)):
         assert act.value(0.0) == 0.0

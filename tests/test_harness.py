@@ -452,14 +452,13 @@ def test_theorem32_mode_runs_with_overrides():
 
 def test_theorem32_gamma_estimate_forms_no_feature_stacks(monkeypatch):
     # the estimate runs in kernel coordinates from one batched pass
-    calls, original = [], network.output_gradients
+    calls, original = [], network._Tangent.features
 
     def spy(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (ntk, network):
-        monkeypatch.setattr(module, "output_gradients", spy)
+    monkeypatch.setattr(network._Tangent, "features", spy)
     runlog, status = run(parse_config(theorem32_overrides_config()))
     assert status == 0 and runlog.config_echo["gamma"] > 0
     assert calls == []

@@ -14,6 +14,7 @@ from boundbench.network import (
     forward,
     forward_rows,
     logistic,
+    sensitivities,
     total_loss,
 )
 from boundbench.ntk import (
@@ -109,9 +110,14 @@ def test_feature_outer_block_equals_last_hidden_features():
     act = huberized(0.01)
     _, data = clustered(32, 4, 0.05, seed=4)
     feats = ntk_features(V1, act, data)
-    last = forward_rows(V1, act, data.inputs).x[-1]
-    for feat, row in zip(feats, last):
-        np.testing.assert_array_equal(feat.outer[0], row)
+    trace = forward_rows(V1, act, data.inputs)
+    below = (data.inputs, *trace.x[:-1])
+    bs = sensitivities(trace.sigma_diag, V1.hidden[1:], V1.outer[0])
+    for i, feat in enumerate(feats):
+        np.testing.assert_array_equal(feat.outer[0], trace.x[-1][i])
+        # under ==: the one-hot GEMMs that form the blocks may turn -0.0 into +0.0
+        for block, b, x in zip(feat.hidden, bs, below):
+            assert (block == np.outer(b[i], x[i])).all()
 
 
 def test_feature_inner_product_vanishes_at_center():
@@ -499,6 +505,8 @@ def test_approx_error_raises_on_a_non_finite_remainder(nt_setup):
 def test_nt_ball_config_rejects_a_nan_radius():
     with pytest.raises(ValueError, match="rho"):
         NtBallConfig(rho=math.nan)
+    with pytest.raises(ValueError, match="rho"):
+        NtBallConfig(rho=math.inf)
 
 
 def test_gamma_bound_exact_at_zero_radius(nt_setup):
@@ -646,12 +654,21 @@ def test_phase_plan_validation():
         ("rho", math.nan), ("rho", -1.0), ("rho", math.inf),
         ("alpha_phase2", math.nan), ("alpha_phase2", -1.0), ("alpha_phase2", 0.0),
         ("stop_loss", math.nan), ("stop_loss", -1.0),
+        ("alpha_nt", math.nan), ("alpha_nt", 0.0), ("alpha_nt", math.inf),
+        ("h_nt", math.nan), ("h_nt", 0.0), ("h_nt", math.inf),
+        ("phase2_steps", -1),
     ],
 )
 def test_phase_plan_rejects_a_bad_value_and_names_it(field, value):
     given = {"alpha_nt": 0.1, "T": 1, "h_nt": 0.01, "rho": 1.0, field: value}
     with pytest.raises(ValueError, match=field):
         PhasePlan(**given)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_phase_plan_auto_rejects_a_bad_margin_and_names_it(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        PhasePlan.auto(n=4, p=8, L=1, gamma=gamma)
 
 
 def test_phase_plan_auto_formulas():
