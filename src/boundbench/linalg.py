@@ -32,6 +32,10 @@ try:  # einsum's C entry point, without the Python argument dispatch that np.ein
     from numpy._core.multiarray import c_einsum as _c_einsum
 except ImportError:  # numpy 1.x
     from numpy.core.multiarray import c_einsum as _c_einsum
+# the Cholesky gufunc that np.linalg.cholesky wraps, called here on a Fortran
+# view so that it copies nothing in and writes its factor over its input
+# (numpy's private module; this name is tested with numpy 2.4 only)
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 
 class ShapeMismatchError(ValueError):
@@ -308,9 +312,34 @@ def _lanczos_top(gram: np.ndarray) -> tuple[float, float, float, int, bool]:
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
-    """The smaller of m m^T and m^T m."""
+    """The smaller of m m^T and m^T m, C-ordered and bitwise symmetric:
+    numpy forms a contiguous matrix's product with its own transpose by one
+    BLAS syrk call on one triangle and mirrors it into the other."""
+    if not (m.flags.c_contiguous or m.flags.f_contiguous):
+        m = np.ascontiguousarray(m)  # a strided m's product takes another path, not symmetric
     with np.errstate(over="ignore", invalid="ignore"):  # checked by the caller
         return m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+
+
+def _shift_negated(gram: np.ndarray, s: float, diagonal: np.ndarray) -> np.ndarray:
+    """Overwrite G, whose diagonal is `diagonal`, with sI - G; returns it."""
+    gram *= -1.0
+    gram.flat[:: gram.shape[0] + 1] = s - diagonal
+    return gram
+
+
+def _cholesky_in_place(a: np.ndarray) -> bool:
+    """Whether the finite, bitwise-symmetric C-ordered matrix `a` is
+    positive definite, by LAPACK's Cholesky factorisation on its transpose,
+    a Fortran-ordered view of the same matrix. The factor (or NaN, when the
+    factorisation fails) overwrites `a`. A NaN entry can pass: OpenBLAS's
+    factorisation tests each pivot only for being <= 0."""
+    try:
+        with np.errstate(invalid="raise"):  # how the gufunc reports a failure
+            _cholesky_lo(a.T, out=a.T)
+    except FloatingPointError:
+        return False
+    return True
 
 
 def _bracket(lower: float, upper: float, exponent: int, steps: int, ended: str) -> OperatorNormBracket:
@@ -334,21 +363,25 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
     gives its top Ritz value theta <= lambda_max(G), so `lower` = sqrt(theta)
     sits below the norm, and an error estimate (see `_lanczos_top`). The
     certificate then sets s = theta + estimate + 4 k eps theta (plus the
-    smallest normal number, so s > 0 for a zero matrix) and runs a Cholesky
-    factorisation of sI - G, overwriting G. It succeeds only when sI - G is
-    positive definite, so `upper` = sqrt(s) sits above the norm. Both ends
-    hold for G as computed, up to the factorisation's backward error (of
-    order k eps s, which the margin is sized to cover); rounding in forming
-    G is of the same order. The test fails when the Kato-Temple estimate
-    overstates the gap, as when the top two eigenvalues nearly coincide; it
-    is then retried once with the Ritz residual r in place of the estimate.
-    [theta - r, theta + r] holds an eigenvalue, so the wider shift passes
-    unless the Krylov space missed the top eigenvalue, at the price of a
-    bracket about r / (2 sqrt(theta)) wide. When the retry fails too, or
-    Lanczos reaches its step cap, LAPACK `eigvalsh` gives lambda_max
-    exactly to rounding and the bracket is that value widened by the same
-    margin on both sides; `ended` says which of the two proved the
-    bracket.
+    smallest normal number, so s > 0 for a zero matrix), writes sI - G over
+    G and runs LAPACK's Cholesky factorisation on it in place. G is formed
+    bitwise symmetric, so its transpose, the Fortran-ordered view that
+    LAPACK reads without a copy, is the same matrix, and the factor lands in
+    G's own buffer. The factorisation succeeds only when sI - G is positive
+    definite, so `upper` = sqrt(s) sits above the norm. Both ends hold for
+    G as computed, up to the factorisation's backward error (of order
+    k eps s, which the margin is sized to cover); rounding in forming G is
+    of the same order. A failed factorisation leaves NaN in the buffer, so
+    G is then formed again (the same bits) before anything reads it. The
+    test fails when the Kato-Temple estimate overstates the gap, as when
+    the top two eigenvalues nearly coincide; it is then retried once with
+    the Ritz residual r in place of the estimate. [theta - r, theta + r]
+    holds an eigenvalue, so the wider shift passes unless the Krylov space
+    missed the top eigenvalue, at the price of a bracket about
+    r / (2 sqrt(theta)) wide. When the retry fails too, or Lanczos reaches
+    its step cap, LAPACK `eigvalsh` gives lambda_max exactly to rounding
+    and the bracket is that value widened by the same margin on both
+    sides; `ended` says which of the two proved the bracket.
 
     A matrix with a NaN or infinite entry raises ValueError. One whose
     squared Frobenius norm (the trace of G) lies outside [2^-500, 2^500] is
@@ -370,22 +403,19 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
             raise ValueError("matrix has non-finite entries")
         if largest or smallest:  # a zero matrix needs no scaling
             exponent = math.frexp(max(largest, -smallest))[1]
-            gram = _gram(np.ldexp(m, -exponent))
+            m = np.ldexp(m, -exponent)
+            gram = _gram(m)
     k = gram.shape[0]
     theta, estimate, residual, steps, stopped = _lanczos_top(gram)
     theta = max(theta, 0.0)  # rounding can put a singular Gram's top Ritz value below 0
     if stopped:
         diagonal = gram.diagonal().copy()
-        gram *= -1.0
         for shift in (estimate, residual) if residual > estimate else (estimate,):
             s = theta + shift + 4 * k * _EPS * theta + _TINY
-            gram.flat[:: k + 1] = s - diagonal
-            try:
-                np.linalg.cholesky(gram)
+            if _cholesky_in_place(_shift_negated(gram, s, diagonal)):
                 return _bracket(math.sqrt(theta), math.sqrt(s), exponent, steps, "certificate")
-            except np.linalg.LinAlgError:
-                pass
-        top = s - float(np.linalg.eigvalsh(gram)[0])
+            gram = _gram(m)  # the failed factorisation left NaN in G's buffer
+        top = s - float(np.linalg.eigvalsh(_shift_negated(gram, s, diagonal))[0])
     else:
         top = float(np.linalg.eigvalsh(gram)[-1])
     margin = 4 * k * _EPS * abs(top) + _TINY

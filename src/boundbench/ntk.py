@@ -12,6 +12,7 @@ sparsity diagnostic.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -73,6 +74,13 @@ class NumericalDivergenceError(RunAbortedError):
         super().__init__(message or f"non-finite loss or gradient at step {step}")
 
 
+def _require_count(name: str, value, least: int) -> None:
+    """Raise naming `name` unless `value` is an integer, not a bool, of at
+    least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} out of range: must be an integer >= {least}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -84,8 +92,8 @@ class InitSpec:
     seed: int
 
     def __post_init__(self):
-        if self.p < 1 or self.L < 1:
-            raise ValueError("need p >= 1 and L >= 1")
+        _require_count("p", self.p, 1)
+        _require_count("L", self.L, 1)
 
 
 def gaussian_init(spec: InitSpec) -> WeightStack:
@@ -284,8 +292,7 @@ class NtBallConfig:
     def __post_init__(self):
         if not (math.isfinite(self.rho) and self.rho >= 0):
             raise ValueError(f"ball radius rho must be finite and nonnegative, got {self.rho}")
-        if self.steps < 1:
-            raise ValueError("need at least one iteration")
+        _require_count("steps", self.steps, 1)
 
 
 # `nt_class_minimize` stops once its duality gap, with the gap's own
@@ -570,10 +577,8 @@ class PhasePlan:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} out of range: must be finite and nonnegative, got {value}")
-        if self.T < 1:
-            raise ValueError(f"T out of range: need at least one first-phase step, got {self.T}")
-        if self.phase2_steps < 0:
-            raise ValueError(f"phase2_steps out of range: must be nonnegative, got {self.phase2_steps}")
+        _require_count("T", self.T, 1)
+        _require_count("phase2_steps", self.phase2_steps, 0)
 
     @classmethod
     def auto(

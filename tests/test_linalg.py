@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,14 +156,30 @@ def start_orthogonal_matrix(k=40):
 
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
+    """The (shape, finite, symmetric) of each matrix handed to eigvalsh."""
     calls = []
     original = np.linalg.eigvalsh
 
     def spy(a, *args, **kwargs):
-        calls.append(a.shape)
+        calls.append((a.shape, bool(np.isfinite(a).all()), bool((a == a.T).all())))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+@pytest.fixture
+def certificate_calls(monkeypatch):
+    """The (finite, symmetric, verdict) of each certificate matrix factored."""
+    calls = []
+    original = linalg._cholesky_in_place
+
+    def spy(a):
+        seen = (bool(np.isfinite(a).all()), bool((a == a.T).all()))
+        calls.append((*seen, original(a)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(linalg, "_cholesky_in_place", spy)
     return calls
 
 
@@ -222,7 +239,8 @@ def test_operator_norm_certificate_needs_no_fallback(eigvalsh_calls):
 def test_operator_norm_failed_certificate_falls_back_to_eigvalsh(eigvalsh_calls):
     m = start_orthogonal_matrix()
     result = operator_norm(m)
-    assert eigvalsh_calls == [(40, 40)]
+    # sI - G formed again: the failed in-place factorisation left NaN behind
+    assert eigvalsh_calls == [((40, 40), True, True)]
     assert result.ended == "eigvalsh"
     assert_brackets(result, m)
     # Lanczos alone reaches only the second value, 1, a relative 5e-7 too low
@@ -234,7 +252,7 @@ def test_operator_norm_step_cap_falls_back_to_eigvalsh(monkeypatch, eigvalsh_cal
     m = np.random.default_rng(23).standard_normal((10, 10))
     result = operator_norm(m)
     assert result.iterations == 2
-    assert eigvalsh_calls == [(10, 10)]
+    assert eigvalsh_calls == [((10, 10), True, True)]
     assert result.ended == "eigvalsh"
     assert_brackets(result, m)
 
@@ -245,7 +263,7 @@ def rotated_spectrum(lam, seed):
     return (q * np.sqrt(lam)) @ q.T
 
 
-def test_operator_norm_tiny_top_gap_brackets_svd(eigvalsh_calls):
+def test_operator_norm_tiny_top_gap_brackets_svd(eigvalsh_calls, certificate_calls):
     # the second eigenvalue sits 1e-9 (relative) below the top. The top Ritz
     # value settles between the two before the second Ritz value reaches
     # them, so theta - theta_2 overstates the gap and r^2 / gap reads
@@ -259,6 +277,9 @@ def test_operator_norm_tiny_top_gap_brackets_svd(eigvalsh_calls):
     assert_brackets(result, m, width=3e-8)
     assert result.ended == "certificate"
     assert eigvalsh_calls == []
+    # the retry factors sI - G formed again, not the NaN the first attempt
+    # left (which OpenBLAS would pass)
+    assert certificate_calls == [(True, True, False), (True, True, True)]
 
 
 @pytest.mark.parametrize("p", [256, 512])
@@ -272,6 +293,93 @@ def test_operator_norm_gaussian_layers_need_no_fallback(p, seed, eigvalsh_calls)
     assert result.lower <= sigma * (1 + 1e-12)
     assert sigma <= result.upper * (1 + 1e-12)
     assert result.upper - result.lower <= 1e-11 * sigma
+
+
+def _copying_cholesky(a):
+    """The verdict of np.linalg.cholesky, which leaves `a` as it is."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def gaussian_certificate_matrix(relative):
+    """sI - G for a Gaussian G at k = 256, with s = lambda_max (1 + relative)."""
+    gram = linalg._gram(np.random.default_rng(43).standard_normal((256, 256)))
+    s = float(np.linalg.eigvalsh(gram)[-1]) * (1.0 + relative)
+    return s * np.eye(256) - gram
+
+
+@pytest.mark.parametrize(
+    "a, definite",
+    [
+        (np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]]), True),
+        (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), False),
+        (np.diag(np.full(3, np.finfo(np.float64).tiny)), True),
+        (gaussian_certificate_matrix(1e-10), True),
+        (gaussian_certificate_matrix(-1e-10), False),
+    ],
+    ids=["definite", "indefinite", "zero_gram_plus_tiny", "gaussian_above_top", "gaussian_below_top"],
+)
+def test_in_place_cholesky_gives_numpys_verdict(a, definite):
+    assert (a == a.T).all()
+    buffer = a.copy()
+    assert linalg._cholesky_in_place(buffer) == _copying_cholesky(a) == definite
+    if definite:  # the lower factor, stored in the buffer's Fortran view
+        np.testing.assert_array_equal(buffer.T, np.linalg.cholesky(a))
+    else:
+        assert np.isnan(buffer).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (5, 12), (12, 5), (300, 40), (1024, 1024)])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_gram_is_bitwise_symmetric(shape, layout):
+    # the in-place certificate factors G's transpose, which must be G itself
+    rng = np.random.default_rng(47)
+    if layout == "strided":
+        m = rng.standard_normal((2 * shape[0], 3 * shape[1]))[::2, ::3]
+    else:
+        m = np.asarray(rng.standard_normal(shape), order=layout)
+    gram = linalg._gram(m)
+    assert gram.flags.c_contiguous
+    assert (gram == gram.T).all()
+
+
+def test_operator_norm_brackets_equal_the_copying_cholesky(monkeypatch):
+    # every path (the certificate, its retry after a failed factorisation,
+    # eigvalsh after a failed one) gives the bracket that np.linalg.cholesky's
+    # verdict gives
+    rng = np.random.default_rng(53)
+    lam = np.concatenate([[1.0, 1.0 - 1e-9], rng.uniform(0.0, 0.9, 78)])
+    matrices = [
+        rng.standard_normal((64, 64)),
+        rng.standard_normal((7, 30)),
+        rotated_spectrum(lam, seed=31),
+        start_orthogonal_matrix(),
+        np.zeros((3, 3)),
+        1e-200 * rng.standard_normal((5, 12)),
+    ]
+    in_place = [operator_norm(m) for m in matrices]
+    monkeypatch.setattr(linalg, "_cholesky_in_place", _copying_cholesky)
+    assert in_place == [operator_norm(m) for m in matrices]
+    assert [b.ended for b in in_place] == ["certificate"] * 3 + ["eigvalsh"] + ["certificate"] * 2
+
+
+def test_operator_norm_allocates_no_factor():
+    # a 1024 x 1024 Gaussian: G (8 MB) and the Lanczos basis are the traced
+    # arrays; np.linalg.cholesky added an 8 MB factor, a peak of 2.00 x G.
+    # LAPACK's own work buffer is allocated with plain malloc, which
+    # tracemalloc does not see, so this pins only the factor array left out
+    m = np.random.default_rng(59).standard_normal((1024, 1024))
+    tracemalloc.start()
+    try:
+        result = operator_norm(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ended == "certificate"
+    assert peak < 1.5 * m.nbytes
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])

@@ -99,6 +99,11 @@ def test_init_spec_validation():
         InitSpec(p=0, L=1, seed=0)
     with pytest.raises(ValueError):
         InitSpec(p=4, L=0, seed=0)
+    for field in ("p", "L"):
+        for value in (0, 2.5, 4.0, math.inf, math.nan, True):
+            with pytest.raises(ValueError, match=f"^{field} "):
+                InitSpec(**{"p": 4, "L": 1, "seed": 0, field: value})
+    assert InitSpec(p=np.int64(4), L=np.int32(2), seed=0).L == 2
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +514,12 @@ def test_nt_ball_config_rejects_a_nan_radius():
         NtBallConfig(rho=math.inf)
 
 
+@pytest.mark.parametrize("steps", [0, 2.5, 400.0, math.inf, math.nan, True])
+def test_nt_ball_config_rejects_a_bad_step_count_and_names_it(steps):
+    with pytest.raises(ValueError, match="steps"):
+        NtBallConfig(rho=1.0, steps=steps)
+
+
 def test_gamma_bound_exact_at_zero_radius(nt_setup):
     V1, act, data = nt_setup
     feats = ntk_features(V1, act, data)
@@ -657,6 +668,8 @@ def test_phase_plan_validation():
         ("alpha_nt", math.nan), ("alpha_nt", 0.0), ("alpha_nt", math.inf),
         ("h_nt", math.nan), ("h_nt", 0.0), ("h_nt", math.inf),
         ("phase2_steps", -1),
+        ("T", 2.5), ("T", 10.0), ("T", math.inf), ("T", math.nan), ("T", True),
+        ("phase2_steps", 1.5), ("phase2_steps", math.inf), ("phase2_steps", False),
     ],
 )
 def test_phase_plan_rejects_a_bad_value_and_names_it(field, value):
