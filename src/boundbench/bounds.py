@@ -82,12 +82,6 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def _as_loss(J) -> LossValue:
-    if isinstance(J, LossValue):
-        return J
-    return LossValue.from_value(float(J))
-
-
 def _libm(fn, *args) -> np.ndarray:
     """`fn` applied elementwise to Python floats. numpy's own pow, exp, log
     and log1p differ from the C library's in the last bit on a few percent
@@ -96,17 +90,15 @@ def _libm(fn, *args) -> np.ndarray:
     return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=np.float64)
 
 
-def compute_h_max(J1, p: int, L: int, normV1: float) -> float:
+def compute_h_max(J1: LossValue, p: int, L: int, normV1: float) -> float:
     """min{ L^(L/2-3) log(1/J1) / (24 sqrt(p) ||V1||^L), 1 }."""
-    J1 = _as_loss(J1)
     _check_constants_inputs(J1, p, L, normV1)
     raw = L ** (L / 2.0 - 3.0) * J1.log_inverse() / (24.0 * math.sqrt(p) * normV1**L)
     return min(raw, 1.0)
 
 
-def compute_alpha_max(h: float, J1, p: int, L: int, normV1: float) -> float:
+def compute_alpha_max(h: float, J1: LossValue, p: int, L: int, normV1: float) -> float:
     """Two-term minimum: a smoothness budget and a rate-quadratic budget."""
-    J1 = _as_loss(J1)
     _check_constants_inputs(J1, p, L, normV1)
     if not (0.0 < h <= compute_h_max(J1, p, L, normV1)):
         raise ValueError("h must be positive and at most h_max for these inputs")
@@ -118,9 +110,8 @@ def compute_alpha_max(h: float, J1, p: int, L: int, normV1: float) -> float:
     return min(term_smooth, term_rate)
 
 
-def compute_q_tilde(alpha: float, J1, L: int, normV1: float) -> float:
+def compute_q_tilde(alpha: float, J1: LossValue, L: int, normV1: float) -> float:
     """L (L+3/4)^2 alpha J1 log^(2/L)(1/J1) / ((L+1/2) ||V1||^2)."""
-    J1 = _as_loss(J1)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     log_inv = J1.log_inverse()
@@ -139,12 +130,11 @@ def _check_constants_inputs(J1: LossValue, p: int, L: int, normV1: float) -> Non
         raise ValueError("initial weight norm must be positive")
 
 
-def grad_lower_bound(J_t, normVt, L: int):
+def grad_lower_bound(J_t: LossValue, normVt, L: int):
     """(L+3/4) J_t log(1/J_t) / ||V_t||, log taken from the log channel.
 
     Elementwise when `J_t` holds columns of values and logs.
     """
-    J_t = _as_loss(J_t)
     value = np.asarray(J_t.value, dtype=np.float64)
     log_value = np.asarray(J_t.log_value, dtype=np.float64)
     if np.any(np.isnan(value) | (value < 0)):
@@ -157,12 +147,11 @@ def grad_lower_bound(J_t, normVt, L: int):
     return (L + 0.75) * prod / normVt
 
 
-def grad_upper_bound(J, normV, p: int, L: int):
+def grad_upper_bound(J: LossValue, normV, p: int, L: int):
     """sqrt((L+1) p) ||V||^(L+1) min{J, 1}; valid once ||V|| >= sqrt(L+1/2).
 
     Elementwise when `J` and `normV` are columns.
     """
-    J = _as_loss(J)
     return math.sqrt((L + 1) * p) * _libm(pow, normV, L + 1) * np.minimum(J.value, 1.0)
 
 
@@ -170,9 +159,8 @@ def grad_upper_bound_applicable(normV: float, L: int) -> bool:
     return normV >= math.sqrt(L + 0.5)
 
 
-def smoothness_bound(J, normV: float, p: int, L: int, h: float) -> float:
+def smoothness_bound(J: LossValue, normV: float, p: int, L: int, h: float) -> float:
     """256 (L+1) sqrt(p) ||V||^(3L+5) J / h; valid for h <= 1 and large ||V||."""
-    J = _as_loss(J)
     return 256.0 * (L + 1) * math.sqrt(p) * normV ** (3 * L + 5) * J.value / h
 
 
@@ -218,7 +206,7 @@ class RunContext:
 
 
 def resolve_context(
-    J1, normV1: float, p: int, L: int, n: int, h: float, alpha: float | None = None, Q: float | None = None
+    J1: LossValue, normV1: float, p: int, L: int, n: int, h: float, alpha: float | None = None, Q: float | None = None
 ) -> RunContext:
     """The context of a phase that starts at loss J1 and weight norm normV1.
 
@@ -227,7 +215,6 @@ def resolve_context(
     given value or q_tilde at alpha. Otherwise no constants exist, Q is 0
     and alpha must be given: without it this raises ValueError.
     """
-    J1 = _as_loss(J1)
     h_max = compute_h_max(J1, p, L, normV1) if J1.log_value < 0.0 and normV1 > 0.0 else None
     if h_max is None or h > h_max:
         if alpha is None:

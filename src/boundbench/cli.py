@@ -19,9 +19,9 @@ Exit status:
        phase-2 step size that needs phase_plan.alpha_phase2, an "auto"
        network.h or phase_plan.h_nt for a single sample (log n = 0), a
        negative --seed-override, or a missing file
-    3  the run could not be carried out: warmup could not classify every
-       sample, the outer-layer scale search failed, or training hit a
-       non-finite loss or gradient
+    3  the run could not be carried out: no derived seed classified every
+       sample at the resolved width, the outer-layer scale search failed,
+       or training hit a non-finite loss or gradient
 
 The network is evaluated in one batched pass over all samples; neither
 that pass nor the norms of weight stacks depend on the BLAS thread count.

@@ -25,12 +25,13 @@ from .bounds import (
     compute_h_max,
     monitor_transition,
     resolve_context,
+    small_loss_log_threshold,
     summarize,
     write_csv,
     write_summary_json,
 )
 from .linalg import WeightStack
-from .network import Dataset, LossValue, forward_rows, logistic, margins, total_loss
+from .network import Dataset, LossValue, forward_rows, logistic
 # not called here: the benchmark's span fixture reads and wraps `harness.loss_and_gradient`
 from .network import loss_and_gradient  # noqa: F401
 from .ntk import (
@@ -271,30 +272,37 @@ def build_dataset(config: RunConfig) -> Dataset:
 # small-loss initialization
 
 
-def warmup(
-    V0: WeightStack, act: Activation, data: Dataset, steps: int, alpha: float
-) -> tuple[WeightStack, bool]:
-    """Unmonitored plain GD; returns the final stack and whether every
-    sample ends up correctly classified."""
+_WARM_WIDTH = 0.1  # the warmup's width for an "auto" h, and the width fixed point's first
+
+
+class MisclassifiedError(ValueError):
+    """A sample's margin is not positive; scaling the outer layer cannot fix its sign."""
+
+
+def warmup(V0: WeightStack, act: Activation, data: Dataset, steps: int, alpha: float) -> WeightStack:
+    """Unmonitored plain GD from V0; returns the final stack. Whether it
+    classifies every sample is judged by `build_small_loss_init`, at each
+    width the stack is scaled at."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    V = phase_stack(V0, data, run_phase(V0, act, data, alpha, steps).final)
-    return V, bool(np.all(margins(V, act, data) > 0.0))
+    return phase_stack(V0, data, run_phase(V0, act, data, alpha, steps).final)
 
 
 def build_small_loss_init(
     V_warm: WeightStack, data: Dataset, act: Activation, target_loss: float
-) -> WeightStack:
-    """Scale the outer layer until the loss drops to the target.
+) -> tuple[WeightStack, LossValue]:
+    """Scale the outer layer until the loss drops to the target; returns
+    the scaled stack and its loss.
 
     The output is linear in the outer row, so scaling it by c > 1
     multiplies every margin by c; with all margins positive the loss is
     strictly decreasing in c and a bisection lands inside
     [target/2, target]. It evaluates logistic(y (X_L (c v))), X_L from one
     forward pass and v the outer row: bit for bit the scaled stack's loss,
-    so its invariant loss(hi) <= target certifies the result. Raises if any
-    sample is misclassified: scaling cannot fix a wrong sign, so the caller
-    should warm up first.
+    value and log, so its invariant loss(hi) <= target certifies the result
+    and the loss it returns is the one it evaluated at hi, also when its
+    200 steps run out. Raises `MisclassifiedError` if any sample has a
+    margin <= 0 at this width: scaling cannot fix a wrong sign.
     """
     if not (0.0 < target_loss < 1.0):
         raise ValueError("target loss must be in (0, 1)")
@@ -302,31 +310,32 @@ def build_small_loss_init(
     warm_margins = data.labels * trace.output
     if np.any(warm_margins <= 0.0):
         bad = int(np.argmin(warm_margins))
-        raise ValueError(
+        raise MisclassifiedError(
             f"warm stack misclassifies sample {bad} (margin {warm_margins[bad]:.3g}); "
             "scaling the outer layer cannot reach a small loss"
         )
 
-    def loss_at(c: float) -> float:
-        return logistic(data.labels * (trace.x[-1] @ (c * V_warm.outer[0]))).loss.value
+    def loss_at(c: float) -> LossValue:
+        return logistic(data.labels * (trace.x[-1] @ (c * V_warm.outer[0]))).loss
 
-    if loss_at(1.0) <= target_loss:
-        return V_warm
+    J = loss_at(1.0)
+    if J.value <= target_loss:
+        return V_warm, J
     lo, hi = 1.0, 2.0
-    while loss_at(hi) > target_loss:
+    while (J := loss_at(hi)).value > target_loss:
         lo, hi = hi, hi * 2.0
         if hi > 1e12:
             raise RunAbortedError("scale search diverged; margins too small to use")
     for _ in range(200):
-        val = loss_at(hi)
-        if target_loss / 2.0 <= val <= target_loss:
+        if J.value >= target_loss / 2.0:  # J.value <= target_loss holds throughout
             break
         mid = 0.5 * (lo + hi)
-        if loss_at(mid) > target_loss:
+        J_mid = loss_at(mid)
+        if J_mid.value > target_loss:
             lo = mid
         else:
-            hi = mid
-    return _with_outer_scaled(V_warm, hi)
+            hi, J = mid, J_mid
+    return _with_outer_scaled(V_warm, hi), J
 
 
 def _with_outer_scaled(V: WeightStack, c: float) -> WeightStack:
@@ -359,23 +368,24 @@ def resolve_theorem31_setup(
     The smoothing width and the achieved initial loss depend on each
     other (margins move with h, the admissible width moves with the
     loss), so "auto" h is settled by a short deterministic fixed-point
-    loop before the constants are frozen; the loop's output is verified
-    strictly admissible at the final state. For "auto" h, `h_fixed_point`
-    records how that loop ended: iterations, whether successive widths
-    agreed to 1e-12 relative, and the last change |h_new - h|.
+    loop from the warm width before the constants are frozen; the loop's
+    output is verified strictly admissible at the final state. For "auto"
+    h, `h_fixed_point` records how that loop ended: iterations, whether
+    successive widths agreed to 1e-12 relative, and the last change
+    |h_new - h|. At each width `build_small_loss_init` scales V_warm and
+    gives J1; its `MisclassifiedError` passes through.
     """
     p, L = V_warm.p, V_warm.depth
 
     def build(h: float) -> tuple[Activation, WeightStack, LossValue, float]:
         act = Activation(kind, h)
-        V1 = build_small_loss_init(V_warm, data, act, target_loss)
-        J1 = total_loss(V1, act, data)
+        V1, J1 = build_small_loss_init(V_warm, data, act, target_loss)
         first_sq, tail_sq = split_sq_norm(V1)  # as the monitored run's first row
         return act, V1, J1, math.sqrt(first_sq + tail_sq)
 
     h_fixed_point = None
     if h_setting == "auto":
-        h = 0.1
+        h = _WARM_WIDTH
         for iterations in range(1, 13):
             act, V1, J1, normV1 = build(h)
             h_new = compute_h_max(J1, p, L, normV1) / 2.0
@@ -462,35 +472,30 @@ def _run_theorem31(config: RunConfig) -> tuple[RunLog, int]:
     kind = _ACTIVATIONS[config.network["activation"]]
     target = config.init["target_loss"]
     if target == "auto":
-        target = 0.5 * math.exp(-(1 + 24 * L) * math.log(n))
+        target = 0.5 * math.exp(small_loss_log_threshold(n, L))
 
-    warm_act = Activation(kind, 0.1 if config.network["h"] == "auto" else config.network["h"])
-    # a Huberized path can die (all pre-activations negative leaves no gradient),
-    # so a failed warmup deterministically retries from the next derived seed
-    V_warm, all_ok, used_seed = None, False, config.seeds["init"]
+    h_setting = config.network["h"]
+    warm_act = Activation(kind, _WARM_WIDTH if h_setting == "auto" else h_setting)
+    # a Huberized path can die (all pre-activations negative leaves no gradient), and
+    # a sample can lose its sign at a width the fixed point tries, so a misclassified
+    # sample at any width deterministically retries from the next derived seed
     for attempt in range(config.init["warmup_retries"] + 1):
         used_seed = config.seeds["init"] + 1000 * attempt
         V0 = gaussian_init(InitSpec(p=p, L=L, seed=used_seed))
-        V_warm, all_ok = warmup(
-            V0, warm_act, data, config.init["warmup_steps"], config.init["warmup_alpha"]
-        )
-        if all_ok:
+        V_warm = warmup(V0, warm_act, data, config.init["warmup_steps"], config.init["warmup_alpha"])
+        try:
+            setup = resolve_theorem31_setup(
+                V_warm, data, kind, target, h_setting, config.optimizer["alpha"], config.optimizer["Q"]
+            )
             break
-    if not all_ok:
+        except MisclassifiedError:
+            pass
+    else:
         raise RunAbortedError(
-            "warmup did not reach correct classification on every sample after "
-            f"{config.init['warmup_retries'] + 1} seeded attempts; increase "
+            "warmup did not reach correct classification on every sample at the widths the "
+            f"scale search tried, after {config.init['warmup_retries'] + 1} seeded attempts; increase "
             "init.warmup_steps or change seeds"
         )
-    setup = resolve_theorem31_setup(
-        V_warm,
-        data,
-        kind,
-        target,
-        h_setting=config.network["h"],
-        alpha_setting=config.optimizer["alpha"],
-        q_setting=config.optimizer["Q"],
-    )
     records = monitored_descent(
         setup.V1,
         setup.act,
@@ -535,14 +540,15 @@ def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
         raise ConfigError("network.activation: the two-phase schedule needs huberized")
     plan_cfg = config.phase_plan or _take({}, "phase_plan", _PLAN_SCHEMA)
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=config.seeds["init"]))
+    h_nt = plan_cfg["h_nt"]
+    h_nt = _auto_width(data, p, L, "phase_plan.h_nt") if h_nt == "auto" else float(h_nt)
+    act = huberized(h_nt)  # for the margin estimate and both phases
 
     gamma = plan_cfg["gamma"]
-    h_probe = plan_cfg["h_nt"] if plan_cfg["h_nt"] != "auto" else _auto_width(data, p, L, "phase_plan.h_nt")
-    act_probe = huberized(h_probe)
     gamma_side = "given"
     if gamma == "estimate":
         try:
-            gamma = margin_estimate_subgradient(V1, act_probe, data).gamma
+            gamma = margin_estimate_subgradient(V1, act, data).gamma
         except ValueError:
             # sum_i y_i F_i = 0, so every unit W has a margin <= 0
             gamma = 0.0
@@ -552,7 +558,7 @@ def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
                 f"(best estimated margin {gamma:.6g}); give an explicit positive gamma"
             )
         gamma_side = "lower estimate (subgradient witness)"
-    given = {k: float(plan_cfg[k]) for k in ("alpha_nt", "h_nt", "rho") if plan_cfg[k] != "auto"}
+    given = {k: float(plan_cfg[k]) for k in ("alpha_nt", "rho") if plan_cfg[k] != "auto"}
     given |= {k: float(plan_cfg[k]) for k in ("stop_loss", "alpha_phase2") if plan_cfg[k] is not None}
     if plan_cfg["T"] != "auto":
         given["T"] = plan_cfg["T"]
@@ -566,9 +572,9 @@ def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
         theta_const=plan_cfg["theta_const"],
         T_cap=plan_cfg["T_cap"],
         phase2_steps=plan_cfg["phase2_steps"],
+        h_nt=h_nt,
         **given,
     )
-    act = huberized(plan.h_nt)
     runlog = two_phase_train(V1, act, data, plan)
     runlog.config_echo["gamma"] = float(gamma)
     runlog.config_echo["gamma_side"] = gamma_side

@@ -125,12 +125,6 @@ class LossValue:
     value: float
     log_value: float
 
-    @classmethod
-    def from_value(cls, value: float) -> "LossValue":
-        if value < 0:
-            raise ValueError("loss values are nonnegative")
-        return cls(value=float(value), log_value=math.log(value) if value > 0 else -math.inf)
-
     def log_inverse(self) -> float:
         """log(1/J), taken from the log channel."""
         return -self.log_value

@@ -94,6 +94,7 @@ class InitSpec:
     def __post_init__(self):
         _require_count("p", self.p, 1)
         _require_count("L", self.L, 1)
+        _require_count("seed", self.seed, 0)
 
 
 def gaussian_init(spec: InitSpec) -> WeightStack:
@@ -655,8 +656,8 @@ def run_phase(
     `stack_axpy(cur, -alpha, grad)` to rounding.
 
     Loss, log loss, gradient norm, weight norm, gradient-weight product and
-    drift go into columns that start at min(max_steps, 1024) steps, double
-    when full and are trimmed to the steps taken. The operand
+    drift are kept as one row of floats per step taken and become six
+    columns at the end. The operand
     ((K C, K A'), (u_1, U_0)) of each step's sums, A' = A - alpha C, is one
     buffer per phase; no returned array shares its memory. Tracks the
     argmin-loss iterate with earliest-step tie-breaking in `best`; `final`
@@ -672,11 +673,10 @@ def run_phase(
     anchor = _tail(V)
     coef, tail = (np.zeros_like(U0), anchor) if start is None else start
     base_sq, tail_sq = split_sq_norm(V, tail)
-    columns = np.empty((6, min(max_steps, 1024)))
-    best_step, best = 0, None
+    rows = []
+    best_step, best, best_loss = 0, None, math.inf
     kc = K @ coef
     drift_sq, cross = np.einsum("ij,kij->k", coef, (kc, U0)).tolist()  # one call, two sums
-    steps = 0
     for t in range(1, max_steps + 1):
         first_sq = base_sq + 2.0 * cross + drift_sq
         u1 = np.add(U0, kc, out=terms[1, 0])
@@ -693,21 +693,16 @@ def run_phase(
         grad_norm = math.sqrt(first_grad_sq + sweep.grad_sq)
         if not (math.isfinite(loss) and math.isfinite(grad_norm)):
             raise NumericalDivergenceError(t)
-        if t > columns.shape[1]:
-            grown = np.empty((6, min(2 * columns.shape[1], max_steps)))
-            grown[:, : t - 1] = columns
-            columns = grown
-        columns[:, t - 1] = (
+        rows.append((
             loss,
             log_loss,
             grad_norm,
             math.sqrt(first_sq + tail_sq),
             first_grad_dot + sweep.grad_dot,
             math.sqrt(max(drift_sq, *sweep.layer_drift_sq)),
-        )
-        steps = t
-        if best_step == 0 or loss < columns[0, best_step - 1]:
-            best_step, best = t, (coef, tail)
+        ))
+        if loss < best_loss:  # the loss is finite here; earliest step on ties
+            best_step, best, best_loss = t, (coef, tail), loss
         if loss <= stop_loss:
             break
         coef, kc, drift_sq, cross = pair[1], k_pair[1], next_drift_sq, next_cross
@@ -717,7 +712,7 @@ def run_phase(
                 if not np.isfinite(block).all():
                     raise ValueError(f"non-finite entries in layer {layer}")
     return PhaseTrace(
-        *columns[:, :steps].copy(),
+        *np.array(rows, dtype=np.float64).reshape(-1, 6).T.copy(),
         best_step=best_step,
         best=best,
         final=(coef, tail),
@@ -811,11 +806,6 @@ def two_phase_train(
         records = Trajectory.concat([records, monitor_transition(phase2, ctx2, 2)])
     log = RunLog(config_echo=echo, records=records, phase_boundary=phase_boundary)
     log.summary = summarize(records)
-    log.summary["phase1"] = {
-        "argmin_step": phase1.best_step,
-        "argmin_loss": argmin_loss,
-        "max_drift": max_drift,
-    }
     return log
 
 

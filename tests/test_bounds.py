@@ -39,7 +39,7 @@ SMOOTH_EXAMPLE = 3359232.0  # J=0.25, ||V||=3, p=4, L=1, h=0.5
 
 
 def loss(v: float) -> LossValue:
-    return LossValue.from_value(v)
+    return LossValue(float(v), math.log(v) if v > 0 else -math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from boundbench.harness import (
     warmup,
 )
 from boundbench.linalg import WeightStack
-from boundbench.network import Dataset, total_loss
+from boundbench.network import Dataset, LossValue, total_loss
 from boundbench.ntk import (
     ClusteredDataSpec,
     InitSpec,
@@ -179,7 +179,7 @@ def test_warmup_zero_steps_is_identity():
     data = make_clustered_dataset(
         ClusteredDataSpec(mu=np.eye(4)[0], r=0.0, n=2, seed=2)
     )
-    V, _ = warmup(V0, huberized(0.1), data, steps=0, alpha=0.5)
+    V = warmup(V0, huberized(0.1), data, steps=0, alpha=0.5)
     for a, b in zip(V0.layers(), V.layers()):
         np.testing.assert_array_equal(a, b)
 
@@ -194,8 +194,8 @@ def test_warmup_separates_two_point_clusters_for_most_seeds():
         mu = rng.standard_normal(4)
         data = make_clustered_dataset(ClusteredDataSpec(mu=mu, r=0.05, n=2, seed=600 + seed))
         V0 = gaussian_init(InitSpec(p=4, L=1, seed=seed))
-        _, ok = warmup(V0, swish(0.5), data, steps=500, alpha=0.5)
-        successes += ok
+        V = warmup(V0, swish(0.5), data, steps=500, alpha=0.5)
+        successes += bool(np.all(network.margins(V, swish(0.5), data) > 0.0))
     assert successes >= 9
 
 
@@ -218,15 +218,15 @@ def warm_state():
     data = make_clustered_dataset(ClusteredDataSpec(mu=mu, r=0.05, n=3, seed=1))
     V0 = gaussian_init(InitSpec(p=4, L=1, seed=0))
     act = huberized(0.1)
-    V_warm, ok = warmup(V0, act, data, steps=2000, alpha=0.5)
-    assert ok
+    V_warm = warmup(V0, act, data, steps=2000, alpha=0.5)
+    assert np.all(network.margins(V_warm, act, data) > 0.0)
     return V_warm, act, data
 
 
 def test_small_loss_init_reaches_target_within_factor_two(warm_state):
     V_warm, act, data = warm_state
     target = 1e-10
-    V1 = build_small_loss_init(V_warm, data, act, target)
+    V1, _ = build_small_loss_init(V_warm, data, act, target)
     achieved = total_loss(V1, act, data).value
     assert achieved <= target
     assert achieved >= target / 2.0
@@ -241,8 +241,8 @@ def warm_stack(request):
     mu = np.random.default_rng(1).standard_normal(p)
     data = make_clustered_dataset(ClusteredDataSpec(mu=mu, r=0.05, n=3, seed=1))
     act = make(0.1)
-    V_warm, ok = warmup(gaussian_init(InitSpec(p=p, L=L, seed=0)), act, data, steps=2000, alpha=0.5)
-    assert ok
+    V_warm = warmup(gaussian_init(InitSpec(p=p, L=L, seed=0)), act, data, steps=2000, alpha=0.5)
+    assert np.all(network.margins(V_warm, act, data) > 0.0)
     return V_warm, act, data
 
 
@@ -267,15 +267,48 @@ def test_small_loss_init_certified_without_retry(warm_stack, target, monkeypatch
         return out
 
     monkeypatch.setattr(harness, "logistic", recording)
-    V1 = build_small_loss_init(V_warm, data, act, target)
+    V1, _ = build_small_loss_init(V_warm, data, act, target)
     achieved = total_loss(V1, act, data).value
     assert achieved <= target and achieved in seen
+
+
+def _bits(J: LossValue) -> tuple[str, str]:
+    return J.value.hex(), J.log_value.hex()
+
+
+@pytest.mark.parametrize("target", [0.9, 1e-3, 1e-10, 1e-80])
+def test_small_loss_init_returns_the_loss_of_its_stack(warm_stack, target):
+    # the loss the bisection evaluated at the returned scale, value and log, with no second pass
+    V_warm, act, data = warm_stack
+    V1, J1 = build_small_loss_init(V_warm, data, act, target)
+    assert _bits(J1) == _bits(total_loss(V1, act, data))
+
+
+def test_small_loss_init_returns_the_loss_of_its_stack_when_the_bisection_runs_out(warm_stack, monkeypatch):
+    # losses at or below the target are mapped below target/2, so no scale lands in
+    # [target/2, target] and all 200 steps run; the last scale kept and its loss are returned
+    V_warm, act, data = warm_stack
+    target, exact, calls = 1e-10, network.logistic, []
+
+    def no_landing(z):
+        out = exact(z)
+        calls.append(out.loss.value)
+        if out.loss.value > target:
+            return out
+        return out._replace(loss=LossValue(out.loss.value / 4.0, out.loss.log_value - math.log(4.0)))
+
+    monkeypatch.setattr(harness, "logistic", no_landing)
+    monkeypatch.setattr(network, "logistic", no_landing)
+    V1, J1 = build_small_loss_init(V_warm, data, act, target)
+    assert len(calls) > 200
+    assert J1.value <= target / 4.0
+    assert _bits(J1) == _bits(total_loss(V1, act, data))
 
 
 def test_small_loss_init_noop_when_already_under_target(warm_state):
     V_warm, act, data = warm_state
     current = total_loss(V_warm, act, data).value
-    V1 = build_small_loss_init(V_warm, data, act, min(0.9, current * 2))
+    V1, _ = build_small_loss_init(V_warm, data, act, min(0.9, current * 2))
     for a, b in zip(V1.layers(), V_warm.layers()):
         np.testing.assert_array_equal(a, b)
 
@@ -287,7 +320,7 @@ def test_small_loss_init_single_sample_closed_form():
     data = Dataset(inputs=np.array([[1.0]]), labels=np.array([1.0]))
     m = 1.5
     target = 1e-8
-    V1 = build_small_loss_init(V, data, act, target)
+    V1, _ = build_small_loss_init(V, data, act, target)
     c = V1.outer[0, 0]
     assert math.log1p(math.exp(-c * m)) <= target
     assert c == pytest.approx(-math.log(math.expm1(target)) / m, rel=0.5)
@@ -589,6 +622,37 @@ def test_cli_exits_3_when_the_run_cannot_be_carried_out(tmp_path, capsys, init, 
     assert cli_main(["run", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: the run could not be carried out") and message in err
+
+
+# warmed at width 0.1 from init seed 2, every sample is classified there, but sample 1's
+# margin is negative at a smaller width the fixed point tries; init seed 1002 starts cleanly
+UNCLASSIFIED_AT_THE_FIXED_POINT = {
+    "mode": "theorem31",
+    "network": {"p": 8, "L": 2, "h": "auto"},
+    "data": {"clustered": {"r": 0.06, "n": 6}},
+    "init": {"warmup_steps": 3},
+    "optimizer": {"max_steps": 2},
+    "seeds": {"init": 2, "data": 9},
+}
+
+
+def test_cli_exits_3_when_no_seed_classifies_at_every_width(tmp_path, capsys):
+    doc = copy.deepcopy(UNCLASSIFIED_AT_THE_FIXED_POINT)
+    doc["init"]["warmup_retries"] = 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the run could not be carried out: warmup did not reach")
+
+
+def test_misclassification_at_a_fixed_point_width_retries_the_next_seed(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(UNCLASSIFIED_AT_THE_FIXED_POINT))
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["resolved"]["init_seed_used"] == 1002
 
 
 # the gradient overflows before the loss does

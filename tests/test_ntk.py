@@ -103,7 +103,11 @@ def test_init_spec_validation():
         for value in (0, 2.5, 4.0, math.inf, math.nan, True):
             with pytest.raises(ValueError, match=f"^{field} "):
                 InitSpec(**{"p": 4, "L": 1, "seed": 0, field: value})
+    for value in (2.5, -1, math.nan, True):
+        with pytest.raises(ValueError, match="^seed "):
+            InitSpec(p=4, L=1, seed=value)
     assert InitSpec(p=np.int64(4), L=np.int32(2), seed=0).L == 2
+    assert InitSpec(p=4, L=1, seed=np.uint64(7)).seed == 7
 
 
 # ---------------------------------------------------------------------------
