@@ -44,7 +44,6 @@ from .network import (
     ForwardTrace,
     LossValue,
     forward,
-    gradient,
     logistic,
     loss_and_gradient,
     output_gradient,
@@ -63,7 +62,6 @@ from .ntk import (
     init_diagnostics,
     make_clustered_dataset,
     margin_estimate_subgradient,
-    margin_witness_clustered,
     nt_class_minimize,
     ntk_features,
     two_phase_train,

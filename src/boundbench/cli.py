@@ -17,8 +17,10 @@ Exit status:
        inline or file sample, a data set whose width is not network.p, a
        theorem32 gamma estimate that finds no positive tangent margin, a
        phase-2 step size that needs phase_plan.alpha_phase2, an "auto"
-       network.h or phase_plan.h_nt for a single sample (log n = 0), a
-       negative --seed-override, or a missing file
+       network.h or phase_plan.h_nt for a single sample (log n = 0), an
+       init.target_loss below the normal double range (an "auto" target
+       0.5 n^-(1+24L) that underflows), a negative --seed-override, or a
+       missing file
     3  the run could not be carried out: no derived seed classified every
        sample at the resolved width, the outer-layer scale search failed,
        or training hit a non-finite loss or gradient

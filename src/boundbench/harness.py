@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -222,18 +224,31 @@ def parse_config(source: str | dict) -> RunConfig:
     return RunConfig(**top)
 
 
-def _check_samples(doc, path: str) -> None:
-    """A data set document: {"p": int, "samples": [{"x": [...], "y": +-1}, ...]}."""
+def _load_samples(doc, path: str, origin: str) -> Dataset:
+    """A data set document: {"p": int, "samples": [{"x": [...], "y": +-1}, ...]}.
+    Inputs off the unit sphere by more than 1e-6 are renormalized with a
+    warning that names `origin`."""
     _expect(isinstance(doc, dict), path, "must be a JSON object")
     p = _integer(1)(doc.get("p"), f"{path}.p")
     samples = doc.get("samples")
     _expect(isinstance(samples, list) and len(samples) > 0, f"{path}.samples", "must be a nonempty list")
+    xs, ys = [], []
     for i, sample in enumerate(samples):
         at = f"{path}.samples[{i}]"
         _expect(isinstance(sample, dict), at, "must be a JSON object")
         x_ok = _is_center(sample.get("x")) and len(sample["x"]) == p
         _expect(x_ok, f"{at}.x", f"must be a nonzero list of {p} numbers")
         _expect(_is_number(sample.get("y")) and sample["y"] in (-1, 1), f"{at}.y", "must be -1 or +1")
+        xs.append(np.asarray(sample["x"], dtype=np.float64))
+        ys.append(float(sample["y"]))
+    inputs = np.stack(xs)
+    deviation = float(np.max(np.abs(np.linalg.norm(inputs, axis=1) - 1.0)))
+    if deviation > 1e-6:
+        warnings.warn(
+            f"{origin}: inputs deviate from unit norm by up to {deviation:.3g}; renormalizing",
+            stacklevel=2,
+        )
+    return Dataset(inputs=inputs, labels=np.asarray(ys))
 
 
 def build_dataset(config: RunConfig) -> Dataset:
@@ -246,11 +261,9 @@ def build_dataset(config: RunConfig) -> Dataset:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"data.file: {data['file']} is not valid JSON ({exc})") from exc
-        _check_samples(doc, "data.file")
-        dataset = Dataset.from_json_dict(doc, origin=data["file"])
+        dataset = _load_samples(doc, "data.file", data["file"])
     elif data["inline"] is not None:
-        _check_samples(data["inline"], "data.inline")
-        dataset = Dataset.from_json_dict(data["inline"])
+        dataset = _load_samples(data["inline"], "data.inline", "<inline>")
     else:
         cl = data["clustered"]
         seed = config.seeds["data"]
@@ -473,6 +486,8 @@ def _run_theorem31(config: RunConfig) -> tuple[RunLog, int]:
     target = config.init["target_loss"]
     if target == "auto":
         target = 0.5 * math.exp(small_loss_log_threshold(n, L))
+    # a subnormal target gives a subnormal J1 and an alpha_max near 1/J1
+    _expect(target >= sys.float_info.min, "init.target_loss", f"{target:.3g} is below the normal double range")
 
     h_setting = config.network["h"]
     warm_act = Activation(kind, _WARM_WIDTH if h_setting == "auto" else h_setting)

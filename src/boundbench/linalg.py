@@ -105,16 +105,9 @@ class WeightStack:
         """Number of hidden layers L."""
         return len(self.hidden)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.hidden) + 1
-
     def layers(self) -> Iterator[np.ndarray]:
         yield from self.hidden
         yield self.outer
-
-    def same_shape(self, other: "WeightStack") -> bool:
-        return len(self.hidden) == len(other.hidden) and self.outer.shape == other.outer.shape
 
     @classmethod
     def from_layers(cls, layers: Sequence[np.ndarray]) -> "WeightStack":
@@ -156,7 +149,7 @@ class OperatorNormBracket(NamedTuple):
 
 
 def _require_same_shape(a: WeightStack, b: WeightStack) -> None:
-    if not a.same_shape(b):
+    if (a.depth, a.p) != (b.depth, b.p):
         raise ShapeMismatchError(
             f"stack shapes differ: (p={a.p}, L={a.depth}) vs (p={b.p}, L={b.depth})"
         )

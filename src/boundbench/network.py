@@ -16,7 +16,6 @@ bit-identical.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -72,36 +71,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.inputs.shape[1]
-
-    @classmethod
-    def from_json_dict(cls, doc: dict, origin: str = "<inline>") -> "Dataset":
-        """Load {"p": int, "samples": [{"x": [...], "y": +-1}, ...]}; inputs off
-        the unit sphere by more than 1e-6 are renormalized with a warning."""
-        p = int(doc["p"])
-        xs, ys = [], []
-        for i, sample in enumerate(doc["samples"]):
-            x = np.asarray(sample["x"], dtype=np.float64)
-            if x.shape != (p,):
-                raise ValueError(f"{origin}: sample {i} has {x.size} coords, expected {p}")
-            xs.append(x)
-            ys.append(float(sample["y"]))
-        inputs = np.stack(xs)
-        deviation = float(np.max(np.abs(np.linalg.norm(inputs, axis=1) - 1.0)))
-        if deviation > 1e-6:
-            warnings.warn(
-                f"{origin}: inputs deviate from unit norm by up to {deviation:.3g}; renormalizing",
-                stacklevel=2,
-            )
-        return cls(inputs=inputs, labels=np.asarray(ys))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "samples": [
-                {"x": list(map(float, x)), "y": int(y)}
-                for x, y in zip(self.inputs, self.labels)
-            ],
-        }
 
 
 class ForwardTrace(NamedTuple):
@@ -341,15 +310,3 @@ def loss_and_gradient(
     c /= -data.n
     bs = sensitivities(sigmas, above, outer)
     return loss.value, loss.log_value, c[:, None] * bs[0], _combine_features([c] * len(bs), bs[1:], xs[:-1], xs[-1])
-
-
-def gradient(V: WeightStack, act: Activation, data: Dataset) -> WeightStack:
-    """Exact loss gradient of a stack: `loss_and_gradient` at its point
-    (X W_1^T, tail), with the first block C^T X written by one GEMM into the
-    stack's vector."""
-    p, X = V.p, data.inputs
-    C, tail = loss_and_gradient(_point(V, X), act, data)[2:]
-    flat = np.empty(V.flat.size)
-    np.matmul(C.T, X, out=flat[: p * p].reshape(p, p))
-    flat[p * p :] = tail
-    return WeightStack._computed(flat, p, V.depth)

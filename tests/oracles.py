@@ -63,7 +63,7 @@ def fd_compare(a: WeightStack, b: WeightStack, abs_floor: float = 1e-4) -> FdCom
     the floor are effectively compared absolutely; the default floor keeps
     that noise three orders below a 1e-6 relative verdict.
     """
-    if not a.same_shape(b):
+    if (a.depth, a.p) != (b.depth, b.p):
         raise ShapeMismatchError("stacks to compare must share a shape")
     worst = (0.0, 0, 0, 0)
     for li, (ma, mb) in enumerate(zip(a.layers(), b.layers())):

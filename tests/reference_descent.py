@@ -2,8 +2,8 @@
 
 This is the loop `ntk.run_phase` ran before it held the first hidden layer
 in coordinates of the inputs: every step evaluates `total_loss` and
-`gradient` at the whole stack and makes one `linalg.descent_sweep` over all
-L+1 layers.
+`stack_helpers.gradient_reference` at the whole stack and makes one
+`linalg.descent_sweep` over all L+1 layers.
 Its columns equal `frobenius_norm(grad)`, `frobenius_norm(cur)`,
 `stack_dot(grad, cur)` and `max_layer_distance(cur, anchor)` bit for bit,
 and its iterates equal repeated `stack_axpy(cur, -alpha, grad)`. Tests
@@ -18,8 +18,9 @@ import numpy as np
 
 from boundbench.bounds import PhaseTrace
 from boundbench.linalg import WeightStack, _require_finite, _stack_sum, descent_sweep
-from boundbench.network import Dataset, gradient, total_loss
+from boundbench.network import Dataset, total_loss
 from boundbench.ntk import NumericalDivergenceError
+from stack_helpers import gradient_reference
 
 
 def descent(
@@ -39,7 +40,7 @@ def descent(
     best_step, best_stack = 0, None
     cur, cur_sq, steps = V, _stack_sum(V.flat, V.flat), 0
     for t in range(1, max_steps + 1):
-        loss, grad = total_loss(cur, act, data), gradient(cur, act, data)
+        loss, grad = total_loss(cur, act, data), gradient_reference(cur, act, data)
         sweep = descent_sweep(cur, grad.flat, anchor, alpha)
         grad_norm = math.sqrt(sweep.grad_sq)
         if not (math.isfinite(loss.value) and math.isfinite(grad_norm)):

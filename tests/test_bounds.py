@@ -24,10 +24,10 @@ from boundbench.bounds import (
 )
 from boundbench import harness, ntk
 from boundbench.linalg import WeightStack, frobenius_norm
-from boundbench.network import Dataset, LossValue, gradient, logistic, total_loss
+from boundbench.network import Dataset, LossValue, logistic, total_loss
 from reference_monitor import monitor_rows
 from reference_monitor import summarize as reference_summarize
-from stack_helpers import probe_local_lipschitz
+from stack_helpers import gradient_reference, probe_local_lipschitz
 
 # 50-digit reference evaluations of the closed forms, frozen
 H_MAX_EXAMPLE = 0.019188209108283714  # L=1, p=4, ||V1||=30, J1=1e-12
@@ -478,7 +478,7 @@ def test_probe_matches_fd_hessian_on_scalar_network():
 
     def grad_vec(a, b):
         stack = WeightStack(hidden=(np.array([[a]]),), outer=np.array([[b]]))
-        g = gradient(stack, act, data)
+        g = gradient_reference(stack, act, data)
         return np.array([g.hidden[0][0, 0], g.outer[0, 0]])
 
     eps = 1e-5

@@ -691,10 +691,11 @@ GOOD_SAMPLES = [{"x": [1.0, 0.0, 0.0, 0.0], "y": 1}, {"x": [0.0, 1.0, 0.0, 0.0],
         ("inline", {"p": 4, "samples": [{"x": [1.0, 0.0, 0.0, 0.0]}]}, "data.inline.samples[0].y"),
         ("inline", {"p": 4, "samples": [GOOD_SAMPLES[0], {"x": [0.0, 1.0, 0.0, 0.0], "y": 0}]}, "data.inline.samples[1].y"),
         ("inline", {"p": 4, "samples": [{"x": [1.0, "a", 0.0, 0.0], "y": 1}]}, "data.inline.samples[0].x"),
+        ("inline", {"p": 4, "samples": [{"x": [1.0, 0.0, 0.0], "y": 1}]}, "data.inline.samples[0].x"),
         ("inline", {"p": 4}, "data.inline.samples"),
         ("file", {"p": 4, "samples": [GOOD_SAMPLES[0], {"x": [0.0, 1.0, 0.0, 0.0]}]}, "data.file.samples[1].y"),
     ],
-    ids=["missing_y", "zero_y", "non_numeric_x", "missing_samples", "file_missing_y"],
+    ids=["missing_y", "zero_y", "non_numeric_x", "short_x", "missing_samples", "file_missing_y"],
 )
 def test_cli_rejects_malformed_samples_and_names_them(tmp_path, capsys, source, data, path):
     if source == "file":
@@ -726,6 +727,23 @@ def test_cli_rejects_bad_field_and_names_it(tmp_path, capsys, mode, path, value)
     cfg_path.write_text(json.dumps(doc))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("target", ["auto", 1e-310], ids=["auto_rounds_to_0", "subnormal"])
+def test_cli_rejects_a_target_loss_below_the_normal_range(tmp_path, capsys, target):
+    # "auto" is 0.5 * 24^-(1 + 24 * 10), which rounds to 0
+    doc = {
+        "mode": "theorem31",
+        "network": {"p": 4, "L": 10, "h": "auto"},
+        "data": {"clustered": {"r": 0.05, "n": 24}},
+        "init": {"warmup_steps": 5, "warmup_retries": 0, "target_loss": target},
+        "optimizer": {"max_steps": 2},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: init.target_loss: ")
 
 
 @pytest.mark.parametrize("r", [1e-20, 5e-324])

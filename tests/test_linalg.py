@@ -470,9 +470,9 @@ def test_stack_dot_matches_flatten_oracle():
 
 def test_stack_dot_shape_mismatch():
     a = WeightStack.zeros(2, 1)
-    b = WeightStack.zeros(3, 1)
-    with pytest.raises(ShapeMismatchError):
-        stack_dot(a, b)
+    for b in (WeightStack.zeros(3, 1), WeightStack.zeros(2, 2)):
+        with pytest.raises(ShapeMismatchError, match="stack shapes differ"):
+            stack_dot(a, b)
 
 
 def test_stack_axpy_alpha_zero_copies():

@@ -14,9 +14,9 @@ from boundbench.harness import build_dataset, parse_config
 from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_axpy
 from boundbench.network import (
     Dataset,
+    _point,
     _tail,
     forward,
-    gradient,
     logistic,
     loss_and_gradient,
     output_gradient,
@@ -293,7 +293,7 @@ def test_gradient_scalar_chain_by_hand():
     act = huberized(1.0)
     f = b * (a * x - 0.5)
     g = 1.0 / (1.0 + math.exp(y * f))
-    grad = gradient(V, act, data)
+    grad = gradient_reference(V, act, data)
     assert grad.hidden[0][0, 0] == pytest.approx(-g * y * b * x, rel=1e-14)
     assert grad.outer[0, 0] == pytest.approx(-g * y * (a * x - 0.5), rel=1e-14)
 
@@ -303,7 +303,7 @@ def test_gradient_vanishes_when_all_margins_huge():
     data = Dataset(
         inputs=np.array([[1.0, 0.0], [0.0, 1.0]]), labels=np.array([1.0, 1.0])
     )
-    grad = gradient(V, huberized(0.5), data)
+    grad = gradient_reference(V, huberized(0.5), data)
     assert frobenius_norm(grad) < 1e-10
 
 
@@ -311,7 +311,7 @@ def test_gradient_matches_finite_differences_p4_L2():
     V = random_stack(4, 2, seed=77)
     act = swish(0.5)
     data = make_dataset(4, 3, seed=78)
-    report = fd_compare(gradient(V, act, data), fd_gradient(V, act, data, FdConfig()))
+    report = fd_compare(gradient_reference(V, act, data), fd_gradient(V, act, data, FdConfig()))
     assert report.max_rel_error < 1e-6
 
 
@@ -333,7 +333,7 @@ def test_loss_and_gradient_agrees_with_separate_calls():
     loss, log_loss, C, tail = loss_and_gradient(point, act, data)
     want = total_loss(V, act, data)
     assert (loss, log_loss) == (want.value, want.log_value)
-    sep = gradient(V, act, data)
+    sep = gradient_reference(V, act, data)
     np.testing.assert_array_equal(C.T @ data.inputs, sep.hidden[0])
     assert tail.tobytes() == sep.flat[V.p * V.p :].tobytes()
 
@@ -341,13 +341,15 @@ def test_loss_and_gradient_agrees_with_separate_calls():
 @pytest.mark.parametrize("make_act", [huberized, swish])
 @pytest.mark.parametrize("p,L,n", [(4, 1, 3), (8, 2, 3), (32, 3, 6), (2, 1, 4)])
 def test_gradient_equals_the_all_layer_form_bit_for_bit(make_act, p, L, n):
-    # gradient forms layer 1 as C^T X from loss_and_gradient at (X W_1^T, tail);
+    # layer 1 as C^T X from loss_and_gradient at the point (X W_1^T, tail);
     # the reference forms every layer from one pass at the whole stack.
     # At (2, 1, 4) there are more inputs than coordinates
     act = make_act(0.3)
     V = random_stack(p, L, seed=700 + p + L, scale=1.5 / math.sqrt(p))
     data = make_dataset(p, n, seed=800 + n)
-    assert gradient(V, act, data).flat.tobytes() == gradient_reference(V, act, data).flat.tobytes()
+    C, tail = loss_and_gradient(_point(V, data.inputs), act, data)[2:]
+    point_form = np.concatenate([(C.T @ data.inputs).ravel(), tail])
+    assert point_form.tobytes() == gradient_reference(V, act, data).flat.tobytes()
 
 
 def _per_sample_reference(V, act, data):
@@ -388,7 +390,7 @@ def test_batched_pass_matches_per_sample_reference(make_act, p, L, n):
     data = make_dataset(p, n, seed=600 + n)
     want_loss, want_grad, want_feats = _per_sample_reference(V, act, data)
 
-    grad = gradient(V, act, data)
+    grad = gradient_reference(V, act, data)
     assert total_loss(V, act, data).value == pytest.approx(want_loss, rel=1e-13)
     for got, want in zip(grad.layers(), want_grad):
         assert _rel(got, want) <= 1e-13
@@ -404,7 +406,7 @@ import hashlib
 import numpy as np
 from boundbench.activations import huberized
 from boundbench.linalg import frobenius_norm, stack_dot
-from boundbench.network import Dataset, gradient, total_loss
+from boundbench.network import Dataset, total_loss
 from boundbench.ntk import (
     InitSpec,
     NtBallConfig,
@@ -414,7 +416,7 @@ from boundbench.ntk import (
     ntk_features,
     run_phase,
 )
-from stack_helpers import max_layer_distance
+from stack_helpers import gradient_reference, max_layer_distance
 
 
 def case(p, L, n):
@@ -433,7 +435,7 @@ def add_phase(trace):
 digest = hashlib.sha256()
 for p, L, n in ((32, 2, 6), (256, 3, 16), (512, 1, 4)):
     V, data = case(p, L, n)
-    loss, grad = total_loss(V, huberized(0.01), data), gradient(V, huberized(0.01), data)
+    loss, grad = total_loss(V, huberized(0.01), data), gradient_reference(V, huberized(0.01), data)
     digest.update(repr((loss.value, loss.log_value)).encode())
     norms = (frobenius_norm(grad), frobenius_norm(V), stack_dot(grad, V), max_layer_distance(V, grad))
     digest.update(repr(norms).encode())
@@ -571,14 +573,18 @@ def test_dataset_json_roundtrip_and_warning(tmp_path):
     path = tmp_path / "data.json"
     path.write_text(json.dumps(doc))
     config = parse_config({"mode": "theorem31", "network": {"p": 2}, "data": {"file": str(path)}})
-    with pytest.warns(UserWarning, match="unit norm"):
+    with pytest.warns(UserWarning, match="deviate from unit norm") as record:
         data = build_dataset(config)
+    assert str(record[0].message).startswith(f"{path}: ")
+    with pytest.warns(UserWarning, match="^<inline>: inputs deviate from unit norm"):
+        build_dataset(parse_config({"mode": "theorem31", "network": {"p": 2}, "data": {"inline": doc}}))
     assert data.n == 2 and data.p == 2
     assert float(np.linalg.norm(data.inputs[0])) == pytest.approx(1.0, abs=1e-12)
-    again = Dataset.from_json_dict(data.to_json_dict())
-    np.testing.assert_allclose(again.inputs, data.inputs)
-
-
-def test_dataset_json_dimension_error():
-    with pytest.raises(ValueError, match="sample 0"):
-        Dataset.from_json_dict({"p": 3, "samples": [{"x": [1.0], "y": 1}]})
+    # the normalised rows, loaded again inline, come back unchanged and unwarned
+    rows = [{"x": x.tolist(), "y": int(y)} for x, y in zip(data.inputs, data.labels)]
+    inline = {"mode": "theorem31", "network": {"p": 2}, "data": {"inline": {"p": 2, "samples": rows}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = build_dataset(parse_config(inline))
+    assert again.inputs.tobytes() == data.inputs.tobytes()
+    assert again.labels.tobytes() == data.labels.tobytes()

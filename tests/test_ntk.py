@@ -31,7 +31,6 @@ from boundbench.ntk import (
     init_diagnostics,
     make_clustered_dataset,
     margin_estimate_subgradient,
-    margin_witness_clustered,
     nt_class_minimize,
     ntk_features,
     phase_stack,
@@ -46,6 +45,7 @@ from stack_helpers import (
     approx_error_reference,
     gamma_bound,
     margin_gamma,
+    margin_witness_clustered,
     max_layer_distance,
     remainders,
 )

@@ -3,8 +3,9 @@ import pytest
 
 from boundbench.activations import huberized, swish
 from boundbench.linalg import WeightStack
-from boundbench.network import Dataset, gradient
+from boundbench.network import Dataset
 from oracles import FdConfig, fd_compare, fd_gradient, kink_exclusions
+from stack_helpers import gradient_reference
 
 
 def make_instance(p, L, n, seed, act):
@@ -47,7 +48,7 @@ def test_fd_compare_locates_perturbed_entry():
 
 def test_fd_gradient_agrees_with_backprop():
     V, data, act = make_instance(4, 2, 3, seed=3, act=swish(0.6))
-    report = fd_compare(gradient(V, act, data), fd_gradient(V, act, data, FdConfig()))
+    report = fd_compare(gradient_reference(V, act, data), fd_gradient(V, act, data, FdConfig()))
     assert report.max_rel_error < 1e-6
 
 
@@ -86,7 +87,7 @@ def test_fd_gradient_near_zero_at_saturated_margins():
 
 def test_fd_error_shrinks_quadratically_for_smooth_activation():
     V, data, act = make_instance(3, 1, 3, seed=4, act=swish(0.9))
-    exact = gradient(V, act, data)
+    exact = gradient_reference(V, act, data)
     err_big = fd_compare(exact, fd_gradient(V, act, data, FdConfig(step=8e-4))).max_rel_error
     err_small = fd_compare(exact, fd_gradient(V, act, data, FdConfig(step=4e-4))).max_rel_error
     # halving the step should quarter the truncation error, give or take
@@ -123,7 +124,7 @@ def test_kink_exclusions_localize_elevated_fd_error():
     data = Dataset(inputs=np.array([[1.0, 0.0]]), labels=np.array([1.0]))
     masks, count = kink_exclusions(V, act, data, step=1e-5)
     assert count > 0 and masks[0].all() and not masks[1].any()
-    exact = gradient(V, act, data)
+    exact = gradient_reference(V, act, data)
     fd = fd_gradient(V, act, data, FdConfig())
     outer_err = float(np.max(np.abs(exact.outer - fd.outer)))
     assert outer_err < 1e-9
