@@ -37,7 +37,6 @@ from .linalg import (
     operator_norm,
     stack_axpy,
     stack_dot,
-    stack_scale,
 )
 from .network import (
     Dataset,

@@ -112,7 +112,7 @@ class SmoothnessReport:
     """Worst cases found when sampling the four defining properties."""
 
     max_abs_deriv: float
-    max_lipschitz_quotient: float  # units 1/h
+    max_lipschitz_quotient: float  # compared against 1/h
     max_taylor_gap: float  # compared against h/2
     pass_: bool
     samples_used: int
@@ -126,6 +126,12 @@ def default_certification_grid(h: float) -> np.ndarray:
     return np.unique(np.concatenate([core, -tail, tail]))
 
 
+# a bound on the relative rounding error of one evaluation of `value` or
+# `deriv`, and of each product or difference formed from them below: each is
+# a handful of correctly rounded operations and at most one libm exp
+_ROUNDING = 16.0 * float(np.finfo(np.float64).eps)
+
+
 def certify_h_smooth(act: Activation) -> SmoothnessReport:
     """Test the defining properties on `default_certification_grid` and
     report worst cases.
@@ -135,29 +141,31 @@ def certify_h_smooth(act: Activation) -> SmoothnessReport:
     piecewise linear, so a second derivative does not exist at the kinks
     while chord slopes are still bounded by 1/h.
 
-    A measured violation beyond 1e-9 (absolute, per property) fails the
-    report; the constants are never adjusted to force a pass.
+    Each property is compared at its own scale, with room only for the
+    rounding of the values it is computed from (`_ROUNDING` relative to each
+    of them): |deriv| <= 1, |deriv(b) - deriv(a)| <= (b - a)/h for adjacent
+    grid points a < b, and |deriv(z) z - value(z)| <= h/2. So the test is as
+    strict at h = 1e-12 as at h = 1, and the constants are never adjusted to
+    force a pass.
     """
-    tol = 1e-9
     grid = default_certification_grid(act.h)
     vals = np.asarray(act.value(grid))
     derivs = np.asarray(act.deriv(grid))
     value_at_zero_ok = float(act.value(0.0)) == 0.0
     max_abs_deriv = float(np.max(np.abs(derivs)))
     dz = np.diff(grid)
-    quotients = np.abs(np.diff(derivs)) / dz
-    max_lip = float(np.max(quotients))
-    taylor_gap = float(np.max(np.abs(derivs * grid - vals)))
-    ok = (
-        value_at_zero_ok
-        and max_abs_deriv <= 1.0 + tol
-        and max_lip <= 1.0 / act.h + tol
-        and taylor_gap <= act.h / 2.0 + tol
-    )
+    steps = np.abs(np.diff(derivs))
+    max_lip = float(np.max(steps / dz))
+    size = np.abs(derivs)
+    lip_ok = bool(np.all(steps <= dz / act.h * (1.0 + _ROUNDING) + _ROUNDING * (size[1:] + size[:-1])))
+    slope = derivs * grid
+    gaps = np.abs(slope - vals)
+    gap_ok = bool(np.all(gaps <= act.h / 2.0 * (1.0 + _ROUNDING) + _ROUNDING * (np.abs(slope) + np.abs(vals))))
+    ok = value_at_zero_ok and max_abs_deriv <= 1.0 + _ROUNDING and lip_ok and gap_ok
     return SmoothnessReport(
         max_abs_deriv=max_abs_deriv,
         max_lipschitz_quotient=max_lip,
-        max_taylor_gap=taylor_gap,
+        max_taylor_gap=float(np.max(gaps)),
         pass_=bool(ok),
         samples_used=int(grid.size),
     )

@@ -25,6 +25,9 @@ Exit status:
        sample at the resolved width, the outer-layer scale search failed,
        or training hit a non-finite loss or gradient
 
+Standard output holds the report, the same for `run` and `diagnostics`; a
+reader that closes it early leaves the exit status unchanged.
+
 The network is evaluated in one batched pass over all samples; neither
 that pass nor the norms of weight stacks depend on the BLAS thread count.
 """
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -56,61 +60,56 @@ def _apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
     return parse_config({**config.to_json_dict(), "seeds": seeds})
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> tuple[int, str]:
     config = _load_config(args.config)
     if args.seed_override is not None:
         config = _apply_seed_override(config, args.seed_override)
     runlog, status = run(config, out_dir=args.out)
-    _print_verdict_lines(runlog)
-    return status
+    return status, _report(runlog)
 
 
-def _cmd_diagnostics(args: argparse.Namespace) -> int:
+def _cmd_diagnostics(args: argparse.Namespace) -> tuple[int, str]:
     config = _load_config(args.config)
     if config.mode != "diagnostics":
         config = replace(config, mode="diagnostics")
     runlog, status = run(config, out_dir=args.out)
-    print(json.dumps(runlog.summary.get("diagnostics", {}), indent=2, sort_keys=True))
-    return status
+    return status, _report(runlog)
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _cmd_certify(args: argparse.Namespace) -> tuple[int, str]:
     from .activations import certify_h_smooth
 
     act = huberized(args.h) if args.kind == "huberized" else swish(args.h)
     report = certify_h_smooth(act)
-    print(
-        json.dumps(
-            {
-                "kind": args.kind,
-                "h": args.h,
-                "max_abs_deriv": report.max_abs_deriv,
-                "max_lipschitz_quotient": report.max_lipschitz_quotient,
-                "max_taylor_gap": report.max_taylor_gap,
-                "samples_used": report.samples_used,
-                "pass": report.pass_,
-            },
-            indent=2,
-        )
-    )
-    return 0 if report.pass_ else 1
+    doc = {
+        "kind": args.kind,
+        "h": args.h,
+        "max_abs_deriv": report.max_abs_deriv,
+        "max_lipschitz_quotient": report.max_lipschitz_quotient,
+        "max_taylor_gap": report.max_taylor_gap,
+        "samples_used": report.samples_used,
+        "pass": report.pass_,
+    }
+    return (0 if report.pass_ else 1), json.dumps(doc, indent=2)
 
 
-def _print_verdict_lines(runlog) -> None:
-    invariants = runlog.summary.get("invariants")
-    if not invariants:
-        print(json.dumps(runlog.summary, indent=2, sort_keys=True, default=str))
-        return
-    for key, info in invariants.items():
+def _report(runlog) -> str:
+    """A diagnostics run's report, or one verdict line per monitored check;
+    neither holds the wall time, so reruns print the same bytes."""
+    if "diagnostics" in runlog.summary:
+        return json.dumps(runlog.summary["diagnostics"], indent=2, sort_keys=True)
+    lines = []
+    for key, info in runlog.summary["invariants"].items():
         counts = info["counts"]
         state = "FAIL" if info["first_violation_step"] is not None else (
             "pass" if counts["pass"] else "n/a"
         )
         worst = info["worst_slack"]
         worst_txt = "" if worst is None else f" worst_slack={worst:.3e} at t={info['worst_slack_step']}"
-        print(f"{key:>10}: {state}  (pass={counts['pass']} fail={counts['fail']} na={counts['na']}){worst_txt}")
+        lines.append(f"{key:>10}: {state}  (pass={counts['pass']} fail={counts['fail']} na={counts['na']}){worst_txt}")
     if "final_loss" in runlog.summary:
-        print(f"final loss {runlog.summary['final_loss']:.6e} after {runlog.summary['steps']} steps")
+        lines.append(f"final loss {runlog.summary['final_loss']:.6e} after {runlog.summary['steps']} steps")
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,13 +134,20 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status, report = args.fn(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RunAbortedError as exc:
         print(f"error: the run could not be carried out: {exc}", file=sys.stderr)
         return 3
+    try:
+        print(report, flush=True)
+    except BrokenPipeError:
+        # the reader has gone: the status stands; stdout is pointed at devnull
+        # so that the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

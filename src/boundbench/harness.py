@@ -559,20 +559,22 @@ def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
     h_nt = _auto_width(data, p, L, "phase_plan.h_nt") if h_nt == "auto" else float(h_nt)
     act = huberized(h_nt)  # for the margin estimate and both phases
 
-    gamma = plan_cfg["gamma"]
+    gamma = gamma_upper = plan_cfg["gamma"]
     gamma_side = "given"
     if gamma == "estimate":
         try:
-            gamma = margin_estimate_subgradient(V1, act, data).gamma
+            witness = margin_estimate_subgradient(V1, act, data)
+            gamma, gamma_upper = witness.gamma, witness.gamma_upper
         except ValueError:
-            # sum_i y_i F_i = 0, so every unit W has a margin <= 0
-            gamma = 0.0
+            # the minimum-norm point of the y_i F_i is 0, so every unit W has a margin <= 0
+            gamma = gamma_upper = 0.0
         if not gamma > 0.0:
             raise ConfigError(
                 f"phase_plan.gamma: the tangent features do not separate the data "
-                f"(best estimated margin {gamma:.6g}); give an explicit positive gamma"
+                f"(best margin at most {gamma_upper:.6g}, witness margin {gamma:.6g}); "
+                "give an explicit positive gamma"
             )
-        gamma_side = "lower estimate (subgradient witness)"
+        gamma_side = "lower end (hard-margin dual bracket)"
     given = {k: float(plan_cfg[k]) for k in ("alpha_nt", "rho") if plan_cfg[k] != "auto"}
     given |= {k: float(plan_cfg[k]) for k in ("stop_loss", "alpha_phase2") if plan_cfg[k] is not None}
     if plan_cfg["T"] != "auto":
@@ -591,8 +593,7 @@ def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
         **given,
     )
     runlog = two_phase_train(V1, act, data, plan)
-    runlog.config_echo["gamma"] = float(gamma)
-    runlog.config_echo["gamma_side"] = gamma_side
+    runlog.config_echo |= {"gamma": float(gamma), "gamma_upper": float(gamma_upper), "gamma_side": gamma_side}
     return runlog, (1 if runlog.summary["failed"] else 0)
 
 

@@ -194,10 +194,6 @@ def stack_axpy(y: WeightStack, alpha: float, x: WeightStack) -> WeightStack:
     return _wrap(y.flat + alpha * x.flat, y.p, y.depth)
 
 
-def stack_scale(a: WeightStack, c: float) -> WeightStack:
-    return _wrap(c * a.flat, a.p, a.depth)
-
-
 class Sweep(NamedTuple):
     """What `descent_sweep` measures at V and the iterate it writes."""
 

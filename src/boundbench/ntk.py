@@ -39,7 +39,6 @@ from .linalg import (
     descent_sweep,
     frobenius_norm,
     operator_norm,
-    stack_scale,
 )
 from .network import (
     Dataset,
@@ -104,14 +103,15 @@ def gaussian_init(spec: InitSpec) -> WeightStack:
     `rng = np.random.default_rng(seed)`. It is carried out as one
     `standard_normal` draw straight into the stack's flat vector (the same
     stream in the same order) and an in-place scaling of the hidden part,
-    which gives the same bits without temporaries or a copy. A given
+    which gives the same bits without temporaries or a copy. A normal draw
+    is finite, so the stack is adopted without a finite scan. A given
     (seed, p, L) reproduces the same stack bitwise on one build.
     """
     p, L = spec.p, spec.L
     flat = np.empty(L * p * p + p)
     np.random.default_rng(spec.seed).standard_normal(out=flat)
     flat[: L * p * p] *= math.sqrt(2.0 / p)
-    return _wrap(flat, p, L)
+    return WeightStack._computed(flat, p, L)
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +125,19 @@ def ntk_features(V1: WeightStack, act: Activation, data: Dataset) -> list[Weight
 
 @dataclass(frozen=True)
 class MarginWitness:
+    """A unit-norm witness with its margin gamma, a lower end of the best
+    margin, and an upper end of it (inf where none is known)."""
+
     w_star: WeightStack
     gamma: float
+    gamma_upper: float
 
     def __post_init__(self):
         norm = frobenius_norm(self.w_star)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"witness must have unit norm, got {norm}")
+        if not self.gamma <= self.gamma_upper:
+            raise ValueError(f"margin bracket out of order: {self.gamma} > {self.gamma_upper}")
 
 
 @dataclass(frozen=True)
@@ -195,51 +201,51 @@ def make_clustered_dataset(spec: ClusteredDataSpec) -> Dataset:
     return Dataset(inputs=np.stack(rows), labels=labels)
 
 
-def margin_estimate_subgradient(
-    V1: WeightStack,
-    act: Activation,
-    data: Dataset,
-    iters: int = 200,
-    step: float = 0.5,
-) -> MarginWitness:
-    """Lower-bound the best achievable margin of the tangent features F_i at
-    V1 by projected subgradient ascent on the unit sphere, started at the
-    normalized sum of y_i F_i.
+def margin_estimate_subgradient(V1: WeightStack, act: Activation, data: Dataset) -> MarginWitness:
+    """Bracket the best margin of the tangent features F_i at V1,
+    gamma* = min over the simplex of ||sum_i lam_i y_i F_i|| / sqrt(p).
 
-    Every iterate is W = sum_i a_i F_i, so the ascent runs on the n
-    coefficients a with the Gram K = sum_l K_l of one batched pass (the
-    layer Grams of `_Tangent.grams`): the margins are y * (K a) / sqrt(p)
-    and the norm is sqrt(a^T K a). The best W (the start when iters = 0) is
-    formed once at the end and its gamma re-evaluated on the same pass, so it
-    certifies a lower bound on the optimum. A zero start raises ValueError.
+    Wolfe's minimum-norm-point algorithm (Math. Programming 11, 1976) solves
+    it exactly on the signed Gram G = diag(y) K diag(y), K = sum_l K_l of one
+    batched pass (`_Tangent.grams`). Any lam bounds gamma* from above by
+    sqrt(lam^T G lam / p); the witness W = x / ||x||, x = sum_i lam_i y_i F_i,
+    formed once and re-checked on the same pass, bounds it from below. An x
+    that is zero to rounding (the features do not separate the data) raises
+    ValueError.
     """
-    tangent = _Tangent.at(V1, act, data)
-    gram = sum(tangent.grams())
-    sqrt_p = math.sqrt(V1.p)
-    ys = data.labels
-
-    def unit(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sq = float(a @ gram @ a)
-        if not sq > 0.0:
-            raise ValueError("cannot normalize a zero stack")
-        a = a / math.sqrt(sq)
-        return a, ys * (gram @ a) / sqrt_p
-
-    a, margins = unit(ys)
-    best_a, best_gamma = a, float(np.min(margins))
-    for _ in range(iters):
-        worst = int(np.argmin(margins))
-        a = a.copy()
-        a[worst] += step * ys[worst] / sqrt_p
-        a, margins = unit(a)
-        gamma = float(np.min(margins))
-        if gamma > best_gamma:
-            best_gamma, best_a = gamma, a
-        step *= 0.995
-    flat = _combine_features([best_a] * (V1.depth + 1), tangent.bs, tangent.below, tangent.top)
+    tangent, ys = _Tangent.at(V1, act, data), data.labels
+    signed = sum(tangent.grams()) * np.outer(ys, ys)
+    slack = data.n * _EPS * float(np.max(np.diag(signed)))  # rounding in g and sq below
+    corral = [int(np.argmin(np.diag(signed)))]
+    lam, sq = np.zeros(data.n), math.inf
+    lam[corral] = 1.0
+    while True:  # major cycle: stop when no point lies below x's level
+        g = signed @ lam
+        j, last, sq = int(np.argmin(g)), sq, float(lam @ g)
+        if not (g[j] < sq - slack and sq < last) or j in corral:
+            break
+        corral.append(j)
+        while True:  # minor cycle: the min-norm point of the corral's affine hull
+            k = len(corral)
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k], kkt[k, k] = signed[np.ix_(corral, corral)], 0.0
+            mu, old = np.linalg.solve(kkt, np.eye(k + 1)[k])[:k], lam[corral]
+            if (mu > 0.0).all():
+                lam[corral] = mu
+                break
+            out = mu <= 0.0  # step towards mu until a weight reaches 0; that point leaves
+            lam[corral] = old + np.min(old[out] / (old[out] - mu[out])) * (mu - old)
+            lam[corral[int(np.argmin(lam[corral]))]] = 0.0
+            np.maximum(lam, 0.0, out=lam)
+            corral = [i for i in corral if lam[i] > 0.0]
+    if not sq > slack:
+        raise ValueError("the minimum-norm point is zero: the tangent features do not separate the data")
+    flat = _combine_features([lam * ys] * (V1.depth + 1), tangent.bs, tangent.below, tangent.top)
+    flat /= math.sqrt(_stack_sum(flat, flat))
     W = WeightStack._computed(flat, V1.p, V1.depth)
-    W = stack_scale(W, 1.0 / frobenius_norm(W))
-    return MarginWitness(w_star=W, gamma=tangent.margin(ys, W))
+    gamma = tangent.margin(ys, W)
+    # the ends meet at the optimum, where rounding may put either one above the other
+    return MarginWitness(w_star=W, gamma=gamma, gamma_upper=max(math.sqrt(sq / V1.p), gamma))
 
 
 # ---------------------------------------------------------------------------

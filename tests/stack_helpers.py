@@ -3,9 +3,9 @@ the per-layer ball distance, the per-layer ball perturbation, the sampled
 gradient-norm bound, the parameter-space form of the first-order remainder
 sampler, the all-layer form of the loss gradient, the plain gradient step,
 the margin of formed feature stacks, the explicit clustered-data margin
-witness, the measured average-loss inequality of the linearized phase, the
-product bound on operator norms and the sampled local Lipschitz constant of
-the gradient."""
+witness, stack scaling, the measured average-loss inequality of the
+linearized phase, the product bound on operator norms and the sampled local
+Lipschitz constant of the gradient."""
 
 from __future__ import annotations
 
@@ -215,7 +215,11 @@ def margin_witness_clustered(
     w1[active] = np.sign(v2[active])[:, None] * mu[None, :] / math.sqrt(count)
     w_star = WeightStack(hidden=(w1,), outer=np.zeros((1, p)))
     gamma = _Tangent.at(V1, act, data).margin(data.labels, w_star)
-    return MarginWitness(w_star=w_star, gamma=gamma)
+    return MarginWitness(w_star=w_star, gamma=gamma, gamma_upper=math.inf)
+
+
+def stack_scale(a: WeightStack, c: float) -> WeightStack:
+    return _wrap(c * a.flat, a.p, a.depth)
 
 
 def average_loss_bound_check(

@@ -13,7 +13,7 @@ import pytest
 
 from boundbench.activations import certify_h_smooth, huberized, swish
 from boundbench.harness import parse_config, run
-from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_scale
+from boundbench.linalg import WeightStack, frobenius_norm, operator_norm
 from boundbench.network import Dataset, total_loss
 from boundbench.ntk import (
     ClusteredDataSpec,
@@ -32,6 +32,7 @@ from stack_helpers import (
     gradient_reference,
     margin_witness_clustered,
     product_operator_bound,
+    stack_scale,
 )
 
 

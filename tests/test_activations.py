@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,6 +147,26 @@ def test_certification_passes_default_grid(make):
     assert report.max_abs_deriv <= 1.0 + 1e-9
     assert report.max_lipschitz_quotient <= 10.0 + 1e-9
     assert report.max_taylor_gap <= 0.05 + 1e-9
+
+
+# widths that runs resolve reach 1e-12 (an "auto" width at L = 6, n = 24)
+SMALL_WIDTHS = [1e-12, 1e-8, 3e-5, 1e-4, 0.02]
+
+
+@pytest.mark.parametrize("h", SMALL_WIDTHS)
+@pytest.mark.parametrize("make", [huberized, swish])
+def test_certification_passes_the_exact_activations_at_small_widths(make, h):
+    assert certify_h_smooth(make(h)).pass_
+
+
+@pytest.mark.parametrize("h", SMALL_WIDTHS)
+def test_certification_rejects_a_taylor_gap_of_twice_half_h(h):
+    # the Huberized ReLU of width 2h keeps |deriv| <= 1 and a 1/(2h)-Lipschitz
+    # derivative, but its Taylor gap reaches h
+    wide = huberized(2.0 * h)
+    report = certify_h_smooth(SimpleNamespace(h=h, value=wide.value, deriv=wide.deriv))
+    assert not report.pass_
+    assert report.max_taylor_gap == pytest.approx(h, rel=1e-6)
 
 
 def test_certification_grid_covers_core_and_tails():

@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -478,7 +481,8 @@ def test_theorem32_mode_runs_with_overrides():
     assert status == 0
     assert runlog.phase_boundary is not None
     assert runlog.config_echo["gamma"] > 0
-    assert runlog.config_echo["gamma_side"] == "lower estimate (subgradient witness)"
+    assert runlog.config_echo["gamma_side"] == "lower end (hard-margin dual bracket)"
+    assert runlog.config_echo["gamma"] <= runlog.config_echo["gamma_upper"]
     phases = set(runlog.records.phase.tolist())
     assert phases == {1, 2}
 
@@ -564,6 +568,11 @@ def test_cli_certify_activation(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is True
     assert doc["max_abs_deriv"] <= 1.0 + 1e-9
+
+
+def test_cli_certifies_the_huberized_relu_at_a_small_width(capsys):
+    assert cli_main(["certify-activation", "--kind", "huberized", "--h", "3e-5"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
@@ -779,6 +788,38 @@ def test_cli_diagnostics_subcommand(tmp_path, capsys):
     assert "post_activation_norm_min" in out
 
 
+_NARROW_DIAGNOSTICS = {
+    "mode": "diagnostics",
+    "network": {"p": 64, "L": 2, "h": 0.01},
+    "data": {"clustered": {"r": 0.05, "n": 4}},
+}
+
+
+@pytest.mark.filterwarnings("ignore:width 64 is below:UserWarning")
+def test_cli_run_and_diagnostics_print_the_same_report(tmp_path, capsys):
+    cfg_path = tmp_path / "diag.json"
+    cfg_path.write_text(json.dumps(_NARROW_DIAGNOSTICS))
+    printed = []
+    for command in ("run", "run", "diagnostics"):
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] == printed[2]
+    assert "wall_time_s" not in printed[0] and "post_activation_norm_min" in json.loads(printed[0])
+
+
+@pytest.mark.parametrize("command", ["run", "diagnostics"])
+def test_cli_keeps_its_status_when_the_reader_closes_early(tmp_path, command):
+    cfg_path = tmp_path / "diag.json"
+    cfg_path.write_text(json.dumps(_NARROW_DIAGNOSTICS))
+    argv = [sys.executable, "-W", "ignore", "-m", "boundbench.cli", command, "--config", str(cfg_path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env)
+    proc.stdout.close()  # before the run has written anything
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
 @pytest.mark.parametrize("mode", ["theorem32", "diagnostics"])
 def test_cli_rejects_dataset_narrower_than_network(tmp_path, capsys, mode):
     samples = [{"x": [1.0, 0.0, 0.0, 0.0], "y": 1}, {"x": [0.0, 1.0, 0.0, 0.0], "y": -1}]
@@ -814,7 +855,7 @@ def _two_inputs():
 def test_cli_rejects_gamma_estimate_without_positive_margin(tmp_path, capsys, case):
     x, z = _two_inputs()
     if case == "one_input_both_labels":
-        # the estimator's start sum_i y_i F_i is zero
+        # the minimum-norm point of the y_i F_i is zero
         samples = [{"x": x, "y": 1}, {"x": x, "y": -1}]
     else:
         samples = [{"x": x, "y": 1}, {"x": x, "y": 1}, {"x": x, "y": -1}, {"x": z, "y": 1}]
@@ -840,7 +881,7 @@ def test_theorem32_echoes_given_gamma_and_its_side(tmp_path):
     samples = [{"x": x, "y": 1}, {"x": x, "y": -1}]
     runlog, status = run(parse_config(_theorem32_inline(samples, 0.25)), out_dir=tmp_path)
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert (summary["gamma"], summary["gamma_side"]) == (0.25, "given")
+    assert (summary["gamma"], summary["gamma_upper"], summary["gamma_side"]) == (0.25, 0.25, "given")
     assert runlog.config_echo["gamma_side"] == "given"
 
 

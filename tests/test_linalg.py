@@ -16,9 +16,8 @@ from boundbench.linalg import (
     operator_norm,
     stack_axpy,
     stack_dot,
-    stack_scale,
 )
-from stack_helpers import product_operator_bound, stack_norms
+from stack_helpers import product_operator_bound, stack_norms, stack_scale
 
 
 def random_stack(p, L, rng, scale=1.0):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -32,6 +33,7 @@ from boundbench.ntk import (
     make_clustered_dataset,
     margin_estimate_subgradient,
     nt_class_minimize,
+    nt_smoothing_width,
     ntk_features,
     phase_stack,
     run_phase,
@@ -251,7 +253,7 @@ def test_subgradient_single_sample_optimum():
     act = huberized(0.01)
     x = np.random.default_rng(32).standard_normal(16)
     data = Dataset(inputs=x[None, :], labels=np.array([1.0]))
-    witness = margin_estimate_subgradient(V1, act, data, iters=50)
+    witness = margin_estimate_subgradient(V1, act, data)
     expected = frobenius_norm(ntk_features(V1, act, data)[0]) / math.sqrt(16)
     assert witness.gamma == pytest.approx(expected, rel=1e-12)
 
@@ -263,8 +265,8 @@ def test_subgradient_duplicate_sample_matches_single():
     x /= np.linalg.norm(x)
     single = Dataset(inputs=x[None, :], labels=np.array([1.0]))
     double = Dataset(inputs=np.stack([x, x]), labels=np.array([1.0, 1.0]))
-    w1 = margin_estimate_subgradient(V1, act, single, iters=50)
-    w2 = margin_estimate_subgradient(V1, act, double, iters=50)
+    w1 = margin_estimate_subgradient(V1, act, single)
+    w2 = margin_estimate_subgradient(V1, act, double)
     assert w1.gamma == pytest.approx(w2.gamma, rel=1e-12)
 
 
@@ -275,13 +277,13 @@ def test_subgradient_competitive_with_explicit_witness():
     V1 = gaussian_init(InitSpec(p=p, L=1, seed=35))
     spec, data = clustered(p, 6, 0.01, seed=36)
     explicit = margin_witness_clustered(V1, act, spec.mu, data)
-    estimated = margin_estimate_subgradient(V1, act, data, iters=300)
-    assert estimated.gamma >= 0.9 * explicit.gamma
+    estimated = margin_estimate_subgradient(V1, act, data)
+    assert explicit.gamma <= estimated.gamma <= estimated.gamma_upper
 
 
 def test_margin_witness_requires_unit_norm():
     with pytest.raises(ValueError, match="unit norm"):
-        MarginWitness(w_star=WeightStack.zeros(2, 1), gamma=0.0)
+        MarginWitness(w_star=WeightStack.zeros(2, 1), gamma=0.0, gamma_upper=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -616,38 +618,77 @@ def test_nt_minimize_kernel_coordinates_match_stack_space(L, act, rho):
     assert value <= reference * (1 + 1e-12)
 
 
-def _stack_space_margin_estimate(feats, labels, iters=200, step=0.5):
-    """Subgradient ascent on the unit sphere of the p^2 L + p parameters."""
-    sqrt_p = math.sqrt(feats[0][-1].size)
+def _support_enumeration_margin(feats, labels):
+    """gamma* = min over the simplex of ||sum_i lam_i y_i F_i|| / sqrt(p), on
+    the Gram of the formed feature stacks: the least norm over every support
+    whose affine minimum-norm point has nonnegative weights."""
+    n, sqrt_p = len(feats), math.sqrt(feats[0][-1].size)
+    gram = np.array(
+        [[y * z * sum(float(np.vdot(a, b)) for a, b in zip(f, g)) for g, z in zip(feats, labels)] for f, y in zip(feats, labels)]
+    )
+    best = math.inf
+    for k in range(1, n + 1):
+        for support in itertools.combinations(range(n), k):
+            block = gram[np.ix_(support, support)]
+            kkt = np.block([[block, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
+            try:
+                mu = np.linalg.solve(kkt, np.eye(k + 1)[k])[:k]
+            except np.linalg.LinAlgError:
+                continue
+            if (mu >= 0.0).all():
+                best = min(best, float(mu @ block @ mu))
+    return math.sqrt(max(best, 0.0)) / sqrt_p
 
-    def unit(W):
-        return [m / math.sqrt(sum(float(np.vdot(b, b)) for b in W)) for m in W]
 
-    def margins(W):
-        return [y * sum(float(np.vdot(fm, wm)) for fm, wm in zip(f, W)) / sqrt_p for f, y in zip(feats, labels)]
-
-    W = unit([sum(y * f[l] for f, y in zip(feats, labels)) for l in range(len(feats[0]))])
-    best = min(margins(W))
-    for _ in range(iters):
-        ms = margins(W)
-        worst = int(np.argmin(ms))
-        W = unit([wm + step * labels[worst] / sqrt_p * fm for wm, fm in zip(W, feats[worst])])
-        best = max(best, min(margins(W)))
-        step *= 0.995
-    return best
+def _assert_brackets(witness, gamma_star):
+    assert witness.gamma <= gamma_star * (1 + 1e-12)
+    assert witness.gamma_upper >= gamma_star * (1 - 1e-12)
+    assert witness.gamma_upper - witness.gamma <= 1e-12 * witness.gamma_upper
 
 
 @pytest.mark.parametrize("L,act", KERNEL_CASES)
 def test_margin_estimate_kernel_coordinates_match_stack_space(L, act):
-    V1, data, feats = _kernel_case(L, act)
-    witness = margin_estimate_subgradient(V1, act, data)
-    assert witness.gamma == pytest.approx(_stack_space_margin_estimate(feats, data.labels), rel=1e-12)
-    direct = margin_gamma(ntk_features(V1, act, data), data.labels, witness.w_star)
-    assert witness.gamma == pytest.approx(direct, rel=1e-12)
-    assert abs(frobenius_norm(witness.w_star) - 1.0) <= 1e-12
+    V1, data, _ = _kernel_case(L, act)
+    rng = np.random.default_rng(80 + L)
+    spread = Dataset(inputs=rng.standard_normal((8, V1.p)), labels=np.resize([1.0, -1.0], 8))
+    for case in (data, spread):
+        witness = margin_estimate_subgradient(V1, act, case)
+        stacks = ntk_features(V1, act, case)
+        _assert_brackets(witness, _support_enumeration_margin([list(f.layers()) for f in stacks], case.labels))
+        assert witness.gamma == pytest.approx(margin_gamma(stacks, case.labels, witness.w_star), rel=1e-12)
+        assert abs(frobenius_norm(witness.w_star) - 1.0) <= 1e-12
     twice = Dataset(inputs=np.stack([data.inputs[0]] * 2), labels=np.array([1.0, -1.0]))
     with pytest.raises(ValueError, match="zero"):
         margin_estimate_subgradient(V1, act, twice)
+
+
+def _t32_data(seed, p=512, r=0.05):
+    """The benchmark's t32 data set: four unit vectors within r of +mu (the
+    first two, label +1) or -mu, drawn from default_rng([seed, p, 1])."""
+    rng = np.random.default_rng([seed, p, 1])
+    mu = rng.standard_normal(p)
+    mu /= np.linalg.norm(mu)
+    labels = np.array([1.0, 1.0, -1.0, -1.0])
+    rows = []
+    for label in labels:
+        while True:
+            d = rng.standard_normal(p)
+            x = label * mu + d * (r * rng.uniform() ** (1.0 / p) / np.linalg.norm(d))
+            x /= np.linalg.norm(x)
+            if np.linalg.norm(x - label * mu) <= r:
+                rows.append(x)
+                break
+    return Dataset(inputs=np.stack(rows), labels=labels)
+
+
+@pytest.mark.parametrize("seed", [11, 3101, 44101, 44102])
+def test_margin_bracket_closes_on_the_t32_data(seed):
+    data = _t32_data(seed)
+    V1 = gaussian_init(InitSpec(p=512, L=1, seed=5))
+    act = huberized(nt_smoothing_width(4, 512, 1))
+    witness = margin_estimate_subgradient(V1, act, data)
+    feats = [list(f.layers()) for f in ntk_features(V1, act, data)]
+    _assert_brackets(witness, _support_enumeration_margin(feats, data.labels))
 
 
 # ---------------------------------------------------------------------------
