@@ -6,7 +6,8 @@
 
 `run` executes the config's mode: theorem31 (one monitored descent from a
 small-loss initialization), theorem32 (the two-phase schedule) or
-diagnostics (initialization concentration).
+diagnostics (initialization concentration); `diagnostics` runs the config
+in that mode.
 
 Exit status:
     0  every monitored check passed or was not applicable
@@ -20,7 +21,9 @@ Exit status:
        network.h or phase_plan.h_nt for a single sample (log n = 0), an
        init.target_loss below the normal double range (an "auto" target
        0.5 n^-(1+24L) that underflows), a negative --seed-override, or a
-       missing file
+       file or directory that cannot be read or written (a missing or
+       non-UTF-8 config, a directory given as a file, an --out that is a
+       file or lies under one); an unusable --out fails before training
     3  the run could not be carried out: no derived seed classified every
        sample at the resolved width, the outer-layer scale search failed,
        or training hit a non-finite loss or gradient
@@ -46,12 +49,11 @@ from .ntk import RunAbortedError
 
 
 def _load_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return parse_config(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON ({exc})") from exc
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse_config(fh.read())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+            raise ConfigError(f"{path} is not valid JSON ({exc})") from exc
 
 
 def _apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
@@ -61,17 +63,12 @@ def _apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> tuple[int, str]:
+    """`run`, or `diagnostics`: the config run in that mode."""
     config = _load_config(args.config)
-    if args.seed_override is not None:
-        config = _apply_seed_override(config, args.seed_override)
-    runlog, status = run(config, out_dir=args.out)
-    return status, _report(runlog)
-
-
-def _cmd_diagnostics(args: argparse.Namespace) -> tuple[int, str]:
-    config = _load_config(args.config)
-    if config.mode != "diagnostics":
+    if args.command == "diagnostics":
         config = replace(config, mode="diagnostics")
+    elif args.seed_override is not None:
+        config = _apply_seed_override(config, args.seed_override)
     runlog, status = run(config, out_dir=args.out)
     return status, _report(runlog)
 
@@ -130,12 +127,12 @@ def main(argv: list[str] | None = None) -> int:
     p_diag = sub.add_parser("diagnostics", help="initialization concentration report")
     p_diag.add_argument("--config", required=True)
     p_diag.add_argument("--out", default=None)
-    p_diag.set_defaults(fn=_cmd_diagnostics)
+    p_diag.set_defaults(fn=_cmd_run)
 
     args = parser.parse_args(argv)
     try:
         status, report = args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a file or directory that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RunAbortedError as exc:

@@ -23,7 +23,6 @@ from .activations import Activation, ActivationKind, huberized
 from .bounds import (
     RunContext,
     RunLog,
-    Trajectory,
     compute_h_max,
     monitor_transition,
     resolve_context,
@@ -256,10 +255,10 @@ def build_dataset(config: RunConfig) -> Dataset:
     data = config.data
     p = config.network["p"]
     if data["file"] is not None:
-        with open(data["file"]) as fh:
+        with open(data["file"], encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"data.file: {data['file']} is not valid JSON ({exc})") from exc
         dataset = _load_samples(doc, "data.file", data["file"])
     elif data["inline"] is not None:
@@ -355,18 +354,6 @@ def _with_outer_scaled(V: WeightStack, c: float) -> WeightStack:
     return WeightStack(hidden=V.hidden, outer=c * V.outer)
 
 
-# ---------------------------------------------------------------------------
-# monitored descent
-
-
-@dataclass
-class ResolvedSetup:
-    act: Activation
-    V1: WeightStack
-    ctx: RunContext  # holds h, alpha, Q, J1, normV1 and the constants
-    h_fixed_point: dict | None  # how the "auto" h loop ended; None for a given h
-
-
 def resolve_theorem31_setup(
     V_warm: WeightStack,
     data: Dataset,
@@ -375,8 +362,10 @@ def resolve_theorem31_setup(
     h_setting: float | str = "auto",
     alpha_setting: float | str = "auto",
     q_setting: float | str = "auto",
-) -> ResolvedSetup:
-    """Resolve h, the scaled initialization, and the run constants.
+) -> tuple[Activation, WeightStack, RunContext, dict | None]:
+    """Resolve h, the scaled initialization, and the run constants;
+    returns (act, V1, ctx, h_fixed_point), ctx holding h, alpha, Q, J1,
+    normV1 and the constants.
 
     The smoothing width and the achieved initial loss depend on each
     other (margins move with h, the admissible width moves with the
@@ -426,24 +415,7 @@ def resolve_theorem31_setup(
     alpha = None if alpha_setting == "auto" else float(alpha_setting)
     Q = None if q_setting == "auto" else float(q_setting)
     ctx = resolve_context(J1, normV1, p, L, data.n, h, alpha=alpha, Q=Q)
-    return ResolvedSetup(act=act, V1=V1, ctx=ctx, h_fixed_point=h_fixed_point)
-
-
-def monitored_descent(
-    V1: WeightStack,
-    act: Activation,
-    data: Dataset,
-    ctx: RunContext,
-    max_steps: int,
-    loss_floor: float = 0.0,
-) -> Trajectory:
-    """Constant-step GD with one monitored row per executed step.
-
-    Measures max_steps iterates and one lookahead state so the final
-    row still carries its one-step descent comparison.
-    """
-    trace = run_phase(V1, act, data, ctx.alpha, max_steps + 1, stop_loss=loss_floor)
-    return monitor_transition(trace, ctx, 1).head(max(len(trace) - 1, 1))
+    return act, V1, ctx, h_fixed_point
 
 
 # ---------------------------------------------------------------------------
@@ -453,33 +425,30 @@ def monitored_descent(
 def run(config: RunConfig, out_dir: str | Path | None = None) -> tuple[RunLog, int]:
     """Execute the configured experiment; returns the log and exit status.
 
-    Exit status 0 means no monitored check failed; not-applicable never
-    counts as failure. Artifacts (trajectory CSV, summary JSON) land in
-    the configured output directory when enabled.
+    Every mode takes this one path: the output directory is created first,
+    so an unusable one fails before any training; the data set is built
+    once and handed to the mode's function; the exit status is 1 when the
+    summary's "failed" is set and 0 otherwise (not-applicable never counts
+    as failure). Artifacts (trajectory CSV, summary JSON) land in the
+    output directory when enabled.
     """
-    started = time.perf_counter()
-    if config.mode == "theorem31":
-        runlog, status = _run_theorem31(config)
-    elif config.mode == "theorem32":
-        runlog, status = _run_theorem32(config)
-    else:
-        runlog, status = _run_diagnostics(config)
-    runlog.summary["wall_time_s"] = time.perf_counter() - started
-    runlog.config_echo["config"] = config.to_json_dict()
-
     target = out_dir if out_dir is not None else config.output["dir"]
     if target is not None:
         target = Path(target)
         target.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
+    runlog = _MODE_RUNS[config.mode](config, build_dataset(config))
+    runlog.summary["wall_time_s"] = time.perf_counter() - started
+    runlog.config_echo["config"] = config.to_json_dict()
+    if target is not None:
         if config.output["csv"] and runlog.records:
             write_csv(runlog.records, target / "trajectory.csv")
         if config.output["json"]:
             write_summary_json(runlog, target / "summary.json")
-    return runlog, status
+    return runlog, (1 if runlog.summary["failed"] else 0)
 
 
-def _run_theorem31(config: RunConfig) -> tuple[RunLog, int]:
-    data = build_dataset(config)
+def _run_theorem31(config: RunConfig, data: Dataset) -> RunLog:
     p, L = config.network["p"], config.network["L"]
     n = data.n
     kind = _ACTIVATIONS[config.network["activation"]]
@@ -499,7 +468,7 @@ def _run_theorem31(config: RunConfig) -> tuple[RunLog, int]:
         V0 = gaussian_init(InitSpec(p=p, L=L, seed=used_seed))
         V_warm = warmup(V0, warm_act, data, config.init["warmup_steps"], config.init["warmup_alpha"])
         try:
-            setup = resolve_theorem31_setup(
+            act, V1, ctx, h_fixed_point = resolve_theorem31_setup(
                 V_warm, data, kind, target, h_setting, config.optimizer["alpha"], config.optimizer["Q"]
             )
             break
@@ -511,20 +480,15 @@ def _run_theorem31(config: RunConfig) -> tuple[RunLog, int]:
             f"scale search tried, after {config.init['warmup_retries'] + 1} seeded attempts; increase "
             "init.warmup_steps or change seeds"
         )
-    records = monitored_descent(
-        setup.V1,
-        setup.act,
-        data,
-        setup.ctx,
-        config.optimizer["max_steps"],
-        loss_floor=config.optimizer["loss_floor"],
-    )
-    ctx = setup.ctx
+    # one lookahead step past max_steps: the last kept row still carries its one-step descent check
+    opt = config.optimizer
+    trace = run_phase(V1, act, data, ctx.alpha, opt["max_steps"] + 1, stop_loss=opt["loss_floor"])
+    records = monitor_transition(trace, ctx, 1).head(max(len(trace) - 1, 1))
     echo = {
         "resolved": {
             "init_seed_used": used_seed,
             "h": ctx.h,
-            "h_fixed_point": setup.h_fixed_point,
+            "h_fixed_point": h_fixed_point,
             "alpha": ctx.alpha,
             "Q": ctx.Q,
             "target_loss": target,
@@ -536,9 +500,7 @@ def _run_theorem31(config: RunConfig) -> tuple[RunLog, int]:
             "q_tilde": ctx.q_tilde,
         }
     }
-    runlog = RunLog(config_echo=echo, records=records)
-    runlog.summary = summarize(records)
-    return runlog, (1 if runlog.summary["failed"] else 0)
+    return RunLog(config_echo=echo, records=records, summary=summarize(records))
 
 
 def _auto_width(data: Dataset, p: int, L: int, path: str) -> float:
@@ -547,8 +509,7 @@ def _auto_width(data: Dataset, p: int, L: int, path: str) -> float:
     return h
 
 
-def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
-    data = build_dataset(config)
+def _run_theorem32(config: RunConfig, data: Dataset) -> RunLog:
     p, L = config.network["p"], config.network["L"]
     kind = _ACTIVATIONS[config.network["activation"]]
     if kind is not ActivationKind.HUBERIZED_RELU:
@@ -594,11 +555,10 @@ def _run_theorem32(config: RunConfig) -> tuple[RunLog, int]:
     )
     runlog = two_phase_train(V1, act, data, plan)
     runlog.config_echo |= {"gamma": float(gamma), "gamma_upper": float(gamma_upper), "gamma_side": gamma_side}
-    return runlog, (1 if runlog.summary["failed"] else 0)
+    return runlog
 
 
-def _run_diagnostics(config: RunConfig) -> tuple[RunLog, int]:
-    data = build_dataset(config)
+def _run_diagnostics(config: RunConfig, data: Dataset) -> RunLog:
     p, L = config.network["p"], config.network["L"]
     kind = _ACTIVATIONS[config.network["activation"]]
     h = config.network["h"]
@@ -613,8 +573,9 @@ def _run_diagnostics(config: RunConfig) -> tuple[RunLog, int]:
         tau=config.diagnostics["tau"],
         seed=config.seeds["probes"],
     )
-    runlog = RunLog(config_echo={"resolved": {"h": h}})
     # narrow networks report, they do not fail: concentration is a wide-regime claim
     failed = not report["ok"] and not report["narrow_regime"]
-    runlog.summary = {"diagnostics": report, "failed": failed}
-    return runlog, (1 if failed else 0)
+    return RunLog(config_echo={"resolved": {"h": h}}, summary={"diagnostics": report, "failed": failed})
+
+
+_MODE_RUNS = {"theorem31": _run_theorem31, "theorem32": _run_theorem32, "diagnostics": _run_diagnostics}

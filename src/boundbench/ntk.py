@@ -771,9 +771,7 @@ def two_phase_train(
         phase2 = run_phase(V1, act, data, ctx2.alpha, plan.phase2_steps, start=phase1.best)
         phase_boundary = len(records)
         records = Trajectory.concat([records, monitor_transition(phase2, ctx2, 2)])
-    log = RunLog(config_echo=echo, records=records, phase_boundary=phase_boundary)
-    log.summary = summarize(records)
-    return log
+    return RunLog(config_echo=echo, records=records, phase_boundary=phase_boundary, summary=summarize(records))
 
 
 # ---------------------------------------------------------------------------

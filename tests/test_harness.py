@@ -613,6 +613,40 @@ def test_cli_rejects_truncated_data_file(tmp_path, capsys):
     assert err.startswith("error: data.file:") and str(data_path) in err
 
 
+@pytest.mark.parametrize(
+    "case", ["out_is_a_file", "out_under_a_file", "config_is_a_directory", "data_file_is_a_directory", "config_not_utf8"]
+)
+def test_cli_exits_2_on_a_path_it_cannot_use(tmp_path, capsys, monkeypatch, case):
+    a_file, a_dir, cfg_path = tmp_path / "a_file", tmp_path / "a_dir", tmp_path / "cfg.json"
+    a_file.write_text("")
+    a_dir.mkdir()
+    cfg_path.write_text(json.dumps(minimal_config()))
+    argv = ["run", "--config", str(cfg_path)]
+    if case == "out_is_a_file":
+        named = a_file
+        argv += ["--out", str(named)]
+    elif case == "out_under_a_file":
+        named = a_file / "out"
+        argv += ["--out", str(named)]
+    elif case == "config_is_a_directory":
+        named = argv[2] = str(a_dir)
+    elif case == "data_file_is_a_directory":
+        named = a_dir
+        cfg_path.write_text(json.dumps(minimal_config(data={"file": str(a_dir)})))
+    else:
+        named = cfg_path
+        cfg_path.write_bytes(json.dumps(minimal_config()).encode("utf-16"))
+    trained = []
+    real_run_phase = harness.run_phase
+    monkeypatch.setattr(harness, "run_phase", lambda *a, **k: trained.append(1) or real_run_phase(*a, **k))
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(named) in err[0]
+    assert trained == []  # nothing trains before a bad path is found
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize(
@@ -805,6 +839,25 @@ def test_cli_run_and_diagnostics_print_the_same_report(tmp_path, capsys):
         printed.append(capsys.readouterr().out)
     assert printed[0] == printed[1] == printed[2]
     assert "wall_time_s" not in printed[0] and "post_activation_norm_min" in json.loads(printed[0])
+
+
+@pytest.mark.filterwarnings("ignore:width 64 is below:UserWarning")
+@pytest.mark.parametrize("command", ["run", "diagnostics"])
+@pytest.mark.parametrize("p, status", [(256, 1), (64, 0)])
+def test_cli_diagnostics_fails_only_in_the_wide_regime(tmp_path, capsys, command, p, status):
+    doc = {
+        "mode": "diagnostics",
+        "network": {"p": p, "L": 1, "h": "auto"},
+        "data": {"clustered": {"r": 0.05, "n": 4}},
+        "diagnostics": {"operator_limit": 1.0},
+    }
+    cfg_path = tmp_path / "diag.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == status
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["narrow_regime"] is (p == 64)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())["summary"]
+    assert summary["failed"] is (status == 1)
 
 
 @pytest.mark.parametrize("command", ["run", "diagnostics"])
