@@ -17,8 +17,9 @@ Exit status:
        where a number belongs, a data.clustered.r above 1/16), a malformed
        inline or file sample, a data set whose width is not network.p, a
        theorem32 gamma estimate that finds no positive tangent margin, a
-       phase-2 step size that needs phase_plan.alpha_phase2, an "auto"
-       network.h or phase_plan.h_nt for a single sample (log n = 0), an
+       gamma that puts the automatic rho beyond the float range, a phase-2
+       step size that needs phase_plan.alpha_phase2, an "auto" network.h
+       (theorem32 or diagnostics) for a single sample (log n = 0), an
        init.target_loss below the normal double range (an "auto" target
        0.5 n^-(1+24L) that underflows), a negative --seed-override, or a
        file or directory that cannot be read or written (a missing or

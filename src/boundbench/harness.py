@@ -150,12 +150,9 @@ def _positive_float(value, path: str) -> float:
 _PLAN_SCHEMA = {
     "gamma": ("estimate", _or("estimate", _positive)),
     "delta": (0.05, _fraction),
-    "c1": (1.0, _positive),
-    "theta_const": (1.0, _positive),
     "T": ("auto", _or("auto", _integer(1))),
     "T_cap": (10_000, _integer(1)),
     "alpha_nt": ("auto", _or("auto", _positive)),
-    "h_nt": ("auto", _or("auto", _positive)),
     "rho": ("auto", _or("auto", _nonnegative)),
     "stop_loss": (None, _or(None, _nonnegative)),
     "alpha_phase2": (None, _or(None, _positive)),
@@ -503,9 +500,13 @@ def _run_theorem31(config: RunConfig, data: Dataset) -> RunLog:
     return RunLog(config_echo=echo, records=records, summary=summarize(records))
 
 
-def _auto_width(data: Dataset, p: int, L: int, path: str) -> float:
-    h = nt_smoothing_width(data.n, p, L)
-    _expect(h > 0, path, "the automatic width is 0 for a single sample (log n = 0); give a positive width")
+def _width(config: RunConfig, data: Dataset) -> float:
+    """network.h for theorem32 and diagnostics: "auto" is the two-phase
+    schedule's width nt_smoothing_width(n, p, L)."""
+    h = config.network["h"]
+    if h == "auto":
+        h = nt_smoothing_width(data.n, config.network["p"], config.network["L"])
+        _expect(h > 0, "network.h", "the automatic width is 0 for a single sample (log n = 0); give a positive width")
     return h
 
 
@@ -516,9 +517,7 @@ def _run_theorem32(config: RunConfig, data: Dataset) -> RunLog:
         raise ConfigError("network.activation: the two-phase schedule needs huberized")
     plan_cfg = config.phase_plan or _take({}, "phase_plan", _PLAN_SCHEMA)
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=config.seeds["init"]))
-    h_nt = plan_cfg["h_nt"]
-    h_nt = _auto_width(data, p, L, "phase_plan.h_nt") if h_nt == "auto" else float(h_nt)
-    act = huberized(h_nt)  # for the margin estimate and both phases
+    act = huberized(_width(config, data))  # for the margin estimate and both phases
 
     gamma = gamma_upper = plan_cfg["gamma"]
     gamma_side = "given"
@@ -546,11 +545,9 @@ def _run_theorem32(config: RunConfig, data: Dataset) -> RunLog:
         L=L,
         gamma=float(gamma),
         delta=plan_cfg["delta"],
-        c1=plan_cfg["c1"],
-        theta_const=plan_cfg["theta_const"],
         T_cap=plan_cfg["T_cap"],
         phase2_steps=plan_cfg["phase2_steps"],
-        h_nt=h_nt,
+        h_nt=act.h,
         **given,
     )
     runlog = two_phase_train(V1, act, data, plan)
@@ -561,9 +558,7 @@ def _run_theorem32(config: RunConfig, data: Dataset) -> RunLog:
 def _run_diagnostics(config: RunConfig, data: Dataset) -> RunLog:
     p, L = config.network["p"], config.network["L"]
     kind = _ACTIVATIONS[config.network["activation"]]
-    h = config.network["h"]
-    if h == "auto":
-        h = _auto_width(data, p, L, "network.h")
+    h = _width(config, data)
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=config.seeds["init"]))
     report = init_diagnostics(
         V1,

@@ -53,11 +53,13 @@ def _attach(stack: "WeightStack", flat: np.ndarray, p: int, L: int) -> None:
     object.__setattr__(stack, "outer", flat[L * square :].reshape(1, p))
 
 
-def _require_finite(flat: np.ndarray, p: int, total: float) -> None:
-    """Raise naming the first layer with a non-finite entry. `total` is a sum
-    over all entries (or their squares) already at hand: a non-finite entry
-    makes it non-finite, and only then does the exact scan run, which also
-    tells an overflowing sum of finite entries apart."""
+def _require_finite(flat: np.ndarray, p: int) -> None:
+    """Raise naming the first layer with a non-finite entry. A non-finite
+    entry makes the sum of all entries non-finite, and only then does the
+    exact scan run, which also tells an overflowing sum of finite entries
+    apart; the sum's overflow is expected, so it warns of nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(flat)
     bad = [] if math.isfinite(total) else np.flatnonzero(~np.isfinite(flat))
     if len(bad):
         raise ValueError(f"non-finite entries in layer {int(bad[0]) // (p * p)}")
@@ -65,7 +67,7 @@ def _require_finite(flat: np.ndarray, p: int, total: float) -> None:
 
 def _wrap(flat: np.ndarray, p: int, L: int) -> "WeightStack":
     """A stack on a freshly computed vector, checked but not copied."""
-    _require_finite(flat, p, np.add.reduce(flat))
+    _require_finite(flat, p)
     return WeightStack._computed(flat, p, L)
 
 
@@ -93,7 +95,7 @@ class WeightStack:
                     f"hidden layer {i} has shape {m.shape}, expected ({p}, {p})"
                 )
         flat = np.concatenate([m.ravel() for m in (*hidden, outer)])
-        _require_finite(flat, p, np.add.reduce(flat))
+        _require_finite(flat, p)
         _attach(self, flat, p, len(hidden))
 
     @property

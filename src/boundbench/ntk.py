@@ -518,11 +518,12 @@ def nt_smoothing_width(n: int, p: int, L: int) -> float:
 class PhasePlan:
     """Hyperparameters of the two-phase schedule.
 
-    The analysis fixes only asymptotics for the linearized-phase step size
-    and the ball radius; c1 and theta_const expose those absolute
-    constants (defaults 1.0) so desk-scale sweeps can tune them without
-    touching the formulas. T_faithful_log10 preserves the untruncated
-    horizon when T had to be capped to something runnable.
+    The analysis fixes the smoothing width h_nt, the ball radius rho and
+    the linearized-phase step size alpha_nt only up to absolute
+    constants; `auto` takes each at constant 1 unless it is given.
+    T_faithful_log10 keeps the untruncated horizon, formed from the plan's
+    own rho and alpha_nt, when T had to be capped to something runnable;
+    it is None at rho = 0, where the horizon is one step.
     """
 
     alpha_nt: float
@@ -530,8 +531,6 @@ class PhasePlan:
     h_nt: float
     rho: float
     alpha_phase2: float | None = None  # None: resolve from the restart state
-    c1: float = 1.0
-    theta_const: float = 1.0
     stop_loss: float | None = None  # desk-scale early stop for the first phase
     phase2_steps: int = 0
     T_faithful_log10: float | None = None
@@ -556,8 +555,6 @@ class PhasePlan:
         L: int,
         gamma: float,
         delta: float = 0.05,
-        c1: float = 1.0,
-        theta_const: float = 1.0,
         T_cap: int = 10_000,
         **overrides,
     ) -> "PhasePlan":
@@ -565,33 +562,34 @@ class PhasePlan:
 
         The faithful horizon scales like n^(2+24L) and is far beyond any
         desk-scale budget; it is computed in log space and kept in
-        T_faithful_log10 for traceability.
+        T_faithful_log10 for traceability. A margin so small that the
+        automatic rho passes the float range raises `ConfigError` naming
+        phase_plan.gamma.
         """
         if not 0 < gamma < math.inf:
             raise ValueError(f"margin gamma must be finite and positive, got {gamma}")
-        log_n = math.log(n)
-        rho = (
-            c1
-            / (math.sqrt(p) * gamma)
-            * (math.sqrt(math.log(n / delta)) + math.log(6.0) + (2 + 24 * L) * log_n)
-        )
-        alpha_nt = theta_const / (p * L**5)
-        # T = ceil(3 (L+1) rho^2 n^(2+24L) / (2 alpha_nt)), in logs
-        log10_T = (
-            math.log10(3.0 * (L + 1) * rho**2 / (2.0 * alpha_nt))
-            + (2 + 24 * L) * math.log10(n)
-        )
-        T = T_cap if log10_T > math.log10(T_cap) else int(math.ceil(10.0**log10_T))
-        resolved = dict(
-            alpha_nt=alpha_nt,
-            T=max(T, 1),
-            h_nt=nt_smoothing_width(n, p, L),
-            rho=rho,
-            c1=c1,
-            theta_const=theta_const,
-            T_faithful_log10=log10_T,
-        )
-        return cls(**(resolved | overrides))
+        plan = {"alpha_nt": 1.0 / (p * L**5), "h_nt": nt_smoothing_width(n, p, L)} | overrides
+        if "rho" not in plan:
+            log_n = math.log(n)
+            plan["rho"] = (
+                math.sqrt(log_n - math.log(delta)) + math.log(6.0) + (2 + 24 * L) * log_n
+            ) / (math.sqrt(p) * gamma)
+            if not math.isfinite(plan["rho"]):
+                raise ConfigError(
+                    f"phase_plan.gamma: a margin of {gamma:.3g} puts the automatic ball radius "
+                    "beyond the float range; give phase_plan.rho"
+                )
+        log10_T, T = None, 1  # at rho = 0 the ball is V1 itself
+        if plan["rho"] > 0 and plan["alpha_nt"] > 0:  # any other value the plan's own check rejects
+            # T = ceil(3 (L+1) rho^2 n^(2+24L) / (2 alpha_nt)), in logs
+            log10_T = (
+                math.log10(1.5 * (L + 1))
+                + 2.0 * math.log10(plan["rho"])
+                - math.log10(plan["alpha_nt"])
+                + (2 + 24 * L) * math.log10(n)
+            )
+            T = T_cap if log10_T > math.log10(T_cap) else max(int(math.ceil(10.0**log10_T)), 1)
+        return cls(**({"T": T, "T_faithful_log10": log10_T} | plan))
 
 
 def run_phase(

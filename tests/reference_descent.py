@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from boundbench.bounds import PhaseTrace
-from boundbench.linalg import WeightStack, _require_finite, _stack_sum, descent_sweep
+from boundbench.linalg import WeightStack, _stack_sum, _wrap, descent_sweep
 from boundbench.network import Dataset, total_loss
 from boundbench.ntk import NumericalDivergenceError
 from stack_helpers import gradient_reference
@@ -58,6 +58,5 @@ def descent(
             best_step, best_stack = t, cur
         if loss.value <= stop_loss:
             break
-        _require_finite(sweep.next_flat, cur.p, sweep.next_sq)
-        cur, cur_sq = WeightStack._computed(sweep.next_flat, cur.p, cur.depth), sweep.next_sq
+        cur, cur_sq = _wrap(sweep.next_flat, cur.p, cur.depth), sweep.next_sq
     return PhaseTrace(*columns[:, :steps].copy(), best_step=best_step), best_stack, cur

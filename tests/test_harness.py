@@ -107,12 +107,9 @@ FULL_CONFIG = {
     "phase_plan": {
         "gamma": "estimate",
         "delta": 0.05,
-        "c1": 1.0,
-        "theta_const": 1.0,
         "T": 10,
         "T_cap": 100,
         "alpha_nt": "auto",
-        "h_nt": "auto",
         "rho": "auto",
         "stop_loss": 0.1,
         "alpha_phase2": 0.05,
@@ -967,7 +964,7 @@ def _single_sample(mode, **sections):
     "doc, path",
     [
         (_single_sample("diagnostics"), "network.h"),
-        (_single_sample("theorem32", phase_plan={"T": 20}), "phase_plan.h_nt"),
+        (_single_sample("theorem32", phase_plan={"T": 20}), "network.h"),
     ],
     ids=["diagnostics", "theorem32"],
 )
@@ -980,7 +977,8 @@ def test_cli_rejects_an_auto_width_for_a_single_sample(tmp_path, capsys, doc, pa
 
 
 def test_theorem32_runs_a_single_sample_with_a_given_width(tmp_path):
-    doc = _single_sample("theorem32", phase_plan={"T": 20, "h_nt": 0.01})
+    network = {"p": 4, "L": 1, "activation": "huberized", "h": 0.01}
+    doc = _single_sample("theorem32", network=network, phase_plan={"T": 20})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     assert cli_main(["run", "--config", str(cfg_path)]) == 0
@@ -994,3 +992,110 @@ def test_theorem31_allocates_columns_for_the_steps_taken(tmp_path):
     cfg_path.write_text(json.dumps(doc))
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 2
+
+
+def test_theorem32_trains_at_the_given_network_width():
+    doc = copy.deepcopy(FULL_CONFIG) | {"output": {"dir": None}}
+    doc["network"]["h"] = 0.01
+    runlog, _ = run(parse_config(doc))
+    assert runlog.config_echo["plan"]["h_nt"] == 0.01
+
+
+@pytest.mark.parametrize("key, value", [("h_nt", 0.01), ("c1", 2.0), ("theta_const", 2.0)])
+def test_cli_rejects_the_plan_keys_that_network_h_rho_and_alpha_nt_replace(tmp_path, capsys, key, value):
+    doc = copy.deepcopy(FULL_CONFIG) | {"output": {"dir": None}}
+    doc["phase_plan"][key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: phase_plan: unknown keys ") and repr(key) in err
+    assert err.count("\n") == 1
+
+
+# margins and confidences at the ends of the float range, where the automatic
+# radius, or its square in the horizon, overflows or underflows
+@pytest.mark.parametrize(
+    "plan, status",
+    [
+        ({"gamma": 1e-300, "T": 5}, 0),
+        ({"gamma": 1e-320, "T": 5}, 2),
+        ({"gamma": 1e300, "T": 5}, 0),
+        ({"delta": 1e-320, "T": 5}, 0),
+        ({"rho": 0.0}, 0),
+    ],
+    ids=["gamma-1e-300", "gamma-1e-320", "gamma-1e300", "delta-1e-320", "rho-0"],
+)
+def test_theorem32_plan_at_extreme_margins_runs_or_names_gamma(tmp_path, capsys, plan, status):
+    doc = {
+        "mode": "theorem32",
+        "network": {"p": 16, "L": 1, "h": "auto"},
+        "data": {"clustered": {"r": 0.05, "n": 4}},
+        "phase_plan": plan,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == status
+    err = capsys.readouterr().err
+    if status == 2:
+        assert err.startswith("error: phase_plan.gamma: ") and err.count("\n") == 1
+        return
+    assert "Traceback" not in err
+    text = (tmp_path / "out" / "summary.json").read_text()
+    echoed = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))["plan"]
+    assert all(math.isfinite(echoed[k]) for k in ("alpha_nt", "h_nt", "rho"))
+    if plan.get("rho") == 0.0:
+        assert echoed["T_faithful_log10"] is None and echoed["T"] == 1
+    else:
+        assert math.isfinite(echoed["T_faithful_log10"]) and echoed["T"] == 5
+
+
+_WARNING_FREE_RUNS = {
+    "theorem31-p4-L1": ({
+        "mode": "theorem31",
+        "network": {"p": 4, "L": 1, "h": "auto"},
+        "data": {"clustered": {"r": 0.05, "n": 3}},
+        "optimizer": {"max_steps": 200},
+        "init": {"warmup_steps": 3000},
+    }, 0),
+    "theorem31-p8-L2": ({
+        "mode": "theorem31",
+        "network": {"p": 8, "L": 2, "h": "auto"},
+        "data": {"clustered": {"r": 0.05, "n": 3}},
+        "optimizer": {"max_steps": 200},
+        "init": {"warmup_steps": 3000},
+    }, 0),
+    "theorem32-two-phase": ({
+        "mode": "theorem32",
+        "network": {"p": 32, "L": 1, "h": "auto"},
+        "data": {"clustered": {"r": 0.05, "n": 4}},
+        "phase_plan": {"T_cap": 300, "stop_loss": 0.05, "phase2_steps": 20, "alpha_phase2": 0.05},
+        "seeds": {"init": 3, "data": 4, "probes": 5},
+    }, 0),
+    "diagnostics-p256-L2": ({
+        "mode": "diagnostics",
+        "network": {"p": 256, "L": 2, "h": "auto"},
+        "data": {"clustered": {"r": 0.05, "n": 4}},
+        "diagnostics": {"tau": 0.1},
+    }, 0),
+    # the perturbed stack's entries are finite but their sum overflows; the
+    # report fails its concentration checks, a verdict, not a crash
+    "diagnostics-tau-1e308": ({
+        "mode": "diagnostics",
+        "network": {"p": 256, "L": 1, "h": "auto"},
+        "data": {"clustered": {"r": 0.05, "n": 4}},
+        "diagnostics": {"tau": 1e308},
+    }, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_WARNING_FREE_RUNS))
+def test_each_mode_runs_with_runtime_warnings_as_errors(tmp_path, name):
+    doc, status = _WARNING_FREE_RUNS[name]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "boundbench.cli", "run", "--config", str(cfg_path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(argv, capture_output=True, cwd=tmp_path, env=env, timeout=300)
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+    assert proc.returncode == status

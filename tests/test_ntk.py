@@ -749,6 +749,13 @@ def test_phase_plan_auto_formulas():
     )
 
 
+def test_phase_plan_horizon_follows_the_given_radius_and_step():
+    base = PhasePlan.auto(n=4, p=16, L=1, gamma=0.3)
+    plan = PhasePlan.auto(n=4, p=16, L=1, gamma=0.3, rho=10 * base.rho, alpha_nt=base.alpha_nt / 10)
+    # T grows like rho^2 / alpha_nt: three decades
+    assert plan.T_faithful_log10 == pytest.approx(base.T_faithful_log10 + 3, rel=1e-12)
+
+
 def test_plan_auto_validates_with_the_overrides_applied():
     # at n = 1 the automatic width is 0, which the plan alone would reject
     plan = PhasePlan.auto(n=1, p=4, L=1, gamma=0.3, T_cap=50, h_nt=0.01)
