@@ -6,25 +6,29 @@
 
 `run` executes the config's mode: theorem31 (one monitored descent from a
 small-loss initialization), theorem32 (the two-phase schedule) or
-diagnostics (initialization concentration); `diagnostics` runs the config
-in that mode.
+diagnostics (initialization concentration). Every mode reads the sections
+network, data, seeds and output; theorem31 also reads optimizer and init,
+theorem32 phase_plan, and diagnostics diagnostics. `diagnostics` parses the
+config with its mode set to diagnostics, so it accepts the shared sections
+and a diagnostics section only.
 
 Exit status:
     0  every monitored check passed or was not applicable
     1  a monitored inequality failed
     2  a bad config or input: an invalid or truncated JSON file, an unknown
-       mode, section or key, a mistyped or out-of-range field (a string
-       where a number belongs, a data.clustered.r above 1/16), a malformed
-       inline or file sample, a data set whose width is not network.p, a
-       theorem32 gamma estimate that finds no positive tangent margin, a
-       gamma that puts the automatic rho beyond the float range, a phase-2
-       step size that needs phase_plan.alpha_phase2, an "auto" network.h
-       (theorem32 or diagnostics) for a single sample (log n = 0), an
-       init.target_loss below the normal double range (an "auto" target
-       0.5 n^-(1+24L) that underflows), a negative --seed-override, or a
-       file or directory that cannot be read or written (a missing or
-       non-UTF-8 config, a directory given as a file, an --out that is a
-       file or lies under one); an unusable --out fails before training
+       mode, section or key, a section its mode does not read, a mistyped
+       or out-of-range field (a string where a number belongs, a
+       data.clustered.r above 1/16), a malformed inline or file sample, a
+       data set whose width is not network.p, a theorem32 gamma estimate
+       that finds no positive tangent margin, a gamma that puts the
+       automatic rho beyond the float range, a phase-2 step size that needs
+       phase_plan.alpha_phase2, an "auto" network.h (theorem32 or
+       diagnostics) for a single sample (log n = 0), an init.target_loss
+       below the normal double range (an "auto" target 0.5 n^-(1+24L) that
+       underflows), a negative --seed-override, or a file or directory that
+       cannot be read or written (a missing or non-UTF-8 config, a
+       directory given as a file, an --out that is a file or lies under
+       one); an unusable --out fails before training
     3  the run could not be carried out: no derived seed classified every
        sample at the resolved width, the outer-layer scale search failed,
        or training hit a non-finite loss or gradient
@@ -42,43 +46,32 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
-from .activations import huberized, swish
-from .harness import ConfigError, RunConfig, parse_config, run
+from .activations import Activation, ActivationKind, certify_h_smooth
+from .harness import ConfigError, parse_config, run
 from .ntk import RunAbortedError
 
 
-def _load_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse_config(fh.read())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
-            raise ConfigError(f"{path} is not valid JSON ({exc})") from exc
-
-
-def _apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
-    """The config with seeds K, K+1, K+2, checked by the same schema as a config file."""
-    seeds = {"init": seed, "data": seed + 1, "probes": seed + 2}
-    return parse_config({**config.to_json_dict(), "seeds": seeds})
-
-
 def _cmd_run(args: argparse.Namespace) -> tuple[int, str]:
-    """`run`, or `diagnostics`: the config run in that mode."""
-    config = _load_config(args.config)
-    if args.command == "diagnostics":
-        config = replace(config, mode="diagnostics")
-    elif args.seed_override is not None:
-        config = _apply_seed_override(config, args.seed_override)
+    """`run`, or `diagnostics`: the config parsed and run in that mode."""
+    with open(args.config, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+            raise ConfigError(f"{args.config} is not valid JSON ({exc})") from exc
+    if args.command == "diagnostics" and isinstance(doc, dict):
+        doc = {**doc, "mode": "diagnostics"}
+    config = parse_config(doc)
+    if args.command == "run" and args.seed_override is not None:
+        # seeds K, K+1, K+2, checked by the same schema as a config file
+        k = args.seed_override
+        config = parse_config({**config.to_json_dict(), "seeds": {"init": k, "data": k + 1, "probes": k + 2}})
     runlog, status = run(config, out_dir=args.out)
     return status, _report(runlog)
 
 
 def _cmd_certify(args: argparse.Namespace) -> tuple[int, str]:
-    from .activations import certify_h_smooth
-
-    act = huberized(args.h) if args.kind == "huberized" else swish(args.h)
-    report = certify_h_smooth(act)
+    report = certify_h_smooth(Activation(ActivationKind(args.kind), args.h))
     doc = {
         "kind": args.kind,
         "h": args.h,
@@ -121,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.set_defaults(fn=_cmd_run)
 
     p_cert = sub.add_parser("certify-activation", help="check the activation properties")
-    p_cert.add_argument("--kind", choices=("huberized", "swish"), required=True)
+    p_cert.add_argument("--kind", choices=[kind.value for kind in ActivationKind], required=True)
     p_cert.add_argument("--h", type=float, required=True)
     p_cert.set_defaults(fn=_cmd_certify)
 

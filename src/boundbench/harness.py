@@ -52,9 +52,6 @@ from .ntk import (
     two_phase_train,
 )
 
-MODES = ("theorem31", "theorem32", "diagnostics")
-_ACTIVATIONS = {"huberized": ActivationKind.HUBERIZED_RELU, "swish": ActivationKind.SCALED_SWISH}
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -62,20 +59,20 @@ _ACTIVATIONS = {"huberized": ActivationKind.HUBERIZED_RELU, "swish": ActivationK
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, fully defaulted experiment description."""
+    """Validated, fully defaulted experiment; a section its mode does not read is None."""
 
     mode: str
     network: dict
     data: dict
-    optimizer: dict
-    init: dict
+    optimizer: dict | None
+    init: dict | None
     phase_plan: dict | None
-    diagnostics: dict
+    diagnostics: dict | None
     seeds: dict
     output: dict
 
     def to_json_dict(self) -> dict:
-        """Every field, each section copied; phase_plan only when set."""
+        """The mode and every section it read, each copied."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         return {k: v if k == "mode" else dict(v) for k, v in doc.items() if v is not None}
 
@@ -147,27 +144,21 @@ def _positive_float(value, path: str) -> float:
     return float(_positive(value, path))
 
 
-_PLAN_SCHEMA = {
-    "gamma": ("estimate", _or("estimate", _positive)),
-    "delta": (0.05, _fraction),
-    "T": ("auto", _or("auto", _integer(1))),
-    "T_cap": (10_000, _integer(1)),
-    "alpha_nt": ("auto", _or("auto", _positive)),
-    "rho": ("auto", _or("auto", _nonnegative)),
-    "stop_loss": (None, _or(None, _nonnegative)),
-    "alpha_phase2": (None, _or(None, _positive)),
-    "phase2_steps": (0, _integer(0)),
+# the sections each mode reads besides network, data, seeds and output
+_MODE_SECTIONS = {
+    "theorem31": ("optimizer", "init"),
+    "theorem32": ("phase_plan",),
+    "diagnostics": ("diagnostics",),
 }
+_mode = _rule(lambda v: v in tuple(_MODE_SECTIONS), f"one of {tuple(_MODE_SECTIONS)}")
+_KINDS = [kind.value for kind in ActivationKind]
 
 _SCHEMA = {
-    "mode": (None, _rule(lambda v: v in MODES, f"one of {MODES}")),
+    "mode": (None, _mode),
     "network": ({}, _section({
         "p": (None, _integer(1)),
         "L": (1, _integer(1)),
-        "activation": (
-            "huberized",
-            _rule(lambda v: isinstance(v, str) and v in _ACTIVATIONS, f"one of {sorted(_ACTIVATIONS)}"),
-        ),
+        "activation": ("huberized", _rule(lambda v: v in _KINDS, f"one of {_KINDS}")),
         "h": ("auto", _or("auto", _positive_float)),
     })),
     "data": ({}, _section({
@@ -193,7 +184,16 @@ _SCHEMA = {
         "target_loss": ("auto", _or("auto", _fraction)),
         "warmup_retries": (4, _integer(0)),
     })),
-    "phase_plan": (None, _or(None, _section(_PLAN_SCHEMA))),
+    "phase_plan": ({}, _section({
+        "gamma": ("estimate", _or("estimate", _positive_float)),
+        "delta": (0.05, _fraction),
+        "T": ("auto", _or("auto", _integer(1))),
+        "alpha_nt": ("auto", _or("auto", _positive)),
+        "rho": ("auto", _or("auto", _nonnegative)),
+        "stop_loss": (None, _or(None, _nonnegative)),
+        "alpha_phase2": (None, _or(None, _positive)),
+        "phase2_steps": (0, _integer(0)),
+    })),
     "diagnostics": ({}, _section({
         "tau": (None, _or(None, _nonnegative)),
         "operator_limit": (3.5, _positive),
@@ -212,12 +212,19 @@ _SCHEMA = {
 
 
 def parse_config(source: str | dict) -> RunConfig:
-    """Validate a JSON config; a bad field raises `ConfigError` naming its path."""
-    top = _take(json.loads(source) if isinstance(source, str) else source, "config", _SCHEMA)
+    """Validate a JSON config, its mode first; a bad field or a section the
+    mode does not read raises `ConfigError` naming its path."""
+    doc = json.loads(source) if isinstance(source, str) else source
+    _expect(isinstance(doc, dict), "config", "must be a JSON object")
+    mode = _mode(doc.get("mode"), "mode")
+    unread = [k for sections in _MODE_SECTIONS.values() for k in sections if k not in _MODE_SECTIONS[mode]]
+    for name in unread:
+        _expect(name not in doc, name, f"not read in mode {mode}")
+    top = _take(doc, "config", {k: v for k, v in _SCHEMA.items() if k not in unread})
     data = top["data"]
     present = [k for k in ("inline", "file", "clustered") if data[k] is not None]
     _expect(len(present) == 1, "data", f"exactly one of inline/file/clustered required, got {present}")
-    return RunConfig(**top)
+    return RunConfig(**dict.fromkeys(unread), **top)
 
 
 def _load_samples(doc, path: str, origin: str) -> Dataset:
@@ -448,7 +455,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> tuple[RunLog, i
 def _run_theorem31(config: RunConfig, data: Dataset) -> RunLog:
     p, L = config.network["p"], config.network["L"]
     n = data.n
-    kind = _ACTIVATIONS[config.network["activation"]]
+    kind = ActivationKind(config.network["activation"])
     target = config.init["target_loss"]
     if target == "auto":
         target = 0.5 * math.exp(small_loss_log_threshold(n, L))
@@ -512,16 +519,17 @@ def _width(config: RunConfig, data: Dataset) -> float:
 
 def _run_theorem32(config: RunConfig, data: Dataset) -> RunLog:
     p, L = config.network["p"], config.network["L"]
-    kind = _ACTIVATIONS[config.network["activation"]]
-    if kind is not ActivationKind.HUBERIZED_RELU:
-        raise ConfigError("network.activation: the two-phase schedule needs huberized")
-    plan_cfg = config.phase_plan or _take({}, "phase_plan", _PLAN_SCHEMA)
+    huberized_only = ActivationKind(config.network["activation"]) is ActivationKind.HUBERIZED_RELU
+    _expect(huberized_only, "network.activation", "the two-phase schedule needs huberized")
+    plan_cfg = config.phase_plan
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=config.seeds["init"]))
     act = huberized(_width(config, data))  # for the margin estimate and both phases
 
-    gamma = gamma_upper = plan_cfg["gamma"]
+    gamma = gamma_upper = None if plan_cfg["gamma"] == "estimate" else plan_cfg["gamma"]
     gamma_side = "given"
-    if gamma == "estimate":
+    if plan_cfg["rho"] != "auto":  # gamma only plans the automatic rho
+        gamma_side = "not used: phase_plan.rho is given"
+    elif gamma is None:
         try:
             witness = margin_estimate_subgradient(V1, act, data)
             gamma, gamma_upper = witness.gamma, witness.gamma_upper
@@ -543,26 +551,24 @@ def _run_theorem32(config: RunConfig, data: Dataset) -> RunLog:
         n=data.n,
         p=p,
         L=L,
-        gamma=float(gamma),
+        gamma=gamma,
         delta=plan_cfg["delta"],
-        T_cap=plan_cfg["T_cap"],
         phase2_steps=plan_cfg["phase2_steps"],
         h_nt=act.h,
         **given,
     )
     runlog = two_phase_train(V1, act, data, plan)
-    runlog.config_echo |= {"gamma": float(gamma), "gamma_upper": float(gamma_upper), "gamma_side": gamma_side}
+    runlog.config_echo |= {"gamma": gamma, "gamma_upper": gamma_upper, "gamma_side": gamma_side}
     return runlog
 
 
 def _run_diagnostics(config: RunConfig, data: Dataset) -> RunLog:
     p, L = config.network["p"], config.network["L"]
-    kind = _ACTIVATIONS[config.network["activation"]]
     h = _width(config, data)
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=config.seeds["init"]))
     report = init_diagnostics(
         V1,
-        Activation(kind, h),
+        Activation(ActivationKind(config.network["activation"]), h),
         data,
         operator_limit=config.diagnostics["operator_limit"],
         tau=config.diagnostics["tau"],

@@ -553,23 +553,23 @@ class PhasePlan:
         n: int,
         p: int,
         L: int,
-        gamma: float,
+        gamma: float | None,
         delta: float = 0.05,
-        T_cap: int = 10_000,
         **overrides,
     ) -> "PhasePlan":
-        """Resolve the closed-form plan, capping the horizon at T_cap.
+        """Resolve the closed-form plan; `overrides` give any field.
 
-        The faithful horizon scales like n^(2+24L) and is far beyond any
-        desk-scale budget; it is computed in log space and kept in
-        T_faithful_log10 for traceability. A margin so small that the
-        automatic rho passes the float range raises `ConfigError` naming
+        The faithful horizon scales like n^(2+24L), far beyond any
+        desk-scale budget: it is kept in log space as T_faithful_log10, and
+        T defaults to it capped at 10,000 steps. The margin `gamma` (None
+        if not estimated) is read only to form an automatic rho; one so
+        small that rho passes the float range raises `ConfigError` naming
         phase_plan.gamma.
         """
-        if not 0 < gamma < math.inf:
-            raise ValueError(f"margin gamma must be finite and positive, got {gamma}")
         plan = {"alpha_nt": 1.0 / (p * L**5), "h_nt": nt_smoothing_width(n, p, L)} | overrides
         if "rho" not in plan:
+            if gamma is None or not 0 < gamma < math.inf:
+                raise ValueError(f"margin gamma must be finite and positive, got {gamma}")
             log_n = math.log(n)
             plan["rho"] = (
                 math.sqrt(log_n - math.log(delta)) + math.log(6.0) + (2 + 24 * L) * log_n
@@ -588,7 +588,7 @@ class PhasePlan:
                 - math.log10(plan["alpha_nt"])
                 + (2 + 24 * L) * math.log10(n)
             )
-            T = T_cap if log10_T > math.log10(T_cap) else max(int(math.ceil(10.0**log10_T)), 1)
+            T = 10_000 if log10_T > 4 else max(int(math.ceil(10.0**log10_T)), 1)
         return cls(**({"T": T, "T_faithful_log10": log10_T} | plan))
 
 

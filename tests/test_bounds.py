@@ -437,7 +437,7 @@ def test_columnar_monitor_matches_reference_on_runs(monitor_calls, case):
             "data": {"clustered": {"r": 0.05, "n": 4}},
             "phase_plan": {
                 "gamma": "estimate",
-                "T_cap": 1500,
+                "T": 1500,
                 "stop_loss": 0.05,
                 "phase2_steps": 20,
                 "alpha_phase2": 0.05,

@@ -2,8 +2,10 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,12 +85,55 @@ def test_parse_rejects_conflicting_data_sources():
         parse_config(doc)
 
 
+_SHARED_SECTIONS = {
+    "network": {"p": 4, "L": 1, "activation": "huberized", "h": "auto"},
+    "data": {"clustered": {"r": 0.05, "n": 3, "mu": [1.0, 0.0, 0.0, 0.0]}},
+    "seeds": {"init": 0, "data": 1, "probes": 2},
+    "output": {"dir": "out", "csv": True, "json": True},
+}
+# one config per mode, each field of the shared and of the mode's own sections set
+FULL_CONFIGS = {
+    "theorem31": {
+        "mode": "theorem31",
+        **_SHARED_SECTIONS,
+        "optimizer": {"alpha": "auto", "Q": "auto", "max_steps": 50, "loss_floor": 0.0},
+        "init": {"warmup_steps": 1500, "warmup_alpha": 0.5, "target_loss": "auto", "warmup_retries": 1},
+    },
+    "theorem32": {
+        "mode": "theorem32",
+        **_SHARED_SECTIONS,
+        "phase_plan": {
+            "gamma": "estimate",
+            "delta": 0.05,
+            "T": 10,
+            "alpha_nt": "auto",
+            "rho": "auto",
+            "stop_loss": 0.1,
+            "alpha_phase2": 0.05,
+            "phase2_steps": 2,
+        },
+    },
+    "diagnostics": {
+        "mode": "diagnostics",
+        **_SHARED_SECTIONS,
+        "diagnostics": {"tau": 0.1, "operator_limit": 3.5},
+    },
+}
+MODES = list(FULL_CONFIGS)
+OWN_SECTIONS = {mode: set(doc) - set(_SHARED_SECTIONS) - {"mode"} for mode, doc in FULL_CONFIGS.items()}
+# (mode, section) for every section that only another mode reads
+FOREIGN = [
+    (mode, other) for mode in MODES for other in sorted(set().union(*OWN_SECTIONS.values()) - OWN_SECTIONS[mode])
+]
+
+
 def test_parse_round_trip_is_identity():
-    config = parse_config(minimal_config())
-    canonical = config.to_json_dict()
-    again = parse_config(json.dumps(canonical))
-    assert again.to_json_dict() == canonical
-    assert again == config
+    for full in FULL_CONFIGS.values():
+        config = parse_config(full)
+        canonical = config.to_json_dict()
+        again = parse_config(json.dumps(canonical))
+        assert again.to_json_dict() == canonical
+        assert again == config
 
 
 def test_parse_validates_mode_and_seeds():
@@ -98,29 +143,6 @@ def test_parse_validates_mode_and_seeds():
         parse_config(minimal_config(seeds={"init": "zero"}))
 
 
-FULL_CONFIG = {
-    "mode": "theorem32",
-    "network": {"p": 4, "L": 1, "activation": "huberized", "h": "auto"},
-    "data": {"clustered": {"r": 0.05, "n": 3, "mu": [1.0, 0.0, 0.0, 0.0]}},
-    "optimizer": {"alpha": "auto", "Q": "auto", "max_steps": 50, "loss_floor": 0.0},
-    "init": {"warmup_steps": 10, "warmup_alpha": 0.5, "target_loss": "auto", "warmup_retries": 1},
-    "phase_plan": {
-        "gamma": "estimate",
-        "delta": 0.05,
-        "T": 10,
-        "T_cap": 100,
-        "alpha_nt": "auto",
-        "rho": "auto",
-        "stop_loss": 0.1,
-        "alpha_phase2": 0.05,
-        "phase2_steps": 2,
-    },
-    "diagnostics": {"tau": 0.1, "operator_limit": 3.5},
-    "seeds": {"init": 0, "data": 1, "probes": 2},
-    "output": {"dir": "out", "csv": True, "json": True},
-}
-
-
 def _field_paths(doc, prefix=()):
     for key, value in doc.items():
         yield (*prefix, key)
@@ -128,8 +150,14 @@ def _field_paths(doc, prefix=()):
             yield from _field_paths(value, (*prefix, key))
 
 
-FIELD_PATHS = [*_field_paths(FULL_CONFIG), ("data", "inline"), ("data", "file")]
-KNOWN_PATHS = {"config"} | {".".join(path) for path in FIELD_PATHS}
+# (mode, path) for every field of every mode's full config
+FIELD_PATHS = [
+    (mode, path)
+    for mode, doc in FULL_CONFIGS.items()
+    for path in [*_field_paths(doc), ("data", "inline"), ("data", "file")]
+]
+KNOWN_PATHS = {"config"} | {".".join(path) for _, path in FIELD_PATHS}
+SECTION_NAMES = sorted({key for doc in FULL_CONFIGS.values() for key in doc})
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
@@ -137,8 +165,9 @@ JSON_VALUES = st.recursive(
 )
 
 
-def _with_value(path, value):
-    doc = copy.deepcopy(FULL_CONFIG)
+def _with_value(field, value):
+    mode, path = field
+    doc = copy.deepcopy(FULL_CONFIGS[mode])
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -146,12 +175,13 @@ def _with_value(path, value):
     return doc
 
 
-@settings(max_examples=200, deadline=None)
-@example(_with_value(("optimizer", "loss_floor"), 10**400))  # beyond the float range
+# 200 examples per mode on average
+@settings(max_examples=200 * len(FULL_CONFIGS), deadline=None)
+@example(_with_value(("theorem31", ("optimizer", "loss_floor")), 10**400))  # beyond the float range
 @given(
     st.one_of(
         st.builds(_with_value, st.sampled_from(FIELD_PATHS), JSON_VALUES),
-        st.dictionaries(st.sampled_from(list(FULL_CONFIG)) | st.text(max_size=6), JSON_VALUES),
+        st.dictionaries(st.sampled_from(SECTION_NAMES) | st.text(max_size=6), JSON_VALUES),
     )
 )
 def test_any_json_object_parses_or_names_a_field(doc):
@@ -164,10 +194,11 @@ def test_any_json_object_parses_or_names_a_field(doc):
 
 
 def test_parse_accepts_every_field_of_the_full_config():
-    echo = parse_config(FULL_CONFIG).to_json_dict()
-    data = echo.pop("data")
-    assert {k: v for k, v in data.items() if v is not None} == FULL_CONFIG["data"]
-    assert echo == {k: v for k, v in FULL_CONFIG.items() if k != "data"}
+    for full in FULL_CONFIGS.values():
+        echo = parse_config(full).to_json_dict()
+        data = echo.pop("data")
+        assert {k: v for k, v in data.items() if v is not None} == full["data"]
+        assert echo == {k: v for k, v in full.items() if k != "data"}
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +494,7 @@ def theorem32_overrides_config():
         "data": {"clustered": {"r": 0.05, "n": 4}},
         "phase_plan": {
             "gamma": "estimate",
-            "T_cap": 1500,
+            "T": 1500,
             "stop_loss": 0.05,
             "phase2_steps": 20,
             "alpha_phase2": 0.05,
@@ -758,7 +789,7 @@ def test_cli_rejects_malformed_samples_and_names_them(tmp_path, capsys, source, 
     ],
 )
 def test_cli_rejects_bad_field_and_names_it(tmp_path, capsys, mode, path, value):
-    doc = minimal_config(mode=mode)
+    doc = copy.deepcopy(FULL_CONFIGS[mode]) | {"output": {"dir": None}}
     node = doc
     for key in path.split(".")[:-1]:
         node = node.setdefault(key, {})
@@ -767,6 +798,42 @@ def test_cli_rejects_bad_field_and_names_it(tmp_path, capsys, mode, path, value)
     cfg_path.write_text(json.dumps(doc))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("mode, section", FOREIGN, ids=[f"{mode}-{section}" for mode, section in FOREIGN])
+def test_cli_rejects_a_section_its_mode_does_not_read(tmp_path, capsys, mode, section):
+    owner = next(other for other in MODES if section in OWN_SECTIONS[other])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(FULL_CONFIGS[mode] | {section: FULL_CONFIGS[owner][section]}))
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {section}: not read in mode {mode}\n"
+
+
+def test_cli_diagnostics_rejects_a_theorem31_config(tmp_path, capsys):
+    # the file is parsed in the mode diagnostics, which reads no optimizer
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config()))
+    assert cli_main(["diagnostics", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: optimizer: not read in mode diagnostics\n"
+
+
+@pytest.mark.filterwarnings("ignore:width 4 is below:UserWarning")
+@pytest.mark.parametrize("mode", MODES)
+def test_summary_echoes_only_the_sections_its_mode_reads(tmp_path, mode):
+    run(parse_config(FULL_CONFIGS[mode]), out_dir=tmp_path)
+    echoed = json.loads((tmp_path / "summary.json").read_text())["config"]
+    assert set(echoed) == {"mode", *_SHARED_SECTIONS, *OWN_SECTIONS[mode]}
+
+
+def test_readme_config_blocks_parse_to_themselves():
+    # one block per mode under the README's Config heading, every key shown
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n### Config\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+    assert sorted(block["mode"] for block in blocks) == sorted(MODES)
+    for block in blocks:
+        assert parse_config(block).to_json_dict() == block
 
 
 @pytest.mark.parametrize("target", ["auto", 1e-310], ids=["auto_rounds_to_0", "subnormal"])
@@ -935,6 +1002,22 @@ def test_theorem32_echoes_given_gamma_and_its_side(tmp_path):
     assert runlog.config_echo["gamma_side"] == "given"
 
 
+@pytest.mark.parametrize("gamma", ["estimate", 0.5])
+def test_theorem32_with_a_given_rho_estimates_no_margin(tmp_path, capsys, gamma):
+    x, _ = _two_inputs()
+    # not separable by the tangent features, but gamma only plans an automatic rho
+    doc = _theorem32_inline([{"x": x, "y": 1}, {"x": x, "y": -1}], gamma)
+    doc["phase_plan"] = {"gamma": gamma, "T": 20, "rho": 1.0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    echoed = None if gamma == "estimate" else gamma
+    assert (summary["gamma"], summary["gamma_upper"]) == (echoed, echoed)
+    assert summary["gamma_side"] == "not used: phase_plan.rho is given"
+    assert (summary["plan"]["rho"], summary["plan"]["T"]) == (1.0, 20)
+
+
 def test_cli_rejects_a_given_h_not_below_the_admissible_width(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(minimal_config(network={"p": 4, "L": 1, "h": 0.5})))
@@ -995,7 +1078,7 @@ def test_theorem31_allocates_columns_for_the_steps_taken(tmp_path):
 
 
 def test_theorem32_trains_at_the_given_network_width():
-    doc = copy.deepcopy(FULL_CONFIG) | {"output": {"dir": None}}
+    doc = copy.deepcopy(FULL_CONFIGS["theorem32"]) | {"output": {"dir": None}}
     doc["network"]["h"] = 0.01
     runlog, _ = run(parse_config(doc))
     assert runlog.config_echo["plan"]["h_nt"] == 0.01
@@ -1003,7 +1086,7 @@ def test_theorem32_trains_at_the_given_network_width():
 
 @pytest.mark.parametrize("key, value", [("h_nt", 0.01), ("c1", 2.0), ("theta_const", 2.0)])
 def test_cli_rejects_the_plan_keys_that_network_h_rho_and_alpha_nt_replace(tmp_path, capsys, key, value):
-    doc = copy.deepcopy(FULL_CONFIG) | {"output": {"dir": None}}
+    doc = copy.deepcopy(FULL_CONFIGS["theorem32"]) | {"output": {"dir": None}}
     doc["phase_plan"][key] = value
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -1069,7 +1152,7 @@ _WARNING_FREE_RUNS = {
         "mode": "theorem32",
         "network": {"p": 32, "L": 1, "h": "auto"},
         "data": {"clustered": {"r": 0.05, "n": 4}},
-        "phase_plan": {"T_cap": 300, "stop_loss": 0.05, "phase2_steps": 20, "alpha_phase2": 0.05},
+        "phase_plan": {"T": 300, "stop_loss": 0.05, "phase2_steps": 20, "alpha_phase2": 0.05},
         "seeds": {"init": 3, "data": 4, "probes": 5},
     }, 0),
     "diagnostics-p256-L2": ({

@@ -729,9 +729,17 @@ def test_phase_plan_auto_rejects_a_bad_margin_and_names_it(gamma):
         PhasePlan.auto(n=4, p=8, L=1, gamma=gamma)
 
 
+def test_phase_plan_auto_reads_gamma_only_for_an_automatic_rho():
+    # gamma is None when it was not estimated; an automatic T is the faithful horizon capped at 10,000
+    plan = PhasePlan.auto(n=4, p=8, L=1, gamma=None, rho=1.0)
+    assert plan.rho == 1.0 and plan.T_faithful_log10 > 4 and plan.T == 10_000
+    with pytest.raises(ValueError, match="gamma"):
+        PhasePlan.auto(n=4, p=8, L=1, gamma=None)
+
+
 def test_phase_plan_auto_formulas():
     n, p, L, gamma = 4, 64, 1, 0.5
-    plan = PhasePlan.auto(n=n, p=p, L=L, gamma=gamma, delta=0.05, T_cap=500)
+    plan = PhasePlan.auto(n=n, p=p, L=L, gamma=gamma, delta=0.05, T=500)
     assert plan.h_nt == pytest.approx(
         (1 + 24 * L) * math.log(n) / (6 * (6 * p) ** ((L + 1) / 2) * L**3), rel=1e-12
     )
@@ -758,10 +766,10 @@ def test_phase_plan_horizon_follows_the_given_radius_and_step():
 
 def test_plan_auto_validates_with_the_overrides_applied():
     # at n = 1 the automatic width is 0, which the plan alone would reject
-    plan = PhasePlan.auto(n=1, p=4, L=1, gamma=0.3, T_cap=50, h_nt=0.01)
+    plan = PhasePlan.auto(n=1, p=4, L=1, gamma=0.3, T=50, h_nt=0.01)
     assert plan.h_nt == 0.01
     with pytest.raises(ValueError, match="out of range"):
-        PhasePlan.auto(n=1, p=4, L=1, gamma=0.3, T_cap=50)
+        PhasePlan.auto(n=1, p=4, L=1, gamma=0.3, T=50)
 
 
 def test_run_phase_argmin_prefers_earliest():
@@ -876,7 +884,7 @@ def test_two_phase_mechanics_and_records():
     rng = np.random.default_rng(52)
     spec = ClusteredDataSpec(mu=rng.standard_normal(p), r=0.05, n=n, seed=53)
     data = make_clustered_dataset(spec)
-    plan = PhasePlan.auto(n=n, p=p, L=L, gamma=0.3, T_cap=2000)
+    plan = PhasePlan.auto(n=n, p=p, L=L, gamma=0.3, T=2000)
     plan = replace(plan, stop_loss=0.05, phase2_steps=30, alpha_phase2=0.05)
     act = huberized(plan.h_nt)
     log = two_phase_train(V1, act, data, plan)
