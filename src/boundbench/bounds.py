@@ -181,11 +181,12 @@ class RunContext:
     """Everything fixed along one monitored phase.
 
     `h_max`, `alpha_max` and `q_tilde` are the phase's constants, evaluated
-    at its start (J1, normV1), with q_tilde at `alpha`. A phase outside the
-    small-loss analysis has none (all three None) and is not instrumented:
-    the constant-dependent checks then report not-applicable while
-    regime-free ones keep running. Only `resolve_context` fills in the
-    constants.
+    at its start (J1, normV1), with q_tilde at `alpha`; q_tilde is the one
+    rate constant of the I1 bound J_1/(q_tilde (t-1) + 1). A phase outside
+    the small-loss analysis has none (all three None) and is not
+    instrumented: the constant-dependent checks then report not-applicable
+    while regime-free ones keep running. Only `resolve_context` fills in
+    the constants.
     """
 
     p: int
@@ -193,7 +194,6 @@ class RunContext:
     n: int
     h: float
     alpha: float
-    Q: float
     J1: LossValue
     normV1: float
     h_max: float | None = None
@@ -206,26 +206,25 @@ class RunContext:
 
 
 def resolve_context(
-    J1: LossValue, normV1: float, p: int, L: int, n: int, h: float, alpha: float | None = None, Q: float | None = None
+    J1: LossValue, normV1: float, p: int, L: int, n: int, h: float, alpha: float | None = None
 ) -> RunContext:
     """The context of a phase that starts at loss J1 and weight norm normV1.
 
     The phase is instrumented when J1 is in (0, 1), normV1 > 0 and
-    h <= h_max; then alpha is the given value or alpha_max(h), and Q the
-    given value or q_tilde at alpha. Otherwise no constants exist, Q is 0
-    and alpha must be given: without it this raises ValueError.
+    h <= h_max; then alpha is the given value or alpha_max(h), and the
+    rate constant is q_tilde at alpha. Otherwise no constants exist and
+    alpha must be given: without it this raises ValueError.
     """
     h_max = compute_h_max(J1, p, L, normV1) if J1.log_value < 0.0 and normV1 > 0.0 else None
     if h_max is None or h > h_max:
         if alpha is None:
             raise ValueError("no admissible step size: loss not in (0,1), zero weight norm or h above h_max")
-        return RunContext(p=p, L=L, n=n, h=h, alpha=alpha, Q=0.0, J1=J1, normV1=normV1)
+        return RunContext(p=p, L=L, n=n, h=h, alpha=alpha, J1=J1, normV1=normV1)
     alpha_max = compute_alpha_max(h, J1, p, L, normV1)
     alpha = alpha_max if alpha is None else alpha
     q_tilde = compute_q_tilde(alpha, J1, L, normV1)
-    Q = q_tilde if Q is None else Q
     return RunContext(
-        p=p, L=L, n=n, h=h, alpha=alpha, Q=Q, J1=J1, normV1=normV1,
+        p=p, L=L, n=n, h=h, alpha=alpha, J1=J1, normV1=normV1,
         h_max=h_max, alpha_max=alpha_max, q_tilde=q_tilde,
     )
 
@@ -318,14 +317,13 @@ def monitor_transition(trace: PhaseTrace, ctx: RunContext, phase: int) -> Trajec
     verdicts: dict[str, np.ndarray] = {}
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        # I1, the headline rate: J_t <= J_1 / (Q (t-1) + 1), checked in log space
+        # I1, the headline rate: J_t <= J_1 / (q_tilde (t-1) + 1), checked in log space
         if inst:
-            rate_bound_log = ctx.J1.log_value - _libm(math.log1p, ctx.Q * (t - 1))
-            rate_bound = ctx.J1.value / (ctx.Q * (t - 1) + 1.0)
+            rate_bound_log = ctx.J1.log_value - _libm(math.log1p, ctx.q_tilde * (t - 1))
+            rate_bound = ctx.J1.value / (ctx.q_tilde * (t - 1) + 1.0)
             slacks["i1"] = rate_bound_log - log_J
-            slacks["i1_value"] = (rate_bound - J) / ctx.J1.value
         else:
-            rate_bound = slacks["i1"] = slacks["i1_value"] = nan
+            rate_bound = slacks["i1"] = nan
         verdicts["i1"] = _verdicts(slacks["i1"] >= -tol.i1_log, inst)
 
         # I2: log(1/J_t)/||V_t||^L never drops below its initial value

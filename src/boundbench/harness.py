@@ -174,7 +174,6 @@ _SCHEMA = {
     })),
     "optimizer": ({}, _section({
         "alpha": ("auto", _or("auto", _positive_float)),
-        "Q": ("auto", _or("auto", _positive_float)),
         "max_steps": (1000, _integer(1)),
         "loss_floor": (0.0, _nonnegative),
     })),
@@ -365,11 +364,10 @@ def resolve_theorem31_setup(
     target_loss: float,
     h_setting: float | str = "auto",
     alpha_setting: float | str = "auto",
-    q_setting: float | str = "auto",
 ) -> tuple[Activation, WeightStack, RunContext, dict | None]:
     """Resolve h, the scaled initialization, and the run constants;
-    returns (act, V1, ctx, h_fixed_point), ctx holding h, alpha, Q, J1,
-    normV1 and the constants.
+    returns (act, V1, ctx, h_fixed_point), ctx holding h, alpha, J1,
+    normV1 and the constants, q_tilde at alpha the rate constant.
 
     The smoothing width and the achieved initial loss depend on each
     other (margins move with h, the admissible width moves with the
@@ -417,8 +415,7 @@ def resolve_theorem31_setup(
             f"width {h_max:.3g} at the achieved initialization; use \"auto\""
         )
     alpha = None if alpha_setting == "auto" else float(alpha_setting)
-    Q = None if q_setting == "auto" else float(q_setting)
-    ctx = resolve_context(J1, normV1, p, L, data.n, h, alpha=alpha, Q=Q)
+    ctx = resolve_context(J1, normV1, p, L, data.n, h, alpha=alpha)
     return act, V1, ctx, h_fixed_point
 
 
@@ -473,7 +470,7 @@ def _run_theorem31(config: RunConfig, data: Dataset) -> RunLog:
         V_warm = warmup(V0, warm_act, data, config.init["warmup_steps"], config.init["warmup_alpha"])
         try:
             act, V1, ctx, h_fixed_point = resolve_theorem31_setup(
-                V_warm, data, kind, target, h_setting, config.optimizer["alpha"], config.optimizer["Q"]
+                V_warm, data, kind, target, h_setting, config.optimizer["alpha"]
             )
             break
         except MisclassifiedError:
@@ -494,7 +491,6 @@ def _run_theorem31(config: RunConfig, data: Dataset) -> RunLog:
             "h": ctx.h,
             "h_fixed_point": h_fixed_point,
             "alpha": ctx.alpha,
-            "Q": ctx.Q,
             "target_loss": target,
             "J1": ctx.J1.value,
             "logJ1": ctx.J1.log_value,

@@ -530,7 +530,7 @@ class PhasePlan:
     T: int
     h_nt: float
     rho: float
-    alpha_phase2: float | None = None  # None: resolve from the restart state
+    alpha_phase2: float | None = None  # read only when phase2_steps > 0; None: alpha_max at the restart
     stop_loss: float | None = None  # desk-scale early stop for the first phase
     phase2_steps: int = 0
     T_faithful_log10: float | None = None
@@ -562,9 +562,10 @@ class PhasePlan:
         The faithful horizon scales like n^(2+24L), far beyond any
         desk-scale budget: it is kept in log space as T_faithful_log10, and
         T defaults to it capped at 10,000 steps. The margin `gamma` (None
-        if not estimated) is read only to form an automatic rho; one so
-        small that rho passes the float range raises `ConfigError` naming
-        phase_plan.gamma.
+        if not estimated) and `delta` are read only to form an automatic
+        rho; a gamma so small that rho passes the float range raises
+        `ConfigError` naming phase_plan.gamma. An `alpha_phase2` override
+        is read only by a plan with phase2_steps > 0.
         """
         plan = {"alpha_nt": 1.0 / (p * L**5), "h_nt": nt_smoothing_width(n, p, L)} | overrides
         if "rho" not in plan:
@@ -711,7 +712,7 @@ def two_phase_train(
     V1: WeightStack, act: Activation, data: Dataset, plan: PhasePlan
 ) -> RunLog:
     """Linearized phase at alpha_nt, then restart descent from the argmin
-    iterate at the closed-form step size.
+    iterate at alpha_phase2 if given, else at the closed-form step size.
 
     Each phase is monitored once and the log holds both, joined. Phase-1
     rows carry measurements with the theory checks marked not-applicable
@@ -735,7 +736,6 @@ def two_phase_train(
         n=n,
         h=act.h,
         alpha=plan.alpha_nt,
-        Q=0.0,
         J1=LossValue(float(phase1.loss[0]), float(phase1.log_loss[0])),
         normV1=float(phase1.weight_norm[0]),
     )

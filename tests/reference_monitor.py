@@ -88,10 +88,12 @@ def monitor_step(
     verdicts: dict[str, Verdict] = {}
     slacks: dict[str, float] = {}
 
-    rate_bound_log = ctx.J1.log_value - math.log1p(ctx.Q * (prev.t - 1))
-    rate_bound = ctx.J1.value / (ctx.Q * (prev.t - 1) + 1.0)
-    slacks["i1"] = rate_bound_log - J.log_value if inst else math.nan
-    slacks["i1_value"] = (rate_bound - J.value) / ctx.J1.value if inst else math.nan
+    if inst:
+        rate_bound_log = ctx.J1.log_value - math.log1p(ctx.q_tilde * (prev.t - 1))
+        rate_bound = ctx.J1.value / (ctx.q_tilde * (prev.t - 1) + 1.0)
+        slacks["i1"] = rate_bound_log - J.log_value
+    else:
+        rate_bound = slacks["i1"] = math.nan
     verdicts["i1"] = _verdict(slacks["i1"], tol.i1_log, inst)
 
     if inst:

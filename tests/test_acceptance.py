@@ -48,7 +48,7 @@ def headline_config(p, L, max_steps=10_000):
             "mode": "theorem31",
             "network": {"p": p, "L": L, "activation": "huberized", "h": "auto"},
             "data": {"clustered": {"r": 0.05, "n": 3}},
-            "optimizer": {"alpha": "auto", "Q": "auto", "max_steps": max_steps},
+            "optimizer": {"alpha": "auto", "max_steps": max_steps},
             "init": {
                 "warmup_steps": 3000,
                 "warmup_alpha": 0.5,
@@ -89,7 +89,8 @@ def test_criterion_1_rate_bound(run_L1, run_L2):
     target = 0.5 * 3.0 ** -25
     ok = status1 == 0 and resolved["J1"] <= target and len(runlog1.records) == 10_000
     # depth 1: value-space slack with zero tolerance on the direction
-    worst_value = runlog1.records.slacks["i1_value"].min()
+    records1 = runlog1.records
+    worst_value = ((records1.rate_bound - records1.loss) / resolved["J1"]).min()
     ok = ok and worst_value >= -1e-15
     ok = ok and wall1 < 30.0
 

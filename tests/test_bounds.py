@@ -113,19 +113,18 @@ def test_theory_constants_echo_inputs():
     assert c.alpha_max == pytest.approx(ALPHA_TERM_SMOOTH, rel=1e-10)
     assert c.q_tilde == pytest.approx(Q_TILDE_EXAMPLE, rel=1e-10)
     assert (c.p, c.L, c.n, c.h, c.normV1, c.J1.value) == (4, 1, 3, 0.01, 30.0, 1e-12)
-    assert (c.alpha, c.Q) == (c.alpha_max, c.q_tilde)
+    assert c.alpha == c.alpha_max
 
 
-@pytest.mark.parametrize("alpha, Q", [(None, None), (1e-7, None), (None, 5e-19), (1e-7, 5e-19)])
-def test_resolve_context_constants_equal_the_closed_forms(alpha, Q):
+@pytest.mark.parametrize("alpha", [None, 1e-7])
+def test_resolve_context_constants_equal_the_closed_forms(alpha):
     J1, normV1, p, L, h = loss(1e-12), 30.0, 4, 1, 0.01
-    ctx = resolve_context(J1, normV1, p, L, 3, h, alpha=alpha, Q=Q)
+    ctx = resolve_context(J1, normV1, p, L, 3, h, alpha=alpha)
     assert ctx.instrumented
     assert ctx.h_max == compute_h_max(J1, p, L, normV1)
     assert ctx.alpha_max == compute_alpha_max(h, J1, p, L, normV1)
     assert ctx.alpha == (ctx.alpha_max if alpha is None else alpha)
     assert ctx.q_tilde == compute_q_tilde(ctx.alpha, J1, L, normV1)
-    assert ctx.Q == (ctx.q_tilde if Q is None else Q)
 
 
 @pytest.mark.parametrize(
@@ -134,10 +133,10 @@ def test_resolve_context_constants_equal_the_closed_forms(alpha, Q):
     ids=["loss_one", "loss_above_one", "zero_norm", "h_above_h_max"],
 )
 def test_resolve_context_outside_the_regime_is_uninstrumented(J1, normV1, h):
-    ctx = resolve_context(J1, normV1, p=4, L=1, n=3, h=h, alpha=0.1, Q=1.0)
+    ctx = resolve_context(J1, normV1, p=4, L=1, n=3, h=h, alpha=0.1)
     assert not ctx.instrumented
     assert (ctx.h_max, ctx.alpha_max, ctx.q_tilde) == (None, None, None)
-    assert (ctx.alpha, ctx.Q) == (0.1, 0.0)
+    assert ctx.alpha == 0.1
     with pytest.raises(ValueError, match="no admissible step size"):
         resolve_context(J1, normV1, p=4, L=1, n=3, h=h)
 
@@ -194,10 +193,10 @@ def test_weight_norm_floor_values():
 # monitor semantics
 
 
-def make_context(J1=1e-13, normV1=10.0, p=4, L=1, n=3, h=None, alpha=None, Q=None):
+def make_context(J1=1e-13, normV1=10.0, p=4, L=1, n=3, h=None, alpha=None):
     J1 = loss(J1)
     h = h if h is not None else compute_h_max(J1, p, L, normV1) / 2
-    return resolve_context(J1, normV1, p, L, n, h, alpha=alpha, Q=Q)
+    return resolve_context(J1, normV1, p, L, n, h, alpha=alpha)
 
 
 def make_trace(*rows):
@@ -243,7 +242,7 @@ def test_monitor_flags_not_applicable_outside_regime():
 
 
 def uninstrumented_context():
-    return RunContext(p=4, L=1, n=3, h=0.01, alpha=0.1, Q=0.0, J1=loss(0.9), normV1=3.0)
+    return RunContext(p=4, L=1, n=3, h=0.01, alpha=0.1, J1=loss(0.9), normV1=3.0)
 
 
 def test_monitor_uninstrumented_context_reports_na():
@@ -327,7 +326,7 @@ def assert_matches_reference(traj, trace, ctx, phase):
     assert traj.phase.tolist() == [phase] * len(ref)
     for key in CHECK_KEYS:
         assert traj.verdicts[key].tolist() == [r.verdicts[key].value for r in ref], key
-    for key in (*CHECK_KEYS, "i1_value"):
+    for key in CHECK_KEYS:
         np.testing.assert_allclose(
             traj.slacks[key],
             [r.slacks[key] for r in ref],
@@ -413,7 +412,7 @@ def theorem31_config(p, L, alpha="auto"):
         "mode": "theorem31",
         "network": {"p": p, "L": L, "activation": "huberized", "h": "auto"},
         "data": {"clustered": {"r": 0.05, "n": 3}},
-        "optimizer": {"alpha": alpha, "Q": "auto", "max_steps": 200},
+        "optimizer": {"alpha": alpha, "max_steps": 200},
         "init": {"warmup_steps": 3000, "warmup_alpha": 0.5, "target_loss": "auto"},
         "seeds": {"init": 0, "data": 1, "probes": 2},
         "output": {"dir": None},

@@ -41,7 +41,7 @@ def minimal_config(**overrides):
         "mode": "theorem31",
         "network": {"p": 4, "L": 1, "activation": "huberized", "h": "auto"},
         "data": {"clustered": {"r": 0.05, "n": 3}},
-        "optimizer": {"alpha": "auto", "Q": "auto", "max_steps": 50},
+        "optimizer": {"alpha": "auto", "max_steps": 50},
         "init": {"warmup_steps": 1500, "warmup_alpha": 0.5, "target_loss": "auto"},
         "seeds": {"init": 0, "data": 1, "probes": 2},
         "output": {"dir": None},
@@ -96,7 +96,7 @@ FULL_CONFIGS = {
     "theorem31": {
         "mode": "theorem31",
         **_SHARED_SECTIONS,
-        "optimizer": {"alpha": "auto", "Q": "auto", "max_steps": 50, "loss_floor": 0.0},
+        "optimizer": {"alpha": "auto", "max_steps": 50, "loss_floor": 0.0},
         "init": {"warmup_steps": 1500, "warmup_alpha": 0.5, "target_loss": "auto", "warmup_retries": 1},
     },
     "theorem32": {
@@ -609,6 +609,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         (minimal_config(mode="nope"), "error: mode: "),
         (minimal_config(mode="property_suite"), "error: mode: "),
         (minimal_config(suite={"instances": 5}), "error: config: unknown keys ['suite']"),
+        (minimal_config(optimizer={"alpha": "auto", "Q": "auto"}), "error: optimizer: unknown keys ['Q']"),
     ]
     for doc, message in cases:
         cfg_path.write_text(json.dumps(doc))
