@@ -49,7 +49,6 @@ from .network import (
     total_loss,
 )
 from .ntk import (
-    ClusteredDataSpec,
     InitSpec,
     MarginWitness,
     NtBallConfig,

@@ -99,8 +99,7 @@ def compute_h_max(J1: LossValue, p: int, L: int, normV1: float) -> float:
 
 def compute_alpha_max(h: float, J1: LossValue, p: int, L: int, normV1: float) -> float:
     """Two-term minimum: a smoothness budget and a rate-quadratic budget."""
-    _check_constants_inputs(J1, p, L, normV1)
-    if not (0.0 < h <= compute_h_max(J1, p, L, normV1)):
+    if not (0.0 < h <= compute_h_max(J1, p, L, normV1)):  # compute_h_max checks the other inputs
         raise ValueError("h must be positive and at most h_max for these inputs")
     term_smooth = h / (1024.0 * (L + 1) ** 2 * p * J1.value * normV1 ** (3 * L + 5))
     log_inv = J1.log_inverse()
@@ -186,7 +185,8 @@ class RunContext:
     the small-loss analysis has none (all three None) and is not
     instrumented: the constant-dependent checks then report not-applicable
     while regime-free ones keep running. Only `resolve_context` fills in
-    the constants.
+    the constants; they need 0 < h <= h_max <= 1 (else ValueError), so
+    `instrumented` implies the analysis's width hypothesis.
     """
 
     p: int
@@ -199,6 +199,10 @@ class RunContext:
     h_max: float | None = None
     alpha_max: float | None = None
     q_tilde: float | None = None
+
+    def __post_init__(self):
+        if self.h_max is not None and not 0.0 < self.h <= self.h_max <= 1.0:
+            raise ValueError(f"constants need 0 < h <= h_max <= 1, got h={self.h}, h_max={self.h_max}")
 
     @property
     def instrumented(self) -> bool:
@@ -345,11 +349,7 @@ def monitor_transition(trace: PhaseTrace, ctx: RunContext, phase: int) -> Trajec
 
         # gradient lower bound and the alignment that produces it
         lower = np.where(log_J < 0, grad_lower_bound(LossValue(J, log_J), normV, L), math.nan)
-        lower_applicable = (
-            inst
-            and ctx.h <= ctx.h_max
-            and small_loss & (slacks["i2"] >= -tol.i2_rel)
-        )
+        lower_applicable = inst and small_loss & (slacks["i2"] >= -tol.i2_rel)
         slacks["lower"] = np.where(lower > 0, (grad_norm - lower) / lower, math.nan)
         verdicts["lower"] = _verdicts(slacks["lower"] >= -tol.lower_rel, lower_applicable)
         align_rhs = (L + 0.75) * J * -log_J
@@ -371,9 +371,7 @@ def monitor_transition(trace: PhaseTrace, ctx: RunContext, phase: int) -> Trajec
         # one-step descent against the next row; the last row has none
         descent_rhs = J - (L / (L + 0.5)) * ctx.alpha * _libm(pow, grad_norm, 2)
         slacks["descent"] = np.append((descent_rhs[:-1] - J[1:]) / J[:-1], math.nan)
-        descent_applicable = (
-            inst and ctx.h <= 1.0 and small_loss & (verdicts["i3"] == "pass") & (t < k)
-        )
+        descent_applicable = inst and small_loss & (verdicts["i3"] == "pass") & (t < k)
         verdicts["descent"] = _verdicts(slacks["descent"] >= -tol.descent_rel, descent_applicable)
 
     return Trajectory(

@@ -36,7 +36,6 @@ from .network import Dataset, LossValue, forward_rows, logistic
 # not called here: the benchmark's span fixture reads and wraps `harness.loss_and_gradient`
 from .network import loss_and_gradient  # noqa: F401
 from .ntk import (
-    ClusteredDataSpec,
     ConfigError,
     InitSpec,
     PhasePlan,
@@ -140,6 +139,12 @@ def _is_center(value) -> bool:
     return isinstance(value, list) and all(_is_number(v) for v in value) and any(v != 0 for v in value)
 
 
+def _has_norm(value) -> bool:
+    """A center whose norm, as numpy forms it, neither under- nor overflows."""
+    with np.errstate(over="ignore"):
+        return _is_center(value) and 0.0 < np.linalg.norm(value) < math.inf
+
+
 def _positive_float(value, path: str) -> float:
     return float(_positive(value, path))
 
@@ -168,8 +173,8 @@ _SCHEMA = {
             # the clustered margin construction holds up to radius 1/16
             "r": (None, _rule(lambda v: _is_number(v) and 0 <= v <= 1.0 / 16.0, "a radius in [0, 1/16]")),
             "n": (None, _integer(2)),
-            # its length is checked with the data set's width against network.p
-            "mu": (None, _or(None, _rule(_is_center, "a nonzero list of numbers"))),
+            # its length is checked against network.p by make_clustered_dataset
+            "mu": (None, _or(None, _rule(_has_norm, "a list of numbers with a positive finite norm"))),
         }))),
     })),
     "optimizer": ({}, _section({
@@ -268,14 +273,10 @@ def build_dataset(config: RunConfig) -> Dataset:
         dataset = _load_samples(data["inline"], "data.inline", "<inline>")
     else:
         cl = data["clustered"]
-        seed = config.seeds["data"]
-        if cl["mu"] is not None:
-            mu = np.asarray(cl["mu"], dtype=np.float64)
-        else:
-            mu = np.random.default_rng(seed).standard_normal(p)
-        spec = ClusteredDataSpec(mu=mu, r=float(cl["r"]), n=cl["n"], seed=seed)
         try:
-            dataset = make_clustered_dataset(spec)
+            dataset = make_clustered_dataset(p, cl["r"], cl["n"], config.seeds["data"], cl["mu"])
+        except ValueError as exc:  # the schema checks all but mu's length
+            raise ConfigError(f"network.p: {exc}") from exc
         except RuntimeError as exc:  # renormalisation rounds every point out of a tiny cluster
             raise ConfigError(f"data.clustered.r: {exc}; use 0 for exact centres") from exc
     if dataset.p != p:

@@ -128,13 +128,6 @@ class WeightStack:
         _attach(stack, flat, p, L)
         return stack
 
-    @classmethod
-    def zeros(cls, p: int, L: int) -> "WeightStack":
-        return cls(
-            hidden=tuple(np.zeros((p, p)) for _ in range(L)),
-            outer=np.zeros((1, p)),
-        )
-
 
 class OperatorNormBracket(NamedTuple):
     """lower <= largest singular value <= upper; see `operator_norm`.
@@ -257,6 +250,19 @@ _LANCZOS_STEP_CAP = 300
 _GRAM_RANGE = (2.0**-500, 2.0**500)
 
 
+def _rounding_margin(s: float, trace: float, k: int, inner: int) -> float:
+    """What rounding can hide above s in lambda_max of m's exact Gram, for a
+    k x k Gram G of sums of `inner` products, with trace ||m||_F^2: Rump's
+    gamma_(k+1) / (1 - gamma_(k+1)) tr(sI - G) for a Cholesky factorisation
+    of fl(sI - G) that runs to completion, gamma_inner ||m||_F^2 for forming
+    G (gamma_j = j u / (1 - j u), u = eps/2; see README), 4 eps s for the
+    shifted diagonal and these terms' own rounding, and tiny for Rump's
+    underflow term at any k below 10^7."""
+    u = _EPS / 2
+    cholesky = (k + 1) * u / (1 - 2 * (k + 1) * u) * max(k * s - trace, 0.0)
+    return cholesky + inner * u / (1 - inner * u) * trace + 4 * _EPS * s + _TINY
+
+
 def _lanczos_top(gram: np.ndarray) -> tuple[float, float, float, int, bool]:
     """Top Ritz value of a symmetric matrix by Lanczos with full
     reorthogonalisation.
@@ -359,20 +365,21 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
     bitwise symmetric, so its transpose, the Fortran-ordered view that
     LAPACK reads without a copy, is the same matrix, and the factor lands in
     G's own buffer. The factorisation succeeds only when sI - G is positive
-    definite, so `upper` = sqrt(s) sits above the norm. Both ends hold for
-    G as computed, up to the factorisation's backward error (of order
-    k eps s, which the margin is sized to cover); rounding in forming G is
-    of the same order. A failed factorisation leaves NaN in the buffer, so
-    G is then formed again (the same bits) before anything reads it. The
-    test fails when the Kato-Temple estimate overstates the gap, as when
-    the top two eigenvalues nearly coincide; it is then retried once with
-    the Ritz residual r in place of the estimate. [theta - r, theta + r]
-    holds an eigenvalue, so the wider shift passes unless the Krylov space
-    missed the top eigenvalue, at the price of a bracket about
-    r / (2 sqrt(theta)) wide. When the retry fails too, or Lanczos reaches
-    its step cap, LAPACK `eigvalsh` gives lambda_max exactly to rounding
-    and the bracket is that value widened by the same margin on both
-    sides; `ended` says which of the two proved the bracket.
+    definite up to its backward error, so `upper` = sqrt(s + margin) sits
+    above the norm of m itself: the margin (`_rounding_margin`) bounds that
+    backward error and the rounding in forming G, about 2e-10 relative at
+    k = 2048. `lower` holds for G as computed. A failed factorisation
+    leaves NaN in the buffer, so G is then formed again (the same bits)
+    before anything reads it. The test fails when the Kato-Temple estimate
+    overstates the gap, as when the top two eigenvalues nearly coincide; it
+    is then retried once with the Ritz residual r in place of the estimate.
+    [theta - r, theta + r] holds an eigenvalue, so the wider shift passes
+    unless the Krylov space missed the top eigenvalue, at the price of a
+    bracket about r / (2 sqrt(theta)) wide. When the retry fails too, or
+    Lanczos reaches its step cap, LAPACK `eigvalsh` gives lambda_max exactly
+    to rounding and the bracket is that value widened on both sides by
+    4 k eps |top| plus the same margin at s = |top|; `ended` says which of
+    the two proved the bracket.
 
     A matrix with a NaN or infinite entry raises ValueError. One whose
     squared Frobenius norm (the trace of G) lies outside [2^-500, 2^500] is
@@ -396,7 +403,8 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
             exponent = math.frexp(max(largest, -smallest))[1]
             m = np.ldexp(m, -exponent)
             gram = _gram(m)
-    k = gram.shape[0]
+        trace = float(np.trace(gram))
+    k, inner = gram.shape[0], max(m.shape)
     theta, estimate, residual, steps, stopped = _lanczos_top(gram)
     theta = max(theta, 0.0)  # rounding can put a singular Gram's top Ritz value below 0
     if stopped:
@@ -404,12 +412,13 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
         for shift in (estimate, residual) if residual > estimate else (estimate,):
             s = theta + shift + 4 * k * _EPS * theta + _TINY
             if _cholesky_in_place(_shift_negated(gram, s, diagonal)):
-                return _bracket(math.sqrt(theta), math.sqrt(s), exponent, steps, "certificate")
+                upper = math.sqrt(s + _rounding_margin(s, trace, k, inner))
+                return _bracket(math.sqrt(theta), upper, exponent, steps, "certificate")
             gram = _gram(m)  # the failed factorisation left NaN in G's buffer
         top = s - float(np.linalg.eigvalsh(_shift_negated(gram, s, diagonal))[0])
     else:
         top = float(np.linalg.eigvalsh(gram)[-1])
-    margin = 4 * k * _EPS * abs(top) + _TINY
+    margin = 4 * k * _EPS * abs(top) + _rounding_margin(abs(top), trace, k, inner)
     return _bracket(
         math.sqrt(max(top - margin, 0.0)), math.sqrt(top + margin), exponent, steps, "eigvalsh"
     )

@@ -140,62 +140,44 @@ class MarginWitness:
             raise ValueError(f"margin bracket out of order: {self.gamma} > {self.gamma_upper}")
 
 
-@dataclass(frozen=True)
-class ClusteredDataSpec:
-    """Two antipodal clusters of unit vectors around +-mu."""
-
-    mu: np.ndarray
-    r: float
-    n: int
-    seed: int
-
-    def __post_init__(self):
-        mu = np.array(self.mu, dtype=np.float64, copy=True)
-        if not np.isfinite(mu).all():
-            raise ValueError("cluster center mu must be finite")
-        norm = float(np.linalg.norm(mu))
-        if norm == 0.0:
-            raise ValueError("cluster center must be nonzero")
-        mu = mu / norm
-        mu.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-        # the explicit margin construction holds up to radius 1/16
-        if not 0.0 <= self.r <= 1.0 / 16.0:
-            raise ValueError(f"cluster radius r must be in [0, 1/16], got {self.r}")
-        if self.n < 2:
-            raise ValueError("need at least one sample of each label")
-
-
-def make_clustered_dataset(spec: ClusteredDataSpec) -> Dataset:
-    """Unit-sphere samples within r of +mu (label +1) or -mu (label -1).
-
-    The first ceil(n/2) samples carry label +1, the rest -1, so labels
-    are balanced whenever n is even. Each point is mu plus a random
-    perturbation of norm at most r, renormalized to the sphere; because
-    renormalization can push a point slightly outside the cluster, the
-    distance is re-verified and the point resampled, up to 200 times.
+def make_clustered_dataset(p: int, r: float, n: int, seed: int, mu=None) -> Dataset:
+    """n unit-sphere samples within r of +mu (label +1, the first ceil(n/2))
+    or -mu (label -1). mu is normalised; when None it is
+    `default_rng(seed).standard_normal(p)`, and the samples come from a
+    second `default_rng(seed)`. Each point is mu plus a random perturbation
+    of norm at most r, renormalized to the sphere and resampled (up to 200
+    times, then RuntimeError) while renormalization leaves it outside the
+    cluster. ValueError unless mu is p numbers with a positive finite norm,
+    0 <= r <= 1/16 (where the explicit margin construction holds) and n >= 2.
     """
-    rng = np.random.default_rng(spec.seed)
-    p = spec.mu.shape[0]
-    n_pos = (spec.n + 1) // 2
-    labels = np.array([1.0] * n_pos + [-1.0] * (spec.n - n_pos))
+    mu = np.random.default_rng(seed).standard_normal(p) if mu is None else np.array(mu, dtype=np.float64)
+    norm = float(np.linalg.norm(mu))
+    if mu.shape != (p,) or not 0.0 < norm < math.inf:
+        raise ValueError(f"cluster center mu must be {p} numbers with a positive finite norm, got shape {mu.shape}")
+    mu = mu / norm
+    if not 0.0 <= r <= 1.0 / 16.0:
+        raise ValueError(f"cluster radius r must be in [0, 1/16], got {r}")
+    if n < 2:
+        raise ValueError("need at least one sample of each label")
+    rng = np.random.default_rng(seed)
+    labels = np.array([1.0] * ((n + 1) // 2) + [-1.0] * (n // 2))
     rows = []
     for y in labels:
-        center = y * spec.mu
-        if spec.r == 0.0:
+        center = y * mu
+        if r == 0.0:
             rows.append(center.copy())
             continue
         for _ in range(200):
             delta = rng.standard_normal(p)
-            radius = spec.r * float(rng.uniform()) ** (1.0 / p)
+            radius = r * float(rng.uniform()) ** (1.0 / p)
             x = center + delta * (radius / float(np.linalg.norm(delta)))
             x = x / float(np.linalg.norm(x))
-            if float(np.linalg.norm(x - center)) <= spec.r:
+            if float(np.linalg.norm(x - center)) <= r:
                 rows.append(x)
                 break
         else:
             raise RuntimeError(
-                f"could not place a point within {spec.r} of the cluster center "
+                f"could not place a point within {r} of the cluster center "
                 "after 200 attempts"
             )
     return Dataset(inputs=np.stack(rows), labels=labels)
@@ -643,6 +625,8 @@ def run_phase(
     best_step, best, best_loss = 0, None, math.inf
     kc = K @ coef
     drift_sq, cross = np.einsum("ij,kij->k", coef, (kc, U0)).tolist()  # one call, two sums
+    # below this, squares rounded in the subnormal range can cost the gradient's sum more than eps/2
+    underflow_sq = math.ldexp(coef.size + anchor.flat.size, -1022)
     for t in range(1, max_steps + 1):
         first_sq = base_sq + 2.0 * cross + drift_sq
         u1 = np.add(U0, kc, out=terms[1, 0])
@@ -657,6 +641,10 @@ def run_phase(
         sums = _c_einsum("kij,lkij->lk", pair, terms).tolist()
         (first_grad_sq, next_drift_sq), (first_grad_dot, next_cross) = sums
         grad_norm = math.sqrt(first_grad_sq + sweep.grad_sq)
+        if first_grad_sq + sweep.grad_sq < underflow_sq:  # sum copies scaled by 2^-e (exact), then unscale
+            e = math.frexp(max(np.max(np.abs(C)), np.max(np.abs(tail_grad))))[1]
+            Cs, gs = np.ldexp(C, -e), np.ldexp(tail_grad, -e)
+            grad_norm = math.ldexp(math.sqrt(_einsum_dot((K @ Cs).ravel(), Cs.ravel()) + _stack_sum(gs, gs)), e)
         if not (math.isfinite(loss) and math.isfinite(grad_norm)):
             raise NumericalDivergenceError(t)
         rows.append((

@@ -3,7 +3,7 @@ the per-layer ball distance, the per-layer ball perturbation, the sampled
 gradient-norm bound, the parameter-space form of the first-order remainder
 sampler, the all-layer form of the loss gradient, the plain gradient step,
 the margin of formed feature stacks, the explicit clustered-data margin
-witness, stack scaling, the measured average-loss inequality of the
+witness, the zero stack, stack scaling, the measured average-loss inequality of the
 linearized phase, the product bound on operator norms and the sampled local
 Lipschitz constant of the gradient."""
 
@@ -216,6 +216,11 @@ def margin_witness_clustered(
     w_star = WeightStack(hidden=(w1,), outer=np.zeros((1, p)))
     gamma = _Tangent.at(V1, act, data).margin(data.labels, w_star)
     return MarginWitness(w_star=w_star, gamma=gamma, gamma_upper=math.inf)
+
+
+def zero_stack(p: int, L: int) -> WeightStack:
+    """The all-zero stack of width p with L hidden layers."""
+    return WeightStack(hidden=tuple(np.zeros((p, p)) for _ in range(L)), outer=np.zeros((1, p)))
 
 
 def stack_scale(a: WeightStack, c: float) -> WeightStack:

@@ -16,7 +16,6 @@ from boundbench.harness import parse_config, run
 from boundbench.linalg import WeightStack, frobenius_norm, operator_norm
 from boundbench.network import Dataset, total_loss
 from boundbench.ntk import (
-    ClusteredDataSpec,
     InitSpec,
     NtBallConfig,
     approx_error_sample,
@@ -290,9 +289,7 @@ def test_criterion_10_clustered_margin():
     for seed in range(20):
         V1 = gaussian_init(InitSpec(p=p, L=L, seed=seed))
         mu = np.random.default_rng(1000 + seed).standard_normal(p)
-        data = make_clustered_dataset(
-            ClusteredDataSpec(mu=mu, r=r, n=n, seed=2000 + seed)
-        )
+        data = make_clustered_dataset(p, r, n, 2000 + seed, mu)
         witness = margin_witness_clustered(V1, act, mu, data)
         norm_ok = norm_ok and abs(frobenius_norm(witness.w_star) - 1.0) <= 1e-10
         gammas.append(witness.gamma)
@@ -346,7 +343,7 @@ def test_criterion_12_tangent_class():
     p, L, n = 512, 1, 4
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=5))
     mu = np.random.default_rng(21).standard_normal(p)
-    data = make_clustered_dataset(ClusteredDataSpec(mu=mu, r=0.05, n=n, seed=22))
+    data = make_clustered_dataset(p, 0.05, n, 22, mu)
     h = (1 + 24 * L) * math.log(n) / (6 * (6 * p) ** ((L + 1) / 2) * L**3)
     act = huberized(h)
 

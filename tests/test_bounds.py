@@ -27,7 +27,7 @@ from boundbench.linalg import WeightStack, frobenius_norm
 from boundbench.network import Dataset, LossValue, logistic, total_loss
 from reference_monitor import monitor_rows
 from reference_monitor import summarize as reference_summarize
-from stack_helpers import gradient_reference, probe_local_lipschitz
+from stack_helpers import gradient_reference, probe_local_lipschitz, zero_stack
 
 # 50-digit reference evaluations of the closed forms, frozen
 H_MAX_EXAMPLE = 0.019188209108283714  # L=1, p=4, ||V1||=30, J1=1e-12
@@ -239,6 +239,20 @@ def test_monitor_flags_not_applicable_outside_regime():
     # the unconditional rate checks legitimately fail at this state: the
     # loss sits far above the schedule; that is a finding, not a false alarm
     assert rec.verdicts["i1"][0] == "fail"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"h": 0.0}, {"h": -0.01}, {"h": math.nan}, {"h_max": 2.0}, {"h_max": math.nan}, "h above h_max"],
+)
+def test_context_refuses_constants_outside_the_width_hypothesis(change):
+    # the monitor reads `instrumented` as 0 < h <= h_max <= 1 and tests neither end again
+    ctx = make_context()
+    if change == "h above h_max":
+        change = {"h": float(np.nextafter(ctx.h_max, 1.0))}
+    with pytest.raises(ValueError, match="h_max"):
+        replace(ctx, **change)
+    replace(ctx, h=ctx.h_max)  # the closed end is admissible
 
 
 def uninstrumented_context():
@@ -462,7 +476,7 @@ def test_columnar_monitor_matches_reference_on_runs(monitor_calls, case):
 
 
 def test_probe_requires_sane_arguments():
-    V = WeightStack.zeros(2, 1)
+    V = zero_stack(2, 1)
     data = Dataset(inputs=np.eye(2), labels=np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         probe_local_lipschitz(V, huberized(0.5), data, radius=0.0)

@@ -27,7 +27,6 @@ from boundbench.harness import (
 from boundbench.linalg import WeightStack
 from boundbench.network import Dataset, LossValue, total_loss
 from boundbench.ntk import (
-    ClusteredDataSpec,
     InitSpec,
     NumericalDivergenceError,
     RunAbortedError,
@@ -207,9 +206,7 @@ def test_parse_accepts_every_field_of_the_full_config():
 
 def test_warmup_zero_steps_is_identity():
     V0 = gaussian_init(InitSpec(p=4, L=1, seed=1))
-    data = make_clustered_dataset(
-        ClusteredDataSpec(mu=np.eye(4)[0], r=0.0, n=2, seed=2)
-    )
+    data = make_clustered_dataset(4, 0.0, 2, 2, np.eye(4)[0])
     V = warmup(V0, huberized(0.1), data, steps=0, alpha=0.5)
     for a, b in zip(V0.layers(), V.layers()):
         np.testing.assert_array_equal(a, b)
@@ -223,7 +220,7 @@ def test_warmup_separates_two_point_clusters_for_most_seeds():
     for seed in range(10):
         rng = np.random.default_rng(500 + seed)
         mu = rng.standard_normal(4)
-        data = make_clustered_dataset(ClusteredDataSpec(mu=mu, r=0.05, n=2, seed=600 + seed))
+        data = make_clustered_dataset(4, 0.05, 2, 600 + seed, mu)
         V0 = gaussian_init(InitSpec(p=4, L=1, seed=seed))
         V = warmup(V0, swish(0.5), data, steps=500, alpha=0.5)
         successes += bool(np.all(network.margins(V, swish(0.5), data) > 0.0))
@@ -244,9 +241,7 @@ def test_warmup_aborts_on_divergence():
 
 @pytest.fixture()
 def warm_state():
-    rng = np.random.default_rng(1)
-    mu = rng.standard_normal(4)
-    data = make_clustered_dataset(ClusteredDataSpec(mu=mu, r=0.05, n=3, seed=1))
+    data = make_clustered_dataset(4, 0.05, 3, 1)
     V0 = gaussian_init(InitSpec(p=4, L=1, seed=0))
     act = huberized(0.1)
     V_warm = warmup(V0, act, data, steps=2000, alpha=0.5)
@@ -269,8 +264,7 @@ def test_small_loss_init_reaches_target_within_factor_two(warm_state):
 @pytest.fixture(scope="module", params=[(4, 1, huberized), (8, 2, swish)], ids=["huberized", "swish"])
 def warm_stack(request):
     p, L, make = request.param
-    mu = np.random.default_rng(1).standard_normal(p)
-    data = make_clustered_dataset(ClusteredDataSpec(mu=mu, r=0.05, n=3, seed=1))
+    data = make_clustered_dataset(p, 0.05, 3, 1)
     act = make(0.1)
     V_warm = warmup(gaussian_init(InitSpec(p=p, L=L, seed=0)), act, data, steps=2000, alpha=0.5)
     assert np.all(network.margins(V_warm, act, data) > 0.0)
@@ -564,6 +558,35 @@ def test_theorem31_constants_repeat_the_first_row_bit_for_bit():
     assert records.slacks["i2"][0] == 0.0
 
 
+def test_deep_small_loss_gradient_norm_is_summed_without_underflow(monkeypatch):
+    # at p=8, L=6, n=24 the gradient's entries are near 1e-199: their squares
+    # underflow, and an unscaled sum read 0.0 and failed `lower` on every row
+    doc = minimal_config(
+        network={"p": 8, "L": 6, "h": "auto"},
+        data={"clustered": {"r": 0.05, "n": 24}},
+        init={"warmup_steps": 200, "warmup_retries": 1},
+    )
+    grads = []
+    real = ntk.loss_and_gradient
+
+    def recording(*args):
+        loss, log_loss, C, tail_grad = real(*args)
+        grads.append((C.copy(), tail_grad.copy()))
+        return loss, log_loss, C, tail_grad
+
+    monkeypatch.setattr(ntk, "loss_and_gradient", recording)
+    runlog, status = run(parse_config(doc))
+    records, X = runlog.records, build_dataset(parse_config(doc)).inputs
+    reference = []
+    for C, tail_grad in grads[-(len(records) + 1) : -1]:  # the monitored phase has one lookahead step
+        e = math.frexp(max(np.max(np.abs(C)), np.max(np.abs(tail_grad))))[1]
+        scaled = np.concatenate([(np.ldexp(C, -e).T @ X).ravel(), np.ldexp(tail_grad, -e)])
+        reference.append(math.ldexp(math.sqrt(np.sum(scaled * scaled)), e))
+    assert 1e-199 < min(reference) and max(reference) < 1e-197
+    np.testing.assert_allclose(records.grad_norm, reference, rtol=1e-12, atol=0)
+    assert status == 0 and records.verdicts["lower"].tolist() == ["pass"] * 50
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -610,6 +633,12 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         (minimal_config(mode="property_suite"), "error: mode: "),
         (minimal_config(suite={"instances": 5}), "error: config: unknown keys ['suite']"),
         (minimal_config(optimizer={"alpha": "auto", "Q": "auto"}), "error: optimizer: unknown keys ['Q']"),
+        (minimal_config(data={"clustered": {"r": 0.05, "n": 3, "mu": [1.0, 0.0]}}), "error: network.p: "),
+        # centres whose squared norm over- or underflows
+        *(
+            (minimal_config(data={"clustered": {"r": 0.0, "n": 2, "mu": [x, 0.0, 0.0, 0.0]}}), "error: data.clustered.mu: ")
+            for x in (1e200, 1e-320)
+        ),
     ]
     for doc, message in cases:
         cfg_path.write_text(json.dumps(doc))

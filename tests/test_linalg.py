@@ -17,7 +17,7 @@ from boundbench.linalg import (
     stack_axpy,
     stack_dot,
 )
-from stack_helpers import product_operator_bound, stack_norms, stack_scale
+from stack_helpers import product_operator_bound, stack_norms, stack_scale, zero_stack
 
 
 def random_stack(p, L, rng, scale=1.0):
@@ -32,7 +32,7 @@ def random_stack(p, L, rng, scale=1.0):
 
 
 def test_frobenius_zero_stack():
-    assert frobenius_norm(WeightStack.zeros(p=2, L=1)) == 0.0
+    assert frobenius_norm(zero_stack(p=2, L=1)) == 0.0
 
 
 def test_frobenius_single_entry():
@@ -291,7 +291,44 @@ def test_operator_norm_gaussian_layers_need_no_fallback(p, seed, eigvalsh_calls)
     assert result.ended == "certificate"
     assert result.lower <= sigma * (1 + 1e-12)
     assert sigma <= result.upper * (1 + 1e-12)
-    assert result.upper - result.lower <= 1e-11 * sigma
+    # the shift beyond the rounding the upper end must cover (1.5e-11 relative at p=512)
+    assert math.sqrt(result.upper**2 - rounding_terms(m, result.lower**2)) - result.lower <= 1e-11 * sigma
+
+
+def rounding_terms(m, s):
+    """What an upper end at shift s must add for rounding, recomputed from m:
+    gamma_K ||m||_F^2 for forming the k x k Gram from sums of K products
+    (Higham 2002, section 3.5), and Rump's gamma_(k+1) / (1 - gamma_(k+1))
+    tr(sI - G) for a Cholesky test of sI - G that runs to completion."""
+    k, inner = min(m.shape), max(m.shape)
+    u = 2.0**-53
+
+    def gamma(j):
+        return j * u / (1 - j * u)
+
+    frob_sq = math.fsum(m.ravel() ** 2)
+    return gamma(inner) * frob_sq + gamma(k + 1) / (1 - gamma(k + 1)) * (k * s - frob_sq)
+
+
+@pytest.mark.parametrize("case", ["gaussian_256", "rank_one", "near_degenerate_top", "wide", "step_cap"])
+def test_operator_norm_upper_end_covers_its_rounding(monkeypatch, case):
+    rng = np.random.default_rng(29)
+    if case == "gaussian_256":
+        m = rng.normal(0.0, math.sqrt(2.0 / 256), size=(256, 256))
+    elif case == "rank_one":
+        m = np.outer(rng.standard_normal(256), rng.standard_normal(256))
+    elif case == "near_degenerate_top":
+        m = rotated_spectrum(np.r_[np.linspace(0.1, 0.5, 254), 1.0 - 1e-13, 1.0], 31)
+    elif case == "wide":
+        m = rng.standard_normal((64, 1024))
+    else:  # the eigvalsh fallback widens both ends by the same terms
+        monkeypatch.setattr(linalg, "_LANCZOS_STEP_CAP", 2)
+        m = rng.standard_normal((256, 256))
+    result = operator_norm(m)
+    assert result.ended == ("eigvalsh" if case == "step_cap" else "certificate")
+    theta = result.lower**2  # at most the certificate's shift, and below the fallback's eigenvalue
+    assert result.upper**2 - theta >= rounding_terms(m, theta)
+    assert_brackets(result, m)
 
 
 def _copying_cholesky(a):
@@ -468,8 +505,8 @@ def test_stack_dot_matches_flatten_oracle():
 
 
 def test_stack_dot_shape_mismatch():
-    a = WeightStack.zeros(2, 1)
-    for b in (WeightStack.zeros(3, 1), WeightStack.zeros(2, 2)):
+    a = zero_stack(2, 1)
+    for b in (zero_stack(3, 1), zero_stack(2, 2)):
         with pytest.raises(ShapeMismatchError, match="stack shapes differ"):
             stack_dot(a, b)
 
@@ -568,6 +605,6 @@ def test_stack_rejects_non_finite():
 
 
 def test_stack_arrays_frozen():
-    stack = WeightStack.zeros(2, 1)
+    stack = zero_stack(2, 1)
     with pytest.raises(ValueError):
         stack.hidden[0][0, 0] = 1.0

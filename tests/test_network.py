@@ -26,7 +26,7 @@ from boundbench.ntk import ntk_features
 from oracles import FdConfig, fd_compare, fd_gradient
 from reference_kernels import logistic as logistic_reference
 from scalar_loss import from_margin, g_factor, mean, sample_loss, stable_g
-from stack_helpers import gd_step, gradient_reference
+from stack_helpers import gd_step, gradient_reference, zero_stack
 
 # frozen 50-digit evaluations of the stable-loss formulas
 LOSS_AT_Z50 = 1.9287498479639178e-22
@@ -64,7 +64,7 @@ def test_forward_scalar_case_by_hand():
 
 
 def test_forward_zero_weights():
-    V = WeightStack.zeros(3, 2)
+    V = zero_stack(3, 2)
     trace = forward(V, huberized(0.5), np.array([1.0, 0.0, 0.0]))
     assert trace.output == 0.0
     for x in trace.x:
@@ -96,7 +96,7 @@ def test_forward_trace_consistency():
 
 
 def test_forward_dimension_mismatch():
-    V = WeightStack.zeros(3, 1)
+    V = zero_stack(3, 1)
     with pytest.raises(Exception):
         forward(V, huberized(0.5), np.zeros(4))
 
@@ -106,7 +106,7 @@ def test_forward_dimension_mismatch():
 
 
 def test_sample_loss_at_zero_margin():
-    V = WeightStack.zeros(2, 1)
+    V = zero_stack(2, 1)
     loss = sample_loss(V, huberized(1.0), np.array([1.0, 0.0]), 1.0)
     assert loss.value == pytest.approx(math.log(2.0), rel=1e-15)
 
@@ -222,7 +222,7 @@ def test_logistic_bits_equal_the_reference_kernel(n):
 
 
 def test_total_loss_zero_network_is_log_two():
-    V = WeightStack.zeros(3, 1)
+    V = zero_stack(3, 1)
     data = make_dataset(3, 4, seed=8)
     assert total_loss(V, huberized(0.5), data).value == pytest.approx(math.log(2.0))
 
@@ -258,7 +258,7 @@ def test_total_loss_empty_dataset_rejected():
 
 
 def test_g_factor_half_at_zero_margin():
-    V = WeightStack.zeros(2, 1)
+    V = zero_stack(2, 1)
     assert g_factor(V, huberized(1.0), np.array([0.6, 0.8]), -1.0) == 0.5
 
 
@@ -498,7 +498,7 @@ def test_output_bounded_by_product_of_operator_norms():
 
 def test_gd_step_zero_gradient_is_identity():
     V = random_stack(3, 1, seed=90)
-    out = gd_step(V, 0.5, WeightStack.zeros(3, 1))
+    out = gd_step(V, 0.5, zero_stack(3, 1))
     for a, b in zip(V.layers(), out.layers()):
         np.testing.assert_array_equal(a, b)
 

@@ -19,7 +19,6 @@ from boundbench.network import (
     total_loss,
 )
 from boundbench.ntk import (
-    ClusteredDataSpec,
     InitSpec,
     MarginWitness,
     NtBallConfig,
@@ -50,14 +49,16 @@ from stack_helpers import (
     margin_witness_clustered,
     max_layer_distance,
     remainders,
+    zero_stack,
 )
 
 
 def clustered(p, n, r, seed, data_seed=None):
-    rng = np.random.default_rng(seed)
-    mu = rng.standard_normal(p)
-    spec = ClusteredDataSpec(mu=mu, r=r, n=n, seed=data_seed if data_seed is not None else seed + 1)
-    return spec, make_clustered_dataset(spec)
+    """(the unit cluster center, the data set), the center drawn from `seed`
+    and the samples from `data_seed`, by default seed + 1."""
+    mu = np.random.default_rng(seed).standard_normal(p)
+    data = make_clustered_dataset(p, r, n, data_seed if data_seed is not None else seed + 1, mu)
+    return mu / np.linalg.norm(mu), data
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +165,16 @@ def test_feature_is_directional_derivative():
 
 
 def test_clustered_r_zero_gives_antipodal_centers():
-    spec, data = clustered(16, 4, 0.0, seed=11)
-    np.testing.assert_allclose(data.inputs[0], spec.mu, atol=1e-15)
-    np.testing.assert_allclose(data.inputs[-1], -spec.mu, atol=1e-15)
+    mu, data = clustered(16, 4, 0.0, seed=11)
+    np.testing.assert_allclose(data.inputs[0], mu, atol=1e-15)
+    np.testing.assert_allclose(data.inputs[-1], -mu, atol=1e-15)
 
 
 def test_clustered_points_stay_in_radius_and_on_sphere():
-    spec, data = clustered(64, 10, 0.05, seed=12)
+    mu, data = clustered(64, 10, 0.05, seed=12)
     for x, y in zip(data.inputs, data.labels):
         assert float(np.linalg.norm(x)) == pytest.approx(1.0, abs=1e-12)
-        assert float(np.linalg.norm(x - y * spec.mu)) <= spec.r + 1e-12
+        assert float(np.linalg.norm(x - y * mu)) <= 0.05 + 1e-12
 
 
 def test_clustered_labels_balanced_for_even_n():
@@ -184,23 +185,40 @@ def test_clustered_labels_balanced_for_even_n():
 def test_clustered_radius_guard():
     # both ends of [0, 1/16] are accepted, the next float above is not
     mu = np.eye(4)[0]
-    ClusteredDataSpec(mu=mu, r=0.0, n=4, seed=1)
-    ClusteredDataSpec(mu=mu, r=1.0 / 16.0, n=4, seed=1)
+    make_clustered_dataset(4, 0.0, 4, 1, mu)
+    make_clustered_dataset(4, 1.0 / 16.0, 4, 1, mu)
     with pytest.raises(ValueError, match="1/16"):
-        ClusteredDataSpec(mu=mu, r=float(np.nextafter(1.0 / 16.0, 1.0)), n=4, seed=1)
+        make_clustered_dataset(4, float(np.nextafter(1.0 / 16.0, 1.0)), 4, 1, mu)
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -0.1, 0.2])
 def test_clustered_spec_rejects_a_radius_outside_the_range(r):
     # NaN fails every comparison, so a check on each end alone would let it through
     with pytest.raises(ValueError, match="radius r"):
-        ClusteredDataSpec(mu=np.eye(4)[0], r=r, n=4, seed=1)
+        make_clustered_dataset(4, r, 4, 1, np.eye(4)[0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_clustered_spec_rejects_a_non_finite_center(bad):
     with pytest.raises(ValueError, match="mu"):
-        ClusteredDataSpec(mu=np.array([bad, 1.0]), r=0.0, n=2, seed=1)
+        make_clustered_dataset(2, 0.0, 2, 1, np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("mu", [[0.0, 0.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]])
+def test_clustered_data_rejects_a_zero_or_misshapen_center(mu):
+    with pytest.raises(ValueError, match="mu"):
+        make_clustered_dataset(2, 0.0, 2, 1, mu)
+
+
+def test_clustered_data_rejects_fewer_than_two_samples():
+    with pytest.raises(ValueError, match="each label"):
+        make_clustered_dataset(2, 0.0, 1, 1)
+
+
+def test_clustered_center_defaults_to_the_seeds_normal_draw():
+    mu = np.random.default_rng(5).standard_normal(6)
+    drawn, given = make_clustered_dataset(6, 0.05, 4, 5), make_clustered_dataset(6, 0.05, 4, 5, mu)
+    assert np.array_equal(drawn.inputs, given.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +230,8 @@ def test_clustered_witness_unit_norm_and_consistent_gamma():
     h = math.sqrt(math.pi) / (2 * p)
     act = huberized(h)
     V1 = gaussian_init(InitSpec(p=p, L=1, seed=21))
-    spec, data = clustered(p, 6, 0.0, seed=22)
-    witness = margin_witness_clustered(V1, act, spec.mu, data)
+    mu, data = clustered(p, 6, 0.0, seed=22)
+    witness = margin_witness_clustered(V1, act, mu, data)
     assert abs(frobenius_norm(witness.w_star) - 1.0) <= 1e-10
     feats = ntk_features(V1, act, data)
     direct = margin_gamma(feats, data.labels, witness.w_star)
@@ -224,15 +242,15 @@ def test_clustered_witness_unit_norm_and_consistent_gamma():
 def test_clustered_witness_rejects_wrong_setup():
     p = 64
     act_ok = huberized(math.sqrt(math.pi) / (2 * p))
-    spec, data = clustered(p, 4, 0.0, seed=23)
+    mu, data = clustered(p, 4, 0.0, seed=23)
     deep = gaussian_init(InitSpec(p=p, L=2, seed=24))
     with pytest.raises(ValueError, match="two-layer"):
-        margin_witness_clustered(deep, act_ok, spec.mu, data)
+        margin_witness_clustered(deep, act_ok, mu, data)
     shallow = gaussian_init(InitSpec(p=p, L=1, seed=24))
     with pytest.raises(ValueError, match="width"):
-        margin_witness_clustered(shallow, huberized(0.5), spec.mu, data)
+        margin_witness_clustered(shallow, huberized(0.5), mu, data)
     with pytest.raises(ValueError, match="Huberized"):
-        margin_witness_clustered(shallow, swish(1e-4), spec.mu, data)
+        margin_witness_clustered(shallow, swish(1e-4), mu, data)
 
 
 def test_clustered_witness_mismatched_direction_reports_without_asserting():
@@ -241,9 +259,9 @@ def test_clustered_witness_mismatched_direction_reports_without_asserting():
     p = 128
     act = huberized(math.sqrt(math.pi) / (2 * p))
     V1 = gaussian_init(InitSpec(p=p, L=1, seed=25))
-    spec, data = clustered(p, 4, 0.0, seed=26)
+    mu, data = clustered(p, 4, 0.0, seed=26)
     wrong_mu = np.zeros(p)
-    wrong_mu[int(np.argmin(np.abs(spec.mu)))] = 1.0
+    wrong_mu[int(np.argmin(np.abs(mu)))] = 1.0
     witness = margin_witness_clustered(V1, act, wrong_mu, data)
     assert math.isfinite(witness.gamma)
 
@@ -275,15 +293,15 @@ def test_subgradient_competitive_with_explicit_witness():
     h = math.sqrt(math.pi) / (2 * p)
     act = huberized(h)
     V1 = gaussian_init(InitSpec(p=p, L=1, seed=35))
-    spec, data = clustered(p, 6, 0.01, seed=36)
-    explicit = margin_witness_clustered(V1, act, spec.mu, data)
+    mu, data = clustered(p, 6, 0.01, seed=36)
+    explicit = margin_witness_clustered(V1, act, mu, data)
     estimated = margin_estimate_subgradient(V1, act, data)
     assert explicit.gamma <= estimated.gamma <= estimated.gamma_upper
 
 
 def test_margin_witness_requires_unit_norm():
     with pytest.raises(ValueError, match="unit norm"):
-        MarginWitness(w_star=WeightStack.zeros(2, 1), gamma=0.0, gamma_upper=0.0)
+        MarginWitness(w_star=zero_stack(2, 1), gamma=0.0, gamma_upper=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +460,7 @@ def test_approx_error_bounded_by_calibrated_scaling_form():
     def measure(p):
         V1 = gaussian_init(InitSpec(p=p, L=L, seed=2))
         mu = mu_rng.standard_normal(p)
-        data = make_clustered_dataset(ClusteredDataSpec(mu=mu, r=0.05, n=3, seed=4))
+        data = make_clustered_dataset(p, 0.05, 3, 4, mu)
         est = approx_error_sample(V1, huberized(h), data, tau, k_pairs=10, seed=6)
         return est, math.sqrt(p * math.log(p)) * L**5 * tau ** (4.0 / 3.0)
 
@@ -774,7 +792,7 @@ def test_plan_auto_validates_with_the_overrides_applied():
 
 def test_run_phase_argmin_prefers_earliest():
     # zero gradient everywhere: every iterate ties, the first must win
-    V = WeightStack.zeros(4, 1)
+    V = zero_stack(4, 1)
     data = Dataset(inputs=np.eye(4)[:2], labels=np.array([1.0, -1.0]))
     trace = run_phase(V, huberized(0.5), data, alpha=0.1, max_steps=5)
     assert trace.best_step == 1
@@ -882,8 +900,7 @@ def test_two_phase_mechanics_and_records():
     p, L, n = 48, 1, 4
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=51))
     rng = np.random.default_rng(52)
-    spec = ClusteredDataSpec(mu=rng.standard_normal(p), r=0.05, n=n, seed=53)
-    data = make_clustered_dataset(spec)
+    data = make_clustered_dataset(p, 0.05, n, 53, rng.standard_normal(p))
     plan = PhasePlan.auto(n=n, p=p, L=L, gamma=0.3, T=2000)
     plan = replace(plan, stop_loss=0.05, phase2_steps=30, alpha_phase2=0.05)
     act = huberized(plan.h_nt)
