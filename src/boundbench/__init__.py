@@ -11,10 +11,10 @@ from .activations import (
     swish,
 )
 from .bounds import (
+    TOLERANCES,
     PhaseTrace,
     RunContext,
     RunLog,
-    Tolerances,
     Trajectory,
     compute_alpha_max,
     compute_h_max,

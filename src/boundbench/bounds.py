@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -48,38 +49,20 @@ CSV_COLUMNS = (
     "phase",
 )
 
-CHECK_KEYS = (
-    "i1",
-    "i2",
-    "i3",
-    "i3_sqrtp",
-    "descent",
-    "alignment",
-    "lower",
-    "upper",
-    "floor",
-)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Slack thresholds below which a monitored inequality counts as failed.
-
-    Slacks are relative unless noted; they separate genuine violations
-    from double-precision rounding in the measured quantities.
-    """
-
-    i1_log: float = 1e-12  # absolute, in log-loss space
-    i2_rel: float = 1e-12
-    i3_rel: float = 1e-12
-    descent_rel: float = 1e-12  # relative to J_t
-    lower_rel: float = 1e-12
-    alignment_rel: float = 1e-12
-    upper_rel: float = 1e-10
-    floor_abs: float = 0.0  # the floor inequality is strict
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Each check's slack threshold, in report order: a check fails below -tolerance
+# (floor: at or below it, the inequality is strict). Slacks are relative unless
+# noted; the thresholds separate genuine violations from double rounding.
+TOLERANCES = MappingProxyType({
+    "i1": 1e-12,  # absolute, in log-loss space
+    "i2": 1e-12,
+    "i3": 1e-12,
+    "i3_sqrtp": 1e-12,
+    "descent": 1e-12,  # relative to J_t
+    "alignment": 1e-12,
+    "lower": 1e-12,
+    "upper": 1e-10,
+    "floor": 0.0,  # absolute
+})
 
 
 def _libm(fn, *args) -> np.ndarray:
@@ -308,7 +291,7 @@ def monitor_transition(trace: PhaseTrace, ctx: RunContext, phase: int) -> Trajec
     its regime, and a monitor that cried wolf outside the regime would
     be useless for negative controls.
     """
-    tol = DEFAULT_TOLERANCES
+    tol = TOLERANCES
     L, p, n = ctx.L, ctx.p, ctx.n
     J, log_J = trace.loss, trace.log_loss
     grad_norm, normV = trace.grad_norm, trace.weight_norm
@@ -328,7 +311,7 @@ def monitor_transition(trace: PhaseTrace, ctx: RunContext, phase: int) -> Trajec
             slacks["i1"] = rate_bound_log - log_J
         else:
             rate_bound = slacks["i1"] = nan
-        verdicts["i1"] = _verdicts(slacks["i1"] >= -tol.i1_log, inst)
+        verdicts["i1"] = _verdicts(slacks["i1"] >= -tol["i1"], inst)
 
         # I2: log(1/J_t)/||V_t||^L never drops below its initial value
         if inst:
@@ -336,43 +319,43 @@ def monitor_transition(trace: PhaseTrace, ctx: RunContext, phase: int) -> Trajec
             slacks["i2"] = (-log_J / _libm(pow, normV, L) - m_1) / m_1
         else:
             slacks["i2"] = nan
-        verdicts["i2"] = _verdicts(slacks["i2"] >= -tol.i2_rel, inst)
+        verdicts["i2"] = _verdicts(slacks["i2"] >= -tol["i2"], inst)
 
         # I3: step size small against the smoothness scale, p as stated; the
         # sqrt(p) variant appears in one proof display and is recorded too
         i3_bound = ctx.h / (1024.0 * (L + 1) ** 2 * p * _libm(pow, normV, 3 * L + 5))
         slacks["i3"] = (i3_bound - ctx.alpha * J) / i3_bound if inst else nan
-        verdicts["i3"] = _verdicts(slacks["i3"] >= -tol.i3_rel, inst)
+        verdicts["i3"] = _verdicts(slacks["i3"] >= -tol["i3"], inst)
         i3s_bound = i3_bound * math.sqrt(p)
         slacks["i3_sqrtp"] = (i3s_bound - ctx.alpha * J) / i3s_bound if inst else nan
-        verdicts["i3_sqrtp"] = _verdicts(slacks["i3_sqrtp"] >= -tol.i3_rel, inst)
+        verdicts["i3_sqrtp"] = _verdicts(slacks["i3_sqrtp"] >= -tol["i3_sqrtp"], inst)
 
         # gradient lower bound and the alignment that produces it
         lower = np.where(log_J < 0, grad_lower_bound(LossValue(J, log_J), normV, L), math.nan)
-        lower_applicable = inst and small_loss & (slacks["i2"] >= -tol.i2_rel)
+        lower_applicable = inst and small_loss & (slacks["i2"] >= -tol["i2"])
         slacks["lower"] = np.where(lower > 0, (grad_norm - lower) / lower, math.nan)
-        verdicts["lower"] = _verdicts(slacks["lower"] >= -tol.lower_rel, lower_applicable)
+        verdicts["lower"] = _verdicts(slacks["lower"] >= -tol["lower"], lower_applicable)
         align_rhs = (L + 0.75) * J * -log_J
         align_lhs = -trace.grad_dot_weights
         slacks["alignment"] = np.where(align_rhs > 0, (align_lhs - align_rhs) / align_rhs, math.nan)
-        verdicts["alignment"] = _verdicts(slacks["alignment"] >= -tol.alignment_rel, lower_applicable)
+        verdicts["alignment"] = _verdicts(slacks["alignment"] >= -tol["alignment"], lower_applicable)
 
         # gradient upper bound
         upper = grad_upper_bound(LossValue(J, log_J), normV, p, L)
         slacks["upper"] = np.where(upper > 0, (upper - grad_norm) / upper, 0.0)
         upper_applicable = grad_upper_bound_applicable(normV, L)
-        verdicts["upper"] = _verdicts(slacks["upper"] >= -tol.upper_rel, upper_applicable)
+        verdicts["upper"] = _verdicts(slacks["upper"] >= -tol["upper"], upper_applicable)
 
         # weight-norm floor under the (slightly looser) 2/n^(1+24L) threshold
         slacks["floor"] = normV - weight_norm_floor(L)
         floor_applicable = log_J <= math.log(2.0) + small_loss_log_threshold(n, L)
-        verdicts["floor"] = _verdicts(slacks["floor"] > tol.floor_abs, floor_applicable)
+        verdicts["floor"] = _verdicts(slacks["floor"] > tol["floor"], floor_applicable)
 
         # one-step descent against the next row; the last row has none
         descent_rhs = J - (L / (L + 0.5)) * ctx.alpha * _libm(pow, grad_norm, 2)
         slacks["descent"] = np.append((descent_rhs[:-1] - J[1:]) / J[:-1], math.nan)
         descent_applicable = inst and small_loss & (verdicts["i3"] == "pass") & (t < k)
-        verdicts["descent"] = _verdicts(slacks["descent"] >= -tol.descent_rel, descent_applicable)
+        verdicts["descent"] = _verdicts(slacks["descent"] >= -tol["descent"], descent_applicable)
 
     return Trajectory(
         t=t,
@@ -405,7 +388,7 @@ def summarize(records: Trajectory) -> dict:
     """Worst slack (earliest row on ties), first violation, and verdict
     counts per check."""
     out: dict = {"invariants": {}, "failed": False}
-    for key in CHECK_KEYS:
+    for key in TOLERANCES:
         verdicts, slacks = records.verdicts[key], records.slacks[key]
         ranked = np.where((verdicts != "na") & ~np.isnan(slacks), slacks, math.inf)
         worst = int(np.argmin(ranked)) if len(ranked) and ranked.min() < math.inf else None

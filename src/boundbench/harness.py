@@ -482,10 +482,11 @@ def _run_theorem31(config: RunConfig, data: Dataset) -> RunLog:
             f"scale search tried, after {config.init['warmup_retries'] + 1} seeded attempts; increase "
             "init.warmup_steps or change seeds"
         )
-    # one lookahead step past max_steps: the last kept row still carries its one-step descent check
+    # one lookahead step past max_steps: the last kept row still carries its one-step descent
+    # check, unless the row reached the loss floor, which stops the run there
     opt = config.optimizer
     trace = run_phase(V1, act, data, ctx.alpha, opt["max_steps"] + 1, stop_loss=opt["loss_floor"])
-    records = monitor_transition(trace, ctx, 1).head(max(len(trace) - 1, 1))
+    records = monitor_transition(trace, ctx, 1).head(min(len(trace), opt["max_steps"]))
     echo = {
         "resolved": {
             "init_seed_used": used_seed,
@@ -540,19 +541,8 @@ def _run_theorem32(config: RunConfig, data: Dataset) -> RunLog:
                 "give an explicit positive gamma"
             )
         gamma_side = "lower end (hard-margin dual bracket)"
-    given = {k: float(plan_cfg[k]) for k in ("alpha_nt", "rho") if plan_cfg[k] != "auto"}
-    given |= {k: float(plan_cfg[k]) for k in ("stop_loss", "alpha_phase2") if plan_cfg[k] is not None}
-    if plan_cfg["T"] != "auto":
-        given["T"] = plan_cfg["T"]
     plan = PhasePlan.auto(
-        n=data.n,
-        p=p,
-        L=L,
-        gamma=gamma,
-        delta=plan_cfg["delta"],
-        phase2_steps=plan_cfg["phase2_steps"],
-        h_nt=act.h,
-        **given,
+        data.n, p, L, gamma, **{k: None if v == "auto" else v for k, v in plan_cfg.items() if k != "gamma"}
     )
     runlog = two_phase_train(V1, act, data, plan)
     runlog.config_echo |= {"gamma": gamma, "gamma_upper": gamma_upper, "gamma_side": gamma_side}

@@ -415,9 +415,7 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
                 upper = math.sqrt(s + _rounding_margin(s, trace, k, inner))
                 return _bracket(math.sqrt(theta), upper, exponent, steps, "certificate")
             gram = _gram(m)  # the failed factorisation left NaN in G's buffer
-        top = s - float(np.linalg.eigvalsh(_shift_negated(gram, s, diagonal))[0])
-    else:
-        top = float(np.linalg.eigvalsh(gram)[-1])
+    top = float(np.linalg.eigvalsh(gram)[-1])
     margin = 4 * k * _EPS * abs(top) + _rounding_margin(abs(top), trace, k, inner)
     return _bracket(
         math.sqrt(max(top - margin, 0.0)), math.sqrt(top + margin), exponent, steps, "eigvalsh"

@@ -498,19 +498,19 @@ def nt_smoothing_width(n: int, p: int, L: int) -> float:
 
 @dataclass(frozen=True)
 class PhasePlan:
-    """Hyperparameters of the two-phase schedule.
+    """Hyperparameters of the two-phase schedule; its smoothing width is the
+    activation's, which `two_phase_train` echoes as h_nt.
 
-    The analysis fixes the smoothing width h_nt, the ball radius rho and
-    the linearized-phase step size alpha_nt only up to absolute
-    constants; `auto` takes each at constant 1 unless it is given.
-    T_faithful_log10 keeps the untruncated horizon, formed from the plan's
-    own rho and alpha_nt, when T had to be capped to something runnable;
-    it is None at rho = 0, where the horizon is one step.
+    The analysis fixes the ball radius rho and the linearized-phase step
+    size alpha_nt only up to absolute constants; `auto` takes each at
+    constant 1 unless it is given. T_faithful_log10 keeps the untruncated
+    horizon, formed from the plan's own rho and alpha_nt, when T had to be
+    capped to something runnable; it is None at rho = 0, where the horizon
+    is one step.
     """
 
     alpha_nt: float
     T: int
-    h_nt: float
     rho: float
     alpha_phase2: float | None = None  # read only when phase2_steps > 0; None: alpha_max at the restart
     stop_loss: float | None = None  # desk-scale early stop for the first phase
@@ -518,7 +518,7 @@ class PhasePlan:
     T_faithful_log10: float | None = None
 
     def __post_init__(self):
-        for name in ("alpha_nt", "h_nt", "alpha_phase2"):
+        for name in ("alpha_nt", "alpha_phase2"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} out of range: must be finite and positive, got {value}")
@@ -531,48 +531,50 @@ class PhasePlan:
 
     @classmethod
     def auto(
-        cls,
-        n: int,
-        p: int,
-        L: int,
-        gamma: float | None,
-        delta: float = 0.05,
-        **overrides,
+        cls, n: int, p: int, L: int, gamma: float | None, delta: float = 0.05, T: int | None = None,
+        alpha_nt: float | None = None, rho: float | None = None, stop_loss: float | None = None,
+        alpha_phase2: float | None = None, phase2_steps: int = 0,
     ) -> "PhasePlan":
-        """Resolve the closed-form plan; `overrides` give any field.
+        """Resolve the closed-form plan from the phase_plan keys, None
+        standing for "auto"; given numbers are taken as floats, T as given.
 
         The faithful horizon scales like n^(2+24L), far beyond any
         desk-scale budget: it is kept in log space as T_faithful_log10, and
         T defaults to it capped at 10,000 steps. The margin `gamma` (None
         if not estimated) and `delta` are read only to form an automatic
         rho; a gamma so small that rho passes the float range raises
-        `ConfigError` naming phase_plan.gamma. An `alpha_phase2` override
-        is read only by a plan with phase2_steps > 0.
+        `ConfigError` naming phase_plan.gamma. `alpha_phase2` is read only
+        by a plan with phase2_steps > 0.
         """
-        plan = {"alpha_nt": 1.0 / (p * L**5), "h_nt": nt_smoothing_width(n, p, L)} | overrides
-        if "rho" not in plan:
+        alpha_nt = 1.0 / (p * L**5) if alpha_nt is None else float(alpha_nt)
+        if rho is None:
             if gamma is None or not 0 < gamma < math.inf:
                 raise ValueError(f"margin gamma must be finite and positive, got {gamma}")
             log_n = math.log(n)
-            plan["rho"] = (
+            rho = (
                 math.sqrt(log_n - math.log(delta)) + math.log(6.0) + (2 + 24 * L) * log_n
             ) / (math.sqrt(p) * gamma)
-            if not math.isfinite(plan["rho"]):
+            if not math.isfinite(rho):
                 raise ConfigError(
                     f"phase_plan.gamma: a margin of {gamma:.3g} puts the automatic ball radius "
                     "beyond the float range; give phase_plan.rho"
                 )
-        log10_T, T = None, 1  # at rho = 0 the ball is V1 itself
-        if plan["rho"] > 0 and plan["alpha_nt"] > 0:  # any other value the plan's own check rejects
+        rho = float(rho)
+        log10_T, auto_T = None, 1  # at rho = 0 the ball is V1 itself
+        if rho > 0 and alpha_nt > 0:  # any other value the plan's own check rejects
             # T = ceil(3 (L+1) rho^2 n^(2+24L) / (2 alpha_nt)), in logs
             log10_T = (
                 math.log10(1.5 * (L + 1))
-                + 2.0 * math.log10(plan["rho"])
-                - math.log10(plan["alpha_nt"])
+                + 2.0 * math.log10(rho)
+                - math.log10(alpha_nt)
                 + (2 + 24 * L) * math.log10(n)
             )
-            T = 10_000 if log10_T > 4 else max(int(math.ceil(10.0**log10_T)), 1)
-        return cls(**({"T": T, "T_faithful_log10": log10_T} | plan))
+            auto_T = 10_000 if log10_T > 4 else max(int(math.ceil(10.0**log10_T)), 1)
+        return cls(
+            alpha_nt=alpha_nt, T=auto_T if T is None else T, rho=rho, phase2_steps=phase2_steps,
+            alpha_phase2=None if alpha_phase2 is None else float(alpha_phase2),
+            stop_loss=None if stop_loss is None else float(stop_loss), T_faithful_log10=log10_T,
+        )
 
 
 def run_phase(
@@ -733,7 +735,7 @@ def two_phase_train(
     argmin_loss = float(phase1.loss[best])
     max_drift = float(phase1.drift.max())
     echo: dict = {
-        "plan": {k: v for k, v in asdict(plan).items() if k != "alpha_phase2"},
+        "plan": {k: v for k, v in asdict(plan).items() if k != "alpha_phase2"} | {"h_nt": act.h},
         "phase1_steps": len(phase1),
         "phase1_argmin_step": phase1.best_step,
         "phase1_argmin_loss": argmin_loss,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from boundbench.bounds import (
-    DEFAULT_TOLERANCES,
+    TOLERANCES,
     PhaseTrace,
     RunContext,
     grad_upper_bound_applicable,
@@ -79,7 +79,7 @@ def _verdict(slack: float, tol: float, applicable: bool) -> Verdict:
 def monitor_step(
     prev: StepState, nxt: StepState | None, ctx: RunContext, phase: int
 ) -> StepRecord:
-    tol = DEFAULT_TOLERANCES
+    tol = TOLERANCES
     L, p, n = ctx.L, ctx.p, ctx.n
     J = prev.loss
     normV = prev.weight_norm
@@ -94,7 +94,7 @@ def monitor_step(
         slacks["i1"] = rate_bound_log - J.log_value
     else:
         rate_bound = slacks["i1"] = math.nan
-    verdicts["i1"] = _verdict(slacks["i1"], tol.i1_log, inst)
+    verdicts["i1"] = _verdict(slacks["i1"], tol["i1"], inst)
 
     if inst:
         m_t = J.log_inverse() / normV**L
@@ -102,48 +102,48 @@ def monitor_step(
         slacks["i2"] = (m_t - m_1) / m_1
     else:
         slacks["i2"] = math.nan
-    verdicts["i2"] = _verdict(slacks["i2"], tol.i2_rel, inst)
+    verdicts["i2"] = _verdict(slacks["i2"], tol["i2"], inst)
 
     i3_bound = ctx.h / (1024.0 * (L + 1) ** 2 * p * normV ** (3 * L + 5))
     slacks["i3"] = (i3_bound - ctx.alpha * J.value) / i3_bound if inst else math.nan
-    verdicts["i3"] = _verdict(slacks["i3"], tol.i3_rel, inst)
+    verdicts["i3"] = _verdict(slacks["i3"], tol["i3"], inst)
     i3s_bound = i3_bound * math.sqrt(p)
     slacks["i3_sqrtp"] = (
         (i3s_bound - ctx.alpha * J.value) / i3s_bound if inst else math.nan
     )
-    verdicts["i3_sqrtp"] = _verdict(slacks["i3_sqrtp"], tol.i3_rel, inst)
+    verdicts["i3_sqrtp"] = _verdict(slacks["i3_sqrtp"], tol["i3_sqrtp"], inst)
 
     lower = grad_lower_bound(J, normV, L) if J.log_value < 0 else math.nan
     lower_applicable = (
         inst
         and ctx.h <= ctx.h_max
         and small_loss
-        and slacks["i2"] >= -tol.i2_rel
+        and slacks["i2"] >= -tol["i2"]
     )
     slacks["lower"] = (
         (prev.grad_norm - lower) / lower if lower and lower > 0 else math.nan
     )
-    verdicts["lower"] = _verdict(slacks["lower"], tol.lower_rel, lower_applicable)
+    verdicts["lower"] = _verdict(slacks["lower"], tol["lower"], lower_applicable)
     align_rhs = (L + 0.75) * J.value * J.log_inverse()
     align_lhs = -prev.grad_dot_weights
     slacks["alignment"] = (
         (align_lhs - align_rhs) / align_rhs if align_rhs > 0 else math.nan
     )
     verdicts["alignment"] = _verdict(
-        slacks["alignment"], tol.alignment_rel, lower_applicable
+        slacks["alignment"], tol["alignment"], lower_applicable
     )
 
     upper = grad_upper_bound(J, normV, p, L)
     upper_applicable = grad_upper_bound_applicable(normV, L)
     slacks["upper"] = (upper - prev.grad_norm) / upper if upper > 0 else 0.0
-    verdicts["upper"] = _verdict(slacks["upper"], tol.upper_rel, upper_applicable)
+    verdicts["upper"] = _verdict(slacks["upper"], tol["upper"], upper_applicable)
 
     floor_applicable = J.log_value <= math.log(2.0) + small_loss_log_threshold(n, L)
     slacks["floor"] = normV - weight_norm_floor(L)
     verdicts["floor"] = (
         Verdict.NA
         if not floor_applicable
-        else (Verdict.PASS if slacks["floor"] > tol.floor_abs else Verdict.FAIL)
+        else (Verdict.PASS if slacks["floor"] > tol["floor"] else Verdict.FAIL)
     )
 
     if nxt is None:
@@ -156,7 +156,7 @@ def monitor_step(
             inst and ctx.h <= 1.0 and small_loss and verdicts["i3"] is Verdict.PASS
         )
         slacks["descent"] = (descent_rhs - descent_lhs) / J.value
-        verdicts["descent"] = _verdict(slacks["descent"], tol.descent_rel, descent_applicable)
+        verdicts["descent"] = _verdict(slacks["descent"], tol["descent"], descent_applicable)
 
     return StepRecord(
         t=prev.t,

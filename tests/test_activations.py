@@ -87,10 +87,9 @@ def test_swish_derivative_matches_finite_difference():
 
 def test_zero_smoothing_width_rejected():
     for kind in ActivationKind:
-        with pytest.raises(ValueError):
-            Activation(kind, 0.0)
-        with pytest.raises(ValueError):
-            Activation(kind, -0.1)
+        for h in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="smoothing width"):
+                Activation(kind, h)
 
 
 @pytest.mark.parametrize("kind", ["huberized", "swish", None])

@@ -6,8 +6,8 @@ import pytest
 
 from boundbench.activations import huberized, swish
 from boundbench.bounds import (
-    CHECK_KEYS,
     CSV_COLUMNS,
+    TOLERANCES,
     PhaseTrace,
     RunContext,
     compute_alpha_max,
@@ -84,6 +84,23 @@ def test_alpha_max_enforces_h_window():
         compute_alpha_max(0.5, loss(1e-12), p=4, L=1, normV1=30.0)  # above h_max
     with pytest.raises(ValueError):
         compute_alpha_max(0.0, loss(1e-12), p=4, L=1, normV1=30.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: compute_q_tilde(0.0, loss(1e-12), L=1, normV1=30.0), "alpha must be positive"),
+        (lambda: compute_h_max(loss(1e-12), p=0, L=1, normV1=30.0), "need p >= 1 and L >= 1"),
+        (lambda: compute_h_max(loss(1e-12), p=4, L=0, normV1=30.0), "need p >= 1 and L >= 1"),
+        (lambda: compute_h_max(loss(1e-12), p=4, L=1, normV1=0.0), "initial weight norm must be positive"),
+        (lambda: grad_lower_bound(LossValue(math.nan, math.nan), 1.0, 1), "loss must be a nonnegative number"),
+        (lambda: grad_lower_bound(LossValue(-1e-3, math.nan), 1.0, 1), "loss must be a nonnegative number"),
+    ],
+    ids=["q_tilde-alpha", "h_max-p", "h_max-L", "h_max-norm", "lower-nan", "lower-negative"],
+)
+def test_closed_forms_reject_inputs_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_q_tilde_numeric_and_linearity():
@@ -310,6 +327,19 @@ def test_summarize_takes_the_earliest_row_on_tied_slacks():
     assert summary["invariants"]["descent"]["counts"]["na"] == 1
 
 
+def test_tolerances_are_one_read_only_table_in_report_order():
+    assert dict(TOLERANCES) == {
+        "i1": 1e-12, "i2": 1e-12, "i3": 1e-12, "i3_sqrtp": 1e-12, "descent": 1e-12,
+        "alignment": 1e-12, "lower": 1e-12, "upper": 1e-10, "floor": 0.0,
+    }
+    ctx = make_context()
+    records = monitor_transition(make_trace((ctx.J1, 1e-12, ctx.normV1)), ctx, 1)
+    assert sorted(records.verdicts) == sorted(TOLERANCES)
+    assert list(summarize(records)["invariants"]) == list(TOLERANCES)
+    with pytest.raises(TypeError):
+        TOLERANCES["upper"] = 1.0
+
+
 def test_csv_columns_and_determinism(tmp_path):
     ctx = make_context()
     trace = make_trace(
@@ -338,9 +368,9 @@ def assert_matches_reference(traj, trace, ctx, phase):
     assert len(traj) == len(ref)
     assert traj.t.tolist() == [r.t for r in ref]
     assert traj.phase.tolist() == [phase] * len(ref)
-    for key in CHECK_KEYS:
+    for key in TOLERANCES:
         assert traj.verdicts[key].tolist() == [r.verdicts[key].value for r in ref], key
-    for key in CHECK_KEYS:
+    for key in TOLERANCES:
         np.testing.assert_allclose(
             traj.slacks[key],
             [r.slacks[key] for r in ref],
@@ -352,8 +382,8 @@ def assert_matches_reference(traj, trace, ctx, phase):
     # the CSV columns are the same numbers, so the file bytes are too
     for col in ("lower_bound", "upper_bound", "rate_bound"):
         np.testing.assert_array_equal(getattr(traj, col), [getattr(r, col) for r in ref])
-    ours, theirs = summarize(traj), reference_summarize(ref, CHECK_KEYS)
-    for key in CHECK_KEYS:
+    ours, theirs = summarize(traj), reference_summarize(ref, TOLERANCES)
+    for key in TOLERANCES:
         a, b = ours["invariants"][key], theirs["invariants"][key]
         assert a["counts"] == b["counts"], key
         assert a["worst_slack_step"] == b["worst_slack_step"], key

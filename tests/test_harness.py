@@ -235,6 +235,22 @@ def test_warmup_aborts_on_divergence():
         warmup(huge, huberized(0.5), data, steps=2, alpha=0.1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda V, act, data: warmup(V, act, data, steps=-1, alpha=0.5), "steps must be nonnegative"),
+        (lambda V, act, data: build_small_loss_init(V, data, act, 0.0), r"target loss must be in \(0, 1\)"),
+        (lambda V, act, data: build_small_loss_init(V, data, act, 1.0), r"target loss must be in \(0, 1\)"),
+    ],
+    ids=["warmup-steps", "target-0", "target-1"],
+)
+def test_initialization_rejects_arguments_outside_their_domain(call, message):
+    V0 = gaussian_init(InitSpec(p=4, L=1, seed=1))
+    data = make_clustered_dataset(4, 0.0, 2, 2, np.eye(4)[0])
+    with pytest.raises(ValueError, match=message):
+        call(V0, huberized(0.1), data)
+
+
 # ---------------------------------------------------------------------------
 # small-loss initialization
 
@@ -1105,6 +1121,25 @@ def test_theorem31_allocates_columns_for_the_steps_taken(tmp_path):
     cfg_path.write_text(json.dumps(doc))
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 2
+
+
+def test_theorem31_keeps_the_row_that_reached_the_loss_floor(tmp_path):
+    # the floor is the third row's loss of the p=4/L=1 headline run, so that run stops at step 3 of 6
+    floor = 5.4978133135672e-13
+    doc = {
+        "mode": "theorem31",
+        "network": {"p": 4, "L": 1, "activation": "huberized", "h": "auto"},
+        "data": {"clustered": {"r": 0.05, "n": 3}},
+        "optimizer": {"alpha": "auto", "max_steps": 6, "loss_floor": floor},
+        "init": {"warmup_steps": 3000, "warmup_alpha": 0.5, "target_loss": "auto"},
+        "seeds": {"init": 0, "data": 1, "probes": 2},
+    }
+    runlog, status = run(parse_config(doc), out_dir=tmp_path)
+    assert status == 0
+    assert runlog.summary["steps"] == 3 and runlog.summary["final_loss"] <= floor
+    # the row that reached the floor has no next row to check its descent against
+    assert runlog.records.verdicts["descent"].tolist() == ["pass", "pass", "na"]
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + 3
 
 
 def test_theorem32_trains_at_the_given_network_width():

@@ -238,7 +238,7 @@ def test_operator_norm_certificate_needs_no_fallback(eigvalsh_calls):
 def test_operator_norm_failed_certificate_falls_back_to_eigvalsh(eigvalsh_calls):
     m = start_orthogonal_matrix()
     result = operator_norm(m)
-    # sI - G formed again: the failed in-place factorisation left NaN behind
+    # G formed again: the failed in-place factorisation left NaN behind
     assert eigvalsh_calls == [((40, 40), True, True)]
     assert result.ended == "eigvalsh"
     assert_brackets(result, m)
@@ -595,6 +595,21 @@ def test_stack_requires_square_hidden_layers():
 def test_stack_requires_hidden_layer():
     with pytest.raises(ValueError):
         WeightStack(hidden=(), outer=np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WeightStack(hidden=(np.zeros((2, 2)),), outer=np.zeros(2)), r"outer layer must be 1 x p, got \(2,\)"),
+        (lambda: WeightStack(hidden=(np.zeros((2, 2)),), outer=np.zeros((2, 2))), r"outer layer must be 1 x p"),
+        (lambda: WeightStack(hidden=(np.zeros((0, 0)),), outer=np.zeros((1, 0))), "width must be at least 1"),
+        (lambda: WeightStack.from_layers([np.zeros((1, 2))]), "need at least one hidden layer plus the outer row"),
+    ],
+    ids=["outer-vector", "outer-square", "zero-width", "from-one-matrix"],
+)
+def test_stack_construction_names_the_shape_rule_it_breaks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_stack_rejects_non_finite():

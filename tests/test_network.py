@@ -11,7 +11,7 @@ import pytest
 
 from boundbench.activations import huberized, swish
 from boundbench.harness import build_dataset, parse_config
-from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_axpy
+from boundbench.linalg import ShapeMismatchError, WeightStack, frobenius_norm, operator_norm, stack_axpy
 from boundbench.network import (
     Dataset,
     _point,
@@ -533,6 +533,20 @@ def test_dataset_renormalizes_inputs():
 def test_dataset_rejects_bad_labels():
     with pytest.raises(ValueError):
         Dataset(inputs=np.eye(2), labels=np.array([1.0, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Dataset(inputs=np.eye(2), labels=np.array([1.0])), "labels must be one per input row"),
+        (lambda: _point(zero_stack(2, 1), np.zeros((3, 3))), r"inputs have shape \(3, 3\), expected \(n, 2\)"),
+        (lambda: _point(zero_stack(2, 1), np.zeros(2)), r"inputs have shape \(2,\), expected \(n, 2\)"),
+    ],
+    ids=["label-count", "point-width", "point-vector"],
+)
+def test_inputs_of_the_wrong_shape_are_named(call, message):
+    with pytest.raises(ShapeMismatchError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -531,6 +531,33 @@ def test_approx_error_raises_on_a_non_finite_remainder(nt_setup):
         approx_error_sample(V1, act, data, tau=1e300, k_pairs=2)
 
 
+def test_nt_minimize_stopped_at_its_step_cap_stays_above_the_certified_minimum(nt_setup):
+    # one Newton step does not close the gap at rho = 1, where 400 steps certify theirs
+    V1, act, data = nt_setup
+    _, capped = nt_class_minimize(V1, act, data, NtBallConfig(rho=1.0, steps=1))
+    _, certified = nt_class_minimize(V1, act, data, NtBallConfig(rho=1.0, steps=400))
+    assert capped >= certified * (1.0 - ntk._GAP_STOP)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            # a unit witness: its outer row is e_1
+            lambda setup: MarginWitness(
+                w_star=WeightStack(hidden=(np.zeros((2, 2)),), outer=np.eye(2)[:1]), gamma=0.5, gamma_upper=0.25
+            ),
+            "margin bracket out of order: 0.5 > 0.25",
+        ),
+        (lambda setup: approx_error_sample(*setup, tau=0.1, k_pairs=0), "need at least one pair"),
+    ],
+    ids=["witness-bracket", "approx-error-pairs"],
+)
+def test_tangent_quantities_reject_arguments_outside_their_domain(nt_setup, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(nt_setup)
+
+
 def test_nt_ball_config_rejects_a_nan_radius():
     with pytest.raises(ValueError, match="rho"):
         NtBallConfig(rho=math.nan)
@@ -715,10 +742,10 @@ def test_margin_bracket_closes_on_the_t32_data(seed):
 
 def test_phase_plan_validation():
     with pytest.raises(ValueError):
-        PhasePlan(alpha_nt=0.0, T=10, h_nt=0.01, rho=1.0)
+        PhasePlan(alpha_nt=0.0, T=10, rho=1.0)
     with pytest.raises(ValueError):
-        PhasePlan(alpha_nt=0.1, T=0, h_nt=0.01, rho=1.0)
-    plan = PhasePlan(alpha_nt=0.1, T=1, h_nt=0.01, rho=1.0)
+        PhasePlan(alpha_nt=0.1, T=0, rho=1.0)
+    plan = PhasePlan(alpha_nt=0.1, T=1, rho=1.0)
     assert plan.T == 1
 
 
@@ -729,14 +756,13 @@ def test_phase_plan_validation():
         ("alpha_phase2", math.nan), ("alpha_phase2", -1.0), ("alpha_phase2", 0.0),
         ("stop_loss", math.nan), ("stop_loss", -1.0),
         ("alpha_nt", math.nan), ("alpha_nt", 0.0), ("alpha_nt", math.inf),
-        ("h_nt", math.nan), ("h_nt", 0.0), ("h_nt", math.inf),
         ("phase2_steps", -1),
         ("T", 2.5), ("T", 10.0), ("T", math.inf), ("T", math.nan), ("T", True),
         ("phase2_steps", 1.5), ("phase2_steps", math.inf), ("phase2_steps", False),
     ],
 )
 def test_phase_plan_rejects_a_bad_value_and_names_it(field, value):
-    given = {"alpha_nt": 0.1, "T": 1, "h_nt": 0.01, "rho": 1.0, field: value}
+    given = {"alpha_nt": 0.1, "T": 1, "rho": 1.0, field: value}
     with pytest.raises(ValueError, match=field):
         PhasePlan(**given)
 
@@ -758,7 +784,7 @@ def test_phase_plan_auto_reads_gamma_only_for_an_automatic_rho():
 def test_phase_plan_auto_formulas():
     n, p, L, gamma = 4, 64, 1, 0.5
     plan = PhasePlan.auto(n=n, p=p, L=L, gamma=gamma, delta=0.05, T=500)
-    assert plan.h_nt == pytest.approx(
+    assert nt_smoothing_width(n, p, L) == pytest.approx(
         (1 + 24 * L) * math.log(n) / (6 * (6 * p) ** ((L + 1) / 2) * L**3), rel=1e-12
     )
     assert plan.alpha_nt == pytest.approx(1.0 / (p * L**5), rel=1e-12)
@@ -782,12 +808,27 @@ def test_phase_plan_horizon_follows_the_given_radius_and_step():
     assert plan.T_faithful_log10 == pytest.approx(base.T_faithful_log10 + 3, rel=1e-12)
 
 
-def test_plan_auto_validates_with_the_overrides_applied():
-    # at n = 1 the automatic width is 0, which the plan alone would reject
-    plan = PhasePlan.auto(n=1, p=4, L=1, gamma=0.3, T=50, h_nt=0.01)
-    assert plan.h_nt == 0.01
-    with pytest.raises(ValueError, match="out of range"):
-        PhasePlan.auto(n=1, p=4, L=1, gamma=0.3, T=50)
+@pytest.mark.parametrize("key, value", [("h_nt", 0.01), ("T_faithful_log10", -7.0)])
+def test_phase_plan_auto_takes_no_width_or_horizon(key, value):
+    # the width is the activation's, and the plan always forms its own horizon
+    with pytest.raises(TypeError, match=key):
+        PhasePlan.auto(n=4, p=16, L=1, gamma=0.3, T=5, **{key: value})
+
+
+def test_phase_plan_auto_takes_given_numbers_as_floats():
+    plan = PhasePlan.auto(n=4, p=8, L=1, gamma=None, T=5, alpha_nt=1, rho=2, stop_loss=0, alpha_phase2=1)
+    assert [type(v) for v in (plan.alpha_nt, plan.rho, plan.stop_loss, plan.alpha_phase2)] == [float] * 4
+    assert (plan.T, plan.alpha_nt, plan.rho) == (5, 1.0, 2.0)
+    assert plan.T_faithful_log10 == pytest.approx(math.log10(1.5 * 2 * 4 / 1) + 26 * math.log10(4), rel=1e-12)
+
+
+def test_two_phase_echoes_the_width_it_trained_at():
+    p, n = 16, 2
+    V1 = gaussian_init(InitSpec(p=p, L=1, seed=54))
+    _, data = clustered(p, n, 0.0, seed=55)
+    assert nt_smoothing_width(n, p, 1) != 0.01
+    log = two_phase_train(V1, huberized(0.01), data, PhasePlan.auto(n, p, 1, gamma=None, rho=1.0, T=3))
+    assert log.config_echo["plan"]["h_nt"] == 0.01
 
 
 def test_run_phase_argmin_prefers_earliest():
@@ -903,7 +944,7 @@ def test_two_phase_mechanics_and_records():
     data = make_clustered_dataset(p, 0.05, n, 53, rng.standard_normal(p))
     plan = PhasePlan.auto(n=n, p=p, L=L, gamma=0.3, T=2000)
     plan = replace(plan, stop_loss=0.05, phase2_steps=30, alpha_phase2=0.05)
-    act = huberized(plan.h_nt)
+    act = huberized(nt_smoothing_width(n, p, L))
     log = two_phase_train(V1, act, data, plan)
     phases = log.records.phase.tolist()
     switches = sum(1 for i in range(1, len(phases)) if phases[i] != phases[i - 1])
@@ -922,7 +963,7 @@ def test_two_phase_degenerate_single_step_plan():
     p, n = 16, 2
     V1 = gaussian_init(InitSpec(p=p, L=1, seed=54))
     _, data = clustered(p, n, 0.0, seed=55)
-    plan = PhasePlan(alpha_nt=0.01, T=1, h_nt=0.01, rho=1.0, phase2_steps=3, alpha_phase2=0.01)
+    plan = PhasePlan(alpha_nt=0.01, T=1, rho=1.0, phase2_steps=3, alpha_phase2=0.01)
     log = two_phase_train(V1, huberized(0.01), data, plan)
     assert log.config_echo["phase1_argmin_step"] == 1
     assert len(log.records) == 1 + 3
@@ -933,7 +974,7 @@ def test_two_phase_requires_resolvable_second_step_size():
     V1 = gaussian_init(InitSpec(p=p, L=1, seed=56))
     _, data = clustered(p, n, 0.0, seed=57)
     # restart loss stays far above the small-loss regime: auto alpha must fail
-    plan = PhasePlan(alpha_nt=1e-6, T=2, h_nt=0.01, rho=1.0, phase2_steps=5)
+    plan = PhasePlan(alpha_nt=1e-6, T=2, rho=1.0, phase2_steps=5)
     with pytest.raises(ValueError, match="alpha_phase2"):
         two_phase_train(V1, huberized(0.01), data, plan)
 
@@ -941,7 +982,7 @@ def test_two_phase_requires_resolvable_second_step_size():
 def test_two_phase_rejects_swish():
     V1 = gaussian_init(InitSpec(p=8, L=1, seed=58))
     _, data = clustered(8, 2, 0.0, seed=59)
-    plan = PhasePlan(alpha_nt=0.01, T=1, h_nt=0.01, rho=1.0)
+    plan = PhasePlan(alpha_nt=0.01, T=1, rho=1.0)
     with pytest.raises(ValueError, match="Huberized"):
         two_phase_train(V1, swish(0.01), data, plan)
 
