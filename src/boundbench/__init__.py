@@ -23,7 +23,6 @@ from .bounds import (
     grad_upper_bound,
     monitor_transition,
     resolve_context,
-    smoothness_bound,
     summarize,
     weight_norm_floor,
     write_csv,

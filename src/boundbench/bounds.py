@@ -2,8 +2,8 @@
 monitors for the step-by-step inequalities it rests on.
 
 `resolve_context` is the one place that decides whether a phase is
-instrumented and fills in its step size, rate and constants; a
-`theorem31` run and phase 2 of a `theorem32` run both go through it.
+instrumented and fills in its step size; a `theorem31` run and phase 2 of
+a `theorem32` run both go through it. The context forms the constants.
 
 Monitors never abort a run: every check yields a signed slack (positive
 means satisfied) and a three-way verdict. "Not applicable" is distinct
@@ -141,11 +141,6 @@ def grad_upper_bound_applicable(normV: float, L: int) -> bool:
     return normV >= math.sqrt(L + 0.5)
 
 
-def smoothness_bound(J: LossValue, normV: float, p: int, L: int, h: float) -> float:
-    """256 (L+1) sqrt(p) ||V||^(3L+5) J / h; valid for h <= 1 and large ||V||."""
-    return 256.0 * (L + 1) * math.sqrt(p) * normV ** (3 * L + 5) * J.value / h
-
-
 def weight_norm_floor(L: int) -> float:
     """sqrt(L+1): every iterate below the small-loss threshold exceeds it."""
     if L < 1:
@@ -162,14 +157,14 @@ def small_loss_log_threshold(n: int, L: int) -> float:
 class RunContext:
     """Everything fixed along one monitored phase.
 
-    `h_max`, `alpha_max` and `q_tilde` are the phase's constants, evaluated
-    at its start (J1, normV1), with q_tilde at `alpha`; q_tilde is the one
-    rate constant of the I1 bound J_1/(q_tilde (t-1) + 1). A phase outside
-    the small-loss analysis has none (all three None) and is not
-    instrumented: the constant-dependent checks then report not-applicable
-    while regime-free ones keep running. Only `resolve_context` fills in
-    the constants; they need 0 < h <= h_max <= 1 (else ValueError), so
-    `instrumented` implies the analysis's width hypothesis.
+    An instrumented phase's constants `h_max`, `alpha_max` and `q_tilde`
+    are formed on each read from its start (J1, normV1), p, L, h and alpha,
+    so none can contradict the fields; q_tilde is the one rate constant of
+    the I1 bound J_1/(q_tilde (t-1) + 1). A phase outside the small-loss
+    analysis is not instrumented and has none (all three None): the
+    constant-dependent checks then report not-applicable while regime-free
+    ones keep running. An instrumented context needs 0 < h <= h_max <= 1
+    (else ValueError), so it is inside the analysis's width hypothesis.
     """
 
     p: int
@@ -179,17 +174,23 @@ class RunContext:
     alpha: float
     J1: LossValue
     normV1: float
-    h_max: float | None = None
-    alpha_max: float | None = None
-    q_tilde: float | None = None
+    instrumented: bool = False
 
     def __post_init__(self):
-        if self.h_max is not None and not 0.0 < self.h <= self.h_max <= 1.0:
+        if self.instrumented and not 0.0 < self.h <= self.h_max <= 1.0:
             raise ValueError(f"constants need 0 < h <= h_max <= 1, got h={self.h}, h_max={self.h_max}")
 
     @property
-    def instrumented(self) -> bool:
-        return self.h_max is not None
+    def h_max(self) -> float | None:
+        return compute_h_max(self.J1, self.p, self.L, self.normV1) if self.instrumented else None
+
+    @property
+    def alpha_max(self) -> float | None:
+        return compute_alpha_max(self.h, self.J1, self.p, self.L, self.normV1) if self.instrumented else None
+
+    @property
+    def q_tilde(self) -> float | None:
+        return compute_q_tilde(self.alpha, self.J1, self.L, self.normV1) if self.instrumented else None
 
 
 def resolve_context(
@@ -198,22 +199,15 @@ def resolve_context(
     """The context of a phase that starts at loss J1 and weight norm normV1.
 
     The phase is instrumented when J1 is in (0, 1), normV1 > 0 and
-    h <= h_max; then alpha is the given value or alpha_max(h), and the
-    rate constant is q_tilde at alpha. Otherwise no constants exist and
+    h <= h_max; then alpha is the given value or alpha_max(h). Otherwise
     alpha must be given: without it this raises ValueError.
     """
-    h_max = compute_h_max(J1, p, L, normV1) if J1.log_value < 0.0 and normV1 > 0.0 else None
-    if h_max is None or h > h_max:
-        if alpha is None:
-            raise ValueError("no admissible step size: loss not in (0,1), zero weight norm or h above h_max")
-        return RunContext(p=p, L=L, n=n, h=h, alpha=alpha, J1=J1, normV1=normV1)
-    alpha_max = compute_alpha_max(h, J1, p, L, normV1)
-    alpha = alpha_max if alpha is None else alpha
-    q_tilde = compute_q_tilde(alpha, J1, L, normV1)
-    return RunContext(
-        p=p, L=L, n=n, h=h, alpha=alpha, J1=J1, normV1=normV1,
-        h_max=h_max, alpha_max=alpha_max, q_tilde=q_tilde,
-    )
+    in_range = J1.log_value < 0.0 and normV1 > 0.0
+    instrumented = bool(in_range and not h > compute_h_max(J1, p, L, normV1))  # NaN h: refused below
+    if alpha is None and not instrumented:
+        raise ValueError("no admissible step size: loss not in (0,1), zero weight norm or h above h_max")
+    alpha = compute_alpha_max(h, J1, p, L, normV1) if alpha is None else alpha
+    return RunContext(p=p, L=L, n=n, h=h, alpha=alpha, J1=J1, normV1=normV1, instrumented=instrumented)
 
 
 @dataclass
@@ -380,8 +374,13 @@ def monitor_transition(trace: PhaseTrace, ctx: RunContext, phase: int) -> Trajec
 class RunLog:
     config_echo: dict
     records: Trajectory | None = None
-    phase_boundary: int | None = None  # first row belonging to phase 2
     summary: dict = field(default_factory=dict)
+
+    @property
+    def phase_boundary(self) -> int | None:
+        """The first row belonging to phase 2, None if no row does."""
+        second = [] if self.records is None else np.flatnonzero(self.records.phase == 2)
+        return int(second[0]) if len(second) else None
 
 
 def summarize(records: Trajectory) -> dict:

@@ -133,8 +133,8 @@ class OperatorNormBracket(NamedTuple):
     """lower <= largest singular value <= upper; see `operator_norm`.
 
     `iterations` counts Lanczos products with the Gram matrix, and `ended`
-    says what proved the bracket: "certificate" (the Cholesky test passed)
-    or "eigvalsh" (the dense fallback ran).
+    says "certificate" (the Cholesky test proved the bracket) or
+    "eigvalsh_estimate" (the dense fallback ran: the bracket is estimated).
     """
 
     lower: float
@@ -376,10 +376,10 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
     [theta - r, theta + r] holds an eigenvalue, so the wider shift passes
     unless the Krylov space missed the top eigenvalue, at the price of a
     bracket about r / (2 sqrt(theta)) wide. When the retry fails too, or
-    Lanczos reaches its step cap, LAPACK `eigvalsh` gives lambda_max exactly
-    to rounding and the bracket is that value widened on both sides by
-    4 k eps |top| plus the same margin at s = |top|; `ended` says which of
-    the two proved the bracket.
+    Lanczos reaches its step cap, LAPACK `eigvalsh` gives lambda_max to
+    rounding and the bracket is that value widened on both sides by
+    4 k eps |top| plus the same margin at s = |top|: an estimate, since
+    `eigvalsh` has no proven error constant. `ended` says which one ran.
 
     A matrix with a NaN or infinite entry raises ValueError. One whose
     squared Frobenius norm (the trace of G) lies outside [2^-500, 2^500] is
@@ -418,5 +418,5 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
     top = float(np.linalg.eigvalsh(gram)[-1])
     margin = 4 * k * _EPS * abs(top) + _rounding_margin(abs(top), trace, k, inner)
     return _bracket(
-        math.sqrt(max(top - margin, 0.0)), math.sqrt(top + margin), exponent, steps, "eigvalsh"
+        math.sqrt(max(top - margin, 0.0)), math.sqrt(top + margin), exponent, steps, "eigvalsh_estimate"
     )

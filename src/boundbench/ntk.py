@@ -496,17 +496,24 @@ def nt_smoothing_width(n: int, p: int, L: int) -> float:
     return (1 + 24 * L) * math.log(n) / (6.0 * (6.0 * p) ** ((L + 1) / 2.0) * L**3)
 
 
+def faithful_horizon_log10(n: int, L: int, rho: float, alpha_nt: float) -> float | None:
+    """log10 of the first phase's faithful horizon
+    3 (L+1) rho^2 n^(2+24L) / (2 alpha_nt), formed in logs; None unless
+    rho and alpha_nt are positive (at rho = 0 the ball is V1 itself)."""
+    if not (rho > 0 and alpha_nt > 0):
+        return None
+    return math.log10(1.5 * (L + 1)) + 2.0 * math.log10(rho) - math.log10(alpha_nt) + (2 + 24 * L) * math.log10(n)
+
+
 @dataclass(frozen=True)
 class PhasePlan:
     """Hyperparameters of the two-phase schedule; its smoothing width is the
-    activation's, which `two_phase_train` echoes as h_nt.
+    activation's, which `two_phase_train` echoes as h_nt, and its faithful
+    horizon is `faithful_horizon_log10` of its rho and alpha_nt.
 
     The analysis fixes the ball radius rho and the linearized-phase step
     size alpha_nt only up to absolute constants; `auto` takes each at
-    constant 1 unless it is given. T_faithful_log10 keeps the untruncated
-    horizon, formed from the plan's own rho and alpha_nt, when T had to be
-    capped to something runnable; it is None at rho = 0, where the horizon
-    is one step.
+    constant 1 unless it is given.
     """
 
     alpha_nt: float
@@ -515,7 +522,6 @@ class PhasePlan:
     alpha_phase2: float | None = None  # read only when phase2_steps > 0; None: alpha_max at the restart
     stop_loss: float | None = None  # desk-scale early stop for the first phase
     phase2_steps: int = 0
-    T_faithful_log10: float | None = None
 
     def __post_init__(self):
         for name in ("alpha_nt", "alpha_phase2"):
@@ -531,20 +537,21 @@ class PhasePlan:
 
     @classmethod
     def auto(
-        cls, n: int, p: int, L: int, gamma: float | None, delta: float = 0.05, T: int | None = None,
-        alpha_nt: float | None = None, rho: float | None = None, stop_loss: float | None = None,
-        alpha_phase2: float | None = None, phase2_steps: int = 0,
+        cls, n: int, p: int, L: int, gamma: float | None, *, delta: float, T: int | None,
+        alpha_nt: float | None, rho: float | None, stop_loss: float | None,
+        alpha_phase2: float | None, phase2_steps: int,
     ) -> "PhasePlan":
         """Resolve the closed-form plan from the phase_plan keys, None
         standing for "auto"; given numbers are taken as floats, T as given.
+        Every key is required, as the config schema holds the defaults.
 
         The faithful horizon scales like n^(2+24L), far beyond any
-        desk-scale budget: it is kept in log space as T_faithful_log10, and
-        T defaults to it capped at 10,000 steps. The margin `gamma` (None
-        if not estimated) and `delta` are read only to form an automatic
-        rho; a gamma so small that rho passes the float range raises
-        `ConfigError` naming phase_plan.gamma. `alpha_phase2` is read only
-        by a plan with phase2_steps > 0.
+        desk-scale budget: T defaults to it capped at 10,000 steps, and to 1
+        at rho = 0. The margin `gamma` (None if not estimated) and `delta`
+        are read only to form an automatic rho; a gamma so small that rho
+        passes the float range raises `ConfigError` naming
+        phase_plan.gamma. `alpha_phase2` is read only by a plan with
+        phase2_steps > 0.
         """
         alpha_nt = 1.0 / (p * L**5) if alpha_nt is None else float(alpha_nt)
         if rho is None:
@@ -560,20 +567,12 @@ class PhasePlan:
                     "beyond the float range; give phase_plan.rho"
                 )
         rho = float(rho)
-        log10_T, auto_T = None, 1  # at rho = 0 the ball is V1 itself
-        if rho > 0 and alpha_nt > 0:  # any other value the plan's own check rejects
-            # T = ceil(3 (L+1) rho^2 n^(2+24L) / (2 alpha_nt)), in logs
-            log10_T = (
-                math.log10(1.5 * (L + 1))
-                + 2.0 * math.log10(rho)
-                - math.log10(alpha_nt)
-                + (2 + 24 * L) * math.log10(n)
-            )
-            auto_T = 10_000 if log10_T > 4 else max(int(math.ceil(10.0**log10_T)), 1)
+        log10_T = faithful_horizon_log10(n, L, rho, alpha_nt)  # None: rho is 0 or the plan rejects it
+        auto_T = 1 if log10_T is None else 10_000 if log10_T > 4 else max(int(math.ceil(10.0**log10_T)), 1)
         return cls(
             alpha_nt=alpha_nt, T=auto_T if T is None else T, rho=rho, phase2_steps=phase2_steps,
             alpha_phase2=None if alpha_phase2 is None else float(alpha_phase2),
-            stop_loss=None if stop_loss is None else float(stop_loss), T_faithful_log10=log10_T,
+            stop_loss=None if stop_loss is None else float(stop_loss),
         )
 
 
@@ -735,13 +734,13 @@ def two_phase_train(
     argmin_loss = float(phase1.loss[best])
     max_drift = float(phase1.drift.max())
     echo: dict = {
-        "plan": {k: v for k, v in asdict(plan).items() if k != "alpha_phase2"} | {"h_nt": act.h},
+        "plan": {k: v for k, v in asdict(plan).items() if k != "alpha_phase2"}
+        | {"h_nt": act.h, "T_faithful_log10": faithful_horizon_log10(n, L, plan.rho, plan.alpha_nt)},
         "phase1_steps": len(phase1),
         "phase1_argmin_step": phase1.best_step,
         "phase1_argmin_loss": argmin_loss,
         "phase1_max_drift": max_drift,
     }
-    phase_boundary = None
     if plan.phase2_steps > 0:
         # phase 2 starts at the argmin iterate in the same coordinates, so its
         # first row, and these constants, repeat phase 1's argmin row bit for bit
@@ -757,9 +756,8 @@ def two_phase_train(
         echo["phase2_alpha"] = ctx2.alpha
         echo["phase2_instrumented"] = ctx2.instrumented
         phase2 = run_phase(V1, act, data, ctx2.alpha, plan.phase2_steps, start=phase1.best)
-        phase_boundary = len(records)
         records = Trajectory.concat([records, monitor_transition(phase2, ctx2, 2)])
-    return RunLog(config_echo=echo, records=records, phase_boundary=phase_boundary, summary=summarize(records))
+    return RunLog(config_echo=echo, records=records, summary=summarize(records))
 
 
 # ---------------------------------------------------------------------------
@@ -783,14 +781,15 @@ def init_diagnostics(
     warning and their out-of-range readings are reported rather than
     failed; "ok" holds when all three readings are in range.
 
-    Each hidden operator norm is a certified bracket from `operator_norm`:
-    `hidden_operator_norms` holds the lower ends (at most the true norm) and
-    `hidden_operator_norms_upper` the upper ends (at least the true norm);
+    Each hidden operator norm is a bracket from `operator_norm`:
+    `hidden_operator_norms` holds the lower ends and
+    `hidden_operator_norms_upper` the upper ends;
     `hidden_operator_norm_products` counts each layer's Lanczos products
     and `hidden_operator_norm_ended` says whether the Cholesky certificate
-    or the `eigvalsh` fallback proved its bracket.
-    `operator_in_range` judges the upper ends against `operator_limit`, so
-    it never passes a layer whose norm exceeds the limit. Feature norms and
+    proved its bracket ("certificate") or the `eigvalsh` fallback estimated
+    it ("eigvalsh_estimate"). `operator_in_range` judges the upper ends
+    against `operator_limit`, so it passes no layer whose norm exceeds the
+    limit wherever the certificate proved the bracket. Feature norms and
     the outer norm are direct computations, exact to rounding.
     """
     p = V1.p

@@ -4,8 +4,8 @@ gradient-norm bound, the parameter-space form of the first-order remainder
 sampler, the all-layer form of the loss gradient, the plain gradient step,
 the margin of formed feature stacks, the explicit clustered-data margin
 witness, the zero stack, stack scaling, the measured average-loss inequality of the
-linearized phase, the product bound on operator norms and the sampled local
-Lipschitz constant of the gradient."""
+linearized phase, the product bound on operator norms, the smoothness bound
+and the sampled local Lipschitz constant of the gradient."""
 
 from __future__ import annotations
 
@@ -28,7 +28,15 @@ from boundbench.linalg import (
 )
 from boundbench.activations import Activation, ActivationKind
 from boundbench.bounds import PhaseTrace
-from boundbench.network import Dataset, _combine_features, _Tangent, forward_rows, logistic, sensitivities
+from boundbench.network import (
+    Dataset,
+    LossValue,
+    _combine_features,
+    _Tangent,
+    forward_rows,
+    logistic,
+    sensitivities,
+)
 from boundbench.ntk import MarginWitness
 
 
@@ -278,6 +286,11 @@ def product_operator_bound(stack: WeightStack) -> float:
     f = frobenius_norm(stack)
     k = stack.depth + 1
     return max(f**k / k ** (k / 2.0), f)
+
+
+def smoothness_bound(J: LossValue, normV: float, p: int, L: int, h: float) -> float:
+    """256 (L+1) sqrt(p) ||V||^(3L+5) J / h; valid for h <= 1 and large ||V||."""
+    return 256.0 * (L + 1) * math.sqrt(p) * normV ** (3 * L + 5) * J.value / h
 
 
 def probe_local_lipschitz(

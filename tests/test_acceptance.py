@@ -5,6 +5,7 @@ shared across the criteria that read their trajectories. Tolerances are
 pinned here, not configurable.
 """
 
+import json
 import math
 import time
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from boundbench.activations import certify_h_smooth, huberized, swish
+from boundbench.bounds import RunLog
 from boundbench.harness import parse_config, run
 from boundbench.linalg import WeightStack, frobenius_norm, operator_norm
 from boundbench.network import Dataset, total_loss
@@ -414,12 +416,14 @@ TWO_PHASE_CONFIG = {
 
 
 def assert_reruns_identical(config, out_dir, label):
-    run(config, out_dir=out_dir / "a")
+    """The first run's log, once a rerun has written the same trajectory bytes."""
+    runlog, _ = run(config, out_dir=out_dir / "a")
     run(config, out_dir=out_dir / "b")
     same = (out_dir / "a" / "trajectory.csv").read_bytes() == (
         out_dir / "b" / "trajectory.csv"
     ).read_bytes()
     report(f"14 byte-identical trajectory on rerun ({label})", same)
+    return runlog
 
 
 def test_criterion_14_determinism(tmp_path):
@@ -429,4 +433,10 @@ def test_criterion_14_determinism(tmp_path):
 
 
 def test_criterion_14_determinism_two_phase(tmp_path):
-    assert_reruns_identical(parse_config(TWO_PHASE_CONFIG), tmp_path, "theorem32")
+    runlog = assert_reruns_identical(parse_config(TWO_PHASE_CONFIG), tmp_path, "theorem32")
+    # the phase boundary is read from the rows: the first whose phase column is 2
+    rows = (tmp_path / "a" / "trajectory.csv").read_text().splitlines()[1:]
+    first = [row.rsplit(",", 1)[1] for row in rows].index("2")
+    assert runlog.phase_boundary == first
+    assert RunLog(config_echo={}, records=runlog.records).phase_boundary == first
+    assert json.loads((tmp_path / "a" / "summary.json").read_text())["phase_boundary"] == first

@@ -10,6 +10,8 @@ from boundbench.bounds import (
     TOLERANCES,
     PhaseTrace,
     RunContext,
+    RunLog,
+    Trajectory,
     compute_alpha_max,
     compute_h_max,
     compute_q_tilde,
@@ -17,7 +19,6 @@ from boundbench.bounds import (
     grad_upper_bound,
     monitor_transition,
     resolve_context,
-    smoothness_bound,
     summarize,
     weight_norm_floor,
     write_csv,
@@ -27,7 +28,7 @@ from boundbench.linalg import WeightStack, frobenius_norm
 from boundbench.network import Dataset, LossValue, logistic, total_loss
 from reference_monitor import monitor_rows
 from reference_monitor import summarize as reference_summarize
-from stack_helpers import gradient_reference, probe_local_lipschitz, zero_stack
+from stack_helpers import gradient_reference, probe_local_lipschitz, smoothness_bound, zero_stack
 
 # 50-digit reference evaluations of the closed forms, frozen
 H_MAX_EXAMPLE = 0.019188209108283714  # L=1, p=4, ||V1||=30, J1=1e-12
@@ -260,16 +261,48 @@ def test_monitor_flags_not_applicable_outside_regime():
 
 @pytest.mark.parametrize(
     "change",
-    [{"h": 0.0}, {"h": -0.01}, {"h": math.nan}, {"h_max": 2.0}, {"h_max": math.nan}, "h above h_max"],
+    [{"h": 0.0}, {"h": -0.01}, {"h": math.nan}, {"normV1": 40.0}, {"J1": loss(0.5)}, "h above h_max"],
 )
 def test_context_refuses_constants_outside_the_width_hypothesis(change):
-    # the monitor reads `instrumented` as 0 < h <= h_max <= 1 and tests neither end again
+    # the monitor reads `instrumented` as 0 < h <= h_max <= 1 and tests neither end again;
+    # a start with a larger weight norm or loss has a smaller h_max, below this h
     ctx = make_context()
     if change == "h above h_max":
         change = {"h": float(np.nextafter(ctx.h_max, 1.0))}
     with pytest.raises(ValueError, match="h_max"):
         replace(ctx, **change)
     replace(ctx, h=ctx.h_max)  # the closed end is admissible
+
+
+def test_a_directly_built_context_forms_its_own_constants():
+    J1, normV1 = loss(1e-12), 30.0  # h_max is 0.0192 here
+    with pytest.raises(ValueError, match="h_max"):
+        RunContext(p=4, L=1, n=3, h=0.05, alpha=1.0, J1=J1, normV1=normV1, instrumented=True)
+    ctx = RunContext(p=4, L=1, n=3, h=0.01, alpha=1.0, J1=J1, normV1=normV1, instrumented=True)
+    assert ctx.h_max == compute_h_max(J1, 4, 1, normV1)
+    assert ctx.alpha_max == compute_alpha_max(0.01, J1, 4, 1, normV1)
+    for name in ("h_max", "alpha_max", "q_tilde"):
+        with pytest.raises(TypeError, match=name):
+            RunContext(p=4, L=1, n=3, h=0.01, alpha=1.0, J1=J1, normV1=normV1, **{name: 0.5})
+
+
+def test_a_replaced_step_size_moves_the_rate_constant():
+    ctx = make_context()
+    alpha = 10 * ctx.alpha_max
+    moved = replace(ctx, alpha=alpha)
+    assert moved.q_tilde == compute_q_tilde(alpha, ctx.J1, ctx.L, ctx.normV1)
+    assert (moved.h_max, moved.alpha_max) == (ctx.h_max, ctx.alpha_max)
+
+
+def test_run_log_reads_its_phase_boundary_from_the_rows():
+    ctx = make_context()
+    rows = make_trace((ctx.J1, 1e-12, ctx.normV1), (ctx.J1, 1e-12, ctx.normV1))
+    first, second = monitor_transition(rows, ctx, 1), monitor_transition(rows, ctx, 2)
+    assert RunLog(config_echo={}).phase_boundary is None
+    assert RunLog(config_echo={}, records=first).phase_boundary is None
+    assert RunLog(config_echo={}, records=Trajectory.concat([first, second])).phase_boundary == 2
+    with pytest.raises(TypeError, match="phase_boundary"):
+        RunLog(config_echo={}, phase_boundary=2)
 
 
 def uninstrumented_context():

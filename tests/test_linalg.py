@@ -240,7 +240,7 @@ def test_operator_norm_failed_certificate_falls_back_to_eigvalsh(eigvalsh_calls)
     result = operator_norm(m)
     # G formed again: the failed in-place factorisation left NaN behind
     assert eigvalsh_calls == [((40, 40), True, True)]
-    assert result.ended == "eigvalsh"
+    assert result.ended == "eigvalsh_estimate"
     assert_brackets(result, m)
     # Lanczos alone reaches only the second value, 1, a relative 5e-7 too low
     assert result.lower == pytest.approx(np.sqrt(1.0 + 1e-6), rel=1e-12)
@@ -252,7 +252,7 @@ def test_operator_norm_step_cap_falls_back_to_eigvalsh(monkeypatch, eigvalsh_cal
     result = operator_norm(m)
     assert result.iterations == 2
     assert eigvalsh_calls == [((10, 10), True, True)]
-    assert result.ended == "eigvalsh"
+    assert result.ended == "eigvalsh_estimate"
     assert_brackets(result, m)
 
 
@@ -325,7 +325,7 @@ def test_operator_norm_upper_end_covers_its_rounding(monkeypatch, case):
         monkeypatch.setattr(linalg, "_LANCZOS_STEP_CAP", 2)
         m = rng.standard_normal((256, 256))
     result = operator_norm(m)
-    assert result.ended == ("eigvalsh" if case == "step_cap" else "certificate")
+    assert result.ended == ("eigvalsh_estimate" if case == "step_cap" else "certificate")
     theta = result.lower**2  # at most the certificate's shift, and below the fallback's eigenvalue
     assert result.upper**2 - theta >= rounding_terms(m, theta)
     assert_brackets(result, m)
@@ -399,7 +399,7 @@ def test_operator_norm_brackets_equal_the_copying_cholesky(monkeypatch):
     in_place = [operator_norm(m) for m in matrices]
     monkeypatch.setattr(linalg, "_cholesky_in_place", _copying_cholesky)
     assert in_place == [operator_norm(m) for m in matrices]
-    assert [b.ended for b in in_place] == ["certificate"] * 3 + ["eigvalsh"] + ["certificate"] * 2
+    assert [b.ended for b in in_place] == ["certificate"] * 3 + ["eigvalsh_estimate"] + ["certificate"] * 2
 
 
 def test_operator_norm_allocates_no_factor():

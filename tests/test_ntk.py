@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import warnings
@@ -8,6 +9,7 @@ import pytest
 
 from boundbench import ntk
 from boundbench.activations import huberized, swish
+from boundbench.harness import parse_config
 from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_axpy, stack_dot
 from boundbench.network import (
     Dataset,
@@ -27,6 +29,7 @@ from boundbench.ntk import (
     _remainders,
     _span_u1,
     approx_error_sample,
+    faithful_horizon_log10,
     gaussian_init,
     init_diagnostics,
     make_clustered_dataset,
@@ -767,23 +770,33 @@ def test_phase_plan_rejects_a_bad_value_and_names_it(field, value):
         PhasePlan(**given)
 
 
+def auto_plan(n, p, L, gamma, **given):
+    """`PhasePlan.auto` as a theorem32 run calls it, with each phase_plan key
+    not `given` at the config schema's default ("auto" as None)."""
+    section = parse_config(
+        {"mode": "theorem32", "network": {"p": p, "L": L}, "data": {"clustered": {"r": 0.0, "n": 2}}}
+    ).phase_plan
+    keys = {k: None if v == "auto" else v for k, v in section.items() if k != "gamma"}
+    return PhasePlan.auto(n, p, L, gamma, **keys | given)
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
 def test_phase_plan_auto_rejects_a_bad_margin_and_names_it(gamma):
     with pytest.raises(ValueError, match="gamma"):
-        PhasePlan.auto(n=4, p=8, L=1, gamma=gamma)
+        auto_plan(n=4, p=8, L=1, gamma=gamma)
 
 
 def test_phase_plan_auto_reads_gamma_only_for_an_automatic_rho():
     # gamma is None when it was not estimated; an automatic T is the faithful horizon capped at 10,000
-    plan = PhasePlan.auto(n=4, p=8, L=1, gamma=None, rho=1.0)
-    assert plan.rho == 1.0 and plan.T_faithful_log10 > 4 and plan.T == 10_000
+    plan = auto_plan(n=4, p=8, L=1, gamma=None, rho=1.0)
+    assert plan.rho == 1.0 and faithful_horizon_log10(4, 1, plan.rho, plan.alpha_nt) > 4 and plan.T == 10_000
     with pytest.raises(ValueError, match="gamma"):
-        PhasePlan.auto(n=4, p=8, L=1, gamma=None)
+        auto_plan(n=4, p=8, L=1, gamma=None)
 
 
 def test_phase_plan_auto_formulas():
     n, p, L, gamma = 4, 64, 1, 0.5
-    plan = PhasePlan.auto(n=n, p=p, L=L, gamma=gamma, delta=0.05, T=500)
+    plan = auto_plan(n=n, p=p, L=L, gamma=gamma, delta=0.05, T=500)
     assert nt_smoothing_width(n, p, L) == pytest.approx(
         (1 + 24 * L) * math.log(n) / (6 * (6 * p) ** ((L + 1) / 2) * L**3), rel=1e-12
     )
@@ -792,9 +805,9 @@ def test_phase_plan_auto_formulas():
         math.sqrt(p) * gamma
     )
     assert plan.rho == pytest.approx(expected_rho, rel=1e-12)
-    # the faithful horizon is astronomically large and capped, but preserved
+    # the faithful horizon is astronomically large; the plan runs the T it is given
     assert plan.T == 500
-    assert plan.T_faithful_log10 == pytest.approx(
+    assert faithful_horizon_log10(n, L, plan.rho, plan.alpha_nt) == pytest.approx(
         math.log10(3 * (L + 1) * plan.rho**2 / (2 * plan.alpha_nt))
         + (2 + 24 * L) * math.log10(n),
         rel=1e-12,
@@ -802,24 +815,42 @@ def test_phase_plan_auto_formulas():
 
 
 def test_phase_plan_horizon_follows_the_given_radius_and_step():
-    base = PhasePlan.auto(n=4, p=16, L=1, gamma=0.3)
-    plan = PhasePlan.auto(n=4, p=16, L=1, gamma=0.3, rho=10 * base.rho, alpha_nt=base.alpha_nt / 10)
+    base = auto_plan(n=4, p=16, L=1, gamma=0.3)
+    plan = auto_plan(n=4, p=16, L=1, gamma=0.3, rho=10 * base.rho, alpha_nt=base.alpha_nt / 10)
     # T grows like rho^2 / alpha_nt: three decades
-    assert plan.T_faithful_log10 == pytest.approx(base.T_faithful_log10 + 3, rel=1e-12)
+    assert faithful_horizon_log10(4, 1, plan.rho, plan.alpha_nt) == pytest.approx(
+        faithful_horizon_log10(4, 1, base.rho, base.alpha_nt) + 3, rel=1e-12
+    )
 
 
 @pytest.mark.parametrize("key, value", [("h_nt", 0.01), ("T_faithful_log10", -7.0)])
 def test_phase_plan_auto_takes_no_width_or_horizon(key, value):
-    # the width is the activation's, and the plan always forms its own horizon
+    # the width is the activation's, and the horizon is formed from rho and alpha_nt
     with pytest.raises(TypeError, match=key):
-        PhasePlan.auto(n=4, p=16, L=1, gamma=0.3, T=5, **{key: value})
+        auto_plan(n=4, p=16, L=1, gamma=0.3, T=5, **{key: value})
+
+
+def test_phase_plan_holds_no_horizon_and_auto_no_defaults():
+    with pytest.raises(TypeError, match="T_faithful_log10"):
+        PhasePlan(alpha_nt=0.1, T=5, rho=1.0, T_faithful_log10=-7.0)
+    keywords = list(inspect.signature(PhasePlan.auto).parameters)[4:]
+    assert keywords == ["delta", "T", "alpha_nt", "rho", "stop_loss", "alpha_phase2", "phase2_steps"]
+    for name in keywords:  # the config schema is the one home of the defaults
+        assert inspect.signature(PhasePlan.auto).parameters[name].default is inspect.Parameter.empty
+    with pytest.raises(TypeError, match="phase2_steps"):
+        PhasePlan.auto(4, 16, 1, None, delta=0.05, T=5, alpha_nt=0.1, rho=1.0, stop_loss=None, alpha_phase2=None)
+    assert faithful_horizon_log10(4, 1, 0.0, 0.1) is None  # at rho = 0 the ball is V1 itself
 
 
 def test_phase_plan_auto_takes_given_numbers_as_floats():
-    plan = PhasePlan.auto(n=4, p=8, L=1, gamma=None, T=5, alpha_nt=1, rho=2, stop_loss=0, alpha_phase2=1)
+    plan = PhasePlan.auto(
+        n=4, p=8, L=1, gamma=None, delta=0.05, T=5, alpha_nt=1, rho=2, stop_loss=0, alpha_phase2=1, phase2_steps=0
+    )
     assert [type(v) for v in (plan.alpha_nt, plan.rho, plan.stop_loss, plan.alpha_phase2)] == [float] * 4
     assert (plan.T, plan.alpha_nt, plan.rho) == (5, 1.0, 2.0)
-    assert plan.T_faithful_log10 == pytest.approx(math.log10(1.5 * 2 * 4 / 1) + 26 * math.log10(4), rel=1e-12)
+    assert faithful_horizon_log10(4, 1, plan.rho, plan.alpha_nt) == pytest.approx(
+        math.log10(1.5 * 2 * 4 / 1) + 26 * math.log10(4), rel=1e-12
+    )
 
 
 def test_two_phase_echoes_the_width_it_trained_at():
@@ -827,8 +858,19 @@ def test_two_phase_echoes_the_width_it_trained_at():
     V1 = gaussian_init(InitSpec(p=p, L=1, seed=54))
     _, data = clustered(p, n, 0.0, seed=55)
     assert nt_smoothing_width(n, p, 1) != 0.01
-    log = two_phase_train(V1, huberized(0.01), data, PhasePlan.auto(n, p, 1, gamma=None, rho=1.0, T=3))
+    log = two_phase_train(V1, huberized(0.01), data, auto_plan(n, p, 1, gamma=None, rho=1.0, T=3))
     assert log.config_echo["plan"]["h_nt"] == 0.01
+
+
+def test_two_phase_echoes_the_horizon_of_its_plan():
+    # a plan built directly gets the horizon `auto` would form from its rho and alpha_nt
+    p, n = 16, 4
+    V1 = gaussian_init(InitSpec(p=p, L=1, seed=54))
+    _, data = clustered(p, n, 0.0, seed=55)
+    log = two_phase_train(V1, huberized(0.01), data, PhasePlan(alpha_nt=0.1, T=2, rho=1.0))
+    assert log.config_echo["plan"]["T_faithful_log10"] == faithful_horizon_log10(n, 1, 1.0, 0.1)
+    assert log.config_echo["plan"]["T_faithful_log10"] == pytest.approx(17.13, abs=0.005)
+    assert log.phase_boundary is None
 
 
 def test_run_phase_argmin_prefers_earliest():
@@ -942,7 +984,7 @@ def test_two_phase_mechanics_and_records():
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=51))
     rng = np.random.default_rng(52)
     data = make_clustered_dataset(p, 0.05, n, 53, rng.standard_normal(p))
-    plan = PhasePlan.auto(n=n, p=p, L=L, gamma=0.3, T=2000)
+    plan = auto_plan(n=n, p=p, L=L, gamma=0.3, T=2000)
     plan = replace(plan, stop_loss=0.05, phase2_steps=30, alpha_phase2=0.05)
     act = huberized(nt_smoothing_width(n, p, L))
     log = two_phase_train(V1, act, data, plan)

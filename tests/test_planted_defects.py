@@ -6,30 +6,38 @@ by monkeypatching and runs a headline `theorem31` config end to end at
 200 steps, so the start-up is the real one.
 
 Mutant: the rate constant of the I1 bound J_1/(q_tilde (t-1)+1) scaled by
-c > 1, by patching `harness.resolve_context` so the `theorem31` context
-carries c * q_tilde. A larger constant claims a faster rate than the
-analysis gives; only a rate the run does not reach can be caught.
+c > 1, by patching `bounds.compute_q_tilde`, which the context's `q_tilde`
+calls, so the monitor reads c * q_tilde. A larger constant claims a faster
+rate than the analysis gives; only a rate the run does not reach can be
+caught.
 
-Mutants in the update step, switched on only in the monitored
-`run_phase` call (the one of max_steps + 1 steps), while the start-up
-(warmup, width fixed point and scale bisection) is built once per run:
+The other mutants are switched on for the monitored phase only, while the
+start-up (warmup, width fixed point and scale bisection) is built once per
+run. Mutants in the update step, applied in the monitored `run_phase` call
+(the one of max_steps + 1 steps):
 - the gradient that `loss_and_gradient` returns scaled by m, so the step
   and the monitored columns both see it;
 - the tail gradient (layers 2..L and the outer row) alone scaled by m;
 - the tail's step in `descent_sweep` taken at m * alpha, while the monitor
   is told alpha.
+Mutants in what the monitor reads:
+- `descent` pairing row t with row t + 2, and the previous iterate's weight
+  norm, each an edit of `monitor_transition`'s source, which a `theorem31`
+  run calls once;
+- the activation's `deriv` at width 2h while `value` uses h, applied in the
+  monitored `run_phase` call.
 
 Known gaps are mutants no check catches today. The test fails when one
 becomes caught, so that the list stays true: move it to CAUGHT (or
-STEP_CAUGHT) then.
+STEP_CAUGHT, MONITOR_CAUGHT) then.
 """
 
-import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
-from boundbench import harness, ntk
+from boundbench import activations, bounds, harness, ntk
 
 MAX_STEPS = 200
 
@@ -63,14 +71,10 @@ KNOWN_GAPS = {
 
 def run_with_scaled_rate(monkeypatch, run, c):
     """(exit status, failed checks, worst i1 slack) of `run` with c * q_tilde."""
-    real = harness.resolve_context
-
-    def scaled(*args, **kwargs):
-        ctx = real(*args, **kwargs)
-        return dataclasses.replace(ctx, q_tilde=c * ctx.q_tilde)
+    real = bounds.compute_q_tilde
 
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "resolve_context", scaled)
+        patch.setattr(bounds, "compute_q_tilde", lambda *args: c * real(*args))
         runlog, status = harness.run(harness.parse_config(headline_config(*RUNS[run])))
     invariants = runlog.summary["invariants"]
     failed = {key: v["counts"]["fail"] for key, v in invariants.items() if v["counts"]["fail"]}
@@ -92,8 +96,26 @@ def test_scaled_rate_constant_matrix(monkeypatch):
         assert status == 0 and not failed, f"{mutant} is caught now: move it to CAUGHT"
 
 
-def scaled_gradient(m, tail_only=False):
+def in_monitored_phase(mutation):
+    """A switch that applies `mutation` inside the monitored `run_phase`
+    call only, the one of max_steps + 1 steps."""
+
     def switch(patch):
+        real_phase = harness.run_phase
+
+        def run_phase(V, act, data, alpha, max_steps, **kwargs):
+            with pytest.MonkeyPatch.context() as inner:
+                if max_steps == MAX_STEPS + 1:
+                    mutation(inner)
+                return real_phase(V, act, data, alpha, max_steps, **kwargs)
+
+        patch.setattr(harness, "run_phase", run_phase)
+
+    return switch
+
+
+def scaled_gradient(m, tail_only=False):
+    def mutation(patch):
         real = ntk.loss_and_gradient
 
         def mutated(*args):
@@ -102,19 +124,18 @@ def scaled_gradient(m, tail_only=False):
 
         patch.setattr(ntk, "loss_and_gradient", mutated)
 
-    return switch
+    return in_monitored_phase(mutation)
 
 
 def scaled_tail_step(m):
-    def switch(patch):
+    def mutation(patch):
         real = ntk.descent_sweep
         patch.setattr(ntk, "descent_sweep", lambda tail, grad, anchor, alpha: real(tail, grad, anchor, m * alpha))
 
-    return switch
+    return in_monitored_phase(mutation)
 
 
 STEP_MUTANTS = {
-    "none": lambda patch: None,
     **{f"gradient x{m:g}": scaled_gradient(m) for m in (-1.0, 0.5, 1e-3, 10.0, 1e6)},
     **{f"tail gradient x{m:g}": scaled_gradient(m, tail_only=True) for m in (0.0, -1.0)},
     **{f"tail step at {m:g} alpha": scaled_tail_step(m) for m in (0.0, 0.5, 2.0, 100.0, -1.0)},
@@ -143,10 +164,80 @@ STEP_GAPS = {
 }
 
 
-def step_mutant_matrix():
-    """(run, mutant) -> (exit status, {failed check: failing rows}, records)."""
+def mutated_monitor(*edits):
+    """A switch that swaps in `bounds.monitor_transition` with each (old,
+    new) edit made to its source text; a `theorem31` run calls it once, on
+    the monitored phase. Each old text must occur exactly once, so an edit
+    that stops applying fails."""
+
+    def switch(patch):
+        source = inspect.getsource(bounds.monitor_transition)
+        for old, new in edits:
+            assert source.count(old) == 1, old
+            source = source.replace(old, new)
+        namespace = dict(vars(bounds))
+        exec(compile(source, bounds.__file__, "exec"), namespace)
+        patch.setattr(harness, "monitor_transition", namespace["monitor_transition"])
+
+    return switch
+
+
+def doubled_deriv_width(patch):
+    real = activations.Activation.deriv
+
+    def deriv(act, z):
+        return real(activations.Activation(act.kind, 2 * act.h), z)
+
+    patch.setattr(activations.Activation, "deriv", deriv)
+
+
+MONITOR_MUTANTS = {
+    # row t read against row t + 2, not applicable on the last two rows
+    "descent pairs t with t+2": mutated_monitor(
+        (
+            "(descent_rhs[:-1] - J[1:]) / J[:-1], math.nan",
+            "(descent_rhs[:-2] - J[2:]) / J[:-2], [math.nan] * 2",
+        ),
+        ("& (t < k)", "& (t < k - 1)"),
+    ),
+    # each row reads the previous iterate's weight norm; the first keeps its own
+    "previous weight norm": mutated_monitor(
+        (
+            "trace.grad_norm, trace.weight_norm",
+            "trace.grad_norm, np.append(trace.weight_norm[:1], trace.weight_norm[:-1])",
+        ),
+    ),
+    # the activation's derivative at width 2h while its value uses h, in the monitored phase
+    "deriv at width 2h": in_monitored_phase(doubled_deriv_width),
+}
+# (run, mutant) -> the checks that must fail, with exit status 1
+MONITOR_CAUGHT = {}
+# (run, mutant) that exit 0 with no failed check. Two steps of descent
+# satisfy the one-step inequality with room to spare; the weight norm moves
+# by a few ulps a step at p4_L1 and not at all at p8_L2; and at p8_L2 no
+# pre-activation of the monitored phase lies in (0, 2h), where the two
+# widths' derivatives differ.
+MONITOR_GAPS = {(run, mutant) for run in RUNS for mutant in MONITOR_MUTANTS}
+
+
+def changed_columns(records, clean):
+    """The columns, slacks and verdicts of `records` that differ from `clean`."""
+    columns = ("loss", "log_loss", "grad_norm", "weight_norm", "lower_bound", "upper_bound", "rate_bound")
+    pairs = {name: (getattr(records, name), getattr(clean, name)) for name in columns}
+    for key in records.slacks:
+        pairs[f"slack {key}"] = records.slacks[key], clean.slacks[key]
+        pairs[f"verdict {key}"] = records.verdicts[key], clean.verdicts[key]
+    return [
+        name for name, (ours, theirs) in pairs.items()
+        if not np.array_equal(ours, theirs, equal_nan=ours.dtype.kind == "f")
+    ]
+
+
+@pytest.fixture(scope="module")
+def mutant_matrix():
+    """(run, mutant) -> (exit status, {failed check: failing rows}, records)
+    for every mutant and the clean run "none"."""
     startups = {}  # (function, p, L) -> its result, computed once per run
-    real_phase = harness.run_phase
 
     def once(name):
         real = getattr(harness, name)
@@ -163,39 +254,45 @@ def step_mutant_matrix():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "warmup", once("warmup"))
         patch.setattr(harness, "resolve_theorem31_setup", once("resolve_theorem31_setup"))
-        for mutant, switch in STEP_MUTANTS.items():
-
-            def run_phase(V, act, data, alpha, max_steps, **kwargs):
-                with pytest.MonkeyPatch.context() as inner:
-                    if max_steps == MAX_STEPS + 1:  # the monitored phase only
-                        switch(inner)
-                    return real_phase(V, act, data, alpha, max_steps, **kwargs)
-
-            patch.setattr(harness, "run_phase", run_phase)
+        for mutant, switch in {"none": lambda patch: None, **STEP_MUTANTS, **MONITOR_MUTANTS}.items():
             for run, shape in RUNS.items():
-                runlog, status = harness.run(harness.parse_config(headline_config(*shape)))
+                with pytest.MonkeyPatch.context() as mutation:
+                    switch(mutation)
+                    runlog, status = harness.run(harness.parse_config(headline_config(*shape)))
                 invariants = runlog.summary["invariants"]
                 failed = {key: v["counts"]["fail"] for key, v in invariants.items() if v["counts"]["fail"]}
                 matrix[run, mutant] = status, failed, runlog.records
     return matrix
 
 
-def test_step_mutant_matrix():
-    matrix = step_mutant_matrix()
-    print("\nmutant x run: exit status, failed checks (failing rows of 200)")
-    for (run, mutant), (status, failed, _) in matrix.items():
-        caught = ", ".join(f"{key} ({count})" for key, count in sorted(failed.items())) or "none"
-        print(f"  {mutant:24} {run}: exit {status}, fails {caught}")
-    assert STEP_CAUGHT.keys() | STEP_GAPS == {key for key in matrix if key[1] != "none"}
+def check_matrix(matrix, mutants, caught, gaps):
+    """Print the rows of `mutants` and assert the caught and gap lists."""
+    print("\nmutant x run: exit status, failed checks (failing rows of 200); changed")
     for run in RUNS:
         assert matrix[run, "none"][:2] == (0, {})
-    clean = matrix["p4_L1", "none"][2].loss
-    for (run, mutant), (_, _, records) in matrix.items():
-        if run == "p4_L1" and mutant != "none":  # every mutant is live where the iterate moves
-            assert not np.array_equal(records.loss, clean), mutant
-    for key, checks in STEP_CAUGHT.items():
+    for mutant in mutants:
+        for run in RUNS:
+            status, failed, records = matrix[run, mutant]
+            fails = ", ".join(f"{key} ({count})" for key, count in sorted(failed.items())) or "none"
+            changed = ", ".join(changed_columns(records, matrix[run, "none"][2])) or "nothing"
+            print(f"  {mutant:24} {run}: exit {status}, fails {fails}; changed {changed}")
+    assert caught.keys() | gaps == {(run, mutant) for run in RUNS for mutant in mutants}
+    for key, checks in caught.items():
         status, failed, _ = matrix[key]
         assert status == 1 and checks <= failed.keys(), key
-    for key in STEP_GAPS:
+    for key in gaps:
         status, failed, _ = matrix[key]
-        assert status == 0 and not failed, f"{key} is caught now: move it to STEP_CAUGHT"
+        assert status == 0 and not failed, f"{key} is caught now: move it to the caught list"
+
+
+def test_step_mutant_matrix(mutant_matrix):
+    check_matrix(mutant_matrix, STEP_MUTANTS, STEP_CAUGHT, STEP_GAPS)
+    clean = mutant_matrix["p4_L1", "none"][2].loss
+    for mutant in STEP_MUTANTS:  # every mutant is live where the iterate moves
+        assert not np.array_equal(mutant_matrix["p4_L1", mutant][2].loss, clean), mutant
+
+
+def test_monitor_mutant_matrix(mutant_matrix):
+    check_matrix(mutant_matrix, MONITOR_MUTANTS, MONITOR_CAUGHT, MONITOR_GAPS)
+    for mutant in MONITOR_MUTANTS:  # every mutant changes what the run reports
+        assert changed_columns(mutant_matrix["p4_L1", mutant][2], mutant_matrix["p4_L1", "none"][2]), mutant
