@@ -137,6 +137,12 @@ def grad_upper_bound(J: LossValue, normV, p: int, L: int):
     return math.sqrt((L + 1) * p) * _libm(pow, normV, L + 1) * np.minimum(J.value, 1.0)
 
 
+def descent_decrease(alpha: float, grad_norm, L: int):
+    """(L/(L+1/2)) alpha ||g||^2, with ||g|| = m 2^e squared as m^2 and scaled back exactly."""
+    m, e = np.frexp(grad_norm)
+    return np.ldexp((L / (L + 0.5)) * alpha * _libm(pow, m, 2), 2 * e)
+
+
 def grad_upper_bound_applicable(normV: float, L: int) -> bool:
     return normV >= math.sqrt(L + 0.5)
 
@@ -346,7 +352,7 @@ def monitor_transition(trace: PhaseTrace, ctx: RunContext, phase: int) -> Trajec
         verdicts["floor"] = _verdicts(slacks["floor"] > tol["floor"], floor_applicable)
 
         # one-step descent against the next row; the last row has none
-        descent_rhs = J - (L / (L + 0.5)) * ctx.alpha * _libm(pow, grad_norm, 2)
+        descent_rhs = J - descent_decrease(ctx.alpha, grad_norm, L)
         slacks["descent"] = np.append((descent_rhs[:-1] - J[1:]) / J[:-1], math.nan)
         descent_applicable = inst and small_loss & (verdicts["i3"] == "pass") & (t < k)
         verdicts["descent"] = _verdicts(slacks["descent"] >= -tol["descent"], descent_applicable)

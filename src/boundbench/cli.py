@@ -16,19 +16,19 @@ Exit status:
     0  every monitored check passed or was not applicable
     1  a monitored inequality failed
     2  a bad config or input: an invalid or truncated JSON file, an unknown
-       mode, section or key, a section its mode does not read, a mistyped
-       or out-of-range field (a string where a number belongs, a
-       data.clustered.r above 1/16), a malformed inline or file sample, a
-       data set whose width is not network.p, a theorem32 gamma estimate
-       that finds no positive tangent margin, a gamma that puts the
-       automatic rho beyond the float range, a phase-2 step size that needs
-       phase_plan.alpha_phase2, an "auto" network.h (theorem32 or
-       diagnostics) for a single sample (log n = 0), an init.target_loss
-       below the normal double range (an "auto" target 0.5 n^-(1+24L) that
-       underflows), a negative --seed-override, or a file or directory that
-       cannot be read or written (a missing or non-UTF-8 config, a
-       directory given as a file, an --out that is a file or lies under
-       one); an unusable --out fails before training
+       mode, section or key, a section its mode does not read, a mistyped or
+       out-of-range field (a string where a number belongs, a data.clustered.r
+       above 1/16), a malformed inline or file sample, a data set whose width
+       is not network.p, a theorem32 gamma estimate that finds no positive
+       tangent margin, a gamma that puts the automatic rho beyond the float
+       range, a phase-2 step size that needs phase_plan.alpha_phase2, an unread
+       phase_plan.delta (rho given) or alpha_phase2 (phase2_steps 0), an "auto"
+       network.h (theorem32 or diagnostics) for a single sample (log n = 0), an
+       init.target_loss below the normal double range (an "auto" target 0.5
+       n^-(1+24L) that underflows), a negative --seed-override, or a file or
+       directory that cannot be read or written (a missing or non-UTF-8 config,
+       a directory given as a file, an --out that is a file or lies under one);
+       an unusable --out fails before training
     3  the run could not be carried out: no derived seed classified every
        sample at the resolved width, the outer-layer scale search failed,
        or training hit a non-finite loss or gradient

@@ -71,9 +71,12 @@ class RunConfig:
     output: dict
 
     def to_json_dict(self) -> dict:
-        """The mode and every section it read, each copied."""
+        """The mode and every section it read, each copied; no phase_plan.delta beside a given rho."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v if k == "mode" else dict(v) for k, v in doc.items() if v is not None}
+        echo = {k: v if k == "mode" else dict(v) for k, v in doc.items() if v is not None}
+        if self.phase_plan is not None and self.phase_plan["rho"] != "auto":
+            del echo["phase_plan"]["delta"]
+        return echo
 
 
 def _expect(cond: bool, path: str, message: str) -> None:
@@ -216,8 +219,8 @@ _SCHEMA = {
 
 
 def parse_config(source: str | dict) -> RunConfig:
-    """Validate a JSON config, its mode first; a bad field or a section the
-    mode does not read raises `ConfigError` naming its path."""
+    """Validate a JSON config, its mode first; a bad field, a section the mode
+    does not read or an unread phase_plan.delta or alpha_phase2 raises `ConfigError` naming its path."""
     doc = json.loads(source) if isinstance(source, str) else source
     _expect(isinstance(doc, dict), "config", "must be a JSON object")
     mode = _mode(doc.get("mode"), "mode")
@@ -228,6 +231,11 @@ def parse_config(source: str | dict) -> RunConfig:
     data = top["data"]
     present = [k for k in ("inline", "file", "clustered") if data[k] is not None]
     _expect(len(present) == 1, "data", f"exactly one of inline/file/clustered required, got {present}")
+    if (plan := top.get("phase_plan")) is not None:
+        read = plan["rho"] == "auto" or "delta" not in doc["phase_plan"]
+        _expect(read, "phase_plan.delta", "is read only with an automatic rho")
+        read = plan["alpha_phase2"] is None or plan["phase2_steps"] > 0
+        _expect(read, "phase_plan.alpha_phase2", "is read only when phase2_steps > 0")
     return RunConfig(**dict.fromkeys(unread), **top)
 
 

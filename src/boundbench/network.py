@@ -289,24 +289,23 @@ def _combine_features(
 
 def loss_and_gradient(
     point: tuple[np.ndarray, WeightStack], act: Activation, data: Dataset
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Mean loss, its log and its exact gradient, in one batched pass, at a
-    network known through its first layer's pre-activations at the inputs,
-    u1 = X W_1^T (n x p), and `tail`, the stack of layers 2..L and the outer
-    row (depth L - 1: only the outer row at L = 1): the point (u1, tail).
+) -> tuple[float, float, np.ndarray, np.ndarray, int]:
+    """Mean loss, its log, its exact gradient times 2^k, and k, from one
+    batched pass (`_Tangent.at_point`) at a network known through its first
+    layer's pre-activations at the inputs, u1 = X W_1^T (n x p), and `tail`,
+    the stack of layers 2..L and the outer row (depth L - 1): the point (u1, tail).
 
     With c_i = -y_i g(z_i) / n, the layer-l block is (c * B_l)^T X_{l-1}
-    and the outer block is c^T X_L. The gradient is (C, tail gradient): the
-    first block stays in the coordinates of the inputs, C^T X with
-    C = c * B_1 (n x p), and the rest is a new flat vector shaped like
-    `tail.flat`. The loss and its log equal `total_loss` of the point's
-    network exactly. It builds no stack object.
+    and the outer block is c^T X_L; layer 1's stays in the coordinates of
+    the inputs, C^T X with C = c * B_1. C and the rest, a new flat vector,
+    come back times 2^k: k >= 0 lifts the largest g, the smallest margin's,
+    into [1/2, 1] before any product, so the squares of the gradient's
+    entries stay normal at depth. The loss and its log equal `total_loss` of
+    the point's network exactly.
     """
-    u1, tail = point
-    above, outer = tail.hidden, tail.outer[0]
-    _, xs, sigmas, output = _forward(act, u1, above, outer)
+    output, bs, below, top = _Tangent.at_point(act, None, point)
     loss, _, c = logistic(data.labels * output)
-    c *= data.labels  # c = -y g / n, in g's buffer
-    c /= -data.n
-    bs = sensitivities(sigmas, above, outer)
-    return loss.value, loss.log_value, c[:, None] * bs[0], _combine_features([c] * len(bs), bs[1:], xs[:-1], xs[-1])
+    k = max(-math.frexp(float(np.maximum.reduce(c)))[1], 0)  # c is g here, in (0, 1]
+    c *= data.labels  # c = -y g 2^k / n, in g's buffer
+    c /= math.ldexp(-data.n, -k)
+    return loss.value, loss.log_value, c[:, None] * bs[0], _combine_features([c] * len(bs), bs[1:], below[1:], top), k

@@ -598,11 +598,13 @@ def run_phase(
     is one `loss_and_gradient` call at the point (u_1, tail) and one
     `linalg.descent_sweep` over the tail (layers 2..L and the outer row),
     which measures the rest and writes the next tail with its squared norm.
-    An iterate is the pair (A, tail), which `phase_stack` turns into a
-    stack. The iterate starts at V, or at `start`, such as `trace.best` of a
-    phase run from V, whose argmin row the first row then repeats bit for
-    bit. Drift is measured from V. Columns and iterates equal repeated
-    `stack_axpy(cur, -alpha, grad)` to rounding.
+    The kernel returns C and the tail gradient times 2^k: ||g||^2 and <g, W>
+    are summed at that scale and undone by an exact ldexp, and the step
+    (alpha 2^-k)(g 2^k) rounds as alpha g does. An iterate is the pair
+    (A, tail), which `phase_stack` turns into a stack. It starts at V, or at
+    `start`, such as `trace.best` of a phase run from V, whose argmin row the
+    first row then repeats bit for bit. Drift is measured from V. Columns
+    and iterates equal repeated `stack_axpy(cur, -alpha, grad)` to rounding.
 
     Loss, log loss, gradient norm, weight norm, gradient-weight product and
     drift are kept as one row of floats per step taken and become six
@@ -626,26 +628,21 @@ def run_phase(
     best_step, best, best_loss = 0, None, math.inf
     kc = K @ coef
     drift_sq, cross = np.einsum("ij,kij->k", coef, (kc, U0)).tolist()  # one call, two sums
-    # below this, squares rounded in the subnormal range can cost the gradient's sum more than eps/2
-    underflow_sq = math.ldexp(coef.size + anchor.flat.size, -1022)
     for t in range(1, max_steps + 1):
         first_sq = base_sq + 2.0 * cross + drift_sq
         u1 = np.add(U0, kc, out=terms[1, 0])
-        loss, log_loss, C, tail_grad = loss_and_gradient((u1, tail), act, data)
-        sweep = descent_sweep(tail, tail_grad, anchor, alpha)
+        loss, log_loss, C, tail_grad, k = loss_and_gradient((u1, tail), act, data)
+        step = math.ldexp(alpha, -k)
+        sweep = descent_sweep(tail, tail_grad, anchor, step)
         # C and A' = A - alpha C, with their K-products from one GEMM call; one
         # einsum call makes this step's two sums and the next iterate's two
         pair = np.empty((2, *C.shape))
         pair[0] = C
-        np.subtract(coef, alpha * C, out=pair[1])
+        np.subtract(coef, step * C, out=pair[1])
         k_pair = np.matmul(K, pair, out=terms[0])
         sums = _c_einsum("kij,lkij->lk", pair, terms).tolist()
         (first_grad_sq, next_drift_sq), (first_grad_dot, next_cross) = sums
-        grad_norm = math.sqrt(first_grad_sq + sweep.grad_sq)
-        if first_grad_sq + sweep.grad_sq < underflow_sq:  # sum copies scaled by 2^-e (exact), then unscale
-            e = math.frexp(max(np.max(np.abs(C)), np.max(np.abs(tail_grad))))[1]
-            Cs, gs = np.ldexp(C, -e), np.ldexp(tail_grad, -e)
-            grad_norm = math.ldexp(math.sqrt(_einsum_dot((K @ Cs).ravel(), Cs.ravel()) + _stack_sum(gs, gs)), e)
+        grad_norm = math.ldexp(math.sqrt(first_grad_sq + sweep.grad_sq), -k)
         if not (math.isfinite(loss) and math.isfinite(grad_norm)):
             raise NumericalDivergenceError(t)
         rows.append((
@@ -653,7 +650,7 @@ def run_phase(
             log_loss,
             grad_norm,
             math.sqrt(first_sq + tail_sq),
-            first_grad_dot + sweep.grad_dot,
+            math.ldexp(first_grad_dot + sweep.grad_dot, -k),
             math.sqrt(max(drift_sq, *sweep.layer_drift_sq)),
         ))
         if loss < best_loss:  # the loss is finite here; earliest step on ties

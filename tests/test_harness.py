@@ -575,29 +575,31 @@ def test_theorem31_constants_repeat_the_first_row_bit_for_bit():
 
 
 def test_deep_small_loss_gradient_norm_is_summed_without_underflow(monkeypatch):
-    # at p=8, L=6, n=24 the gradient's entries are near 1e-199: their squares
-    # underflow, and an unscaled sum read 0.0 and failed `lower` on every row
+    # at p=8, L=6, n=24 the gradient's entries are near 1e-199 and their
+    # squares underflow: the kernel returns them times 2^k, k > 0, and the
+    # norm is summed at that scale. An unscaled sum read 0.0 and failed
+    # `lower` on every row
     doc = minimal_config(
         network={"p": 8, "L": 6, "h": "auto"},
         data={"clustered": {"r": 0.05, "n": 24}},
         init={"warmup_steps": 200, "warmup_retries": 1},
     )
-    grads = []
+    steps = []
     real = ntk.loss_and_gradient
 
     def recording(*args):
-        loss, log_loss, C, tail_grad = real(*args)
-        grads.append((C.copy(), tail_grad.copy()))
-        return loss, log_loss, C, tail_grad
+        steps.append(real(*args))
+        return steps[-1]
 
     monkeypatch.setattr(ntk, "loss_and_gradient", recording)
     runlog, status = run(parse_config(doc))
     records, X = runlog.records, build_dataset(parse_config(doc)).inputs
-    reference = []
-    for C, tail_grad in grads[-(len(records) + 1) : -1]:  # the monitored phase has one lookahead step
-        e = math.frexp(max(np.max(np.abs(C)), np.max(np.abs(tail_grad))))[1]
-        scaled = np.concatenate([(np.ldexp(C, -e).T @ X).ravel(), np.ldexp(tail_grad, -e)])
-        reference.append(math.ldexp(math.sqrt(np.sum(scaled * scaled)), e))
+    monitored = steps[-(len(records) + 1) : -1]  # the monitored phase has one lookahead step
+    assert min(k for *_, k in monitored) > 0
+    reference = [
+        math.ldexp(math.sqrt(math.fsum(np.concatenate([(C.T @ X).ravel(), tail_grad]) ** 2)), -k)
+        for _, _, C, tail_grad, k in monitored
+    ]
     assert 1e-199 < min(reference) and max(reference) < 1e-197
     np.testing.assert_allclose(records.grad_norm, reference, rtol=1e-12, atol=0)
     assert status == 0 and records.verdicts["lower"].tolist() == ["pass"] * 50
@@ -786,6 +788,25 @@ def test_cli_exits_3_when_the_gradient_overflows(tmp_path, capsys, activation, w
     err = capsys.readouterr().err
     assert err.startswith("error: the run could not be carried out")
     assert "non-finite loss or gradient" in err
+
+
+@pytest.mark.parametrize(
+    "plan, key",
+    [({"rho": 1.0, "delta": 0.05}, "delta"), ({"alpha_phase2": 0.05, "phase2_steps": 0}, "alpha_phase2")],
+    ids=["delta-with-given-rho", "alpha_phase2-without-phase2"],
+)
+def test_cli_rejects_a_phase_plan_key_the_run_would_not_read(tmp_path, capsys, plan, key):
+    doc = theorem32_overrides_config()
+    doc["phase_plan"] = {"T": 5, **plan}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: phase_plan.{key}: ") and err.count("\n") == 1
+    # without the inert key the config parses, and its echo parses to itself
+    del doc["phase_plan"][key]
+    echo = parse_config(doc).to_json_dict()
+    assert parse_config(echo).to_json_dict() == echo and ("delta" in echo["phase_plan"]) == (key != "delta")
 
 
 def test_cli_rejects_unresolvable_phase2_step_size(tmp_path, capsys):

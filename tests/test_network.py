@@ -330,12 +330,15 @@ def test_loss_and_gradient_agrees_with_separate_calls():
     act = huberized(0.7)
     data = make_dataset(3, 4, seed=82)
     point = (data.inputs @ V.hidden[0].T, _tail(V))
-    loss, log_loss, C, tail = loss_and_gradient(point, act, data)
+    loss, log_loss, C, tail, k = loss_and_gradient(point, act, data)
     want = total_loss(V, act, data)
     assert (loss, log_loss) == (want.value, want.log_value)
+    # the gradient comes back times 2^k, with k lifting the largest g into [1/2, 1]
+    outputs = np.array([forward(V, act, x).output for x in data.inputs])
+    assert 0.5 <= np.max(logistic(data.labels * outputs)[2]) * 2.0**k <= 1.0
     sep = gradient_reference(V, act, data)
-    np.testing.assert_array_equal(C.T @ data.inputs, sep.hidden[0])
-    assert tail.tobytes() == sep.flat[V.p * V.p :].tobytes()
+    np.testing.assert_array_equal(np.ldexp(C.T @ data.inputs, -k), sep.hidden[0])
+    assert np.ldexp(tail, -k).tobytes() == sep.flat[V.p * V.p :].tobytes()
 
 
 @pytest.mark.parametrize("make_act", [huberized, swish])
@@ -347,8 +350,8 @@ def test_gradient_equals_the_all_layer_form_bit_for_bit(make_act, p, L, n):
     act = make_act(0.3)
     V = random_stack(p, L, seed=700 + p + L, scale=1.5 / math.sqrt(p))
     data = make_dataset(p, n, seed=800 + n)
-    C, tail = loss_and_gradient(_point(V, data.inputs), act, data)[2:]
-    point_form = np.concatenate([(C.T @ data.inputs).ravel(), tail])
+    C, tail, k = loss_and_gradient(_point(V, data.inputs), act, data)[2:]
+    point_form = np.ldexp(np.concatenate([(C.T @ data.inputs).ravel(), tail]), -k)  # exact: no entry is subnormal
     assert point_form.tobytes() == gradient_reference(V, act, data).flat.tobytes()
 
 

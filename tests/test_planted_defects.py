@@ -2,8 +2,10 @@
 
 The acceptance criteria show that the checks pass on correct code; these
 mutants show which of them fail on wrong code. Each mutant is switched on
-by monkeypatching and runs a headline `theorem31` config end to end at
-200 steps, so the start-up is the real one.
+by monkeypatching and runs `theorem31` configs end to end, so the start-up
+is the real one: the two headline configs at 200 steps, and at 50 steps
+the deep p=8, L=6, n=24 config, whose gradient's squares underflow unless
+the kernel scales it by 2^k.
 
 Mutant: the rate constant of the I1 bound J_1/(q_tilde (t-1)+1) scaled by
 c > 1, by patching `bounds.compute_q_tilde`, which the context's `q_tilde`
@@ -14,7 +16,7 @@ caught.
 The other mutants are switched on for the monitored phase only, while the
 start-up (warmup, width fixed point and scale bisection) is built once per
 run. Mutants in the update step, applied in the monitored `run_phase` call
-(the one of max_steps + 1 steps):
+(the only one given a loss floor):
 - the gradient that `loss_and_gradient` returns scaled by m, so the step
   and the monitored columns both see it;
 - the tail gradient (layers 2..L and the outer row) alone scaled by m;
@@ -26,10 +28,16 @@ Mutants in what the monitor reads:
   run calls once;
 - the activation's `deriv` at width 2h while `value` uses h, applied in the
   monitored `run_phase` call.
+Mutants in the kernel's power-of-two scale, in the monitored phase:
+- `grad_norm` scaled back by 2^-(k-1) and the step taken at alpha 2^-(k-1),
+  each an edit of `run_phase`'s source: twice the norm and twice the step;
+- k forced to 0, an edit of `loss_and_gradient`'s source, which leaves the
+  squares of a gradient near 1e-199 to underflow and changes no bit where
+  none underflows.
 
 Known gaps are mutants no check catches today. The test fails when one
 becomes caught, so that the list stays true: move it to CAUGHT (or
-STEP_CAUGHT, MONITOR_CAUGHT) then.
+STEP_CAUGHT, MONITOR_CAUGHT, SCALE_CAUGHT) then.
 """
 
 import inspect
@@ -37,24 +45,30 @@ import inspect
 import numpy as np
 import pytest
 
-from boundbench import activations, bounds, harness, ntk
-
-MAX_STEPS = 200
+from boundbench import activations, bounds, harness, network, ntk
 
 
-def headline_config(p, L):
+def theorem31_config(p, L, n=3, steps=200, warmup_steps=3000, warmup_retries=4):
     return {
         "mode": "theorem31",
         "network": {"p": p, "L": L, "activation": "huberized", "h": "auto"},
-        "data": {"clustered": {"r": 0.05, "n": 3}},
-        "optimizer": {"alpha": "auto", "max_steps": MAX_STEPS},
-        "init": {"warmup_steps": 3000, "warmup_alpha": 0.5, "target_loss": "auto"},
+        "data": {"clustered": {"r": 0.05, "n": n}},
+        "optimizer": {"alpha": "auto", "max_steps": steps},
+        "init": {
+            "warmup_steps": warmup_steps, "warmup_alpha": 0.5, "target_loss": "auto", "warmup_retries": warmup_retries
+        },
         "seeds": {"init": 0, "data": 1, "probes": 2},
         "output": {"dir": None},
     }
 
 
-RUNS = {"p4_L1": (4, 1), "p8_L2": (8, 2)}
+# the two headline configs, and the deep one where J1 = n^-(1+24L) / 2 puts the
+# gradient's entries near 1e-199, so their squares underflow unless scaled
+RUNS = {
+    "p4_L1": theorem31_config(4, 1),
+    "p8_L2": theorem31_config(8, 2),
+    "p8_L6": theorem31_config(8, 6, n=24, steps=50, warmup_steps=200, warmup_retries=1),
+}
 # (run, c) -> the checks that must fail, with exit status 1
 CAUGHT = {
     ("p4_L1", 100.0): {"i1"},
@@ -75,7 +89,7 @@ def run_with_scaled_rate(monkeypatch, run, c):
 
     with monkeypatch.context() as patch:
         patch.setattr(bounds, "compute_q_tilde", lambda *args: c * real(*args))
-        runlog, status = harness.run(harness.parse_config(headline_config(*RUNS[run])))
+        runlog, status = harness.run(harness.parse_config(RUNS[run]))
     invariants = runlog.summary["invariants"]
     failed = {key: v["counts"]["fail"] for key, v in invariants.items() if v["counts"]["fail"]}
     return status, failed, invariants["i1"]["worst_slack"]
@@ -98,14 +112,14 @@ def test_scaled_rate_constant_matrix(monkeypatch):
 
 def in_monitored_phase(mutation):
     """A switch that applies `mutation` inside the monitored `run_phase`
-    call only, the one of max_steps + 1 steps."""
+    call only, the one given a loss floor."""
 
     def switch(patch):
         real_phase = harness.run_phase
 
         def run_phase(V, act, data, alpha, max_steps, **kwargs):
             with pytest.MonkeyPatch.context() as inner:
-                if max_steps == MAX_STEPS + 1:
+                if "stop_loss" in kwargs:
                     mutation(inner)
                 return real_phase(V, act, data, alpha, max_steps, **kwargs)
 
@@ -119,8 +133,8 @@ def scaled_gradient(m, tail_only=False):
         real = ntk.loss_and_gradient
 
         def mutated(*args):
-            loss, log_loss, C, tail_grad = real(*args)
-            return loss, log_loss, C if tail_only else m * C, m * tail_grad
+            loss, log_loss, C, tail_grad, k = real(*args)
+            return loss, log_loss, C if tail_only else m * C, m * tail_grad, k
 
         patch.setattr(ntk, "loss_and_gradient", mutated)
 
@@ -144,40 +158,52 @@ STEP_MUTANTS = {
 STEP_CAUGHT = {
     ("p4_L1", "gradient x-1"): {"alignment", "i1", "i3"},
     ("p8_L2", "gradient x-1"): {"alignment"},
+    ("p8_L6", "gradient x-1"): {"alignment"},
     ("p4_L1", "gradient x0.5"): {"alignment"},
     ("p8_L2", "gradient x0.5"): {"alignment"},
+    ("p8_L6", "gradient x0.5"): {"alignment"},
     ("p4_L1", "gradient x0.001"): {"alignment", "i1", "lower"},
     ("p8_L2", "gradient x0.001"): {"alignment", "lower"},
+    ("p8_L6", "gradient x0.001"): {"alignment", "lower"},
     ("p4_L1", "gradient x10"): {"descent"},
     ("p4_L1", "gradient x1e+06"): {"descent", "upper"},
     ("p8_L2", "gradient x1e+06"): {"descent", "upper"},
     **{(run, f"tail gradient x{m:g}"): {"alignment"} for run in RUNS for m in (0.0, -1.0)},
 }
-# (run, mutant) that exit 0 with no failed check. At p8_L2 the step rounds
-# away (the iterate never changes), so ten times the gradient predicts a
-# decrease far below the descent tolerance, and no tail step, not even
-# 100 alpha or -alpha, changes a bit of the trajectory. At p4_L1 the
-# tail's step changes the trajectory, but no check reads the step taken.
+# (run, mutant) that exit 0 with no failed check. At p8_L2 and p8_L6 the
+# step rounds away (the iterate never changes), so ten times the gradient
+# predicts a decrease far below the descent tolerance, and no tail step, not
+# even 100 alpha or -alpha, changes a bit of the trajectory. At p8_L6 even
+# 1e6 times the gradient moves no iterate, and `upper` holds by 12 orders.
+# At p4_L1 the tail's step changes the trajectory, but no check reads the
+# step taken.
 STEP_GAPS = {
     ("p8_L2", "gradient x10"),
+    ("p8_L6", "gradient x10"),
+    ("p8_L6", "gradient x1e+06"),
     *((run, f"tail step at {m:g} alpha") for run in RUNS for m in (0.0, 0.5, 2.0, 100.0, -1.0)),
 }
 
 
+def edited(fn, *edits):
+    """`fn` compiled again, in a copy of its module's namespace, with each
+    (old, new) edit made to its source text. Each old text must occur
+    exactly once, so an edit that stops applying fails."""
+    source = inspect.getsource(fn)
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(compile(source, inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
 def mutated_monitor(*edits):
-    """A switch that swaps in `bounds.monitor_transition` with each (old,
-    new) edit made to its source text; a `theorem31` run calls it once, on
-    the monitored phase. Each old text must occur exactly once, so an edit
-    that stops applying fails."""
+    """A switch that swaps in `bounds.monitor_transition` with each edit
+    made; a `theorem31` run calls it once, on the monitored phase."""
 
     def switch(patch):
-        source = inspect.getsource(bounds.monitor_transition)
-        for old, new in edits:
-            assert source.count(old) == 1, old
-            source = source.replace(old, new)
-        namespace = dict(vars(bounds))
-        exec(compile(source, bounds.__file__, "exec"), namespace)
-        patch.setattr(harness, "monitor_transition", namespace["monitor_transition"])
+        patch.setattr(harness, "monitor_transition", edited(bounds.monitor_transition, *edits))
 
     return switch
 
@@ -214,10 +240,50 @@ MONITOR_MUTANTS = {
 MONITOR_CAUGHT = {}
 # (run, mutant) that exit 0 with no failed check. Two steps of descent
 # satisfy the one-step inequality with room to spare; the weight norm moves
-# by a few ulps a step at p4_L1 and not at all at p8_L2; and at p8_L2 no
-# pre-activation of the monitored phase lies in (0, 2h), where the two
-# widths' derivatives differ.
+# by a few ulps a step at p4_L1 and not at all at p8_L2 and p8_L6; and at
+# p8_L2 and p8_L6 no pre-activation of the monitored phase lies in (0, 2h),
+# where the two widths' derivatives differ.
 MONITOR_GAPS = {(run, mutant) for run in RUNS for mutant in MONITOR_MUTANTS}
+
+
+def mutated_phase(*edits):
+    """A switch that runs the monitored `run_phase` call with each edit made
+    to its source."""
+
+    def switch(patch):
+        real, mutant = harness.run_phase, edited(ntk.run_phase, *edits)
+
+        def run_phase(V, act, data, alpha, max_steps, **kwargs):
+            return (mutant if "stop_loss" in kwargs else real)(V, act, data, alpha, max_steps, **kwargs)
+
+        patch.setattr(harness, "run_phase", run_phase)
+
+    return switch
+
+
+def unscaled_kernel(patch):
+    unscaled = edited(network.loss_and_gradient, ("k = max(-math.frexp(float(np.maximum.reduce(c)))[1], 0)", "k = 0"))
+    patch.setattr(ntk, "loss_and_gradient", unscaled)
+
+
+# Mutants on the kernel's power-of-two scale: the kernel returns the gradient
+# times 2^k, and `run_phase` undoes it in the norm and in the step
+SCALE_MUTANTS = {
+    "grad_norm at 2^-(k-1)": mutated_phase(
+        ("math.sqrt(first_grad_sq + sweep.grad_sq), -k)", "math.sqrt(first_grad_sq + sweep.grad_sq), -(k - 1))"),
+    ),
+    "step at alpha 2^-(k-1)": mutated_phase(("math.ldexp(alpha, -k)", "math.ldexp(alpha, -(k - 1))")),
+    "k forced to 0": in_monitored_phase(unscaled_kernel),
+}
+# (run, mutant) -> the checks that must fail, with exit status 1. Unscaled,
+# the L=6 gradient's squares underflow and `lower` fails on every row
+SCALE_CAUGHT = {("p8_L6", "k forced to 0"): {"lower"}}
+# (run, mutant) that exit 0 with no failed check. Twice the norm sits
+# further above `lower` and still far below `upper`, and four times the
+# predicted decrease stays below the descent tolerance; twice the step is a
+# tail step at 2 alpha for the whole gradient. Where no square underflows,
+# as at the headline runs, forcing k to 0 changes no bit.
+SCALE_GAPS = {(run, mutant) for run in RUNS for mutant in SCALE_MUTANTS} - SCALE_CAUGHT.keys()
 
 
 def changed_columns(records, clean):
@@ -237,16 +303,22 @@ def changed_columns(records, clean):
 def mutant_matrix():
     """(run, mutant) -> (exit status, {failed check: failing rows}, records)
     for every mutant and the clean run "none"."""
-    startups = {}  # (function, p, L) -> its result, computed once per run
+    startups = {}  # (function, stack bytes) -> (its result, its MisclassifiedError)
 
     def once(name):
         real = getattr(harness, name)
 
         def cached(stack, *args):
-            key = (name, stack.p, stack.depth)
+            key = (name, stack.flat.tobytes())
             if key not in startups:
-                startups[key] = real(stack, *args)
-            return startups[key]
+                try:
+                    startups[key] = real(stack, *args), None
+                except harness.MisclassifiedError as exc:  # p8_L6 retries from the next init seed
+                    startups[key] = None, exc
+            result, error = startups[key]
+            if error is not None:
+                raise error
+            return result
 
         return cached
 
@@ -254,11 +326,12 @@ def mutant_matrix():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "warmup", once("warmup"))
         patch.setattr(harness, "resolve_theorem31_setup", once("resolve_theorem31_setup"))
-        for mutant, switch in {"none": lambda patch: None, **STEP_MUTANTS, **MONITOR_MUTANTS}.items():
-            for run, shape in RUNS.items():
+        mutants = {"none": lambda patch: None, **STEP_MUTANTS, **MONITOR_MUTANTS, **SCALE_MUTANTS}
+        for mutant, switch in mutants.items():
+            for run, config in RUNS.items():
                 with pytest.MonkeyPatch.context() as mutation:
                     switch(mutation)
-                    runlog, status = harness.run(harness.parse_config(headline_config(*shape)))
+                    runlog, status = harness.run(harness.parse_config(config))
                 invariants = runlog.summary["invariants"]
                 failed = {key: v["counts"]["fail"] for key, v in invariants.items() if v["counts"]["fail"]}
                 matrix[run, mutant] = status, failed, runlog.records
@@ -267,7 +340,7 @@ def mutant_matrix():
 
 def check_matrix(matrix, mutants, caught, gaps):
     """Print the rows of `mutants` and assert the caught and gap lists."""
-    print("\nmutant x run: exit status, failed checks (failing rows of 200); changed")
+    print("\nmutant x run: exit status, failed checks (failing rows); changed")
     for run in RUNS:
         assert matrix[run, "none"][:2] == (0, {})
     for mutant in mutants:
@@ -296,3 +369,9 @@ def test_monitor_mutant_matrix(mutant_matrix):
     check_matrix(mutant_matrix, MONITOR_MUTANTS, MONITOR_CAUGHT, MONITOR_GAPS)
     for mutant in MONITOR_MUTANTS:  # every mutant changes what the run reports
         assert changed_columns(mutant_matrix["p4_L1", mutant][2], mutant_matrix["p4_L1", "none"][2]), mutant
+
+
+def test_scale_mutant_matrix(mutant_matrix):
+    check_matrix(mutant_matrix, SCALE_MUTANTS, SCALE_CAUGHT, SCALE_GAPS)
+    for mutant in SCALE_MUTANTS:  # every mutant changes what some run reports
+        assert any(changed_columns(mutant_matrix[run, mutant][2], mutant_matrix[run, "none"][2]) for run in RUNS), mutant
