@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# exp overflow boundary for 64-bit floats; beyond it the gate saturates
-_EXP_CUTOFF = 700.0
+# Swish and its derivative are 0 below t = 2z/h = -700; past t = 37 the gate
+# sigmoid(t) is 1 to the last bit, so t may be clipped at +-701
+_SATURATED, _CLIP = 700.0, 701.0
 _SWISH_SCALE = 1.1
 
 
@@ -73,38 +74,24 @@ def _huberized_deriv(z: np.ndarray, h: float) -> np.ndarray:
     return z.clip(0.0, h) / h
 
 
-def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
+def sigmoid(t: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function 1/(1 + e^-t), entrywise, as e^min(t, 0)/(1 + e),
+    e = e^-|t|: no exp overflows. A caller that holds e may pass it."""
+    e = np.exp(-np.abs(t)) if e is None else e
+    out = np.exp(np.minimum(t, 0.0))
+    out /= 1.0 + e
     return out
 
 
 def _swish_value(z: np.ndarray, h: float) -> np.ndarray:
     t = 2.0 * z / h
-    out = np.empty_like(z)
-    lo = t < -_EXP_CUTOFF
-    hi = t > _EXP_CUTOFF
-    mid = ~(lo | hi)
-    out[lo] = 0.0
-    out[hi] = z[hi] / _SWISH_SCALE
-    out[mid] = z[mid] * _stable_sigmoid(t[mid]) / _SWISH_SCALE
-    return out
+    return np.where(t < -_SATURATED, 0.0, z) * sigmoid(t) / _SWISH_SCALE
 
 
 def _swish_deriv(z: np.ndarray, h: float) -> np.ndarray:
-    t = 2.0 * z / h
-    out = np.empty_like(z)
-    lo = t < -_EXP_CUTOFF
-    hi = t > _EXP_CUTOFF
-    mid = ~(lo | hi)
-    out[lo] = 0.0
-    out[hi] = 1.0 / _SWISH_SCALE
-    s = _stable_sigmoid(t[mid])
-    out[mid] = s * (1.0 + t[mid] * (1.0 - s)) / _SWISH_SCALE
-    return out
+    t = np.clip(2.0 * z / h, -_CLIP, _CLIP)  # t = +-inf would meet s = 0 or 1 - s = 0
+    s = sigmoid(t)
+    return np.where(t < -_SATURATED, 0.0, s * (1.0 + t * (1.0 - s))) / _SWISH_SCALE
 
 
 @dataclass(frozen=True)

@@ -169,8 +169,8 @@ class RunContext:
     the I1 bound J_1/(q_tilde (t-1) + 1). A phase outside the small-loss
     analysis is not instrumented and has none (all three None): the
     constant-dependent checks then report not-applicable while regime-free
-    ones keep running. An instrumented context needs 0 < h <= h_max <= 1
-    (else ValueError), so it is inside the analysis's width hypothesis.
+    ones keep running. An instrumented context needs 0 < h <= h_max (else
+    ValueError), so it is inside the analysis's width hypothesis.
     """
 
     p: int
@@ -183,8 +183,8 @@ class RunContext:
     instrumented: bool = False
 
     def __post_init__(self):
-        if self.instrumented and not 0.0 < self.h <= self.h_max <= 1.0:
-            raise ValueError(f"constants need 0 < h <= h_max <= 1, got h={self.h}, h_max={self.h_max}")
+        if self.instrumented and not 0.0 < self.h <= self.h_max:
+            raise ValueError(f"constants need 0 < h <= h_max, got h={self.h}, h_max={self.h_max}")
 
     @property
     def h_max(self) -> float | None:

@@ -22,7 +22,9 @@ Exit status:
        is not network.p, a theorem32 gamma estimate that finds no positive
        tangent margin, a gamma that puts the automatic rho beyond the float
        range, a phase-2 step size that needs phase_plan.alpha_phase2, an unread
-       phase_plan.delta (rho given) or alpha_phase2 (phase2_steps 0), an "auto"
+       phase_plan.delta (rho given) or alpha_phase2 (phase2_steps 0), a null
+       phase_plan.stop_loss (its default 0 is no early stop), a theorem31
+       network.h above the admissible width h_max, an "auto"
        network.h (theorem32 or diagnostics) for a single sample (log n = 0), an
        init.target_loss below the normal double range (an "auto" target 0.5
        n^-(1+24L) that underflows), a negative --seed-override, or a file or
@@ -48,17 +50,13 @@ import os
 import sys
 
 from .activations import Activation, ActivationKind, certify_h_smooth
-from .harness import ConfigError, parse_config, run
+from .harness import ConfigError, parse_config, read_json, run
 from .ntk import RunAbortedError
 
 
 def _cmd_run(args: argparse.Namespace) -> tuple[int, str]:
     """`run`, or `diagnostics`: the config parsed and run in that mode."""
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
-            raise ConfigError(f"{args.config} is not valid JSON ({exc})") from exc
+    doc = read_json(args.config)
     if args.command == "diagnostics" and isinstance(doc, dict):
         doc = {**doc, "mode": "diagnostics"}
     config = parse_config(doc)

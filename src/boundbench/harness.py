@@ -197,7 +197,7 @@ _SCHEMA = {
         "T": ("auto", _or("auto", _integer(1))),
         "alpha_nt": ("auto", _or("auto", _positive)),
         "rho": ("auto", _or("auto", _nonnegative)),
-        "stop_loss": (None, _or(None, _nonnegative)),
+        "stop_loss": (0.0, _nonnegative),
         "alpha_phase2": (None, _or(None, _positive)),
         "phase2_steps": (0, _integer(0)),
     })),
@@ -239,6 +239,16 @@ def parse_config(source: str | dict) -> RunConfig:
     return RunConfig(**dict.fromkeys(unread), **top)
 
 
+def read_json(path: str, prefix: str = ""):
+    """The document in the JSON file at `path`; a file that is not valid
+    UTF-8 JSON raises `ConfigError`, its message starting with `prefix`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+            raise ConfigError(f"{prefix}{path} is not valid JSON ({exc})") from exc
+
+
 def _load_samples(doc, path: str, origin: str) -> Dataset:
     """A data set document: {"p": int, "samples": [{"x": [...], "y": +-1}, ...]}.
     Inputs off the unit sphere by more than 1e-6 are renormalized with a
@@ -271,12 +281,7 @@ def build_dataset(config: RunConfig) -> Dataset:
     data = config.data
     p = config.network["p"]
     if data["file"] is not None:
-        with open(data["file"], encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"data.file: {data['file']} is not valid JSON ({exc})") from exc
-        dataset = _load_samples(doc, "data.file", data["file"])
+        dataset = _load_samples(read_json(data["file"], "data.file: "), "data.file", data["file"])
     elif data["inline"] is not None:
         dataset = _load_samples(data["inline"], "data.inline", "<inline>")
     else:
@@ -418,11 +423,8 @@ def resolve_theorem31_setup(
         act, V1, J1, normV1 = build(h)
 
     h_max = compute_h_max(J1, p, L, normV1)
-    if not h < h_max:
-        raise ConfigError(
-            f"network.h: smoothing width {h} is not below the admissible "
-            f"width {h_max:.3g} at the achieved initialization; use \"auto\""
-        )
+    above = f"smoothing width {h} is above the admissible width {h_max:.3g} at the achieved initialization"
+    _expect(h <= h_max, "network.h", f"{above}; use \"auto\"")
     alpha = None if alpha_setting == "auto" else float(alpha_setting)
     ctx = resolve_context(J1, normV1, p, L, data.n, h, alpha=alpha)
     return act, V1, ctx, h_fixed_point

@@ -150,10 +150,10 @@ def _require_same_shape(a: WeightStack, b: WeightStack) -> None:
         )
 
 
-# Per p=512 descent step (one OpenBLAS thread, a 2-core x86 machine), the
-# vector work of `descent_sweep` took 1.47 ms in blocks of 2^13 entries,
-# 1.19 ms at 2^15, 1.27 ms at 2^16 and 2.98 ms at 2^18: four 256 KB block
-# slices stay in cache between the passes over them
+# A `descent_sweep` of a p=512, L=2 tail (262,656 entries; one thread of a
+# 2-core x86 machine) took a median 1.06 ms in blocks of 2^13 entries, 0.86 ms
+# at 2^15, 0.87 ms at 2^16 and 1.13 ms at 2^18: four 256 KB block slices stay
+# in cache between the passes over them. At L=1 the tail is one block
 _BLOCK = 1 << 15
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .activations import Activation
+from .activations import Activation, sigmoid
 from .linalg import ShapeMismatchError, WeightStack, _wrap
 
 # above this margin, log1p(exp(-z)) collapses to exp(-z) at double precision
@@ -119,8 +119,7 @@ def logistic(z: np.ndarray) -> Logistic:
     neg = np.negative(z)
     values = np.logaddexp(0.0, neg)
     e = np.exp(np.minimum(z, neg))  # e^-|z|
-    g = np.exp(np.minimum(neg, 0.0))  # e^-max(z, 0): e where z >= 0, else 1
-    g /= 1.0 + e
+    g = sigmoid(neg, e)
     if np.maximum.reduce(z) <= _ASYMPTOTIC_MARGIN:  # False on NaN too
         logs = np.log(values)
     else:

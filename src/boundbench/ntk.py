@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .activations import Activation, ActivationKind
+from .activations import Activation, ActivationKind, sigmoid
 from .bounds import (
     PhaseTrace,
     RunContext,
@@ -274,8 +274,7 @@ def _scaled_logistic(z: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarra
         scale = np.exp(shift - np.maximum(z, 0.0))
     tail = np.log1p(e)
     ratio = np.divide(tail, e, out=np.ones_like(e), where=e > 0.0)  # log1p(e) / e
-    above = z >= 0.0
-    return scale * np.where(above, ratio, tail - z), scale / (1.0 + e), np.where(above, 1.0, e) / (1.0 + e)
+    return scale * np.where(z >= 0.0, ratio, tail - z), scale / (1.0 + e), sigmoid(z, e)
 
 
 def _dual_point(z: np.ndarray, signed: np.ndarray, b: np.ndarray, rho: float) -> _DualPoint:
@@ -520,7 +519,7 @@ class PhasePlan:
     T: int
     rho: float
     alpha_phase2: float | None = None  # read only when phase2_steps > 0; None: alpha_max at the restart
-    stop_loss: float | None = None  # desk-scale early stop for the first phase
+    stop_loss: float = 0.0  # desk-scale early stop for the first phase; 0: none
     phase2_steps: int = 0
 
     def __post_init__(self):
@@ -530,7 +529,7 @@ class PhasePlan:
                 raise ValueError(f"{name} out of range: must be finite and positive, got {value}")
         for name in ("rho", "stop_loss"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 0):
+            if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} out of range: must be finite and nonnegative, got {value}")
         _require_count("T", self.T, 1)
         _require_count("phase2_steps", self.phase2_steps, 0)
@@ -538,7 +537,7 @@ class PhasePlan:
     @classmethod
     def auto(
         cls, n: int, p: int, L: int, gamma: float | None, *, delta: float, T: int | None,
-        alpha_nt: float | None, rho: float | None, stop_loss: float | None,
+        alpha_nt: float | None, rho: float | None, stop_loss: float,
         alpha_phase2: float | None, phase2_steps: int,
     ) -> "PhasePlan":
         """Resolve the closed-form plan from the phase_plan keys, None
@@ -572,7 +571,7 @@ class PhasePlan:
         return cls(
             alpha_nt=alpha_nt, T=auto_T if T is None else T, rho=rho, phase2_steps=phase2_steps,
             alpha_phase2=None if alpha_phase2 is None else float(alpha_phase2),
-            stop_loss=None if stop_loss is None else float(stop_loss),
+            stop_loss=float(stop_loss),
         )
 
 
@@ -714,8 +713,7 @@ def two_phase_train(
         raise ValueError("the two-phase schedule is defined for the Huberized ReLU")
     p, L, n = V1.p, V1.depth, data.n
 
-    stop_loss = 0.0 if plan.stop_loss is None else plan.stop_loss
-    phase1 = run_phase(V1, act, data, plan.alpha_nt, plan.T, stop_loss=stop_loss)
+    phase1 = run_phase(V1, act, data, plan.alpha_nt, plan.T, stop_loss=plan.stop_loss)
     ctx1 = RunContext(
         p=p,
         L=L,

@@ -7,8 +7,10 @@ Huberized ReLU is piecewise polynomial, so its forward pass, sensitivities
 and gradient carry only decimal's own rounding; the loss takes `exp`,
 `ln` and, for small e, a series for log(1 + e), where 1 + e would lose
 e's digits. So the reference is exact to far below the 1e-12 that tests
-ask of the float columns. A row at p = 8, L = 6, n = 24 costs a few tens
-of thousands of decimal operations.
+ask of the float columns. `kernel` forms the columns of one row: J, log J,
+||grad J|| and ||V_t||; `monitor` forms the bounds and slacks from them. A
+row at p = 8, L = 6, n = 24 costs a few tens of thousands of decimal
+operations.
 """
 
 from __future__ import annotations
@@ -50,12 +52,32 @@ class Reference(NamedTuple):
     loss: Decimal  # J, the mean of log(1 + e^-z)
     log_loss: Decimal  # log J
     grad_norm: Decimal  # ||grad J||, layer 1 in parameter space
+    weight_norm: Decimal  # ||V_t||
 
 
-def kernel(inputs, labels, u1, tail, h: float) -> Reference:
-    """J, log J and ||grad J|| at the point (u1, tail) of `network.loss_and_gradient`:
-    first-layer pre-activations u1 = X W_1^T (n x p) at the rows of `inputs`
-    and the stack `tail` of layers 2..L and the outer row."""
+class Anchor(NamedTuple):
+    """What a phase's first layer W_1 = V_1 + A^T X needs of V_1 and X."""
+
+    sq: Decimal  # ||V_1||^2
+    u0: np.ndarray  # X V_1^T
+    gram: np.ndarray  # X X^T
+
+
+def anchor(inputs, V1) -> Anchor:
+    """The `Anchor` of a phase run from the stack V1 on the rows of `inputs`."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        X, W = exact(inputs), exact(V1.hidden[0])
+        return Anchor(sum(v * v for v in W.ravel()), X @ W.T, X @ X.T)
+
+
+def kernel(inputs, labels, u1, tail, h: float, first: Anchor, coef) -> Reference:
+    """J, log J, ||grad J|| and ||V_t|| at the point (u1, tail) of
+    `network.loss_and_gradient`: first-layer pre-activations u1 = X W_1^T
+    (n x p) at the rows of `inputs` and the stack `tail` of layers 2..L and
+    the outer row. The first layer is W_1 = V_1 + A^T X for the
+    coefficients A = `coef` of `ntk.run_phase`, so
+    ||W_1||^2 = ||V_1||^2 + 2 <X V_1^T, A> + <X X^T, A A^T>."""
     with localcontext() as ctx:
         ctx.prec = DIGITS
         X, y, h = exact(inputs), exact(labels), Decimal(h)
@@ -84,7 +106,10 @@ def kernel(inputs, labels, u1, tail, h: float) -> Reference:
             sq += sum(v * v for v in block.ravel())
             if layer > 0:
                 b = sigmas[layer - 1] * (b @ above[layer - 1])
-        return Reference(J, J.ln(), sq.sqrt())
+        A = exact(coef)
+        weight_sq = first.sq + 2 * sum((first.u0 * A).ravel()) + sum((first.gram * (A @ A.T)).ravel())
+        weight_sq += sum(v * v for v in exact(tail.flat))
+        return Reference(J, J.ln(), sq.sqrt(), weight_sq.sqrt())
 
 
 def descent_decrease(alpha: float, grad_norm: Decimal, L: int) -> Decimal:
@@ -92,3 +117,47 @@ def descent_decrease(alpha: float, grad_norm: Decimal, L: int) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = DIGITS
         return Decimal(L) / (Decimal(L) + Decimal("0.5")) * Decimal(alpha) * grad_norm * grad_norm
+
+
+def monitor(rows: list[Reference], alpha: float, p: int, L: int) -> dict[str, list]:
+    """The bounds and slacks `bounds.monitor_transition` forms, at each row of
+    one phase, its constants J_1 and ||V_1|| read from the first row:
+
+    - lower (L+3/4) J log(1/J) / ||V||, upper sqrt((L+1) p) ||V||^(L+1) min(J, 1)
+      and rate J_1 / (q (t-1) + 1), q = L (L+3/4)^2 alpha J_1 log^(2/L)(1/J_1)
+      / ((L+1/2) ||V_1||^2);
+    - the slacks of i1, log of the rate bound minus log J; of i2,
+      (log(1/J)/||V||^L - m_1)/m_1 with m_1 = log(1/J_1)/||V_1||^L; of lower
+      and upper, the margin relative to the bound; and of descent,
+      (J_t - J_{t+1})/J_t - decrease_t/J_t, None on the last row.
+
+    The bounds on the small-loss analysis need J_1 < 1; on a phase that
+    starts above it the rate and its slacks are None."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        L_, half = Decimal(L), Decimal("0.5")
+        J1, V1 = rows[0].loss, rows[0].weight_norm
+        small = J1 < 1
+        if small:
+            q = L_ * (L_ + Decimal("0.75")) ** 2 * Decimal(alpha) * J1 * (-J1.ln()) ** (2 / L_)
+            q /= (L_ + half) * V1 * V1
+            m1 = -J1.ln() / V1**L
+        keys = ("lower", "upper", "rate", "i1", "i2", "lower slack", "upper slack", "descent")
+        out: dict[str, list] = {key: [] for key in keys}
+        for t, (J, log_J, g, V) in enumerate(rows, start=1):
+            lower = (L_ + Decimal("0.75")) * J * -log_J / V
+            upper = Decimal((L + 1) * p).sqrt() * V ** (L + 1) * min(J, Decimal(1))
+            out["lower"].append(lower)
+            out["upper"].append(upper)
+            out["lower slack"].append((g - lower) / lower)
+            out["upper slack"].append((upper - g) / upper)
+            out["rate"].append(J1 / (q * (t - 1) + 1) if small else None)
+            out["i1"].append(J1.ln() - log_J - _log1p(q * (t - 1)) if small else None)
+            out["i2"].append((-log_J / V**L - m1) / m1 if small else None)
+        # the drop and the predicted decrease apart, as the i1 slack's log drop
+        # and rate: neither absorbs the other where the iterate barely moves
+        for now, after in zip(rows, rows[1:]):
+            drop = (now.loss - after.loss) / now.loss
+            out["descent"].append(drop - descent_decrease(alpha, now.grad_norm, L) / now.loss)
+        out["descent"].append(None)
+        return out

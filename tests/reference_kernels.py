@@ -6,7 +6,11 @@ bits. `huberized_value` and `huberized_deriv` are the Huberized ReLU and
 its derivative as `activations` computed them before they were rewritten
 from one clip of the input; the rewrite must return the same bits on every
 input but NaN (these map a NaN to NaN and 1.0, and warn of an overflow in
-a branch they discard). `nt_minimize_old_rule` is the tangent-ball
+a branch they discard). `stable_sigmoid`, `swish_value` and `swish_deriv`
+are the logistic function and Swish as `activations` formed them with
+boolean-index masks, and `dual_sigmoid` is sigma(z) as the tangent-ball
+dual formed it, before `activations.sigmoid` served all three; the one
+form must return the same bits. `nt_minimize_old_rule` is the tangent-ball
 minimiser as `ntk.nt_class_minimize` ran it before it solved the
 problem's dual by Newton's method with a certified stop: projected
 descent with step halving on per-layer Grams and coefficient lists, norms
@@ -47,6 +51,43 @@ def huberized_value(z: np.ndarray, h: float) -> np.ndarray:
 
 def huberized_deriv(z: np.ndarray, h: float) -> np.ndarray:
     return np.where(z < 0.0, 0.0, np.where(z <= h, z / h, 1.0))
+
+
+def stable_sigmoid(t: np.ndarray) -> np.ndarray:
+    out = np.empty_like(t)
+    pos = t >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def swish_value(z: np.ndarray, h: float) -> np.ndarray:
+    t = 2.0 * z / h
+    out = np.empty_like(z)
+    lo, hi = t < -700.0, t > 700.0
+    mid = ~(lo | hi)
+    out[lo] = 0.0
+    out[hi] = z[hi] / 1.1
+    out[mid] = z[mid] * stable_sigmoid(t[mid]) / 1.1
+    return out
+
+
+def swish_deriv(z: np.ndarray, h: float) -> np.ndarray:
+    t = 2.0 * z / h
+    out = np.empty_like(z)
+    lo, hi = t < -700.0, t > 700.0
+    mid = ~(lo | hi)
+    out[lo] = 0.0
+    out[hi] = 1.0 / 1.1
+    s = stable_sigmoid(t[mid])
+    out[mid] = s * (1.0 + t[mid] * (1.0 - s)) / 1.1
+    return out
+
+
+def dual_sigmoid(z: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def nt_minimize_old_rule(V1, act, data, rho: float, steps: int) -> float:

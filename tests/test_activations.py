@@ -13,9 +13,10 @@ from boundbench.activations import (
     certify_h_smooth,
     default_certification_grid,
     huberized,
+    sigmoid,
     swish,
 )
-from reference_kernels import huberized_deriv, huberized_value
+from reference_kernels import dual_sigmoid, huberized_deriv, huberized_value, stable_sigmoid, swish_deriv, swish_value
 
 # 1/(1.1*(1+exp(-2))), 50-digit evaluation frozen to double precision
 SWISH_AT_1_H1 = 0.8007246163435295
@@ -63,6 +64,62 @@ def test_huberized_propagates_nan():
         assert math.isnan(act.value(math.nan))
         assert math.isnan(act.deriv(math.nan))
         assert np.isnan(act.deriv(np.array([0.05, math.nan, 1.0]))).tolist() == [False, True, False]
+
+
+SWISH_WIDTHS = [1e-12, 1e-5, 1e-3, 0.1, 1.0, 10.0]
+
+
+def logistic_edges() -> np.ndarray:
+    """The sign of zero, the infinities, NaN, the smallest subnormal, the
+    largest magnitudes, and z from 1e-14 to 1e300, each of both signs."""
+    extremes = [0.0, np.inf, np.nan, 5e-324, 1e308, *np.logspace(-14, 300, 315)]
+    return np.array([*extremes, *(-x for x in extremes)])
+
+
+def swish_edges(h: float) -> np.ndarray:
+    """`logistic_edges`, with the z whose t = 2z/h lie next to +-700, where
+    Swish saturates, and next to +-745, where e^t underflows."""
+    edges = [z for t in (700.0, 745.0) for z in (t * h / 2.0, np.nextafter(t, 0.0) * h / 2.0)]
+    near = np.array([*edges, *np.nextafter(edges, np.inf), *np.nextafter(edges, -np.inf)])
+    return np.concatenate([logistic_edges(), near, -near])
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal int64 views: +0 and -0 differ, and so do NaNs of other payloads."""
+    return np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+def test_sigmoid_matches_its_earlier_forms_bit_for_bit():
+    t = np.concatenate([logistic_edges(), np.linspace(-800.0, 800.0, 16_001)])
+    e = np.exp(-np.abs(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert same_bits(sigmoid(t), stable_sigmoid(t))
+        assert same_bits(sigmoid(t, e), sigmoid(t))
+        dual = dual_sigmoid(t)
+    # the dual's form turned a NaN of either sign into -NaN, as its numerator
+    # e = e^-|t| is; sigmoid keeps the sign of t's NaN, as stable_sigmoid did
+    number = ~np.isnan(t)
+    assert same_bits(sigmoid(t, e)[number], dual[number]) and np.isnan(dual[~number]).all()
+
+
+@pytest.mark.parametrize("h", SWISH_WIDTHS)
+def test_swish_matches_its_masked_form_bit_for_bit(h):
+    z = np.concatenate([default_certification_grid(h), swish_edges(h)])
+    act = swish(h)
+    with np.errstate(over="ignore"):  # 2z/h overflows in both forms for the largest z
+        assert same_bits(act.value(z), swish_value(z, h))
+        assert same_bits(act.deriv(z), swish_deriv(z, h))
+
+
+def test_swish_takes_infinities_and_nan_without_a_warning():
+    z = np.array([np.inf, -np.inf, np.nan])
+    for h in SWISH_WIDTHS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, deriv = swish(h).value(z), swish(h).deriv(z)
+        assert value[:2].tolist() == [np.inf, 0.0] and math.isnan(value[2])
+        assert deriv[:2].tolist() == [1.0 / 1.1, 0.0] and math.isnan(deriv[2])
 
 
 def test_swish_values():

@@ -852,6 +852,7 @@ def test_cli_rejects_malformed_samples_and_names_them(tmp_path, capsys, source, 
         ("theorem31", "data.clustered.r", 0.5),
         ("theorem31", "optimizer.loss_floor", "x"),
         ("theorem32", "phase_plan.T", "ten"),
+        ("theorem32", "phase_plan.stop_loss", None),  # no early stop is 0, its default
         ("diagnostics", "diagnostics.tau", "big"),
     ],
 )
@@ -1090,6 +1091,17 @@ def test_cli_rejects_a_given_h_not_below_the_admissible_width(tmp_path, capsys):
     cfg_path.write_text(json.dumps(minimal_config(network={"p": 4, "L": 1, "h": 0.5})))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error: network.h: ")
+
+
+def test_a_given_width_at_the_admissible_width_is_taken(warm_state, monkeypatch):
+    # the start-up admits h <= h_max, as Theorem 3.1 and resolve_context do
+    V_warm, act, data = warm_state
+    monkeypatch.setattr(harness, "compute_h_max", lambda *args: 0.01)
+    _, _, ctx, _ = harness.resolve_theorem31_setup(V_warm, data, act.kind, 1e-3, 0.01)
+    assert (ctx.h, ctx.instrumented) == (0.01, True)
+    monkeypatch.setattr(harness, "compute_h_max", lambda *args: float(np.nextafter(0.01, 0.0)))
+    with pytest.raises(ConfigError, match="^network.h: smoothing width 0.01 is above the admissible width"):
+        harness.resolve_theorem31_setup(V_warm, data, act.kind, 1e-3, 0.01)
 
 
 def test_cli_rejects_a_negative_seed_override(tmp_path, capsys):
