@@ -84,12 +84,14 @@ def sigmoid(t: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
 
 
 def _swish_value(z: np.ndarray, h: float) -> np.ndarray:
-    t = 2.0 * z / h
+    with np.errstate(over="ignore"):  # t = +-inf saturates the gate as a finite t would
+        t = 2.0 * z / h
     return np.where(t < -_SATURATED, 0.0, z) * sigmoid(t) / _SWISH_SCALE
 
 
 def _swish_deriv(z: np.ndarray, h: float) -> np.ndarray:
-    t = np.clip(2.0 * z / h, -_CLIP, _CLIP)  # t = +-inf would meet s = 0 or 1 - s = 0
+    with np.errstate(over="ignore"):  # an overflowing 2z/h is clipped as any large t
+        t = np.clip(2.0 * z / h, -_CLIP, _CLIP)  # t = +-inf would meet s = 0 or 1 - s = 0
     s = sigmoid(t)
     return np.where(t < -_SATURATED, 0.0, s * (1.0 + t * (1.0 - s))) / _SWISH_SCALE
 

@@ -203,7 +203,6 @@ _SCHEMA = {
     })),
     "diagnostics": ({}, _section({
         "tau": (None, _or(None, _nonnegative)),
-        "operator_limit": (3.5, _positive),
     })),
     "seeds": ({}, _section({
         "init": (0, _integer(0)),
@@ -567,7 +566,6 @@ def _run_diagnostics(config: RunConfig, data: Dataset) -> RunLog:
         V1,
         Activation(ActivationKind(config.network["activation"]), h),
         data,
-        operator_limit=config.diagnostics["operator_limit"],
         tau=config.diagnostics["tau"],
         seed=config.seeds["probes"],
     )

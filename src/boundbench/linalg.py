@@ -6,17 +6,13 @@ contiguous, read-only float64 vector (`flat`); `hidden` and `outer` are
 reshaped views of it. Arithmetic on stacks is one array operation on that
 vector and returns a new stack.
 
-Sums over stacks have one fixed order. The flat vector is cut into blocks
-of `_BLOCK` entries starting at index 0, and each block (or each piece of
-a block inside one layer) is reduced by numpy's single-threaded einsum
-loop. A stack sum adds the block partials left to right; a layer sum adds
-the pieces inside that layer left to right. `frobenius_norm`, `stack_dot`
-and `descent_sweep` reduce this way, so they agree bit for bit, do not
-depend on the BLAS thread count, and a stack that fits in one block
-reduces as one einsum over the whole vector. `ntk.run_phase` holds the
-first hidden layer in coordinates of the inputs and sweeps the rest, layers
-2..L and the outer row: a stack of depth L - 1 (0 at L = 1) made inside
-the package.
+Each sum over a stack is one einsum, numpy's single-threaded loop, over
+the whole flat vector or, for a per-layer sum, over that layer's slice of
+it. `frobenius_norm`, `stack_dot` and `descent_sweep` reduce this way, so
+they agree bit for bit and do not depend on the BLAS thread count.
+`ntk.run_phase` holds the first hidden layer in coordinates of the inputs
+and sweeps the rest, layers 2..L and the outer row: a stack of depth L - 1
+(0 at L = 1) made inside the package.
 """
 
 from __future__ import annotations
@@ -150,13 +146,6 @@ def _require_same_shape(a: WeightStack, b: WeightStack) -> None:
         )
 
 
-# A `descent_sweep` of a p=512, L=2 tail (262,656 entries; one thread of a
-# 2-core x86 machine) took a median 1.06 ms in blocks of 2^13 entries, 0.86 ms
-# at 2^15, 0.87 ms at 2^16 and 1.13 ms at 2^18: four 256 KB block slices stay
-# in cache between the passes over them. At L=1 the tail is one block
-_BLOCK = 1 << 15
-
-
 def _einsum_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product of two 1-d arrays by numpy's einsum loop: one thread, an
     order set by the length and the CPU's vector width (not by alignment),
@@ -164,23 +153,15 @@ def _einsum_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(_c_einsum("i,i->", a, b))
 
 
-def _stack_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of a * b over two flat stack vectors, in the block order."""
-    total = 0.0
-    for start in range(0, a.size, _BLOCK):
-        total += _einsum_dot(a[start : start + _BLOCK], b[start : start + _BLOCK])
-    return total
-
-
 def frobenius_norm(stack: WeightStack) -> float:
     """Square root of the sum of squared entries across all L+1 matrices."""
-    return math.sqrt(_stack_sum(stack.flat, stack.flat))
+    return math.sqrt(_einsum_dot(stack.flat, stack.flat))
 
 
 def stack_dot(a: WeightStack, b: WeightStack) -> float:
     """Entrywise dot product over all layers."""
     _require_same_shape(a, b)
-    return _stack_sum(a.flat, b.flat)
+    return _einsum_dot(a.flat, b.flat)
 
 
 def stack_axpy(y: WeightStack, alpha: float, x: WeightStack) -> WeightStack:
@@ -200,43 +181,37 @@ class Sweep(NamedTuple):
 
 
 def descent_sweep(V: WeightStack, grad: np.ndarray, anchor: WeightStack, alpha: float) -> Sweep:
-    """One pass over the flat vectors for a gradient step V - alpha grad,
-    where `grad` is a flat vector shaped like `V.flat`.
+    """The sums of a gradient step V - alpha grad and the new iterate, where
+    `grad` is a flat vector shaped like `V.flat`.
 
-    Each block of `_BLOCK` entries is read while it is in cache: it adds to
-    ||g||^2 and <g, V>, to each layer's ||V - anchor||^2 (the difference is
-    staged in the block's slice of the new iterate), then receives
-    V - alpha g and adds that to the new iterate's squared norm. The sums
-    follow the module's block order, so they equal `frobenius_norm(grad)^2`,
-    `stack_dot(grad, V)`, the per-layer block-order sums of the difference
-    and `frobenius_norm(new)^2` bit for bit, and the new iterate equals
-    `stack_axpy(V, -alpha, grad)`. `ntk.run_phase` sweeps the tail of its
-    iterate (layers 2..L and the outer row), so there layer 0 of the sweep
-    is network layer 1.
+    ||g||^2 and <g, V> are one einsum each over the whole vector; each
+    layer's ||V - anchor||^2 is one einsum over its slice of the difference,
+    staged in the new iterate's buffer, which then receives V - alpha g and
+    is summed for the new iterate's squared norm. So the sums equal
+    `frobenius_norm(grad)^2`, `stack_dot(grad, V)`, the per-layer sums of
+    the difference and `frobenius_norm(new)^2` bit for bit, and the new
+    iterate equals `stack_axpy(V, -alpha, grad)`. `ntk.run_phase` sweeps the
+    tail of its iterate (layers 2..L and the outer row), so there layer 0 of
+    the sweep is network layer 1.
     """
-    x, a = V.flat, anchor.flat
+    x = V.flat
     if grad.shape != x.shape:
         raise ShapeMismatchError(f"gradient vector has shape {grad.shape}, expected {x.shape}")
     _require_same_shape(V, anchor)
-    square, L = V.p * V.p, V.depth
-    out = np.empty_like(x)
-    drift = [0.0] * (L + 1)
-    grad_sq = grad_dot = next_sq = 0.0
-    for start in range(0, x.size, _BLOCK):
-        stop = min(start + _BLOCK, x.size)
-        xb, gb, ob = x[start:stop], grad[start:stop], out[start:stop]
-        grad_sq += _einsum_dot(gb, gb)
-        grad_dot += _einsum_dot(gb, xb)
-        np.subtract(xb, a[start:stop], out=ob)
-        # each layer's part of the block; layer L, the outer row, ends before
-        # (L + 1) p^2 as p <= p^2
-        for layer in range(min(start // square, L), min((stop - 1) // square, L) + 1):
-            d = out[max(start, layer * square) : min(stop, (layer + 1) * square)]
-            drift[layer] += _einsum_dot(d, d)
-        np.multiply(gb, -alpha, out=ob)
-        np.add(xb, ob, out=ob)
-        next_sq += _einsum_dot(ob, ob)
-    return Sweep(grad_sq, grad_dot, drift, out, next_sq)
+    out = np.subtract(x, anchor.flat)
+    square = V.p * V.p
+    # layer l starts at l p^2; the last, the outer row, holds p <= p^2 entries
+    layers = [out[lo : lo + square] for lo in range(0, x.size, square)]
+    drift = [_einsum_dot(d, d) for d in layers]
+    np.multiply(grad, -alpha, out=out)
+    np.add(x, out, out=out)
+    return Sweep(
+        grad_sq=_einsum_dot(grad, grad),
+        grad_dot=_einsum_dot(grad, x),
+        layer_drift_sq=drift,
+        next_flat=out,
+        next_sq=_einsum_dot(out, out),
+    )
 
 
 _EPS = float(np.finfo(np.float64).eps)

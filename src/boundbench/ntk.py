@@ -34,7 +34,6 @@ from .linalg import (
     WeightStack,
     _c_einsum,
     _einsum_dot,
-    _stack_sum,
     _wrap,
     descent_sweep,
     frobenius_norm,
@@ -223,7 +222,7 @@ def margin_estimate_subgradient(V1: WeightStack, act: Activation, data: Dataset)
     if not sq > slack:
         raise ValueError("the minimum-norm point is zero: the tangent features do not separate the data")
     flat = _combine_features([lam * ys] * (V1.depth + 1), tangent.bs, tangent.below, tangent.top)
-    flat /= math.sqrt(_stack_sum(flat, flat))
+    flat /= math.sqrt(_einsum_dot(flat, flat))
     W = WeightStack._computed(flat, V1.p, V1.depth)
     gamma = tangent.margin(ys, W)
     # the ends meet at the optimum, where rounding may put either one above the other
@@ -596,7 +595,8 @@ def run_phase(
     2 <U_0, A> + <K A, A> and the drift from V_1, sqrt(<K A, A>). Each step
     is one `loss_and_gradient` call at the point (u_1, tail) and one
     `linalg.descent_sweep` over the tail (layers 2..L and the outer row),
-    which measures the rest and writes the next tail with its squared norm.
+    which measures the rest, one einsum per vector or per layer, and writes
+    the next tail with its squared norm.
     The kernel returns C and the tail gradient times 2^k: ||g||^2 and <g, W>
     are summed at that scale and undone by an exact ldexp, and the step
     (alpha 2^-k)(g 2^k) rounds as alpha g does. An iterate is the pair
@@ -672,12 +672,12 @@ def run_phase(
 
 def split_sq_norm(V: WeightStack, tail: WeightStack | None = None) -> tuple[float, float]:
     """||V_1||^2 by one einsum over the first hidden layer, and the squared
-    norm of a tail (V's own unless given) in the block order of its own
-    vector. `run_phase` reduces its weight norm this way, so a phase run
-    from V has sqrt of their sum as its first row's weight norm, bit for bit."""
+    norm of a tail (V's own unless given) by one einsum over its vector.
+    `run_phase` reduces its weight norm this way, so a phase run from V has
+    sqrt of their sum as its first row's weight norm, bit for bit."""
     tail = _tail(V) if tail is None else tail
     first = V.flat[: V.p * V.p]
-    return _einsum_dot(first, first), _stack_sum(tail.flat, tail.flat)
+    return _einsum_dot(first, first), _einsum_dot(tail.flat, tail.flat)
 
 
 def phase_stack(V: WeightStack, data: Dataset, point: tuple[np.ndarray, WeightStack]) -> WeightStack:
@@ -759,11 +759,15 @@ def two_phase_train(
 # initialization diagnostics
 
 
+# the limit on each hidden layer's operator norm at initialization, a fixed
+# pass/fail threshold as the two norm ranges in `init_diagnostics` are
+OPERATOR_LIMIT = 3.5
+
+
 def init_diagnostics(
     V1: WeightStack,
     act: Activation,
     data: Dataset,
-    operator_limit: float = 3.5,
     tau: float | None = None,
     seed: int = 0,
 ) -> dict:
@@ -783,7 +787,7 @@ def init_diagnostics(
     and `hidden_operator_norm_ended` says whether the Cholesky certificate
     proved its bracket ("certificate") or the `eigvalsh` fallback estimated
     it ("eigvalsh_estimate"). `operator_in_range` judges the upper ends
-    against `operator_limit`, so it passes no layer whose norm exceeds the
+    against `OPERATOR_LIMIT`, so it passes no layer whose norm exceeds the
     limit wherever the certificate proved the bracket. Feature norms and
     the outer norm are direct computations, exact to rounding.
     """
@@ -801,7 +805,7 @@ def init_diagnostics(
     outer_scaled = float(np.linalg.norm(V1.outer)) / math.sqrt(p)
     in_range = {
         "norms_in_range": bool((post_norms >= 0.9).all() and (post_norms <= 1.1).all()),
-        "operator_in_range": bool(all(b.upper <= operator_limit for b in brackets)),
+        "operator_in_range": bool(all(b.upper <= OPERATOR_LIMIT for b in brackets)),
         "outer_in_range": bool(0.85 <= outer_scaled <= 1.2),
     }
     return {

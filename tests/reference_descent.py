@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from boundbench.bounds import PhaseTrace
-from boundbench.linalg import WeightStack, _stack_sum, _wrap, descent_sweep
+from boundbench.linalg import WeightStack, _einsum_dot, _wrap, descent_sweep
 from boundbench.network import Dataset, total_loss
 from boundbench.ntk import NumericalDivergenceError
 from stack_helpers import gradient_reference
@@ -38,7 +38,7 @@ def descent(
     anchor = anchor if anchor is not None else V
     columns = np.empty((6, max_steps))
     best_step, best_stack = 0, None
-    cur, cur_sq, steps = V, _stack_sum(V.flat, V.flat), 0
+    cur, cur_sq, steps = V, _einsum_dot(V.flat, V.flat), 0
     for t in range(1, max_steps + 1):
         loss, grad = total_loss(cur, act, data), gradient_reference(cur, act, data)
         sweep = descent_sweep(cur, grad.flat, anchor, alpha)

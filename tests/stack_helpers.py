@@ -1,4 +1,4 @@
-"""Stack helpers that only tests use: per-layer norms in the block order,
+"""Stack helpers that only tests use: per-layer norms, one einsum a layer,
 the per-layer ball distance, the per-layer ball perturbation, the sampled
 gradient-norm bound, the parameter-space form of the first-order remainder
 sampler, the all-layer form of the loss gradient, the plain gradient step,
@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from boundbench.linalg import (
-    _BLOCK,
     OperatorNormBracket,
     WeightStack,
     _einsum_dot,
@@ -40,24 +38,11 @@ from boundbench.network import (
 from boundbench.ntk import MarginWitness
 
 
-def _layer_pieces(p: int, L: int, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
-    """(layer, lo, hi) for each part of the flat range [start, stop) that
-    lies inside one layer, in order; layer L is the outer row."""
-    square = p * p
-    layer = min(start // square, L)
-    while start < stop:
-        hi = min(stop, (layer + 1) * square if layer < L else stop)
-        yield layer, start, hi
-        start, layer = hi, layer + 1
-
-
 def _layer_sums(a: np.ndarray, b: np.ndarray, p: int, L: int) -> list[float]:
-    """Per-layer sums of a * b over two flat stack vectors, in the block order."""
-    sums = [0.0] * (L + 1)
-    for start in range(0, a.size, _BLOCK):
-        for layer, lo, hi in _layer_pieces(p, L, start, min(start + _BLOCK, a.size)):
-            sums[layer] += _einsum_dot(a[lo:hi], b[lo:hi])
-    return sums
+    """Per-layer sums of a * b over two flat stack vectors, one einsum over
+    each layer's slice; layer L is the outer row."""
+    edges = [*range(0, L * p * p + 1, p * p), a.size]
+    return [_einsum_dot(a[lo:hi], b[lo:hi]) for lo, hi in zip(edges, edges[1:])]
 
 
 @dataclass(frozen=True)

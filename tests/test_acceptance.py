@@ -440,3 +440,17 @@ def test_criterion_14_determinism_two_phase(tmp_path):
     assert runlog.phase_boundary == first
     assert RunLog(config_echo={}, records=runlog.records).phase_boundary == first
     assert json.loads((tmp_path / "a" / "summary.json").read_text())["phase_boundary"] == first
+
+
+def test_criterion_14_two_phase_checks_theorem_31_from_the_argmin_restart():
+    # at h = 0.002 the phase-2 step size resolves in closed form at phase 1's
+    # argmin iterate, a start the small-loss bisection did not build, and
+    # Theorem 3.1's checks apply to every phase-2 row
+    doc = {**TWO_PHASE_CONFIG, "network": {**TWO_PHASE_CONFIG["network"], "h": 0.002}}
+    doc["phase_plan"] = {k: v for k, v in TWO_PHASE_CONFIG["phase_plan"].items() if k != "alpha_phase2"} | {"T": 300}
+    runlog, status = run(parse_config(doc))
+    assert status == 0 and runlog.config_echo["phase2_instrumented"] is True
+    records, first = runlog.records, runlog.phase_boundary
+    assert (first, len(records)) == (111, 131)
+    for check in ("i1", "i2", "i3", "i3_sqrtp"):
+        report(f"14 {check} from the phase-2 restart", set(records.verdicts[check][first:].tolist()) == {"pass"})

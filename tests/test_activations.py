@@ -122,6 +122,17 @@ def test_swish_takes_infinities_and_nan_without_a_warning():
         assert deriv[:2].tolist() == [1.0 / 1.1, 0.0] and math.isnan(deriv[2])
 
 
+def test_swish_large_inputs_do_not_warn():
+    # 2z/h overflows for the largest z; a t of +-inf saturates the gate
+    z = np.array([1e200, 1e308, -1e308, np.inf])
+    for h in SWISH_WIDTHS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, deriv = swish(h).value(z), swish(h).deriv(z)
+        assert value.tolist() == [1e200 / 1.1, 1e308 / 1.1, 0.0, np.inf]
+        assert deriv.tolist() == [1.0 / 1.1, 1.0 / 1.1, 0.0, 1.0 / 1.1]
+
+
 def test_swish_values():
     assert swish(2.0).value(0.0) == 0.0
     assert swish(1.0).value(1.0) == pytest.approx(SWISH_AT_1_H1, rel=1e-15)

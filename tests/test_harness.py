@@ -115,7 +115,7 @@ FULL_CONFIGS = {
     "diagnostics": {
         "mode": "diagnostics",
         **_SHARED_SECTIONS,
-        "diagnostics": {"tau": 0.1, "operator_limit": 3.5},
+        "diagnostics": {"tau": 0.1},
     },
 }
 MODES = list(FULL_CONFIGS)
@@ -976,12 +976,12 @@ def test_cli_run_and_diagnostics_print_the_same_report(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:width 64 is below:UserWarning")
 @pytest.mark.parametrize("command", ["run", "diagnostics"])
 @pytest.mark.parametrize("p, status", [(256, 1), (64, 0)])
-def test_cli_diagnostics_fails_only_in_the_wide_regime(tmp_path, capsys, command, p, status):
+def test_cli_diagnostics_fails_only_in_the_wide_regime(tmp_path, capsys, monkeypatch, command, p, status):
+    monkeypatch.setattr(ntk, "OPERATOR_LIMIT", 1.0)
     doc = {
         "mode": "diagnostics",
         "network": {"p": p, "L": 1, "h": "auto"},
         "data": {"clustered": {"r": 0.05, "n": 4}},
-        "diagnostics": {"operator_limit": 1.0},
     }
     cfg_path = tmp_path / "diag.json"
     cfg_path.write_text(json.dumps(doc))
@@ -990,6 +990,14 @@ def test_cli_diagnostics_fails_only_in_the_wide_regime(tmp_path, capsys, command
     assert report["ok"] is False and report["narrow_regime"] is (p == 64)
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())["summary"]
     assert summary["failed"] is (status == 1)
+
+
+def test_cli_rejects_the_operator_limit_key(tmp_path, capsys):
+    # the limit is the constant ntk.OPERATOR_LIMIT, not a setting
+    cfg_path = tmp_path / "diag.json"
+    cfg_path.write_text(json.dumps({**_NARROW_DIAGNOSTICS, "diagnostics": {"operator_limit": 3.5}}))
+    assert cli_main(["diagnostics", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: diagnostics: unknown keys ['operator_limit']")
 
 
 @pytest.mark.parametrize("command", ["run", "diagnostics"])

@@ -57,43 +57,23 @@ def flat_stack(p, L, rng):
     return linalg._wrap(rng.standard_normal(L * p * p + p), p, L)
 
 
-@pytest.mark.parametrize("p, L", [(1, 1), (4, 1), (8, 2), (128, 1), (90, 4)])
+@pytest.mark.parametrize("p, L", [(1, 1), (4, 1), (8, 2), (128, 1), (90, 4), (300, 2), (512, 1)])
 def test_single_block_reductions_equal_one_einsum(p, L):
-    # stacks of at most _BLOCK entries reduce as one einsum over the vector
+    # a stack sum is one einsum over the whole vector and a layer sum one
+    # over the layer, at every size: (300, 2) and (512, 1) hold 180,300 and
+    # 262,656 entries
     rng = np.random.default_rng(p + L)
     a, b = flat_stack(p, L, rng), flat_stack(p, L, rng)
-    assert a.flat.size <= linalg._BLOCK
     assert frobenius_norm(a) == math.sqrt(float(np.einsum("i,i->", a.flat, a.flat)))
     assert stack_dot(a, b) == float(np.einsum("i,i->", a.flat, b.flat))
     per_layer = [math.sqrt(float(np.einsum("i,i->", m.ravel(), m.ravel()))) for m in a.layers()]
     assert list(stack_norms(a).per_layer_frobenius) == per_layer
 
 
-def test_block_order_spans_layer_edges():
-    # (300, 2): 180,300 entries in 5.5 blocks of 2^15; layer 0 ends inside
-    # block 2. Stack sums add block partials left to right, layer sums add
-    # the pieces of the blocks inside the layer left to right
-    p, L, block = 300, 2, linalg._BLOCK
-    a = flat_stack(p, L, np.random.default_rng(5))
-    v = a.flat
-    total = 0.0
-    for start in range(0, v.size, block):
-        piece = v[start : start + block]
-        total += float(np.einsum("i,i->", piece, piece))
-    assert frobenius_norm(a) == math.sqrt(total)
-    edges = [0, p * p, 2 * p * p, v.size]
-    cuts = sorted(set(edges) | set(range(0, v.size, block)))
-    layer_sums = [0.0] * (L + 1)
-    for lo, hi in zip(cuts, cuts[1:]):
-        layer = min(lo // (p * p), L)
-        layer_sums[layer] += float(np.einsum("i,i->", v[lo:hi], v[lo:hi]))
-    assert list(stack_norms(a).per_layer_frobenius) == [math.sqrt(s) for s in layer_sums]
-
-
 @pytest.mark.parametrize("p, L", [(4, 1), (300, 2), (512, 0)])
 def test_descent_sweep_equals_the_stack_helpers(p, L):
-    # (300, 2) puts block edges inside layers; depth 0 is the tail that the
-    # descent loop sweeps at L = 1, the outer row alone
+    # (300, 2) has 180,300 entries in three layers; depth 0 is the tail that
+    # the descent loop sweeps at L = 1, the outer row alone
     rng = np.random.default_rng(p + L)
     V, grad, anchor = (flat_stack(p, L, rng) for _ in range(3))
     sweep = descent_sweep(V, grad.flat, anchor, 0.05)

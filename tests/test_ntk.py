@@ -886,7 +886,7 @@ def test_run_phase_argmin_prefers_earliest():
 def test_run_phase_columns_and_iterates_equal_the_stack_helpers(p, L, anchored):
     # run_phase holds layer 1 in coordinates of the inputs, so it agrees with
     # the parameter-space loop to rounding, not bit for bit. At (300, 2) the
-    # sweep's blocks of 2^15 entries straddle layer edges; at (2, 1) there are
+    # sweep's tail holds 90,300 entries in two layers; at (2, 1) there are
     # more inputs than coordinates (n = 4), so K = X X^T is singular. "V1"
     # starts as phase 2 does: at a nonzero A, drift measured from V1
     V1 = gaussian_init(InitSpec(p=p, L=L, seed=p + L))
@@ -925,6 +925,20 @@ def test_run_phase_restarts_at_the_argmin_row_bit_for_bit():
     row = first.best_step - 1
     for column in ("loss", "log_loss", "grad_norm", "weight_norm", "grad_dot_weights", "drift"):
         assert getattr(second, column)[0] == getattr(first, column)[row]
+
+
+def test_two_phase_restart_on_a_wide_tail_repeats_the_argmin_row_bit_for_bit():
+    # at (192, 2) the swept tail holds 37,056 entries, each sum one einsum
+    # over it or over one layer; phase 2's first row is phase 1's argmin row
+    p, L = 192, 2
+    V1 = gaussian_init(InitSpec(p=p, L=L, seed=82))
+    _, data = clustered(p, 4, 0.05, seed=83)
+    plan = PhasePlan(alpha_nt=0.05, T=30, rho=1.0, phase2_steps=5, alpha_phase2=0.02)
+    log = two_phase_train(V1, huberized(0.01), data, plan)
+    argmin, first = log.config_echo["phase1_argmin_step"] - 1, log.phase_boundary
+    assert argmin > 0 and first == 30
+    for column in ("loss", "log_loss", "grad_norm", "weight_norm"):
+        assert getattr(log.records, column)[first] == getattr(log.records, column)[argmin]
 
 
 def test_run_phase_returns_no_array_of_its_scratch_buffers():
@@ -1113,14 +1127,16 @@ def test_init_diagnostics_reports_how_each_bracket_ended():
     assert d["hidden_operator_norm_ended"] == ["certificate", "certificate"]
 
 
-def test_init_diagnostics_judges_the_upper_end_against_the_limit():
+def test_init_diagnostics_judges_the_upper_end_against_the_limit(monkeypatch):
     V1 = gaussian_init(InitSpec(p=256, L=1, seed=68))
     _, data = clustered(256, 4, 0.05, seed=69)
     report = init_diagnostics(V1, huberized(1e-4), data)
     lower, upper = report["hidden_operator_norms"][0], report["hidden_operator_norms_upper"][0]
     assert lower < upper
-    at_upper = init_diagnostics(V1, huberized(1e-4), data, operator_limit=upper)
-    between = init_diagnostics(V1, huberized(1e-4), data, operator_limit=lower)
+    monkeypatch.setattr(ntk, "OPERATOR_LIMIT", upper)
+    at_upper = init_diagnostics(V1, huberized(1e-4), data)
+    monkeypatch.setattr(ntk, "OPERATOR_LIMIT", lower)
+    between = init_diagnostics(V1, huberized(1e-4), data)
     assert at_upper["operator_in_range"] and not between["operator_in_range"]
 
 
