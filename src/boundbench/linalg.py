@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,9 +28,9 @@ try:  # einsum's C entry point, without the Python argument dispatch that np.ein
     from numpy._core.multiarray import c_einsum as _c_einsum
 except ImportError:  # numpy 1.x
     from numpy.core.multiarray import c_einsum as _c_einsum
-# the Cholesky gufunc that np.linalg.cholesky wraps, called here on a Fortran
-# view so that it copies nothing in and writes its factor over its input
-# (numpy's private module; this name is tested with numpy 2.4 only)
+# the Cholesky gufunc behind np.linalg.cholesky, on a Fortran view that is its output
+# too: it copies the matrix in and its factor back over it, allocating no factor
+# array (numpy's private module; this name is tested with numpy 2.4 only)
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 
@@ -106,13 +106,6 @@ class WeightStack:
     def layers(self) -> Iterator[np.ndarray]:
         yield from self.hidden
         yield self.outer
-
-    @classmethod
-    def from_layers(cls, layers: Sequence[np.ndarray]) -> "WeightStack":
-        """Build from L+1 matrices; the last one is the outer row."""
-        if len(layers) < 2:
-            raise ValueError("need at least one hidden layer plus the outer row")
-        return cls(hidden=tuple(layers[:-1]), outer=np.asarray(layers[-1]))
 
     @classmethod
     def _computed(cls, flat: np.ndarray, p: int, L: int) -> "WeightStack":
@@ -336,10 +329,10 @@ def operator_norm(m: np.ndarray) -> OperatorNormBracket:
     sits below the norm, and an error estimate (see `_lanczos_top`). The
     certificate then sets s = theta + estimate + 4 k eps theta (plus the
     smallest normal number, so s > 0 for a zero matrix), writes sI - G over
-    G and runs LAPACK's Cholesky factorisation on it in place. G is formed
-    bitwise symmetric, so its transpose, the Fortran-ordered view that
-    LAPACK reads without a copy, is the same matrix, and the factor lands in
-    G's own buffer. The factorisation succeeds only when sI - G is positive
+    G and runs LAPACK's Cholesky factorisation on it. G is formed bitwise
+    symmetric, so its transpose, a Fortran-ordered view, is the same matrix:
+    numpy's gufunc copies it in and writes the factor back over G, allocating
+    no factor array. The factorisation succeeds only when sI - G is positive
     definite up to its backward error, so `upper` = sqrt(s + margin) sits
     above the norm of m itself: the margin (`_rounding_margin`) bounds that
     backward error and the rounding in forming G, about 2e-10 relative at

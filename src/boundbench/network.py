@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -146,11 +147,11 @@ def _tail(V: WeightStack) -> WeightStack:
     return WeightStack._computed(V.flat[V.p * V.p :], V.p, V.depth - 1)
 
 
-def _forward(act: Activation, u: np.ndarray, above: Sequence[np.ndarray], outer: np.ndarray) -> ForwardTrace:
+def _forward(act: Activation, u: np.ndarray, above: Iterable[np.ndarray], outer: np.ndarray) -> ForwardTrace:
     """Forward pass from the first layer's pre-activations u (n x p) through
-    the hidden matrices `above` (layers 2..L) and the outer row."""
+    the hidden matrices `above` (layers 2..L, read one at a time) and the outer row."""
     us, xs, sigmas = [], [], []
-    for W in (None, *above):
+    for W in chain((None,), above):
         if W is not None:
             u = xs[-1] @ W.T
         us.append(u)

@@ -8,9 +8,9 @@ and gradient carry only decimal's own rounding; the loss takes `exp`,
 `ln` and, for small e, a series for log(1 + e), where 1 + e would lose
 e's digits. So the reference is exact to far below the 1e-12 that tests
 ask of the float columns. `kernel` forms the columns of one row: J, log J,
-||grad J|| and ||V_t||; `monitor` forms the bounds and slacks from them. A
-row at p = 8, L = 6, n = 24 costs a few tens of thousands of decimal
-operations.
+||grad J||, <grad J, V_t> and ||V_t||; `monitor` forms the bounds and
+slacks from them. A row at p = 8, L = 6, n = 24 costs a few tens of
+thousands of decimal operations.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ class Reference(NamedTuple):
     loss: Decimal  # J, the mean of log(1 + e^-z)
     log_loss: Decimal  # log J
     grad_norm: Decimal  # ||grad J||, layer 1 in parameter space
+    grad_dot: Decimal  # <grad J, V_t>
     weight_norm: Decimal  # ||V_t||
 
 
@@ -72,18 +73,21 @@ def anchor(inputs, V1) -> Anchor:
 
 
 def kernel(inputs, labels, u1, tail, h: float, first: Anchor, coef) -> Reference:
-    """J, log J, ||grad J|| and ||V_t|| at the point (u1, tail) of
-    `network.loss_and_gradient`: first-layer pre-activations u1 = X W_1^T
-    (n x p) at the rows of `inputs` and the stack `tail` of layers 2..L and
-    the outer row. The first layer is W_1 = V_1 + A^T X for the
-    coefficients A = `coef` of `ntk.run_phase`, so
-    ||W_1||^2 = ||V_1||^2 + 2 <X V_1^T, A> + <X X^T, A A^T>."""
+    """J, log J, ||grad J||, <grad J, V_t> and ||V_t|| at the point
+    (u1, tail) of `network.loss_and_gradient`: first-layer pre-activations
+    u1 = X W_1^T (n x p) at the rows of `inputs` and the stack `tail` of
+    layers 2..L and the outer row. The first layer is W_1 = V_1 + A^T X for
+    the coefficients A = `coef` of `ntk.run_phase`, so
+    ||W_1||^2 = ||V_1||^2 + 2 <X V_1^T, A> + <X X^T, A A^T>. Layer 1's block
+    of the gradient is (c B_1)^T X, so its product with W_1 is
+    sum_i c_i <B_1[i], u1[i]>; the other layers' come from the tail."""
     with localcontext() as ctx:
         ctx.prec = DIGITS
         X, y, h = exact(inputs), exact(labels), Decimal(h)
         above = [exact(W) for W in tail.hidden]
         outer = exact(tail.outer[0])
-        u, xs, sigmas = exact(u1), [X], []
+        u = first_pre = exact(u1)
+        xs, sigmas = [X], []
         for W in (None, *above):
             if W is not None:
                 u = xs[-1] @ W.T
@@ -100,16 +104,20 @@ def kernel(inputs, labels, u1, tail, h: float, first: Anchor, coef) -> Reference
         J = sum(losses) / n
         c = -y * np.array(weights, dtype=object) / n
         b = sigmas[-1] * outer  # sensitivities of the outputs, from layer L down
-        sq = sum(v * v for v in (c @ xs[-1]))
+        top = c @ xs[-1]
+        sq, dot = sum(v * v for v in top), sum(top * outer)
         for layer in range(len(sigmas) - 1, -1, -1):
             block = (c[:, None] * b).T @ xs[layer]
             sq += sum(v * v for v in block.ravel())
             if layer > 0:
+                dot += sum((block * above[layer - 1]).ravel())
                 b = sigmas[layer - 1] * (b @ above[layer - 1])
+            else:
+                dot += sum((c[:, None] * b * first_pre).ravel())
         A = exact(coef)
         weight_sq = first.sq + 2 * sum((first.u0 * A).ravel()) + sum((first.gram * (A @ A.T)).ravel())
         weight_sq += sum(v * v for v in exact(tail.flat))
-        return Reference(J, J.ln(), sq.sqrt(), weight_sq.sqrt())
+        return Reference(J, J.ln(), sq.sqrt(), dot, weight_sq.sqrt())
 
 
 def descent_decrease(alpha: float, grad_norm: Decimal, L: int) -> Decimal:
@@ -119,7 +127,7 @@ def descent_decrease(alpha: float, grad_norm: Decimal, L: int) -> Decimal:
         return Decimal(L) / (Decimal(L) + Decimal("0.5")) * Decimal(alpha) * grad_norm * grad_norm
 
 
-def monitor(rows: list[Reference], alpha: float, p: int, L: int) -> dict[str, list]:
+def monitor(rows: list[Reference], alpha: float, h: float, p: int, L: int) -> dict[str, list]:
     """The bounds and slacks `bounds.monitor_transition` forms, at each row of
     one phase, its constants J_1 and ||V_1|| read from the first row:
 
@@ -128,8 +136,12 @@ def monitor(rows: list[Reference], alpha: float, p: int, L: int) -> dict[str, li
       / ((L+1/2) ||V_1||^2);
     - the slacks of i1, log of the rate bound minus log J; of i2,
       (log(1/J)/||V||^L - m_1)/m_1 with m_1 = log(1/J_1)/||V_1||^L; of lower
-      and upper, the margin relative to the bound; and of descent,
-      (J_t - J_{t+1})/J_t - decrease_t/J_t, None on the last row.
+      and upper, the margin relative to the bound; of alignment,
+      (-<g, V> - a)/a with a = (L+3/4) J log(1/J), None where a <= 0; of i3,
+      (b - alpha J)/b with b = h / (1024 (L+1)^2 p ||V||^(3L+5)), and of
+      i3_sqrtp the same with b sqrt(p); of floor, ||V|| - sqrt(L+1),
+      absolute; and of descent, (J_t - J_{t+1})/J_t - decrease_t/J_t, None
+      on the last row.
 
     The bounds on the small-loss analysis need J_1 < 1; on a phase that
     starts above it the rate and its slacks are None."""
@@ -142,9 +154,14 @@ def monitor(rows: list[Reference], alpha: float, p: int, L: int) -> dict[str, li
             q = L_ * (L_ + Decimal("0.75")) ** 2 * Decimal(alpha) * J1 * (-J1.ln()) ** (2 / L_)
             q /= (L_ + half) * V1 * V1
             m1 = -J1.ln() / V1**L
-        keys = ("lower", "upper", "rate", "i1", "i2", "lower slack", "upper slack", "descent")
+        keys = (
+            "lower", "upper", "rate", "i1", "i2", "lower slack", "upper slack",
+            "alignment", "i3", "i3_sqrtp", "floor", "descent",
+        )
         out: dict[str, list] = {key: [] for key in keys}
-        for t, (J, log_J, g, V) in enumerate(rows, start=1):
+        i3_scale = Decimal(h) / (1024 * (L + 1) ** 2 * p)
+        floor = Decimal(L + 1).sqrt()
+        for t, (J, log_J, g, dot, V) in enumerate(rows, start=1):
             lower = (L_ + Decimal("0.75")) * J * -log_J / V
             upper = Decimal((L + 1) * p).sqrt() * V ** (L + 1) * min(J, Decimal(1))
             out["lower"].append(lower)
@@ -154,6 +171,13 @@ def monitor(rows: list[Reference], alpha: float, p: int, L: int) -> dict[str, li
             out["rate"].append(J1 / (q * (t - 1) + 1) if small else None)
             out["i1"].append(J1.ln() - log_J - _log1p(q * (t - 1)) if small else None)
             out["i2"].append((-log_J / V**L - m1) / m1 if small else None)
+            align = (L_ + Decimal("0.75")) * J * -log_J
+            out["alignment"].append((-dot - align) / align if align > 0 else None)
+            i3 = i3_scale / V ** (3 * L + 5)
+            out["i3"].append((i3 - Decimal(alpha) * J) / i3)
+            i3 *= Decimal(p).sqrt()
+            out["i3_sqrtp"].append((i3 - Decimal(alpha) * J) / i3)
+            out["floor"].append(V - floor)
         # the drop and the predicted decrease apart, as the i1 slack's log drop
         # and rate: neither absorbs the other where the iterate barely moves
         for now, after in zip(rows, rows[1:]):

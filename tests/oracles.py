@@ -15,6 +15,7 @@ import numpy as np
 from boundbench.activations import Activation, ActivationKind
 from boundbench.linalg import ShapeMismatchError, WeightStack
 from boundbench.network import Dataset, forward_rows, total_loss
+from stack_helpers import from_layers
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,13 @@ def fd_gradient(
         for idx in np.ndindex(m.shape):
             orig = m[idx]
             m[idx] = orig + eps
-            plus = total_loss(WeightStack.from_layers(layers), act, data).value
+            plus = total_loss(from_layers(layers), act, data).value
             m[idx] = orig - eps
-            minus = total_loss(WeightStack.from_layers(layers), act, data).value
+            minus = total_loss(from_layers(layers), act, data).value
             m[idx] = orig
             g[idx] = (plus - minus) / (2.0 * eps)
         out.append(g)
-    return WeightStack.from_layers(out)
+    return from_layers(out)
 
 
 def fd_compare(a: WeightStack, b: WeightStack, abs_floor: float = 1e-4) -> FdCompareReport:

@@ -16,7 +16,13 @@ problem's dual by Newton's method with a certified stop: projected
 descent with step halving on per-layer Grams and coefficient lists, norms
 from c^T K c, every one of `steps` steps taken. A long run of it
 approaches the minimum from above, so the certified value must come
-within its gap of that run. Tests compare against all of them.
+within its gap of that run. `sigma_difference_sparsity` and
+`perturb_hidden_operator` are the sigma-sparsity probe as `ntk` ran it
+before it streamed its perturbed layers through the forward pass: each
+perturbed network formed as a whole stack, then passed by `forward_rows`.
+The probe returns its report and both passes' derivative diagonals, which
+the streamed probe must match bit for bit. Tests compare against all of
+them.
 """
 
 from __future__ import annotations
@@ -25,8 +31,10 @@ import math
 
 import numpy as np
 
-from boundbench.network import _ASYMPTOTIC_MARGIN, Logistic, LossValue
+from boundbench.linalg import WeightStack, operator_norm
+from boundbench.network import _ASYMPTOTIC_MARGIN, Logistic, LossValue, forward_rows
 from boundbench.ntk import _Tangent
+from stack_helpers import from_layers
 
 
 def logistic(z: np.ndarray) -> Logistic:
@@ -128,3 +136,34 @@ def nt_minimize_old_rule(V1, act, data, rho: float, steps: int) -> float:
         if halvings == 0:
             step *= 1.25
     return terms.loss.value
+
+
+def sigma_difference_sparsity(V1, act, data, tau: float, seed: int = 0) -> tuple[dict, tuple, tuple]:
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    rng = np.random.default_rng(seed)
+    v_til = perturb_hidden_operator(V1, tau, rng)
+    v_hat = perturb_hidden_operator(V1, tau, rng)
+    L = V1.depth
+    sig_a = forward_rows(v_til, act, data.inputs).sigma_diag
+    sig_b = forward_rows(v_hat, act, data.inputs).sigma_diag
+    counts = np.stack([np.count_nonzero(a != b, axis=1) for a, b in zip(sig_a, sig_b)])
+    trend = V1.p * L**2 * tau ** (2.0 / 3.0)
+    report = {
+        "max_count": int(counts.max()),
+        "mean_count": float(counts.mean()),
+        "trend_p_L2_tau23": trend,
+        "tau": tau,
+    }
+    return report, sig_a, sig_b
+
+
+def perturb_hidden_operator(V: WeightStack, tau: float, rng: np.random.Generator) -> WeightStack:
+    out = []
+    for m in V.hidden:
+        g = rng.standard_normal(m.shape)
+        # the upper end keeps the perturbation's operator norm at most tau
+        scale = tau / operator_norm(g).upper if tau > 0 else 0.0
+        out.append(m + scale * g)
+    out.append(np.array(V.outer))
+    return from_layers(out)

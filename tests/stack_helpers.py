@@ -1,16 +1,18 @@
-"""Stack helpers that only tests use: per-layer norms, one einsum a layer,
-the per-layer ball distance, the per-layer ball perturbation, the sampled
-gradient-norm bound, the parameter-space form of the first-order remainder
-sampler, the all-layer form of the loss gradient, the plain gradient step,
-the margin of formed feature stacks, the explicit clustered-data margin
-witness, the zero stack, stack scaling, the measured average-loss inequality of the
-linearized phase, the product bound on operator norms, the smoothness bound
-and the sampled local Lipschitz constant of the gradient."""
+"""Stack helpers that only tests use: a stack from its list of layers,
+per-layer norms, one einsum a layer, the per-layer ball distance, the
+per-layer ball perturbation, the sampled gradient-norm bound, the
+parameter-space form of the first-order remainder sampler, the all-layer
+form of the loss gradient, the plain gradient step, the margin of formed
+feature stacks, the explicit clustered-data margin witness, the zero stack,
+stack scaling, the measured average-loss inequality of the linearized
+phase, the product bound on operator norms, the smoothness bound and the
+sampled local Lipschitz constant of the gradient."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +38,13 @@ from boundbench.network import (
     sensitivities,
 )
 from boundbench.ntk import MarginWitness
+
+
+def from_layers(layers: Sequence[np.ndarray]) -> WeightStack:
+    """A stack from L+1 matrices; the last one is the outer row."""
+    if len(layers) < 2:
+        raise ValueError("need at least one hidden layer plus the outer row")
+    return WeightStack(hidden=tuple(layers[:-1]), outer=np.asarray(layers[-1]))
 
 
 def _layer_sums(a: np.ndarray, b: np.ndarray, p: int, L: int) -> list[float]:
@@ -314,9 +323,7 @@ def probe_local_lipschitz(
 
 
 def _random_point_in_ball(V: WeightStack, radius: float, rng: np.random.Generator) -> WeightStack:
-    direction = WeightStack.from_layers(
-        [rng.standard_normal(m.shape) for m in V.layers()]
-    )
+    direction = from_layers([rng.standard_normal(m.shape) for m in V.layers()])
     norm = frobenius_norm(direction)
     r = radius * float(rng.uniform(0.0, 1.0))
     return stack_axpy(V, r / norm, direction)

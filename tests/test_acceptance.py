@@ -413,6 +413,14 @@ TWO_PHASE_CONFIG = {
     "seeds": {"init": 3, "data": 4, "probes": 5},
     "output": {"dir": None},
 }
+# at h = 0.002 the phase-2 step size resolves in closed form at phase 1's
+# argmin iterate, a start the small-loss bisection did not build, so
+# Theorem 3.1's checks apply to every phase-2 row
+INSTRUMENTED_TWO_PHASE_CONFIG = {
+    **TWO_PHASE_CONFIG,
+    "network": {**TWO_PHASE_CONFIG["network"], "h": 0.002},
+    "phase_plan": {k: v for k, v in TWO_PHASE_CONFIG["phase_plan"].items() if k != "alpha_phase2"} | {"T": 300},
+}
 
 
 def assert_reruns_identical(config, out_dir, label):
@@ -443,12 +451,7 @@ def test_criterion_14_determinism_two_phase(tmp_path):
 
 
 def test_criterion_14_two_phase_checks_theorem_31_from_the_argmin_restart():
-    # at h = 0.002 the phase-2 step size resolves in closed form at phase 1's
-    # argmin iterate, a start the small-loss bisection did not build, and
-    # Theorem 3.1's checks apply to every phase-2 row
-    doc = {**TWO_PHASE_CONFIG, "network": {**TWO_PHASE_CONFIG["network"], "h": 0.002}}
-    doc["phase_plan"] = {k: v for k, v in TWO_PHASE_CONFIG["phase_plan"].items() if k != "alpha_phase2"} | {"T": 300}
-    runlog, status = run(parse_config(doc))
+    runlog, status = run(parse_config(INSTRUMENTED_TWO_PHASE_CONFIG))
     assert status == 0 and runlog.config_echo["phase2_instrumented"] is True
     records, first = runlog.records, runlog.phase_boundary
     assert (first, len(records)) == (111, 131)

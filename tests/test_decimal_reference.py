@@ -5,17 +5,20 @@ headline ones cut to `ROWS` monitored steps, and criterion 14's two-phase
 config, both of its phases. Each row's iterate, the point (u1, tail) the
 step kernel was given and the first layer's coefficients A, is read
 exactly from its floats, and `decimal_reference` forms J, log J, the
-gradient norm and the weight norm again, then the bounds and the slacks of
-the checks. The deep p=8, L=6, n=24 config is the one whose gradient's
-squares underflow unless the kernel scales it by 2^k: there `descent`'s
-predicted decrease, which squares a norm near 1e-198, is checked too.
+gradient norm, the gradient's product with the weights and the weight norm
+again, then the bounds and the slacks of every check: i1, i2, i3 and its
+sqrt(p) variant, lower, upper, alignment, floor and descent. The deep
+p=8, L=6, n=24 config is the one whose gradient's squares underflow unless
+the kernel scales it by 2^k: there `descent`'s predicted decrease, which
+squares a norm near 1e-198, is checked too.
 
 Besides the errors, the test prints a verdict-flip report per check: the
 rows whose float verdict differs from the verdict of the reference slack
-against the same tolerance, and the rows whose reference slack lies closer
-to that threshold than the float slack's error, where rounding alone could
-decide the verdict. Both are empty on every run today, and the test says
-so, so that a row that appears shows.
+against the same threshold (-tol, or for floor strictly above 0), and the
+rows whose reference slack lies closer to that threshold than the float
+slack's error, where rounding alone could decide the verdict. Both are
+empty on every run today, and the test says so, so that a row that appears
+shows.
 """
 
 from decimal import Decimal
@@ -37,7 +40,10 @@ CONFIGS = {
 COLUMNS = {  # float column of the monitor -> reference column of `monitor`
     "lower_bound": "lower", "upper_bound": "upper", "rate_bound": "rate",
 }
-SLACKS = {"i1": "i1", "i2": "i2", "lower": "lower slack", "upper": "upper slack", "descent": "descent"}
+SLACKS = {
+    "i1": "i1", "i2": "i2", "lower": "lower slack", "upper": "upper slack", "descent": "descent",
+    "alignment": "alignment", "i3": "i3", "i3_sqrtp": "i3_sqrtp", "floor": "floor",
+}
 
 
 @pytest.fixture(scope="module")
@@ -88,11 +94,12 @@ def test_kernel_columns_agree_with_a_60_digit_reference(phases, run):
         assert len(rows) == len(trace)
         first = anchor(data.inputs, V)
         refs = [kernel(data.inputs, data.labels, u1, tail, ctx.h, first, A) for u1, tail, A in rows]
-        ref_columns = monitor(refs, ctx.alpha, ctx.p, ctx.L)
+        ref_columns = monitor(refs, ctx.alpha, ctx.h, ctx.p, ctx.L)
         columns = {
             "J": (trace.loss, [r.loss for r in refs]),
             "log J": (trace.log_loss, [r.log_loss for r in refs]),
             "grad_norm": (trace.grad_norm, [r.grad_norm for r in refs]),
+            "grad_dot": (trace.grad_dot_weights, [r.grad_dot for r in refs]),
             "weight_norm": (trace.weight_norm, [r.weight_norm for r in refs]),
             **{name: (getattr(records, name), ref_columns[key]) for name, key in COLUMNS.items()},
         }
@@ -108,22 +115,25 @@ def test_kernel_columns_agree_with_a_60_digit_reference(phases, run):
                 assert want != 0
                 worst[name] = max(worst.get(name, 0.0), float(abs((Decimal(value) - want) / want)))
         for check, key in SLACKS.items():
+            # a check passes at or above -tol; floor, strictly above +tol (0)
             tol = Decimal(bounds.TOLERANCES[check])
+            threshold = tol if check == "floor" else -tol
             slacks = zip(records.slacks[check].tolist(), ref_columns[key], records.verdicts[check].tolist())
             for row, (value, want, verdict) in enumerate(slacks, start=first_row):
                 if want is None or value != value:
                     continue
                 error = abs(Decimal(value) - want)
                 worst[f"slack {check}"] = max(worst.get(f"slack {check}", 0.0), float(error))
-                if verdict != "na" and (verdict == "pass") != (want >= -tol):
+                passes = want > threshold if check == "floor" else want >= threshold
+                if verdict != "na" and (verdict == "pass") != passes:
                     flips.setdefault(check, []).append(row)
-                if verdict != "na" and abs(want + tol) <= error:
+                if verdict != "na" and abs(want - threshold) <= error:
                     close.setdefault(check, []).append(row)
         first_row += len(trace)
     print(f"\n{run}: {first_row - 1} rows; largest relative error of each column, absolute of each slack:")
     print("  " + ", ".join(f"{k} {v:.2e}" for k, v in worst.items()))
     for check in SLACKS:
         print(f"  {check}: verdict flips at rows {flips.get(check, [])}; "
-              f"within rounding of -tol at rows {close.get(check, [])}")
+              f"within rounding of the threshold at rows {close.get(check, [])}")
     assert not flips and not close  # none today: a row that appears is a finding to report
     assert max(worst.values()) <= 1e-12

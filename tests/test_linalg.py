@@ -17,7 +17,7 @@ from boundbench.linalg import (
     stack_axpy,
     stack_dot,
 )
-from stack_helpers import product_operator_bound, stack_norms, stack_scale, zero_stack
+from stack_helpers import from_layers, product_operator_bound, stack_norms, stack_scale, zero_stack
 
 
 def random_stack(p, L, rng, scale=1.0):
@@ -583,7 +583,7 @@ def test_stack_requires_hidden_layer():
         (lambda: WeightStack(hidden=(np.zeros((2, 2)),), outer=np.zeros(2)), r"outer layer must be 1 x p, got \(2,\)"),
         (lambda: WeightStack(hidden=(np.zeros((2, 2)),), outer=np.zeros((2, 2))), r"outer layer must be 1 x p"),
         (lambda: WeightStack(hidden=(np.zeros((0, 0)),), outer=np.zeros((1, 0))), "width must be at least 1"),
-        (lambda: WeightStack.from_layers([np.zeros((1, 2))]), "need at least one hidden layer plus the outer row"),
+        (lambda: from_layers([np.zeros((1, 2))]), "need at least one hidden layer plus the outer row"),
     ],
     ids=["outer-vector", "outer-square", "zero-width", "from-one-matrix"],
 )

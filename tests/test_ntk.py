@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from boundbench.harness import parse_config
 from boundbench.linalg import WeightStack, frobenius_norm, operator_norm, stack_axpy, stack_dot
 from boundbench.network import (
     Dataset,
+    _forward,
     _tail,
     forward,
     forward_rows,
@@ -43,10 +45,11 @@ from boundbench.ntk import (
     two_phase_train,
 )
 from reference_descent import descent
-from reference_kernels import nt_minimize_old_rule
+from reference_kernels import nt_minimize_old_rule, sigma_difference_sparsity as sigma_sparsity_reference
 from stack_helpers import (
     _perturb_layers_frobenius,
     approx_error_reference,
+    from_layers,
     gamma_bound,
     margin_gamma,
     margin_witness_clustered,
@@ -492,7 +495,7 @@ def test_span_draw_remainders_equal_the_parameter_space_form(p, L, n, act):
         radius = 0.8 * rng.uniform(0.5, 1.0)
         full = _perturb_layers_frobenius(V1, 0.8, rng)
         first = V1.hidden[0] + radius * G / np.linalg.norm(G)
-        stacks.append(WeightStack.from_layers([first, *full.hidden[1:], full.outer]))
+        stacks.append(from_layers([first, *full.hidden[1:], full.outer]))
         Z = G @ Q
         chi_sq = float(np.vdot(G, G) - np.vdot(Z, Z))
         points.append((_span_u1(U0, R, Z, chi_sq, radius), _tail(full)))
@@ -897,7 +900,7 @@ def test_run_phase_columns_and_iterates_equal_the_stack_helpers(p, L, anchored):
         coef = 0.1 * np.random.default_rng(p + L + 2).standard_normal((data.n, p))
         trace = run_phase(V1, act, data, alpha, steps, start=(coef, _tail(other)))
         first = V1.hidden[0] + coef.T @ data.inputs
-        start = WeightStack.from_layers([first, *other.hidden[1:], other.outer])
+        start = from_layers([first, *other.hidden[1:], other.outer])
         want, want_best, want_final = descent(start, act, data, alpha, steps, anchor=V1)
         assert trace.drift[0] > 0.01
     else:
@@ -1158,3 +1161,49 @@ def test_sigma_sparsity_rejects_a_negative_or_nonfinite_tau(tau):
         sigma_difference_sparsity(V1, huberized(1e-4), data, tau=tau)
     with pytest.raises(ValueError, match="tau"), pytest.warns(UserWarning, match="concentration"):
         init_diagnostics(V1, huberized(1e-4), data, tau=tau)
+
+
+@pytest.mark.parametrize("seed", [65, 66])
+@pytest.mark.parametrize("tau", [0.0, 0.01, 0.1])
+@pytest.mark.parametrize("p, L", [(8, 1), (64, 3), (128, 2)])
+def test_sigma_sparsity_matches_its_stack_form_bit_for_bit(monkeypatch, p, L, tau, seed):
+    # the streamed probe draws the same layers in the same order as the form
+    # that built both perturbed stacks, so its passes carry the same bits
+    V1 = gaussian_init(InitSpec(p=p, L=L, seed=63))
+    _, data = clustered(p, 3, 0.05, seed=64)
+    act = huberized(1e-4)
+    passes = []
+
+    def recording(*args):
+        trace = _forward(*args)
+        passes.append(trace.sigma_diag)
+        return trace
+
+    monkeypatch.setattr(ntk, "_forward", recording)
+    out = sigma_difference_sparsity(V1, act, data, tau=tau, seed=seed)
+    expected, *sigmas = sigma_sparsity_reference(V1, act, data, tau, seed=seed)
+    assert out == expected
+    assert len(passes) == 2
+    for got, want in zip(passes, sigmas):
+        assert len(got) == len(want) == L
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_sigma_sparsity_holds_a_few_layers():
+    # the stack form held both perturbed stacks and the list of layers each
+    # was copied from, a peak of 13.0 layers at (p, L) = (512, 4). Streamed,
+    # the probe holds the layer last read and the next one's draw, plus
+    # either that draw's Gram and Lanczos basis or its scaled copy and the
+    # moved layer: a peak of about 4
+    p, L = 512, 4
+    V1 = gaussian_init(InitSpec(p=p, L=L, seed=63))
+    _, data = clustered(p, 3, 0.05, seed=64)
+    act = huberized(1e-4)
+    tracemalloc.start()
+    try:
+        sigma_difference_sparsity(V1, act, data, tau=0.1, seed=65)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * p * p * 8

@@ -5,7 +5,7 @@ from boundbench.activations import huberized, swish
 from boundbench.linalg import WeightStack
 from boundbench.network import Dataset
 from oracles import FdConfig, fd_compare, fd_gradient, kink_exclusions
-from stack_helpers import gradient_reference
+from stack_helpers import from_layers, gradient_reference
 
 
 def make_instance(p, L, n, seed, act):
@@ -40,7 +40,7 @@ def test_fd_compare_locates_perturbed_entry():
     V, _, _ = make_instance(3, 2, 2, seed=2, act=swish(0.5))
     layers = [np.array(m) for m in V.layers()]
     layers[1][2, 0] += 0.5
-    other = WeightStack.from_layers(layers)
+    other = from_layers(layers)
     report = fd_compare(V, other)
     assert (report.worst_layer, report.worst_row, report.worst_col) == (1, 2, 0)
     assert report.max_rel_error > 0.0

@@ -13,10 +13,16 @@ calls, so the monitor reads c * q_tilde. A larger constant claims a faster
 rate than the analysis gives; only a rate the run does not reach can be
 caught.
 
-The other mutants are switched on for the monitored phase only, while the
-start-up (warmup, width fixed point and scale bisection) is built once per
-run. Mutants in the update step, applied in the monitored `run_phase` call
-(the only one given a loss floor):
+The other mutants run on those three configs and on criterion 14's
+instrumented two-phase config (`INSTRUMENTED_TWO_PHASE_CONFIG`, "restart"),
+whose phase 2 restarts from phase 1's argmin iterate, a start the
+small-loss bisection did not build, with Theorem 3.1's checks on. They are
+switched on for the monitored phase only (`Monitored`: the theorem31 runs'
+one monitored phase, the restart's phase 2), while the start-up (warmup,
+width fixed point and scale bisection; the margin estimate and phase 1) is
+built once per run.
+
+Mutants in the update step, applied in the monitored `run_phase` call:
 - the gradient that `loss_and_gradient` returns scaled by m, so the step
   and the monitored columns both see it;
 - the tail gradient (layers 2..L and the outer row) alone scaled by m;
@@ -24,8 +30,8 @@ run. Mutants in the update step, applied in the monitored `run_phase` call
   is told alpha.
 Mutants in what the monitor reads:
 - `descent` pairing row t with row t + 2, and the previous iterate's weight
-  norm, each an edit of `monitor_transition`'s source, which a `theorem31`
-  run calls once;
+  norm, each an edit of `monitor_transition`'s source, used for the
+  monitored phase;
 - the activation's `deriv` at width 2h while `value` uses h, applied in the
   monitored `run_phase` call.
 Mutants in the kernel's power-of-two scale, in the monitored phase:
@@ -40,12 +46,15 @@ becomes caught, so that the list stays true: move it to CAUGHT (or
 STEP_CAUGHT, MONITOR_CAUGHT, SCALE_CAUGHT) then.
 """
 
+import functools
 import inspect
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 from boundbench import activations, bounds, harness, network, ntk
+from test_acceptance import INSTRUMENTED_TWO_PHASE_CONFIG
 
 
 def theorem31_config(p, L, n=3, steps=200, warmup_steps=3000, warmup_retries=4):
@@ -68,6 +77,29 @@ RUNS = {
     "p4_L1": theorem31_config(4, 1),
     "p8_L2": theorem31_config(8, 2),
     "p8_L6": theorem31_config(8, 6, n=24, steps=50, warmup_steps=200, warmup_retries=1),
+}
+
+
+class Monitored(NamedTuple):
+    """Where a run's monitored phase runs and is checked: the module whose
+    `run_phase` and `monitor_transition` the run calls, a test on a
+    `run_phase` call's keyword arguments that picks the monitored call, and
+    the phase number `monitor_transition` is given for it."""
+
+    module: object
+    is_monitored: Callable[[dict], bool]
+    phase: int
+
+
+# a theorem31 run monitors the one `harness.run_phase` call given a loss
+# floor; the instrumented two-phase run monitors phase 2, which
+# `ntk.two_phase_train` runs from phase 1's argmin iterate
+THEOREM31 = Monitored(harness, lambda kwargs: "stop_loss" in kwargs, 1)
+RESTART = Monitored(ntk, lambda kwargs: "start" in kwargs, 2)
+# the mutant matrix's runs: each config and where its monitored phase is
+MATRIX_RUNS = {
+    **{run: (config, THEOREM31) for run, config in RUNS.items()},
+    "restart": (INSTRUMENTED_TWO_PHASE_CONFIG, RESTART),
 }
 # (run, c) -> the checks that must fail, with exit status 1
 CAUGHT = {
@@ -111,19 +143,19 @@ def test_scaled_rate_constant_matrix(monkeypatch):
 
 
 def in_monitored_phase(mutation):
-    """A switch that applies `mutation` inside the monitored `run_phase`
-    call only, the one given a loss floor."""
+    """A switch that applies `mutation` inside a run's monitored `run_phase`
+    call only (see `Monitored`)."""
 
-    def switch(patch):
-        real_phase = harness.run_phase
+    def switch(patch, where):
+        real_phase = where.module.run_phase
 
         def run_phase(V, act, data, alpha, max_steps, **kwargs):
             with pytest.MonkeyPatch.context() as inner:
-                if "stop_loss" in kwargs:
+                if where.is_monitored(kwargs):
                     mutation(inner)
                 return real_phase(V, act, data, alpha, max_steps, **kwargs)
 
-        patch.setattr(harness, "run_phase", run_phase)
+        patch.setattr(where.module, "run_phase", run_phase)
 
     return switch
 
@@ -169,6 +201,7 @@ STEP_CAUGHT = {
     ("p4_L1", "gradient x1e+06"): {"descent", "upper"},
     ("p8_L2", "gradient x1e+06"): {"descent", "upper"},
     **{(run, f"tail gradient x{m:g}"): {"alignment"} for run in RUNS for m in (0.0, -1.0)},
+    ("restart", "gradient x1e+06"): {"upper"},
 }
 # (run, mutant) that exit 0 with no failed check. At p8_L2 and p8_L6 the
 # step rounds away (the iterate never changes), so ten times the gradient
@@ -176,19 +209,28 @@ STEP_CAUGHT = {
 # even 100 alpha or -alpha, changes a bit of the trajectory. At p8_L6 even
 # 1e6 times the gradient moves no iterate, and `upper` holds by 12 orders.
 # At p4_L1 the tail's step changes the trajectory, but no check reads the
-# step taken.
+# step taken. At the restart the closed-form phase-2 step is 3.7e-15: over
+# its 20 rows the loss falls 2e-14 relative and the weight norm not at all,
+# and the loss, near 0.05, is far above the small-loss level where lower,
+# alignment, descent and floor apply. So i1, i2 and i3 move by far less than
+# their 1e-12 tolerances under every mutant, and only `upper` sees 1e6 times
+# the gradient.
 STEP_GAPS = {
     ("p8_L2", "gradient x10"),
     ("p8_L6", "gradient x10"),
     ("p8_L6", "gradient x1e+06"),
-    *((run, f"tail step at {m:g} alpha") for run in RUNS for m in (0.0, 0.5, 2.0, 100.0, -1.0)),
+    *((run, f"tail step at {m:g} alpha") for run in MATRIX_RUNS for m in (0.0, 0.5, 2.0, 100.0, -1.0)),
+    *(("restart", f"gradient x{m:g}") for m in (-1.0, 0.5, 1e-3, 10.0)),
+    *(("restart", f"tail gradient x{m:g}") for m in (0.0, -1.0)),
 }
 
 
 def edited(fn, *edits):
     """`fn` compiled again, in a copy of its module's namespace, with each
     (old, new) edit made to its source text. Each old text must occur
-    exactly once, so an edit that stops applying fails."""
+    exactly once, so an edit that stops applying fails. A wrapper made by
+    `functools.wraps` is edited as the function it wraps."""
+    fn = inspect.unwrap(fn)
     source = inspect.getsource(fn)
     for old, new in edits:
         assert source.count(old) == 1, old
@@ -199,11 +241,16 @@ def edited(fn, *edits):
 
 
 def mutated_monitor(*edits):
-    """A switch that swaps in `bounds.monitor_transition` with each edit
-    made; a `theorem31` run calls it once, on the monitored phase."""
+    """A switch that swaps in `bounds.monitor_transition` with each edit made
+    for the monitored phase; a `theorem31` run calls it once, on that phase."""
 
-    def switch(patch):
-        patch.setattr(harness, "monitor_transition", edited(bounds.monitor_transition, *edits))
+    def switch(patch, where):
+        real, mutant = where.module.monitor_transition, edited(bounds.monitor_transition, *edits)
+
+        def monitor_transition(trace, ctx, phase):
+            return (mutant if phase == where.phase else real)(trace, ctx, phase)
+
+        patch.setattr(where.module, "monitor_transition", monitor_transition)
 
     return switch
 
@@ -239,24 +286,25 @@ MONITOR_MUTANTS = {
 # (run, mutant) -> the checks that must fail, with exit status 1
 MONITOR_CAUGHT = {}
 # (run, mutant) that exit 0 with no failed check. Two steps of descent
-# satisfy the one-step inequality with room to spare; the weight norm moves
-# by a few ulps a step at p4_L1 and not at all at p8_L2 and p8_L6; and at
-# p8_L2 and p8_L6 no pre-activation of the monitored phase lies in (0, 2h),
+# satisfy the one-step inequality with room to spare (and at the restart
+# descent does not apply); the weight norm moves by a few ulps a step at
+# p4_L1 and not at all at p8_L2, p8_L6 and the restart; and at p8_L2, p8_L6
+# and the restart no pre-activation of the monitored phase lies in (0, 2h),
 # where the two widths' derivatives differ.
-MONITOR_GAPS = {(run, mutant) for run in RUNS for mutant in MONITOR_MUTANTS}
+MONITOR_GAPS = {(run, mutant) for run in MATRIX_RUNS for mutant in MONITOR_MUTANTS}
 
 
 def mutated_phase(*edits):
     """A switch that runs the monitored `run_phase` call with each edit made
     to its source."""
 
-    def switch(patch):
-        real, mutant = harness.run_phase, edited(ntk.run_phase, *edits)
+    def switch(patch, where):
+        real, mutant = where.module.run_phase, edited(ntk.run_phase, *edits)
 
         def run_phase(V, act, data, alpha, max_steps, **kwargs):
-            return (mutant if "stop_loss" in kwargs else real)(V, act, data, alpha, max_steps, **kwargs)
+            return (mutant if where.is_monitored(kwargs) else real)(V, act, data, alpha, max_steps, **kwargs)
 
-        patch.setattr(harness, "run_phase", run_phase)
+        patch.setattr(where.module, "run_phase", run_phase)
 
     return switch
 
@@ -282,8 +330,8 @@ SCALE_CAUGHT = {("p8_L6", "k forced to 0"): {"lower"}}
 # further above `lower` and still far below `upper`, and four times the
 # predicted decrease stays below the descent tolerance; twice the step is a
 # tail step at 2 alpha for the whole gradient. Where no square underflows,
-# as at the headline runs, forcing k to 0 changes no bit.
-SCALE_GAPS = {(run, mutant) for run in RUNS for mutant in SCALE_MUTANTS} - SCALE_CAUGHT.keys()
+# as at the headline runs and the restart, forcing k to 0 changes no bit.
+SCALE_GAPS = {(run, mutant) for run in MATRIX_RUNS for mutant in SCALE_MUTANTS} - SCALE_CAUGHT.keys()
 
 
 def changed_columns(records, clean):
@@ -305,14 +353,17 @@ def mutant_matrix():
     for every mutant and the clean run "none"."""
     startups = {}  # (function, stack bytes) -> (its result, its MisclassifiedError)
 
-    def once(name):
-        real = getattr(harness, name)
+    def once(module, name, is_startup=lambda kwargs: True):
+        real = getattr(module, name)
 
-        def cached(stack, *args):
+        @functools.wraps(real)
+        def cached(stack, *args, **kwargs):
+            if not is_startup(kwargs):
+                return real(stack, *args, **kwargs)
             key = (name, stack.flat.tobytes())
             if key not in startups:
                 try:
-                    startups[key] = real(stack, *args), None
+                    startups[key] = real(stack, *args, **kwargs), None
                 except harness.MisclassifiedError as exc:  # p8_L6 retries from the next init seed
                     startups[key] = None, exc
             result, error = startups[key]
@@ -324,13 +375,16 @@ def mutant_matrix():
 
     matrix = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "warmup", once("warmup"))
-        patch.setattr(harness, "resolve_theorem31_setup", once("resolve_theorem31_setup"))
-        mutants = {"none": lambda patch: None, **STEP_MUTANTS, **MONITOR_MUTANTS, **SCALE_MUTANTS}
+        patch.setattr(harness, "warmup", once(harness, "warmup"))
+        patch.setattr(harness, "resolve_theorem31_setup", once(harness, "resolve_theorem31_setup"))
+        # the restart's start-up: the margin estimate and phase 1
+        patch.setattr(harness, "margin_estimate_subgradient", once(harness, "margin_estimate_subgradient"))
+        patch.setattr(ntk, "run_phase", once(ntk, "run_phase", lambda kwargs: not RESTART.is_monitored(kwargs)))
+        mutants = {"none": lambda patch, where: None, **STEP_MUTANTS, **MONITOR_MUTANTS, **SCALE_MUTANTS}
         for mutant, switch in mutants.items():
-            for run, config in RUNS.items():
+            for run, (config, where) in MATRIX_RUNS.items():
                 with pytest.MonkeyPatch.context() as mutation:
-                    switch(mutation)
+                    switch(mutation, where)
                     runlog, status = harness.run(harness.parse_config(config))
                 invariants = runlog.summary["invariants"]
                 failed = {key: v["counts"]["fail"] for key, v in invariants.items() if v["counts"]["fail"]}
@@ -341,15 +395,15 @@ def mutant_matrix():
 def check_matrix(matrix, mutants, caught, gaps):
     """Print the rows of `mutants` and assert the caught and gap lists."""
     print("\nmutant x run: exit status, failed checks (failing rows); changed")
-    for run in RUNS:
+    for run in MATRIX_RUNS:
         assert matrix[run, "none"][:2] == (0, {})
     for mutant in mutants:
-        for run in RUNS:
+        for run in MATRIX_RUNS:
             status, failed, records = matrix[run, mutant]
             fails = ", ".join(f"{key} ({count})" for key, count in sorted(failed.items())) or "none"
             changed = ", ".join(changed_columns(records, matrix[run, "none"][2])) or "nothing"
             print(f"  {mutant:24} {run}: exit {status}, fails {fails}; changed {changed}")
-    assert caught.keys() | gaps == {(run, mutant) for run in RUNS for mutant in mutants}
+    assert caught.keys() | gaps == {(run, mutant) for run in MATRIX_RUNS for mutant in mutants}
     for key, checks in caught.items():
         status, failed, _ = matrix[key]
         assert status == 1 and checks <= failed.keys(), key
@@ -374,4 +428,6 @@ def test_monitor_mutant_matrix(mutant_matrix):
 def test_scale_mutant_matrix(mutant_matrix):
     check_matrix(mutant_matrix, SCALE_MUTANTS, SCALE_CAUGHT, SCALE_GAPS)
     for mutant in SCALE_MUTANTS:  # every mutant changes what some run reports
-        assert any(changed_columns(mutant_matrix[run, mutant][2], mutant_matrix[run, "none"][2]) for run in RUNS), mutant
+        assert any(
+            changed_columns(mutant_matrix[run, mutant][2], mutant_matrix[run, "none"][2]) for run in MATRIX_RUNS
+        ), mutant

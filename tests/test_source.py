@@ -1,5 +1,6 @@
 """Source checks on the package: no module imports a name it never uses,
-and no private helper goes unread.
+no private helper goes unread, and every public name without a reader in
+the package is listed once, with its reason.
 
 No linter ships with the project, so this is stdlib `ast`: a name bound by
 an import in `src/boundbench/<module>.py` must be read somewhere in that
@@ -7,7 +8,10 @@ module, in code or in a string annotation. An import kept for another
 reader is marked `# noqa: F401` on its line. `__init__.py` only re-exports
 and is not checked for imports. A module-level function or class, or a
 method, whose name starts with `_` (dunders aside) must be read by a name
-or an attribute somewhere in the package.
+or an attribute somewhere in the package. So must a public module-level
+name (function, class or assigned name) or public method, unless it is
+listed in `PUBLIC_WITHOUT_SRC_READER`; the list must name exactly the ones
+that have no reader, so it shrinks as they gain one or leave.
 """
 
 import ast
@@ -70,15 +74,20 @@ def private_definitions(tree: ast.AST) -> list[str]:
     return [name for name in names if name.startswith("_") and not name.endswith("__")]
 
 
-def unread_private_helpers(sources: list[str]) -> list[str]:
-    """Private definitions that no name or attribute in `sources` reads."""
-    trees = [ast.parse(source) for source in sources]
-    read = {
+def _read_names(trees: list[ast.AST]) -> set[str]:
+    """Every name, and every attribute name, that the trees load."""
+    return {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
+
+
+def unread_private_helpers(sources: list[str]) -> list[str]:
+    """Private definitions that no name or attribute in `sources` reads."""
+    trees = [ast.parse(source) for source in sources]
+    read = _read_names(trees)
     return sorted(name for tree in trees for name in private_definitions(tree) if name not in read)
 
 
@@ -98,3 +107,62 @@ def test_unread_private_helpers_finds_an_unread_helper():
 def test_package_reads_every_private_helper():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_helpers(sources) == []
+
+
+# public names that no code in the package reads, each with the reason it stays
+PUBLIC_WITHOUT_SRC_READER = {
+    "activations.swish": "the Swish constructor beside `huberized`, for library users",
+    "linalg.stack_axpy": "pinned by `benchmark/spans.py` TARGETS",
+    "linalg.stack_dot": "pinned by `benchmark/spans.py` TARGETS",
+    "network.forward": "pinned by `benchmark/spans.py` TARGETS",
+    "network.output_gradient": "pinned by `benchmark/spans.py` TARGETS",
+    "ntk.approx_error_sample": "its only caller outside the tests is the t32 benchmark workload",
+    "ntk.nt_class_minimize": "its only caller outside the tests is the t32 benchmark workload",
+    "ntk.ntk_features": "its only caller outside the tests is the t32 benchmark workload",
+}
+
+
+def public_definitions(tree: ast.AST) -> list[str]:
+    """Module-level functions, classes and assigned names, and methods as
+    `Class.method`, whose own name does not start with `_`."""
+    functions = ast.FunctionDef, ast.AsyncFunctionDef
+    names = []
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [f"{node.name}.{item.name}" for item in node.body if isinstance(item, functions)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if not name.rpartition(".")[2].startswith("_")]
+
+
+def unread_public_names(modules: dict[str, str]) -> list[str]:
+    """`module.name` for each public definition in the sources (keyed by
+    module name) whose name no name or attribute in any of them reads."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    read = _read_names(list(trees.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in public_definitions(tree)
+        if name.rpartition(".")[2] not in read
+    )
+
+
+def test_unread_public_names_finds_an_unread_name():
+    source = (
+        "LIMIT = 1\nUNUSED: int = 2\n_hidden = 3\n"
+        "def used():\n    return LIMIT\n"
+        "def unused():\n    pass\n"
+        "class Box:\n    def read(self):\n        return used()\n"
+        "    def dead(self):\n        pass\n    def __len__(self):\n        return 0\n"
+    )
+    other = "from m import Box\nBox().read()\n"
+    assert unread_public_names({"m": source, "n": other}) == ["m.Box.dead", "m.UNUSED", "m.unused"]
+
+
+def test_every_public_name_has_a_reader_in_the_package_or_a_listed_reason():
+    modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_public_names(modules) == sorted(PUBLIC_WITHOUT_SRC_READER)
