@@ -63,7 +63,7 @@ def _cmd_run(args: argparse.Namespace) -> tuple[int, str]:
     if args.command == "run" and args.seed_override is not None:
         # seeds K, K+1, K+2, checked by the same schema as a config file
         k = args.seed_override
-        config = parse_config({**config.to_json_dict(), "seeds": {"init": k, "data": k + 1, "probes": k + 2}})
+        config = parse_config({**config, "seeds": {"init": k, "data": k + 1, "probes": k + 2}})
     runlog, status = run(config, out_dir=args.out)
     return status, _report(runlog)
 

@@ -13,7 +13,6 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -54,29 +53,6 @@ from .ntk import (
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated, fully defaulted experiment; a section its mode does not read is None."""
-
-    mode: str
-    network: dict
-    data: dict
-    optimizer: dict | None
-    init: dict | None
-    phase_plan: dict | None
-    diagnostics: dict | None
-    seeds: dict
-    output: dict
-
-    def to_json_dict(self) -> dict:
-        """The mode and every section it read, each copied; no phase_plan.delta beside a given rho."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        echo = {k: v if k == "mode" else dict(v) for k, v in doc.items() if v is not None}
-        if self.phase_plan is not None and self.phase_plan["rho"] != "auto":
-            del echo["phase_plan"]["delta"]
-        return echo
 
 
 def _expect(cond: bool, path: str, message: str) -> None:
@@ -217,10 +193,13 @@ _SCHEMA = {
 }
 
 
-def parse_config(source: str | dict) -> RunConfig:
-    """Validate a JSON config, its mode first; a bad field, a section the mode
-    does not read or an unread phase_plan.delta or alpha_phase2 raises `ConfigError` naming its path."""
-    doc = json.loads(source) if isinstance(source, str) else source
+def parse_config(doc) -> dict:
+    """The decoded JSON config `doc` validated, its mode first, and defaulted:
+    a new dict of the mode and exactly the sections and keys the mode reads,
+    which is what a run reads and what its summary echoes, and which parses
+    to itself again. A bad field, a section the mode does not read or an
+    unread phase_plan.delta or alpha_phase2 raises `ConfigError` naming its
+    path; a given rho leaves no delta in the result."""
     _expect(isinstance(doc, dict), "config", "must be a JSON object")
     mode = _mode(doc.get("mode"), "mode")
     unread = [k for sections in _MODE_SECTIONS.values() for k in sections if k not in _MODE_SECTIONS[mode]]
@@ -231,11 +210,12 @@ def parse_config(source: str | dict) -> RunConfig:
     present = [k for k in ("inline", "file", "clustered") if data[k] is not None]
     _expect(len(present) == 1, "data", f"exactly one of inline/file/clustered required, got {present}")
     if (plan := top.get("phase_plan")) is not None:
-        read = plan["rho"] == "auto" or "delta" not in doc["phase_plan"]
-        _expect(read, "phase_plan.delta", "is read only with an automatic rho")
+        if plan["rho"] != "auto":
+            _expect("delta" not in doc["phase_plan"], "phase_plan.delta", "is read only with an automatic rho")
+            del plan["delta"]
         read = plan["alpha_phase2"] is None or plan["phase2_steps"] > 0
         _expect(read, "phase_plan.alpha_phase2", "is read only when phase2_steps > 0")
-    return RunConfig(**dict.fromkeys(unread), **top)
+    return top
 
 
 def read_json(path: str, prefix: str = ""):
@@ -275,10 +255,10 @@ def _load_samples(doc, path: str, origin: str) -> Dataset:
     return Dataset(inputs=inputs, labels=np.asarray(ys))
 
 
-def build_dataset(config: RunConfig) -> Dataset:
+def build_dataset(config: dict) -> Dataset:
     """The configured data set; its width must match network.p."""
-    data = config.data
-    p = config.network["p"]
+    data = config["data"]
+    p = config["network"]["p"]
     if data["file"] is not None:
         dataset = _load_samples(read_json(data["file"], "data.file: "), "data.file", data["file"])
     elif data["inline"] is not None:
@@ -286,7 +266,7 @@ def build_dataset(config: RunConfig) -> Dataset:
     else:
         cl = data["clustered"]
         try:
-            dataset = make_clustered_dataset(p, cl["r"], cl["n"], config.seeds["data"], cl["mu"])
+            dataset = make_clustered_dataset(p, cl["r"], cl["n"], config["seeds"]["data"], cl["mu"])
         except ValueError as exc:  # the schema checks all but mu's length
             raise ConfigError(f"network.p: {exc}") from exc
         except RuntimeError as exc:  # renormalisation rounds every point out of a tiny cluster
@@ -433,54 +413,56 @@ def resolve_theorem31_setup(
 # top-level run
 
 
-def run(config: RunConfig, out_dir: str | Path | None = None) -> tuple[RunLog, int]:
+def run(config: dict, out_dir: str | Path | None = None) -> tuple[RunLog, int]:
     """Execute the configured experiment; returns the log and exit status.
 
     Every mode takes this one path: the output directory is created first,
     so an unusable one fails before any training; the data set is built
     once and handed to the mode's function; the exit status is 1 when the
     summary's "failed" is set and 0 otherwise (not-applicable never counts
-    as failure). Artifacts (trajectory CSV, summary JSON) land in the
-    output directory when enabled.
+    as failure). The summary echoes a copy of `config`, the dict
+    `parse_config` returned, under "config". Artifacts (trajectory CSV,
+    summary JSON) land in the output directory when enabled.
     """
-    target = out_dir if out_dir is not None else config.output["dir"]
+    target = out_dir if out_dir is not None else config["output"]["dir"]
     if target is not None:
         target = Path(target)
         target.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    runlog = _MODE_RUNS[config.mode](config, build_dataset(config))
+    runlog = _MODE_RUNS[config["mode"]](config, build_dataset(config))
     runlog.summary["wall_time_s"] = time.perf_counter() - started
-    runlog.config_echo["config"] = config.to_json_dict()
+    runlog.config_echo["config"] = {k: v if k == "mode" else dict(v) for k, v in config.items()}
     if target is not None:
-        if config.output["csv"] and runlog.records:
+        if config["output"]["csv"] and runlog.records:
             write_csv(runlog.records, target / "trajectory.csv")
-        if config.output["json"]:
+        if config["output"]["json"]:
             write_summary_json(runlog, target / "summary.json")
     return runlog, (1 if runlog.summary["failed"] else 0)
 
 
-def _run_theorem31(config: RunConfig, data: Dataset) -> RunLog:
-    p, L = config.network["p"], config.network["L"]
+def _run_theorem31(config: dict, data: Dataset) -> RunLog:
+    net, init, opt = config["network"], config["init"], config["optimizer"]
+    p, L = net["p"], net["L"]
     n = data.n
-    kind = ActivationKind(config.network["activation"])
-    target = config.init["target_loss"]
+    kind = ActivationKind(net["activation"])
+    target = init["target_loss"]
     if target == "auto":
         target = 0.5 * math.exp(small_loss_log_threshold(n, L))
     # a subnormal target gives a subnormal J1 and an alpha_max near 1/J1
     _expect(target >= sys.float_info.min, "init.target_loss", f"{target:.3g} is below the normal double range")
 
-    h_setting = config.network["h"]
+    h_setting = net["h"]
     warm_act = Activation(kind, _WARM_WIDTH if h_setting == "auto" else h_setting)
     # a Huberized path can die (all pre-activations negative leaves no gradient), and
     # a sample can lose its sign at a width the fixed point tries, so a misclassified
     # sample at any width deterministically retries from the next derived seed
-    for attempt in range(config.init["warmup_retries"] + 1):
-        used_seed = config.seeds["init"] + 1000 * attempt
+    for attempt in range(init["warmup_retries"] + 1):
+        used_seed = config["seeds"]["init"] + 1000 * attempt
         V0 = gaussian_init(InitSpec(p=p, L=L, seed=used_seed))
-        V_warm = warmup(V0, warm_act, data, config.init["warmup_steps"], config.init["warmup_alpha"])
+        V_warm = warmup(V0, warm_act, data, init["warmup_steps"], init["warmup_alpha"])
         try:
             act, V1, ctx, h_fixed_point = resolve_theorem31_setup(
-                V_warm, data, kind, target, h_setting, config.optimizer["alpha"]
+                V_warm, data, kind, target, h_setting, opt["alpha"]
             )
             break
         except MisclassifiedError:
@@ -488,12 +470,11 @@ def _run_theorem31(config: RunConfig, data: Dataset) -> RunLog:
     else:
         raise RunAbortedError(
             "warmup did not reach correct classification on every sample at the widths the "
-            f"scale search tried, after {config.init['warmup_retries'] + 1} seeded attempts; increase "
+            f"scale search tried, after {init['warmup_retries'] + 1} seeded attempts; increase "
             "init.warmup_steps or change seeds"
         )
     # one lookahead step past max_steps: the last kept row still carries its one-step descent
     # check, unless the row reached the loss floor, which stops the run there
-    opt = config.optimizer
     trace = run_phase(V1, act, data, ctx.alpha, opt["max_steps"] + 1, stop_loss=opt["loss_floor"])
     records = monitor_transition(trace, ctx, 1).head(min(len(trace), opt["max_steps"]))
     echo = {
@@ -514,22 +495,22 @@ def _run_theorem31(config: RunConfig, data: Dataset) -> RunLog:
     return RunLog(config_echo=echo, records=records, summary=summarize(records))
 
 
-def _width(config: RunConfig, data: Dataset) -> float:
+def _width(config: dict, data: Dataset) -> float:
     """network.h for theorem32 and diagnostics: "auto" is the two-phase
     schedule's width nt_smoothing_width(n, p, L)."""
-    h = config.network["h"]
+    h = config["network"]["h"]
     if h == "auto":
-        h = nt_smoothing_width(data.n, config.network["p"], config.network["L"])
+        h = nt_smoothing_width(data.n, config["network"]["p"], config["network"]["L"])
         _expect(h > 0, "network.h", "the automatic width is 0 for a single sample (log n = 0); give a positive width")
     return h
 
 
-def _run_theorem32(config: RunConfig, data: Dataset) -> RunLog:
-    p, L = config.network["p"], config.network["L"]
-    huberized_only = ActivationKind(config.network["activation"]) is ActivationKind.HUBERIZED_RELU
+def _run_theorem32(config: dict, data: Dataset) -> RunLog:
+    p, L = config["network"]["p"], config["network"]["L"]
+    huberized_only = ActivationKind(config["network"]["activation"]) is ActivationKind.HUBERIZED_RELU
     _expect(huberized_only, "network.activation", "the two-phase schedule needs huberized")
-    plan_cfg = config.phase_plan
-    V1 = gaussian_init(InitSpec(p=p, L=L, seed=config.seeds["init"]))
+    plan_cfg = config["phase_plan"]
+    V1 = gaussian_init(InitSpec(p=p, L=L, seed=config["seeds"]["init"]))
     act = huberized(_width(config, data))  # for the margin estimate and both phases
 
     gamma = gamma_upper = None if plan_cfg["gamma"] == "estimate" else plan_cfg["gamma"]
@@ -550,24 +531,23 @@ def _run_theorem32(config: RunConfig, data: Dataset) -> RunLog:
                 "give an explicit positive gamma"
             )
         gamma_side = "lower end (hard-margin dual bracket)"
-    plan = PhasePlan.auto(
-        data.n, p, L, gamma, **{k: None if v == "auto" else v for k, v in plan_cfg.items() if k != "gamma"}
-    )
+    given = {k: None if v == "auto" else v for k, v in plan_cfg.items() if k not in ("gamma", "delta")}
+    plan = PhasePlan.auto(data.n, p, L, gamma, delta=plan_cfg.get("delta"), **given)  # no delta beside a given rho
     runlog = two_phase_train(V1, act, data, plan)
     runlog.config_echo |= {"gamma": gamma, "gamma_upper": gamma_upper, "gamma_side": gamma_side}
     return runlog
 
 
-def _run_diagnostics(config: RunConfig, data: Dataset) -> RunLog:
-    p, L = config.network["p"], config.network["L"]
+def _run_diagnostics(config: dict, data: Dataset) -> RunLog:
+    p, L = config["network"]["p"], config["network"]["L"]
     h = _width(config, data)
-    V1 = gaussian_init(InitSpec(p=p, L=L, seed=config.seeds["init"]))
+    V1 = gaussian_init(InitSpec(p=p, L=L, seed=config["seeds"]["init"]))
     report = init_diagnostics(
         V1,
-        Activation(ActivationKind(config.network["activation"]), h),
+        Activation(ActivationKind(config["network"]["activation"]), h),
         data,
-        tau=config.diagnostics["tau"],
-        seed=config.seeds["probes"],
+        tau=config["diagnostics"]["tau"],
+        seed=config["seeds"]["probes"],
     )
     # narrow networks report, they do not fail: concentration is a wide-regime claim
     failed = not report["ok"] and not report["narrow_regime"]

@@ -535,7 +535,7 @@ class PhasePlan:
 
     @classmethod
     def auto(
-        cls, n: int, p: int, L: int, gamma: float | None, *, delta: float, T: int | None,
+        cls, n: int, p: int, L: int, gamma: float | None, *, delta: float | None, T: int | None,
         alpha_nt: float | None, rho: float | None, stop_loss: float,
         alpha_phase2: float | None, phase2_steps: int,
     ) -> "PhasePlan":
@@ -546,9 +546,9 @@ class PhasePlan:
         The faithful horizon scales like n^(2+24L), far beyond any
         desk-scale budget: T defaults to it capped at 10,000 steps, and to 1
         at rho = 0. The margin `gamma` (None if not estimated) and `delta`
-        are read only to form an automatic rho; a gamma so small that rho
-        passes the float range raises `ConfigError` naming
-        phase_plan.gamma. `alpha_phase2` is read only by a plan with
+        (None beside a given rho) are read only to form an automatic rho; a
+        gamma so small that rho passes the float range raises `ConfigError`
+        naming phase_plan.gamma. `alpha_phase2` is read only by a plan with
         phase2_steps > 0.
         """
         alpha_nt = 1.0 / (p * L**5) if alpha_nt is None else float(alpha_nt)

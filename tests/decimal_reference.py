@@ -4,10 +4,11 @@ Every float is a dyadic rational, and `Decimal(float)` reads it without
 rounding; from there each operation rounds at `DIGITS` significant digits,
 and decimal's exponent range holds values far below the float range. The
 Huberized ReLU is piecewise polynomial, so its forward pass, sensitivities
-and gradient carry only decimal's own rounding; the loss takes `exp`,
-`ln` and, for small e, a series for log(1 + e), where 1 + e would lose
-e's digits. So the reference is exact to far below the 1e-12 that tests
-ask of the float columns. `kernel` forms the columns of one row: J, log J,
+and gradient carry only decimal's own rounding; the scaled Swish
+u sigmoid(2u/h)/1.1 takes `exp`, and so does the loss, with `ln` and, for
+small e, a series for log(1 + e), where 1 + e would lose e's digits. So
+the reference is exact to far below the 1e-12 that tests ask of the float
+columns. `kernel` forms the columns of one row: J, log J,
 ||grad J||, <grad J, V_t> and ||V_t||; `monitor` forms the bounds and
 slacks from them. A row at p = 8, L = 6, n = 24 costs a few tens of
 thousands of decimal operations.
@@ -35,6 +36,26 @@ def _huberized(u: np.ndarray, h: Decimal) -> tuple[np.ndarray, np.ndarray]:
     value = np.array([zero if v <= 0 else v * v / (2 * h) if v <= h else v - h / 2 for v in u.ravel()], dtype=object)
     deriv = np.array([zero if v <= 0 else v / h if v <= h else Decimal(1) for v in u.ravel()], dtype=object)
     return value.reshape(u.shape), deriv.reshape(u.shape)
+
+
+_SWISH_SCALE = Decimal("1.1")
+
+
+def _swish(u: np.ndarray, h: Decimal) -> tuple[np.ndarray, np.ndarray]:
+    """Value u s / 1.1 and derivative s (1 + t (1 - s)) / 1.1 of the scaled
+    Swish of width h, entrywise, at t = 2u/h and s = sigmoid(t), formed from
+    e^-|t| <= 1; exact, where the float code rounds both to 0 below t = -700."""
+    value, deriv = [], []
+    for v in u.ravel():
+        t = 2 * v / h
+        e = (-abs(t)).exp()
+        s = 1 / (1 + e) if t >= 0 else e / (1 + e)
+        value.append(v * s / _SWISH_SCALE)
+        deriv.append(s * (1 + t * (1 - s)) / _SWISH_SCALE)
+    return np.array(value, dtype=object).reshape(u.shape), np.array(deriv, dtype=object).reshape(u.shape)
+
+
+_ACTIVATIONS = {"huberized": _huberized, "swish": _swish}
 
 
 def _log1p(e: Decimal) -> Decimal:
@@ -72,9 +93,10 @@ def anchor(inputs, V1) -> Anchor:
         return Anchor(sum(v * v for v in W.ravel()), X @ W.T, X @ X.T)
 
 
-def kernel(inputs, labels, u1, tail, h: float, first: Anchor, coef) -> Reference:
+def kernel(inputs, labels, u1, tail, h: float, first: Anchor, coef, kind: str = "huberized") -> Reference:
     """J, log J, ||grad J||, <grad J, V_t> and ||V_t|| at the point
-    (u1, tail) of `network.loss_and_gradient`: first-layer pre-activations
+    (u1, tail) of `network.loss_and_gradient`, for the activation `kind`
+    ("huberized" or "swish") of width h: first-layer pre-activations
     u1 = X W_1^T (n x p) at the rows of `inputs` and the stack `tail` of
     layers 2..L and the outer row. The first layer is W_1 = V_1 + A^T X for
     the coefficients A = `coef` of `ntk.run_phase`, so
@@ -91,7 +113,7 @@ def kernel(inputs, labels, u1, tail, h: float, first: Anchor, coef) -> Reference
         for W in (None, *above):
             if W is not None:
                 u = xs[-1] @ W.T
-            x, sigma = _huberized(u, h)
+            x, sigma = _ACTIVATIONS[kind](u, h)
             xs.append(x)
             sigmas.append(sigma)
         z = y * (xs[-1] @ outer)

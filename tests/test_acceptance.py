@@ -379,7 +379,7 @@ def test_criterion_12_tangent_class():
 def test_criterion_13_negative_control(run_L1):
     runlog1, _, _ = run_L1
     alpha_max = runlog1.config_echo["resolved"]["alpha_max"]
-    bad = headline_config(p=4, L=1, max_steps=200).to_json_dict()
+    bad = headline_config(p=4, L=1, max_steps=200)
     bad["optimizer"]["alpha"] = 10.0 * alpha_max
     runlog, status = run(parse_config(bad))
     first_fails = {

@@ -1,10 +1,11 @@
 """The monitored columns, bounds and slacks against a 60-digit reference.
 
 The runs are the planted-defect matrix's three `theorem31` configs, the
-headline ones cut to `ROWS` monitored steps, and criterion 14's two-phase
-config, both of its phases. Each row's iterate, the point (u1, tail) the
-step kernel was given and the first layer's coefficients A, is read
-exactly from its floats, and `decimal_reference` forms J, log J, the
+headline ones cut to `ROWS` monitored steps, the p=4, L=1 one again with
+the scaled Swish activation, and criterion 14's two-phase config, both of
+its phases. Each row's iterate, the point (u1, tail) the step kernel was
+given and the first layer's coefficients A, is read exactly from its
+floats, and `decimal_reference` forms J, log J, the
 gradient norm, the gradient's product with the weights and the weight norm
 again, then the bounds and the slacks of every check: i1, i2, i3 and its
 sqrt(p) variant, lower, upper, alignment, floor and descent. The deep
@@ -35,6 +36,11 @@ CONFIGS = {
     "p4_L1": {**RUNS["p4_L1"], "optimizer": {"alpha": "auto", "max_steps": ROWS}},
     "p8_L2": {**RUNS["p8_L2"], "optimizer": {"alpha": "auto", "max_steps": ROWS}},
     "p8_L6": RUNS["p8_L6"],  # its 50 monitored steps, 51 rows with the lookahead
+    "p4_L1_swish": {
+        **RUNS["p4_L1"],
+        "network": {**RUNS["p4_L1"]["network"], "activation": "swish"},
+        "optimizer": {"alpha": "auto", "max_steps": ROWS},
+    },
     "two_phase": TWO_PHASE_CONFIG,
 }
 COLUMNS = {  # float column of the monitor -> reference column of `monitor`
@@ -93,7 +99,8 @@ def test_kernel_columns_agree_with_a_60_digit_reference(phases, run):
     for trace, ctx, records, V, rows in monitored:
         assert len(rows) == len(trace)
         first = anchor(data.inputs, V)
-        refs = [kernel(data.inputs, data.labels, u1, tail, ctx.h, first, A) for u1, tail, A in rows]
+        kind = CONFIGS[run]["network"]["activation"]
+        refs = [kernel(data.inputs, data.labels, u1, tail, ctx.h, first, A, kind) for u1, tail, A in rows]
         ref_columns = monitor(refs, ctx.alpha, ctx.h, ctx.p, ctx.L)
         columns = {
             "J": (trace.loss, [r.loss for r in refs]),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from boundbench import harness, network, ntk
 from boundbench.activations import huberized, swish
-from boundbench.bounds import resolve_context
+from boundbench.bounds import RunLog, resolve_context
 from boundbench.cli import main as cli_main
 from boundbench.harness import (
     ConfigError,
@@ -33,6 +33,7 @@ from boundbench.ntk import (
     gaussian_init,
     make_clustered_dataset,
 )
+from test_acceptance import INSTRUMENTED_TWO_PHASE_CONFIG, TWO_PHASE_CONFIG
 
 
 def minimal_config(**overrides):
@@ -55,9 +56,9 @@ def minimal_config(**overrides):
 
 def test_parse_minimal_theorem31_config():
     config = parse_config(minimal_config())
-    assert config.mode == "theorem31"
-    assert config.network["h"] == "auto"
-    assert config.optimizer["alpha"] == "auto"
+    assert config["mode"] == "theorem31"
+    assert config["network"]["h"] == "auto"
+    assert config["optimizer"]["alpha"] == "auto"
 
 
 def test_parse_rejects_negative_width():
@@ -129,10 +130,7 @@ FOREIGN = [
 def test_parse_round_trip_is_identity():
     for full in FULL_CONFIGS.values():
         config = parse_config(full)
-        canonical = config.to_json_dict()
-        again = parse_config(json.dumps(canonical))
-        assert again.to_json_dict() == canonical
-        assert again == config
+        assert parse_config(json.loads(json.dumps(config))) == config
 
 
 def test_parse_validates_mode_and_seeds():
@@ -189,12 +187,12 @@ def test_any_json_object_parses_or_names_a_field(doc):
     except ConfigError as exc:
         assert str(exc).split(": ", 1)[0] in KNOWN_PATHS, str(exc)
     else:
-        parse_config(config.to_json_dict())  # the echo is a valid config
+        assert parse_config(config) == config  # the echo is a valid config, and parses to itself
 
 
 def test_parse_accepts_every_field_of_the_full_config():
     for full in FULL_CONFIGS.values():
-        echo = parse_config(full).to_json_dict()
+        echo = parse_config(full)
         data = echo.pop("data")
         assert {k: v for k, v in data.items() if v is not None} == full["data"]
         assert echo == {k: v for k, v in full.items() if k != "data"}
@@ -805,8 +803,8 @@ def test_cli_rejects_a_phase_plan_key_the_run_would_not_read(tmp_path, capsys, p
     assert err.startswith(f"error: phase_plan.{key}: ") and err.count("\n") == 1
     # without the inert key the config parses, and its echo parses to itself
     del doc["phase_plan"][key]
-    echo = parse_config(doc).to_json_dict()
-    assert parse_config(echo).to_json_dict() == echo and ("delta" in echo["phase_plan"]) == (key != "delta")
+    echo = parse_config(doc)
+    assert parse_config(echo) == echo and ("delta" in echo["phase_plan"]) == (key != "delta")
 
 
 def test_cli_rejects_unresolvable_phase2_step_size(tmp_path, capsys):
@@ -894,14 +892,57 @@ def test_summary_echoes_only_the_sections_its_mode_reads(tmp_path, mode):
     assert set(echoed) == {"mode", *_SHARED_SECTIONS, *OWN_SECTIONS[mode]}
 
 
-def test_readme_config_blocks_parse_to_themselves():
-    # one block per mode under the README's Config heading, every key shown
+def _readme_config_blocks():
+    """The JSON blocks under the README's Config heading."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = text.split("\n### Config\n", 1)[1].split("\n## ", 1)[0]
-    blocks = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
-    assert sorted(block["mode"] for block in blocks) == sorted(MODES)
-    for block in blocks:
-        assert parse_config(block).to_json_dict() == block
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+
+
+README_CONFIGS = {f"readme-{block['mode']}": block for block in _readme_config_blocks()}
+
+
+def test_readme_config_blocks_parse_to_themselves():
+    # one block per mode, every key shown
+    assert sorted(block["mode"] for block in README_CONFIGS.values()) == sorted(MODES)
+    for block in README_CONFIGS.values():
+        assert parse_config(block) == block
+
+
+# the runs whose summary.json echo is checked, with the --seed-override each
+# is run with (None: none): each README block, criterion 14's two two-phase
+# configs and a theorem32 config with a given rho, so with no delta
+ECHO_RUNS = {
+    **{name: (block, None) for name, block in README_CONFIGS.items()},
+    "two_phase": (TWO_PHASE_CONFIG, None),
+    "instrumented_two_phase": (INSTRUMENTED_TWO_PHASE_CONFIG, None),
+    "given_rho-seed_override_7": (
+        TWO_PHASE_CONFIG | {"phase_plan": TWO_PHASE_CONFIG["phase_plan"] | {"rho": 1.0, "T": 300}}, 7
+    ),
+}
+# the README's theorem31 block runs 10^4 steps and its diagnostics block is at
+# p = 2048: their mode's function is replaced, as `run` writes the echo after it
+_SLOW_README_MODES = {"readme-theorem31", "readme-diagnostics"}
+
+
+@pytest.mark.parametrize("name", ECHO_RUNS)
+def test_summary_echoes_exactly_the_parsed_config(tmp_path, monkeypatch, name):
+    doc, seed = ECHO_RUNS[name]
+    out = tmp_path / "out"
+    if name in _SLOW_README_MODES:
+        monkeypatch.setitem(harness._MODE_RUNS, doc["mode"], lambda config, data: RunLog({}, summary={"failed": False}))
+    if seed is None:
+        assert run(parse_config(doc), out_dir=out)[1] == 0
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--seed-override", str(seed)]) == 0
+        doc = doc | {"seeds": {"init": seed, "data": seed + 1, "probes": seed + 2}}
+    echo = json.loads((out / "summary.json").read_text())["config"]
+    assert echo == parse_config(doc)
+    assert parse_config(echo) == echo
+    if "phase_plan" in echo:
+        assert ("delta" in echo["phase_plan"]) == (echo["phase_plan"]["rho"] == "auto")
 
 
 @pytest.mark.parametrize("target", ["auto", 1e-310], ids=["auto_rounds_to_0", "subnormal"])

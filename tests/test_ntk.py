@@ -778,7 +778,7 @@ def auto_plan(n, p, L, gamma, **given):
     not `given` at the config schema's default ("auto" as None)."""
     section = parse_config(
         {"mode": "theorem32", "network": {"p": p, "L": L}, "data": {"clustered": {"r": 0.0, "n": 2}}}
-    ).phase_plan
+    )["phase_plan"]
     keys = {k: None if v == "auto" else v for k, v in section.items() if k != "gamma"}
     return PhasePlan.auto(n, p, L, gamma, **keys | given)
 
